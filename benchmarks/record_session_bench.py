@@ -58,7 +58,7 @@ from test_bench_session import (  # noqa: E402
     session_workload,
 )
 
-_FULL_SWEEP = (50, 100, 200, 500)
+_FULL_SWEEP = (16, 32, 50, 100, 200, 500)
 _SMOKE_SWEEP = (50, 120)
 
 

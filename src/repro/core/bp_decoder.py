@@ -38,6 +38,7 @@ __all__ = [
     "BitFlipDecoder",
     "DecodeOutcome",
     "best_pair_flip",
+    "resolve_stalls",
     "pair_cross_caps",
     "cross_magnitudes",
     "BatchedBitFlipDecoder",
@@ -60,7 +61,7 @@ _RESIDUAL_EXACT = 1e-9
 
 @lru_cache(maxsize=32)
 def _tril_indices(n: int) -> tuple:
-    """Cached ``np.tril_indices(n)`` — the pair scan calls it per stall."""
+    """Cached ``np.tril_indices(n)`` — the pair scans call it per stall."""
     return np.tril_indices(n)
 
 
@@ -120,8 +121,9 @@ def best_pair_flip(
     single-flip gains already in hand plus the slot-overlap counts; no
     per-pair residual correlations. Selection: pairs ``i < j`` over
     unfrozen bits in row-major order, first strict maximum above the gain
-    tolerance. Shared by every decoder kernel (per-position, batched,
-    packed, numba) so all take identical escape decisions at a stall.
+    tolerance. The per-position decoder calls it directly and the batched
+    kernels through :func:`resolve_stalls`, which returns the same pairs,
+    so all take identical escape decisions at a stall.
 
     ``cap``, when given, is :func:`pair_cross_caps` for this problem and
     restricts the scan to a candidate set in O(K): a pair's gain is at
@@ -243,6 +245,119 @@ def best_pair_flip(
     if not pair_gains[i, j] > _GAIN_TOL:
         return None
     return int(free[i]), int(free[j])
+
+
+#: Above this many candidates, a column whose candidates are more than half
+#: its free bits keeps :func:`best_pair_flip`'s real-arithmetic bound path:
+#: an exact (c × c) block is then dearer than the bound's (c × free) pass.
+_EXACT_BLOCK_MAX_CAND = 48
+#: Element cap on one stacked ``(columns, c, c)`` exact pair-gain block.
+_EXACT_BLOCK_ELEMS = 1 << 18
+
+
+def resolve_stalls(
+    gains: np.ndarray,
+    delta: np.ndarray,
+    frozen: np.ndarray,
+    overlap: np.ndarray,
+    cap: np.ndarray,
+    cross_mag: Optional[np.ndarray] = None,
+    co: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """:func:`best_pair_flip` for S stalled columns in one batched pass.
+
+    ``gains`` and ``delta`` are ``(K, S)``: column *s* holds one stalled
+    decode column's single-flip gains and flip deltas. Returns an
+    ``(S, 2)`` int array whose row *s* is the pair ``best_pair_flip``
+    returns for column *s*, or ``(-1, -1)`` where it returns ``None``.
+
+    The candidate proof runs for every column at once, with
+    ``best_pair_flip``'s own float expressions (top-two gains plus the
+    per-bit caps); columns left with fewer than two candidates retire.
+    The survivors' exact (cand × cand) pair-gain blocks are stacked into
+    padded ``(columns, c, c)`` tensors, each column's maximum taken over
+    the upper triangle in ascending candidate order: the scan's row-major
+    first maximum, so every decision is bit-identical. Columns whose
+    candidates are both many and more than half the free bits go to
+    ``best_pair_flip`` one by one, whose bound path is cheaper there.
+    """
+    s_dim = gains.shape[1]
+    pairs = np.full((s_dim, 2), -1, dtype=np.int64)
+    if frozen.any():
+        free = np.flatnonzero(~frozen)
+        g = gains[free]
+        capf = cap[free]
+    else:
+        free = None
+        g = gains
+        capf = cap
+    n_free = g.shape[0]
+    if n_free < 2 or s_dim == 0:
+        return pairs
+    top = np.partition(g, n_free - 2, axis=0)
+    gexcl = np.repeat(top[n_free - 1:], n_free, axis=0)
+    gexcl[np.argmax(g, axis=0), np.arange(s_dim)] = top[n_free - 2]
+    is_cand = gexcl + (g + capf[:, None]) > 0.0
+    n_cand = np.count_nonzero(is_cand, axis=0)
+
+    bound = (n_cand > _EXACT_BLOCK_MAX_CAND) & (2 * n_cand > n_free)
+    for s in np.flatnonzero(bound):
+        pair = best_pair_flip(
+            gains[:, s], delta[:, s], overlap, frozen,
+            cap=cap, cross_mag=cross_mag, co=co,
+        )
+        if pair is not None:
+            pairs[s] = pair
+    n_cand[bound] = 0
+
+    exact = np.flatnonzero(n_cand >= 2)
+    if exact.size == 0:
+        return pairs
+    widths = n_cand[exact]
+    if exact.size * int(widths.max()) ** 2 <= _EXACT_BLOCK_ELEMS:
+        chunks = [exact]
+    else:
+        # Narrowest first, each chunk as many columns as fit under the cap.
+        order = np.argsort(widths, kind="stable")
+        exact, widths = exact[order], widths[order]
+        chunks = []
+        start = 0
+        while start < exact.size:
+            sizes = np.arange(1, exact.size - start + 1) * widths[start:] ** 2
+            stop = start + max(1, int(np.count_nonzero(sizes <= _EXACT_BLOCK_ELEMS)))
+            chunks.append(exact[start:stop])
+            start = stop
+    for chunk in chunks:
+        _exact_block_pairs(g, delta, free, is_cand, n_cand[chunk], chunk, overlap, pairs)
+    return pairs
+
+
+def _exact_block_pairs(g, delta, free, is_cand, n_cand, chunk, overlap, pairs):
+    """Fill ``pairs`` for the columns ``chunk`` from one stacked exact block.
+
+    Per column, the candidates' pair gains are ``best_pair_flip``'s
+    narrow-block float expressions; padding past a column's candidate
+    count is ``-inf``, and so is the diagonal and below, so the flat
+    argmax is the first maximum of the upper triangle in row-major order.
+    """
+    width = int(n_cand.max())
+    # Candidate positions, ascending (a stable sort puts them first).
+    pos = np.argsort(~is_cand[:, chunk], axis=0, kind="stable")[:width].T
+    sub = pos if free is None else free[pos]
+    gc = g[pos, chunk[:, None]]
+    gc[np.arange(width) >= n_cand[:, None]] = _NEG_INF
+    dc = delta[sub, chunk[:, None]]
+    ov = overlap[sub[:, :, None], sub[:, None, :]]
+    cross = 2.0 * np.real(np.conj(dc)[:, :, None] * dc[:, None, :])
+    pair_gains = gc[:, :, None] + gc[:, None, :] - cross * ov
+    tril_rows, tril_cols = _tril_indices(width)
+    pair_gains[:, tril_rows, tril_cols] = _NEG_INF
+    flat = pair_gains.reshape(chunk.size, width * width)
+    arg = np.argmax(flat, axis=1)
+    rows = np.flatnonzero(flat[np.arange(chunk.size), arg] > _GAIN_TOL)
+    a, b = np.divmod(arg[rows], width)
+    pairs[chunk[rows], 0] = sub[rows, a]
+    pairs[chunk[rows], 1] = sub[rows, b]
 
 
 @dataclass
@@ -688,18 +803,30 @@ class BatchedBitFlipDecoder:
         return self._co_cache
 
     # ---- pair-flip escape -----------------------------------------------------
-    def _best_pair_flip(
-        self, gains: np.ndarray, delta: np.ndarray, frozen: np.ndarray
-    ) -> Optional[tuple]:
-        """Closed-form joint two-bit scan for one stalled column.
+    def _resolve_stalls(
+        self,
+        gains: np.ndarray,
+        delta: np.ndarray,
+        frozen: np.ndarray,
+        stalled: np.ndarray,
+        active: np.ndarray,
+    ) -> tuple:
+        """Pair-flip escape for every stalled column of one round.
 
-        Delegates to the shared :func:`best_pair_flip` with this kernel's
-        cached slot-overlap matrix and cross-term caps.
+        ``gains`` and ``delta`` are the ``(K, S)`` blocks of the columns
+        ``stalled`` (indices into ``active``). Runs the shared batched
+        :func:`resolve_stalls` against this kernel's cached overlap and
+        cross-term caps, retires each column without a positive-gain pair
+        in ``active``, and returns ``(columns, pairs)`` for the rest — the
+        flips are the kernel's own to apply.
         """
-        return best_pair_flip(
-            gains, delta, self._overlap, frozen,
-            cap=self._pair_cap, cross_mag=self._cross_mag, co=self._co,
+        pairs = resolve_stalls(
+            gains, delta, frozen, self._overlap, self._pair_cap,
+            cross_mag=self._cross_mag, co=self._co,
         )
+        hit = pairs[:, 0] >= 0
+        active[stalled[~hit]] = False
+        return stalled[hit], pairs[hit]
 
     # ---- decoding -------------------------------------------------------------
     def decode(
@@ -794,24 +921,16 @@ class BatchedBitFlipDecoder:
             flippable = np.isfinite(best_gain) & (best_gain > _GAIN_TOL)
 
             # Stalled columns: scan joint pair flips (the near-degenerate
-            # channel escape) before freezing the column. One vectorized
-            # pre-filter retires the provably fruitless columns first — a
-            # pair's gain is at most top1(G) + max(G + cap), so columns
-            # where that bound is ≤ 0 cannot clear the tolerance and skip
-            # the per-column scan entirely (the common case: a converged
-            # column re-proves its stall on every decode call).
+            # channel escape) before freezing the column — all of them in
+            # one batched pass; a converged column re-proves its stall on
+            # every decode call, so most retire there.
             stalled = np.flatnonzero(~flippable)
             if stalled.size:
-                gs = gains[:, stalled]
-                cap = self._pair_cap
-                viable = (gs.max(axis=0) + (gs + cap[:, None]).max(axis=0)) > 0.0
-                active[cols[stalled[~viable]]] = False
-                for j in stalled[np.flatnonzero(viable)]:
-                    col = int(cols[j])
-                    pair = self._best_pair_flip(gains[:, j], delta[:, j], frozen_mask)
-                    if pair is None:
-                        active[col] = False
-                        continue
+                escape_cols, pairs = self._resolve_stalls(
+                    gains[:, stalled], delta[:, stalled], frozen_mask,
+                    cols[stalled], active,
+                )
+                for col, pair in zip(escape_cols.tolist(), pairs.tolist()):
                     for idx in pair:
                         d_col = self.h[idx] * (1.0 - 2.0 * float(bits[idx, col]))
                         residual[self.d[:, idx].astype(bool), col] -= d_col
@@ -1062,7 +1181,7 @@ class PackedBitFlipDecoder(BatchedBitFlipDecoder):
     """Bit-packed fast path of the batched kernel — K into the thousands.
 
     Same flip decisions as :class:`BatchedBitFlipDecoder` (same gain
-    formula, tolerance, pair-flip escape via :func:`best_pair_flip`, and
+    formula, tolerance, pair-flip escape via :func:`resolve_stalls`, and
     restart RNG draw order through the inherited
     :meth:`~BatchedBitFlipDecoder.decode_best_of`), with the per-round
     arithmetic restructured around three observations:
@@ -1271,31 +1390,19 @@ class PackedBitFlipDecoder(BatchedBitFlipDecoder):
             best_gain = gains[best, col_idx]
             flippable = active & np.isfinite(best_gain) & (best_gain > _GAIN_TOL)
 
-            # Vectorized fruitless-proof (see BatchedBitFlipDecoder): only
-            # columns whose pair-gain bound clears zero pay a scan call.
-            stalled = np.flatnonzero(active & ~flippable)
-            if stalled.size:
-                gs = gains[:, stalled]
-                cap = self._pair_cap
-                viable = (gs.max(axis=0) + (gs + cap[:, None]).max(axis=0)) > 0.0
-                active[stalled[~viable]] = False
-                for col_i in stalled[np.flatnonzero(viable)]:
-                    col = int(col_i)
-                    pair = self._best_pair_flip(
-                        gains[:, col], self.h * signs[:, col], frozen_mask
-                    )
-                    if pair is None:
-                        active[col] = False
-                        continue
-                    for idx in pair:
-                        self._apply_flip(
-                            corr_re, corr_im, signs, packed, residual, int(idx), col,
-                            overlap, one,
-                        )
-                    flips[col] += 1
-
             fcols = np.flatnonzero(flippable)
-            if fcols.size:
+            if fcols.size == 0:
+                # Every active column has stalled: one batched pair-flip
+                # escape for all of them. Columns are independent problems,
+                # so a column that stalled in an earlier round waited here
+                # unchanged (its gains recomputed bit for bit) and takes
+                # the decision it would have taken then.
+                stalled = np.flatnonzero(active)
+                self._escape_stalls(
+                    gains[:, stalled], corr_re, corr_im, signs, packed, residual,
+                    frozen_mask, stalled, active, flips,
+                )
+            else:
                 fbits = best[fcols]
                 s = signs[fbits, fcols]
                 fdelta = self.h[fbits] * s
@@ -1323,30 +1430,46 @@ class PackedBitFlipDecoder(BatchedBitFlipDecoder):
                 )
                 flips[fcols] += 1
 
-    def _apply_flip(
+    def _escape_stalls(
         self,
+        gains: np.ndarray,
         corr_re: np.ndarray,
         corr_im: np.ndarray,
         signs: np.ndarray,
         packed: np.ndarray,
         residual: np.ndarray,
-        idx: int,
-        col: int,
-        overlap: np.ndarray,
-        one: np.uint64,
+        frozen_mask: np.ndarray,
+        stalled: np.ndarray,
+        active: np.ndarray,
+        flips: np.ndarray,
     ) -> None:
-        """Flip bit ``idx`` of column ``col``: correlation axpy + word XOR."""
-        s = signs[idx, col]
-        d_col = self.h[idx] * s
-        dre = self._hr[idx] * s
-        dim = self._hi[idx] * s
-        ov = overlap[:, idx]
-        corr_re[:, col] -= ov * dre
-        corr_im[:, col] -= ov * (-dim)
-        # The batched kernel's exact pair-flip residual update expression.
-        residual[self.d[:, idx].astype(bool), col] -= d_col
-        signs[idx, col] = -s
-        packed[idx, col // 64] ^= one << np.uint64(col % 64)
+        """Resolve the ``stalled`` columns (``gains`` is their block) and
+        apply every escaping column's pair flip.
+
+        Each pair is two single-bit flips in pair order — correlation axpy,
+        masked residual update, sign and word XOR — applied to all escaping
+        columns at once; every element sees the per-column expressions.
+        """
+        delta = self.h[:, None] * signs[:, stalled]
+        cols, pairs = self._resolve_stalls(gains, delta, frozen_mask, stalled, active)
+        if cols.size == 0:
+            return
+        overlap = self._overlap
+        word = cols // 64
+        bit = np.uint64(1) << (cols % 64).astype(np.uint64)
+        for idx in pairs.T:
+            s = signs[idx, cols]
+            ov = overlap[:, idx]
+            corr_re[:, cols] -= ov * (self._hr[idx] * s)
+            corr_im[:, cols] -= ov * (-(self._hi[idx] * s))
+            res = residual[:, cols]
+            residual[:, cols] = np.where(
+                self.d[:, idx].astype(bool), res - self.h[idx] * s, res
+            )
+            signs[idx, cols] = -s
+            # Columns of one word may flip the same tag: ufunc.at.
+            np.bitwise_xor.at(packed, (idx, word), bit)
+        flips[cols] += 1
 
 
 def _fused_rounds_impl(
@@ -1440,7 +1563,6 @@ class NumbaBitFlipDecoder(PackedBitFlipDecoder):
         flips: np.ndarray,
     ) -> None:
         overlap = self._overlap
-        one = np.uint64(1)
         while True:
             stalled = _fused_rounds(
                 corr_re, corr_im, signs, packed, residual, self._d_f, self.h,
@@ -1457,32 +1579,18 @@ class NumbaBitFlipDecoder(PackedBitFlipDecoder):
             # Pair-flip escape for the stalled columns, from the same gain
             # snapshot the fused round saw (their columns are untouched).
             # Gains for the whole stalled batch come back in one
-            # vectorized pass (elementwise-identical to the per-column
-            # expression), and the fruitless-proof bound retires most of
-            # them without a scan call — see PackedBitFlipDecoder.
+            # vectorized pass, elementwise-identical to the per-column
+            # expression.
             base = 2.0 * (
                 self._hr[:, None] * corr_re[:, stalled]
                 - self._hi[:, None] * corr_im[:, stalled]
             )
             gs = signs[:, stalled] * base - self._wh2[:, None]
             gs[frozen_mask, :] = _NEG_INF
-            cap = self._pair_cap
-            viable = (gs.max(axis=0) + (gs + cap[:, None]).max(axis=0)) > 0.0
-            active[stalled[~viable]] = False
-            for j in np.flatnonzero(viable):
-                col = int(stalled[j])
-                pair = self._best_pair_flip(
-                    gs[:, j], self.h * signs[:, col], frozen_mask
-                )
-                if pair is None:
-                    active[col] = False
-                    continue
-                for idx in pair:
-                    self._apply_flip(
-                        corr_re, corr_im, signs, packed, residual, int(idx), col,
-                        overlap, one,
-                    )
-                flips[col] += 1
+            self._escape_stalls(
+                gs, corr_re, corr_im, signs, packed, residual,
+                frozen_mask, stalled, active, flips,
+            )
 
 
 # ---- kernel selection registry ------------------------------------------------

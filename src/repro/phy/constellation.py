@@ -15,8 +15,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.bits import bits_from_int
-
 __all__ = ["Constellation", "collision_constellation", "min_distance", "nearest_point"]
 
 
@@ -73,9 +71,9 @@ def collision_constellation(channels: Sequence[complex], cw_level: complex = 0.0
         raise ValueError("need at least one channel")
     if k > 16:
         raise ValueError("refusing to enumerate more than 2^16 constellation points")
-    labels = np.zeros((1 << k, k), dtype=np.uint8)
-    for value in range(1 << k):
-        labels[value] = bits_from_int(value, k)
+    # Row v is v's K bits, most significant first: one shift-and-mask.
+    shifts = np.arange(k - 1, -1, -1)
+    labels = ((np.arange(1 << k)[:, None] >> shifts) & 1).astype(np.uint8)
     points = labels.astype(float) @ h + cw_level
     return Constellation(points=points, labels=labels)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = ["basis_pursuit", "basis_pursuit_complex"]
 
@@ -58,6 +57,9 @@ def basis_pursuit(
         raise ValueError(f"y has length {yv.size}, expected {m}")
     if eps < 0:
         raise ValueError("eps must be >= 0")
+    # Imported here: scipy.optimize costs about 0.4 s, and only
+    # compressive-sensing identification needs it.
+    from scipy.optimize import linprog
 
     cost = np.ones(2 * n)
     # z = u - v  →  A z = [A, -A] [u; v]

@@ -9,6 +9,7 @@ from repro.phy.constellation import (
     min_distance,
     nearest_point,
 )
+from repro.utils.bits import bits_from_int
 
 
 class TestCollisionConstellation:
@@ -39,6 +40,21 @@ class TestCollisionConstellation:
     def test_too_many_rejected(self):
         with pytest.raises(ValueError):
             collision_constellation(np.ones(17))
+
+    @pytest.mark.parametrize("cw_level", [0.0, 0.4 - 0.25j])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_bitwise_enumeration(self, k, cw_level):
+        # Reference: one big-endian bits_from_int row per constellation
+        # index, points as labels·h plus the CW offset.
+        rng = np.random.default_rng(100 + k)
+        h = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        labels = np.zeros((1 << k, k), dtype=np.uint8)
+        for value in range(1 << k):
+            labels[value] = bits_from_int(value, k)
+        c = collision_constellation(h, cw_level=cw_level)
+        assert c.labels.dtype == np.uint8
+        np.testing.assert_array_equal(c.labels, labels)
+        np.testing.assert_array_equal(c.points, labels.astype(float) @ h + cw_level)
 
     @given(st.integers(min_value=1, max_value=6))
     def test_point_count_is_power_of_two(self, k):

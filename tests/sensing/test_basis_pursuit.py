@@ -1,5 +1,9 @@
 """Tests for repro.sensing.basis_pursuit."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,3 +76,18 @@ class TestBasisPursuitComplex:
         joint = basis_pursuit_complex(a, y)
         split = basis_pursuit(a, y.real) + 1j * basis_pursuit(a, y.imag)
         assert np.allclose(joint, split, atol=1e-9)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by basis_pursuit on first use, so starting
+    # the CLI (and every spawned worker) does not pay for it.
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import repro.__main__; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        check=True, capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
