@@ -4,10 +4,9 @@
 Times one warm-start :meth:`decode` call per kernel on the synthetic
 collision systems the benchmark gates use (``synthetic_instance`` — D at
 the config's clamped data density, L = 1.2·K slots, 8 % warm-start bit
-errors), across a sweep of tag-population sizes K. The scalar
-per-position kernel is only run at small K (it is minutes-slow beyond
-that); the numba kernel is recorded only when numba is importable, so the
-artifact also documents which fast paths the recording machine had.
+errors), across a sweep of tag-population sizes K. The kernels are the
+packed production kernel and the scalar per-position reference; the
+scalar one is only run at small K (it is minutes-slow beyond that).
 
 Usage::
 
@@ -20,10 +19,9 @@ The artifact is a single JSON object::
     {
       "schema": "bench-decoder/v1",
       "workload": {...},                      # instance parameters
-      "kernels": ["scalar", "batched", ...],  # entries actually recorded
-      "numba_available": false,
+      "kernels": ["packed", "scalar"],        # entries actually recorded
       "series": [
-        {"kernel": "batched", "k": 500, "m": 37, "slots": 600,
+        {"kernel": "packed", "k": 500, "m": 37, "slots": 600,
          "seconds": 0.21, "flips": 2400},
         ...
       ]
@@ -46,13 +44,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from test_bench_decoder import synthetic_instance  # noqa: E402
 
-from repro.core.bp_decoder import (  # noqa: E402
-    HAVE_NUMBA,
-    BatchedBitFlipDecoder,
-    BitFlipDecoder,
-    NumbaBitFlipDecoder,
-    PackedBitFlipDecoder,
-)
+from repro.core.bp_decoder import BitFlipDecoder, PackedBitFlipDecoder  # noqa: E402
 
 _MAX_FLIPS = 60
 _M = 37  # 32-bit message + CRC-5, the paper's uplink frame
@@ -73,30 +65,19 @@ def _scalar_decode(d, h, y, init):
     return flips
 
 
-def _batched_decode(cls):
-    def run(d, h, y, init):
-        return int(cls(d, h, max_flips=_MAX_FLIPS).decode(y, init=init).flips.sum())
-
-    return run
+def _packed_decode(d, h, y, init):
+    decoder = PackedBitFlipDecoder(d, h, max_flips=_MAX_FLIPS)
+    return int(decoder.decode(y, init=init).flips.sum())
 
 
-def _kernels():
-    kernels = {
-        "scalar": _scalar_decode,
-        "batched": _batched_decode(BatchedBitFlipDecoder),
-        "packed": _batched_decode(PackedBitFlipDecoder),
-    }
-    if HAVE_NUMBA:
-        kernels["numba"] = _batched_decode(NumbaBitFlipDecoder)
-    return kernels
+_KERNELS = {"scalar": _scalar_decode, "packed": _packed_decode}
 
 
 def record(ks, rounds):
     series = []
-    kernels = _kernels()
     for k in ks:
         d, h, y, init = synthetic_instance(k=k, m=_M, seed=101)
-        for name, run in kernels.items():
+        for name, run in _KERNELS.items():
             if name == "scalar" and k > _SCALAR_MAX_K:
                 continue
             samples = []
@@ -129,8 +110,7 @@ def record(ks, rounds):
             "seed": 101,
             "rounds": rounds,
         },
-        "kernels": sorted(kernels),
-        "numba_available": bool(HAVE_NUMBA),
+        "kernels": sorted(_KERNELS),
         "series": series,
     }
 

@@ -2,11 +2,13 @@
 """Record session wall times to ``BENCH_session.json``.
 
 Times one full seeded :func:`run_rateless_uplink` session per
-tag-population size K, under both decode-state modes — ``rebuild``
-(every decode call re-stacks the (L, K) problem and re-derives its
-gemms) and ``incremental`` (the persistent
-:class:`~repro.core.decoder_state.DecoderState`: rank-(new rows)
-extension per slot, frozen-column peeling per verify pass). Every pair
+tag-population size K, both ways — ``rebuild`` (the
+:class:`~repro.core.reference.RebuildRatelessDecoder` reference, patched
+in as the session loop's decoder class: every decode call re-stacks the (L, K)
+problem and re-derives its gemms) and ``incremental`` (the production
+decoder's persistent :class:`~repro.core.decoder_state.DecoderState`:
+rank-(new rows) extension per slot, frozen-column peeling per verify
+pass). Every pair
 of runs is also checked byte-identical — a speedup over a diverging
 session would be meaningless.
 
@@ -68,10 +70,10 @@ def record(ks, rounds):
         pop, fe = session_workload(k)
         results = {}
         times = {}
-        for mode, incremental in (("rebuild", False), ("incremental", True)):
+        for mode, rebuild in (("rebuild", True), ("incremental", False)):
             samples = []
             for _ in range(rounds):
-                result, elapsed = run_session(pop, fe, k, incremental=incremental)
+                result, elapsed = run_session(pop, fe, k, rebuild=rebuild)
                 samples.append(elapsed)
             results[mode] = result
             times[mode] = float(np.median(samples))

@@ -4,11 +4,14 @@ The rateless loop's incremental path keeps one persistent
 :class:`~repro.core.decoder_state.DecoderState` per session — rank-(new
 rows) structure updates on every slot, frozen-column peeling after every
 verify pass — instead of rebuilding the (L, K) problem from scratch on
-each decode call. Two properties are gated here:
+each decode call, as the
+:class:`~repro.core.reference.RebuildRatelessDecoder` reference does (it is
+patched in as the session loop's decoder class for the rebuild runs). Two
+properties are gated here:
 
-* **Identity.** A seeded session decodes byte-identically under both
-  modes: decoded mask, messages, slots used, and the whole
-  ``DecodeProgress`` trace.
+* **Identity.** A seeded session decodes byte-identically both ways:
+  decoded mask, messages, slots used, and the whole ``DecodeProgress``
+  trace.
 * **Speed.** The incremental path wins, live at a CI-sized K and ≥ 3× at
   K = 500 in the committed ``BENCH_session.json`` artifact (regenerate
   with ``benchmarks/record_session_bench.py``).
@@ -16,20 +19,21 @@ each decode call. Two properties are gated here:
 The workload is a fixed-length ``run_rateless_uplink`` session (2·K
 slots, SNR-band channels) — deterministic wall-clock shape at every K,
 with most tags decoding (and being peeled) along the way. It runs with
-``bp_restarts=0``: the restart protocol is identical shared work in both
-modes (re-running flip rounds from perturbed starts), orthogonal to the
+``bp_restarts=0``: the restart protocol is identical shared work both
+ways (re-running flip rounds from perturbed starts), orthogonal to the
 rebuild-vs-incremental setup cost this gate isolates.
 """
 
 import json
-import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro.core.config import BuzzConfig
-from repro.core.rateless import STATE_ENV_VAR, run_rateless_uplink
+from repro.core.rateless import RatelessDecoder, run_rateless_uplink
+from repro.core.reference import RebuildRatelessDecoder
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import channels_for_snr_band
@@ -57,11 +61,14 @@ def session_workload(k, seed=SEED):
     return pop, ReaderFrontEnd(noise_std=NOISE_STD)
 
 
-def run_session(pop, front_end, k, incremental, seed=SEED):
-    """One timed session; returns (result, wall_seconds)."""
-    previous = os.environ.get(STATE_ENV_VAR)
-    os.environ[STATE_ENV_VAR] = "incremental" if incremental else "rebuild"
-    try:
+def run_session(pop, front_end, k, rebuild=False, seed=SEED):
+    """One timed session; returns (result, wall_seconds).
+
+    ``rebuild`` runs it on the rebuild reference instead of the
+    persistent decoder state.
+    """
+    decoder_cls = RebuildRatelessDecoder if rebuild else RatelessDecoder
+    with mock.patch("repro.core.rateless.RatelessDecoder", decoder_cls):
         start = time.perf_counter()
         result = run_rateless_uplink(
             pop.tags, front_end, np.random.default_rng(seed),
@@ -69,11 +76,6 @@ def run_session(pop, front_end, k, incremental, seed=SEED):
             max_slots=SLOTS_PER_K * k,
         )
         elapsed = time.perf_counter() - start
-    finally:
-        if previous is None:
-            os.environ.pop(STATE_ENV_VAR, None)
-        else:
-            os.environ[STATE_ENV_VAR] = previous
     return result, elapsed
 
 
@@ -91,8 +93,8 @@ def test_bench_session_incremental_identical_and_not_slower(benchmark):
     to the rebuild session and at least as fast (1.15× slack for load)."""
     k = 120
     pop, fe = session_workload(k)
-    inc, t_inc = run_session(pop, fe, k, incremental=True)
-    reb, t_reb = run_session(pop, fe, k, incremental=False)
+    inc, t_inc = run_session(pop, fe, k)
+    reb, t_reb = run_session(pop, fe, k, rebuild=True)
 
     assert identical(inc, reb), "incremental session diverged from rebuild"
     assert inc.n_decoded > 0.8 * k  # the workload must actually decode
@@ -102,7 +104,7 @@ def test_bench_session_incremental_identical_and_not_slower(benchmark):
 
     benchmark.extra_info["incremental_seconds"] = t_inc
     benchmark.extra_info["rebuild_seconds"] = t_reb
-    benchmark(lambda: run_session(pop, fe, k, incremental=True))
+    benchmark(lambda: run_session(pop, fe, k))
 
 
 def test_session_artifact_records_3x_at_k500():

@@ -24,8 +24,7 @@ where ``w_i`` is tag *i*'s column weight.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence
 
@@ -41,14 +40,8 @@ __all__ = [
     "resolve_stalls",
     "pair_cross_caps",
     "cross_magnitudes",
-    "BatchedBitFlipDecoder",
     "BatchedDecodeOutcome",
     "PackedBitFlipDecoder",
-    "NumbaBitFlipDecoder",
-    "HAVE_NUMBA",
-    "KERNEL_ENV_VAR",
-    "available_kernels",
-    "register_kernel",
     "resolve_kernel",
 ]
 
@@ -121,9 +114,9 @@ def best_pair_flip(
     single-flip gains already in hand plus the slot-overlap counts; no
     per-pair residual correlations. Selection: pairs ``i < j`` over
     unfrozen bits in row-major order, first strict maximum above the gain
-    tolerance. The per-position decoder calls it directly and the batched
-    kernels through :func:`resolve_stalls`, which returns the same pairs,
-    so all take identical escape decisions at a stall.
+    tolerance. The per-position decoder calls it directly and the packed
+    kernel through :func:`resolve_stalls`, which returns the same pairs,
+    so both take identical escape decisions at a stall.
 
     ``cap``, when given, is :func:`pair_cross_caps` for this problem and
     restricts the scan to a candidate set in O(K): a pair's gain is at
@@ -616,6 +609,7 @@ class BitFlipDecoder:
         return best
 
 
+
 @dataclass
 class BatchedDecodeOutcome:
     """Result of one batched decode over M bit positions.
@@ -632,14 +626,12 @@ class BatchedDecodeOutcome:
     residual_norms:
         ``(M,)`` per-position ``‖D(h∘b̂_m) − y_m‖₂`` at termination.
     residual:
-        ``(L, M)`` final residual matrix when the kernel produced one (all
-        batched kernels do) — consumed by the incremental decoder state to
-        splice restart winners without recomputing ``y − D(h∘b̂)``.
+        ``(L, M)`` final residual matrix — consumed by the incremental
+        decoder state to splice restart winners without recomputing
+        ``y − D(h∘b̂)``. ``None`` only for an empty batch.
     corr_re / corr_im:
-        ``(K, M)`` split final correlations ``Dᵀ·conj(residual)`` — only
-        from kernels that maintain them (the packed family); ``None``
-        elsewhere, in which case a state splice invalidates its cached
-        correlations instead.
+        ``(K, M)`` split final correlations ``Dᵀ·conj(residual)``, spliced
+        alongside the residual. ``None`` only for an empty batch.
     """
 
     bits: np.ndarray
@@ -651,30 +643,43 @@ class BatchedDecodeOutcome:
     corr_im: Optional[np.ndarray] = None
 
 
-class BatchedBitFlipDecoder:
+class PackedBitFlipDecoder:
     """Joint decoder for *all* M bit positions of all K nodes at once.
 
     The M per-position collision systems ``min_b ‖D·diag(h)·b − y_m‖²``
     share the same D, h, and bipartite graph — only the received column
     ``y_m`` and the bit column ``b_m`` differ. This kernel keeps the full
-    ``(K, M)`` bit matrix and ``(L, M)`` residual matrix, computes every
-    position's gains with **one** matmul per round (``D^T · conj(R)``), and
-    flips the argmax bit of every still-active position per round.
-    Positions freeze independently: a column whose gains are exhausted (and
-    whose pair-flip escape finds nothing) drops out of later rounds.
+    ``(K, M)`` bit state, the ``(L, M)`` residual matrix and the ``(K, M)``
+    correlations ``Dᵀ·conj(R)``, and every round flips the argmax bit of
+    every still-active position. Positions freeze independently: a column
+    whose gains are exhausted (and whose pair-flip escape finds nothing)
+    drops out of later rounds. The per-round arithmetic rests on three
+    observations:
 
-    Flip decisions per column are the same as :class:`BitFlipDecoder`'s —
-    same gain formula, same tolerance, same pair-flip escape, same restart
-    RNG draw order — so on generic inputs the decoded bits are identical
-    to running the per-position decoder M times; only the Python-loop and
-    small-matvec overhead is gone. The golden-seed equivalence tests pin
-    this. The equivalence boundary is float ties: gains here come from one
-    gemm where the per-position decoder issues many small gemvs, so the
-    two agree only to the last ulp, and an *exact* tie broken differently
-    (two bits with equal gains, or two restart candidates whose equally
-    good local minima tie in residual norm to within rounding) may pick a
-    different — equally optimal — answer. Continuous channel draws make
-    such ties vanishingly rare in the rateless loop.
+    * **Bits are signs.** ``|δ_i|² = |h_i|²`` regardless of the bit, so the
+      per-round gains are a float sign matrix times precomputed per-tag
+      constants — no materialised complex ``delta`` / ``|delta|²``
+      temporaries.
+    * **Gains update incrementally.** Flipping bit *i* of column *m*
+      changes that column's correlation by ``conj(δ_i)·(Dᵀ d_i)`` — one
+      column of the slot-overlap matrix — so a round costs an axpy over
+      the flipped columns; only the *initial* correlation (and the final
+      residual norms) cost a matmul per :meth:`decode` call.
+    * **The bit state lives in uint64 words.** The ``(K, M)`` estimate
+      matrix is held packed (:func:`repro.coding.gf2.pack_rows`, 64
+      positions per word) and flips are word XORs.
+
+    Flip decisions per column are those of :class:`BitFlipDecoder`, the
+    scalar reference — same gain formula, same tolerance, same pair-flip
+    escape (:func:`resolve_stalls` returns :func:`best_pair_flip`'s
+    pairs), same restart RNG draw order — so the decoded bits, flip counts
+    and converged flags equal running the per-position decoder M times
+    with a shared generator. Residual norms agree to float precision, not
+    bitwise: the correlations accumulate through incremental updates where
+    the scalar decoder re-derives them per flip. A decision can differ
+    only when a gain sits within rounding error of a tie or of the gain
+    tolerance — vanishingly rare with continuous channel draws, and pinned
+    by the hypothesis and golden-seed equivalence suites.
 
     Parameters
     ----------
@@ -685,12 +690,6 @@ class BatchedBitFlipDecoder:
     max_flips:
         Safety bound on flips per position per decode call.
     """
-
-    #: This kernel can run from a persistent :class:`~repro.core.
-    #: decoder_state.DecoderState` (see :meth:`from_state`). Third-party
-    #: kernels without the hook make the rateless loop fall back to its
-    #: rebuild path.
-    SUPPORTS_STATE = True
 
     #: Bound :class:`~repro.core.decoder_state.DecoderState` when built via
     #: :meth:`from_state`; ``None`` for from-scratch construction.
@@ -710,6 +709,9 @@ class BatchedBitFlipDecoder:
         self._d_f = self.d.astype(float)
         self._dT = np.ascontiguousarray(self._d_f.T)
         self._weights = self.d.sum(axis=0).astype(float)
+        self._hr = np.ascontiguousarray(self.h.real)
+        self._hi = np.ascontiguousarray(self.h.imag)
+        self._wh2 = self._weights * np.abs(self.h) ** 2
         self._overlap_cache: Optional[np.ndarray] = None
         self._pair_cap_cache: Optional[np.ndarray] = None
         self._cross_mag_cache: Optional[np.ndarray] = None
@@ -742,6 +744,9 @@ class BatchedBitFlipDecoder:
         # C-order would re-pay an (L, K) pass per kernel construction.
         self._dT = self._d_f.T
         self._weights = state.weights
+        self._hr = state.hr
+        self._hi = state.hi
+        self._wh2 = state.weights * state.abs_h2
         self._overlap_cache = state.overlap
         self._pair_cap_cache = state.pair_cap
         self._cross_mag_cache = state.cross_mag
@@ -750,12 +755,10 @@ class BatchedBitFlipDecoder:
 
     @property
     def _overlap(self) -> np.ndarray:
-        """Pairwise slot overlap |d_i ∩ d_j|, built on first stall.
+        """Pairwise slot overlap |d_i ∩ d_j|, built on first use.
 
-        Only the pair-flip escape consumes it, and the rateless loop
-        constructs a fresh kernel per slot arrival — computing the K×K
-        matmul eagerly would bill every slot for a path most decodes never
-        take.
+        From-scratch kernels compute the K×K matmul lazily; state-bound
+        kernels share the overlap the state accumulates per slot.
         """
         if self._overlap_cache is None:
             self._overlap_cache = self._dT @ self._d_f
@@ -802,32 +805,6 @@ class BatchedBitFlipDecoder:
             self._co_cache = self._cross_mag * self._overlap
         return self._co_cache
 
-    # ---- pair-flip escape -----------------------------------------------------
-    def _resolve_stalls(
-        self,
-        gains: np.ndarray,
-        delta: np.ndarray,
-        frozen: np.ndarray,
-        stalled: np.ndarray,
-        active: np.ndarray,
-    ) -> tuple:
-        """Pair-flip escape for every stalled column of one round.
-
-        ``gains`` and ``delta`` are the ``(K, S)`` blocks of the columns
-        ``stalled`` (indices into ``active``). Runs the shared batched
-        :func:`resolve_stalls` against this kernel's cached overlap and
-        cross-term caps, retires each column without a positive-gain pair
-        in ``active``, and returns ``(columns, pairs)`` for the rest — the
-        flips are the kernel's own to apply.
-        """
-        pairs = resolve_stalls(
-            gains, delta, frozen, self._overlap, self._pair_cap,
-            cross_mag=self._cross_mag, co=self._co,
-        )
-        hit = pairs[:, 0] >= 0
-        active[stalled[~hit]] = False
-        return stalled[hit], pairs[hit]
-
     # ---- decoding -------------------------------------------------------------
     def decode(
         self,
@@ -852,9 +829,9 @@ class BatchedBitFlipDecoder:
         if ys.ndim != 2 or ys.shape[0] != self.n_slots:
             raise ValueError(f"ys must be (L={self.n_slots}, M), got {ys.shape}")
         m = ys.shape[1]
-        bits = np.asarray(init, dtype=np.uint8).copy()
-        if bits.shape != (self.k, m):
-            raise ValueError(f"init must be (K={self.k}, {m}), got {bits.shape}")
+        init_bits = np.asarray(init, dtype=np.uint8)
+        if init_bits.shape != (self.k, m):
+            raise ValueError(f"init must be (K={self.k}, {m}), got {init_bits.shape}")
         frozen_mask = (
             np.zeros(self.k, dtype=bool)
             if frozen is None
@@ -863,17 +840,25 @@ class BatchedBitFlipDecoder:
         if frozen_mask.size != self.k:
             raise ValueError("frozen mask length mismatch")
 
-        residual = ys - self._signal @ bits.astype(float)
-        flips = np.zeros(m, dtype=int)
+        flips = np.zeros(m, dtype=np.int64)
         active = np.ones(m, dtype=bool)
         if m == 0:
             return BatchedDecodeOutcome(
-                bits=bits, flips=flips, converged=active.copy(),
-                residual_norms=np.zeros(0), residual=residual,
+                bits=init_bits.copy(), flips=flips, converged=active.copy(),
+                residual_norms=np.zeros(0),
             )
 
-        self._flip_rounds(residual, bits, frozen_mask, flips, active)
+        packed = pack_rows(init_bits)
+        signs = 1.0 - 2.0 * init_bits.astype(float)
+        residual = ys - self._signal @ init_bits.astype(float)
+        corr = self._dT @ np.conj(residual)
+        corr_re = np.ascontiguousarray(corr.real)
+        corr_im = np.ascontiguousarray(corr.imag)
+        del corr
 
+        self._run_rounds(corr_re, corr_im, signs, packed, residual, frozen_mask, active, flips)
+
+        bits = unpack_rows(packed, m)
         norms = np.sqrt(np.sum(np.abs(residual) ** 2, axis=0))
         return BatchedDecodeOutcome(
             bits=bits,
@@ -881,72 +866,9 @@ class BatchedBitFlipDecoder:
             converged=flips < self.max_flips,
             residual_norms=norms,
             residual=residual,
+            corr_re=corr_re,
+            corr_im=corr_im,
         )
-
-    def _flip_rounds(
-        self,
-        residual: np.ndarray,
-        bits: np.ndarray,
-        frozen_mask: np.ndarray,
-        flips: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
-        """Flip every active column to its local optimum, in place.
-
-        The body of :meth:`decode` after setup — factored out so the
-        state-backed warm start (:meth:`_decode_warm_state`) can drive the
-        identical round loop over the persistent residual and bit matrix.
-        """
-        if self.k == 0:
-            # A fully-peeled problem: nothing can flip, every column
-            # retires converged with zero flips (what the full-width loop
-            # does when every bit is frozen, minus the -inf gain pass).
-            active[:] = False
-            return
-        while True:
-            # The per-position loop checks the flip budget *before* looking
-            # at gains, so a column at its budget retires unconverged here
-            # too, without a final gain pass.
-            active &= flips < self.max_flips
-            cols = np.flatnonzero(active)
-            if cols.size == 0:
-                return
-            sub_bits = bits[:, cols].astype(float)
-            delta = self.h[:, None] * (1.0 - 2.0 * sub_bits)  # (K, m_act)
-            corr = self._dT @ np.conj(residual[:, cols])  # the one matmul
-            gains = 2.0 * np.real(delta * corr) - self._weights[:, None] * np.abs(delta) ** 2
-            gains[frozen_mask, :] = _NEG_INF
-            best = np.argmax(gains, axis=0)  # (m_act,)
-            best_gain = gains[best, np.arange(cols.size)]
-            flippable = np.isfinite(best_gain) & (best_gain > _GAIN_TOL)
-
-            # Stalled columns: scan joint pair flips (the near-degenerate
-            # channel escape) before freezing the column — all of them in
-            # one batched pass; a converged column re-proves its stall on
-            # every decode call, so most retire there.
-            stalled = np.flatnonzero(~flippable)
-            if stalled.size:
-                escape_cols, pairs = self._resolve_stalls(
-                    gains[:, stalled], delta[:, stalled], frozen_mask,
-                    cols[stalled], active,
-                )
-                for col, pair in zip(escape_cols.tolist(), pairs.tolist()):
-                    for idx in pair:
-                        d_col = self.h[idx] * (1.0 - 2.0 * float(bits[idx, col]))
-                        residual[self.d[:, idx].astype(bool), col] -= d_col
-                        bits[idx, col] ^= 1
-                    flips[col] += 1
-
-            # Batched single flips: every still-flippable column flips its
-            # argmax bit; the residual update is one fancy-indexed subtract.
-            sel = np.flatnonzero(flippable)
-            if sel.size:
-                fcols = cols[sel]
-                fbits = best[sel]
-                fdelta = delta[fbits, sel]  # (n_flip,)
-                residual[:, fcols] -= self._d_f[:, fbits] * fdelta[None, :]
-                bits[fbits, fcols] ^= 1
-                flips[fcols] += 1
 
     def decode_best_of(
         self,
@@ -1063,22 +985,27 @@ class BatchedBitFlipDecoder:
     def _decode_warm_state(self) -> BatchedDecodeOutcome:
         """Warm decode straight on the persistent state, in place.
 
-        The state's residual and bit matrix already sit at the previous
-        round's local optimum plus the rank-(new rows) extensions, so this
-        is :meth:`decode` minus every setup step: no stacking, no initial
-        residual gemm — the round loop picks up exactly where the last
-        call left off. Mutating the residual without touching the cached
-        correlations invalidates them (the packed override maintains them
-        instead).
+        The state's residual, correlations and bit matrix already sit at
+        the previous round's local optimum plus the rank-(new rows)
+        extensions, so this is :meth:`decode` minus every setup step: no
+        stacking, no initial residual or correlation gemm — the round loop
+        picks up exactly where the last call left off, and its axpy
+        updates keep the state's correlations valid for the next call.
+        Signs and packed words are derived from the canonical bit matrix
+        per call: both are O(K·M) reshufflings, not gemms.
         """
         state = self._state
         m = state.m
         residual = state.residual
-        flips = np.zeros(m, dtype=int)
+        packed = pack_rows(state.bits)
+        signs = 1.0 - 2.0 * state.bits.astype(float)
+        flips = np.zeros(m, dtype=np.int64)
         active = np.ones(m, dtype=bool)
         frozen_mask = np.zeros(self.k, dtype=bool)
-        self._flip_rounds(residual, state.bits, frozen_mask, flips, active)
-        state.corr_valid = False
+        self._run_rounds(
+            state.corr_re, state.corr_im, signs, packed, residual, frozen_mask, active, flips
+        )
+        state.bits[...] = unpack_rows(packed, m)
         norms = np.sqrt(np.sum(np.abs(residual) ** 2, axis=0))
         state.last_norms = norms
         return BatchedDecodeOutcome(
@@ -1087,20 +1014,22 @@ class BatchedBitFlipDecoder:
             converged=flips < self.max_flips,
             residual_norms=norms,
             residual=residual,
+            corr_re=state.corr_re,
+            corr_im=state.corr_im,
         )
 
     def decode_best_of_state(self, restarts: int, rng: np.random.Generator) -> BatchedDecodeOutcome:
         """The restart protocol of :meth:`decode_best_of`, on the state.
 
-        Byte-compatible RNG consumption with the rebuild path: restart
-        inits are still drawn over the *full* population
+        Byte-compatible RNG consumption with the full-width protocol:
+        restart inits are still drawn over the *full* population
         (``rng.random((need, R, K_full))``) and sliced to the active set —
-        a frozen node's draw is discarded here exactly as the rebuild path
-        overwrites it with the frozen value, so both paths leave the
-        generator in the same state and all later draws line up. Winning
-        trials are spliced back into the state (bits, residual and — when
-        the kernel carries them — correlations), keeping it warm for the
-        next round. Requires a kernel built by :meth:`from_state`.
+        a frozen node's draw is discarded here exactly as
+        :meth:`decode_best_of` overwrites it with the frozen value, so both
+        leave the generator in the same state and all later draws line up.
+        Winning trials are spliced back into the state (bits, residual and
+        correlations), keeping it warm for the next round. Requires a
+        kernel built by :meth:`from_state`.
         """
         state = self._state
         if state is None:
@@ -1120,14 +1049,14 @@ class BatchedBitFlipDecoder:
         ).astype(np.uint8)
         trial_init = full_init[state.active_idx]
         trial_cols = np.repeat(need, n_restarts)
-        # Same zero-weight pinning as the rebuild path (frozen nodes are
+        # Same zero-weight pinning as decode_best_of (frozen nodes are
         # already outside the active set here).
         pinned = state.weights == 0
         trial_init[pinned, :] = state.bits[np.ix_(pinned, trial_cols)]
         trials = self.decode(state.y[:, trial_cols], init=trial_init)
         trial_norms = trials.residual_norms.reshape(need.size, n_restarts)
 
-        # Same optimistic-draw validation as the rebuild path: an exact
+        # Same optimistic-draw validation as decode_best_of: an exact
         # residual mid-restarts would have stopped that position's draws.
         running = np.minimum.accumulate(
             np.column_stack([warm.residual_norms[need], trial_norms]), axis=1
@@ -1176,171 +1105,7 @@ class BatchedBitFlipDecoder:
         state.last_norms = warm.residual_norms
         return warm
 
-
-class PackedBitFlipDecoder(BatchedBitFlipDecoder):
-    """Bit-packed fast path of the batched kernel — K into the thousands.
-
-    Same flip decisions as :class:`BatchedBitFlipDecoder` (same gain
-    formula, tolerance, pair-flip escape via :func:`resolve_stalls`, and
-    restart RNG draw order through the inherited
-    :meth:`~BatchedBitFlipDecoder.decode_best_of`), with the per-round
-    arithmetic restructured around three observations:
-
-    * **Bits are signs.** ``|δ_i|² = |h_i|²`` regardless of the bit, so the
-      per-round ``(K, m)`` complex ``delta`` matrix collapses to a float
-      sign matrix times precomputed per-tag constants — no materialised
-      ``sub_bits`` / ``delta`` / ``|delta|²`` temporaries.
-    * **Gains update incrementally.** Flipping bit *i* of column *m*
-      changes that column's correlation by ``conj(δ_i)·(Dᵀ d_i)`` — one
-      column of the slot-overlap matrix. The per-round ``(K, L)×(L, m)``
-      gain matmul of the batched kernel becomes an axpy over the flipped
-      columns; only the *initial* correlation (and the final residual
-      norms) cost a matmul per :meth:`decode` call.
-    * **The bit state lives in uint64 words.** The ``(K, M)`` estimate
-      matrix is held packed (:func:`repro.coding.gf2.pack_rows`, 64
-      positions per word) and flips are word XORs; D's columns are packed
-      too, with column weights taken by popcount. Packed rows feed the
-      popcount-based CRC check (:func:`repro.coding.gf2.crc_check_packed`)
-      without unpacking.
-
-    The equivalence boundary widens by one notch compared to
-    batched-vs-scalar: correlations here accumulate through incremental
-    updates where the batched kernel re-derives them from the residual
-    each round, so gains agree to float precision, not bitwise. Decisions
-    differ only when a gain sits within rounding error of a tie or of the
-    gain tolerance — vanishingly rare with continuous channel draws, and
-    pinned by the golden-seed and conformance suites.
-    """
-
-    def __init__(self, d_matrix: np.ndarray, channels: Sequence[complex], max_flips: int = 10_000):
-        super().__init__(d_matrix, channels, max_flips=max_flips)
-        self._hr = np.ascontiguousarray(self.h.real)
-        self._hi = np.ascontiguousarray(self.h.imag)
-        # D's columns packed along L: weights by popcount, one word-XOR per
-        # flip. Bit-identical to the float path's d.sum(axis=0).
-        self._d_packed = pack_rows(self.d.T)
-        from repro.coding.gf2 import popcount
-
-        self._weights = popcount(self._d_packed).sum(axis=1, dtype=np.int64).astype(float)
-        self._wh2 = self._weights * np.abs(self.h) ** 2
-
-    @classmethod
-    def from_state(cls, state, max_flips: int = 10_000):
-        """Bind the packed kernel to a persistent decoder state.
-
-        On top of the base binding, points the fused gain pass at the
-        state's precomputed split channels. ``_d_packed`` only feeds the
-        weight popcount in :meth:`__init__`, and the state carries exact
-        weights already, so it is not materialised here.
-        """
-        self = super().from_state(state, max_flips=max_flips)
-        self._hr = state.hr
-        self._hi = state.hi
-        self._d_packed = None
-        self._wh2 = state.weights * state.abs_h2
-        return self
-
-    # ---- decoding -------------------------------------------------------------
-    def decode(
-        self,
-        ys: np.ndarray,
-        init: np.ndarray,
-        frozen: Optional[np.ndarray] = None,
-    ) -> BatchedDecodeOutcome:
-        """Decode all M positions from a warm start (packed fast path)."""
-        ys = np.asarray(ys, dtype=complex)
-        if ys.ndim != 2 or ys.shape[0] != self.n_slots:
-            raise ValueError(f"ys must be (L={self.n_slots}, M), got {ys.shape}")
-        m = ys.shape[1]
-        init_bits = np.asarray(init, dtype=np.uint8)
-        if init_bits.shape != (self.k, m):
-            raise ValueError(f"init must be (K={self.k}, {m}), got {init_bits.shape}")
-        frozen_mask = (
-            np.zeros(self.k, dtype=bool)
-            if frozen is None
-            else np.asarray(frozen, dtype=bool).copy()
-        )
-        if frozen_mask.size != self.k:
-            raise ValueError("frozen mask length mismatch")
-
-        flips = np.zeros(m, dtype=np.int64)
-        active = np.ones(m, dtype=bool)
-        if m == 0:
-            return BatchedDecodeOutcome(
-                bits=init_bits.copy(), flips=flips, converged=active.copy(),
-                residual_norms=np.zeros(0),
-            )
-
-        # Same round-1 state as the batched kernel: the first gain pass is
-        # bitwise-identical; later rounds update the correlation in place.
-        # The residual is maintained with the batched kernel's exact update
-        # expressions — norms (and hence restart decisions) match it float
-        # for float even on degenerate columns where several local minima
-        # tie to the last ulp.
-        packed = pack_rows(init_bits)
-        signs = 1.0 - 2.0 * init_bits.astype(float)
-        residual = ys - self._signal @ init_bits.astype(float)
-        corr = self._dT @ np.conj(residual)
-        corr_re = np.ascontiguousarray(corr.real)
-        corr_im = np.ascontiguousarray(corr.imag)
-        del corr
-
-        self._run_rounds(corr_re, corr_im, signs, packed, residual, frozen_mask, active, flips)
-
-        bits = unpack_rows(packed, m)
-        norms = np.sqrt(np.sum(np.abs(residual) ** 2, axis=0))
-        return BatchedDecodeOutcome(
-            bits=bits,
-            flips=flips,
-            converged=flips < self.max_flips,
-            residual_norms=norms,
-            residual=residual,
-            corr_re=corr_re,
-            corr_im=corr_im,
-        )
-
-    # ---- state-backed decoding --------------------------------------------------
-    def _decode_warm_state(self) -> BatchedDecodeOutcome:
-        """Warm decode on the persistent state, correlations included.
-
-        The packed round loop maintains ``corr_re``/``corr_im`` by axpy, so
-        running it directly on the state's correlation matrices keeps them
-        valid across calls — the initial ``Dᵀ·conj(residual)`` gemm of
-        :meth:`decode` is paid only when another kernel (or a splice
-        without correlations) invalidated them. Signs and packed words are
-        derived from the canonical bit matrix per call: both are O(K·M)
-        reshufflings, not gemms.
-        """
-        state = self._state
-        m = state.m
-        residual = state.residual
-        if not state.corr_valid:
-            corr = self._dT @ np.conj(residual)
-            state.corr_re[...] = corr.real
-            state.corr_im[...] = corr.imag
-            state.corr_valid = True
-        packed = pack_rows(state.bits)
-        signs = 1.0 - 2.0 * state.bits.astype(float)
-        flips = np.zeros(m, dtype=np.int64)
-        active = np.ones(m, dtype=bool)
-        frozen_mask = np.zeros(self.k, dtype=bool)
-        self._run_rounds(
-            state.corr_re, state.corr_im, signs, packed, residual, frozen_mask, active, flips
-        )
-        state.bits[...] = unpack_rows(packed, m)
-        norms = np.sqrt(np.sum(np.abs(residual) ** 2, axis=0))
-        state.last_norms = norms
-        return BatchedDecodeOutcome(
-            bits=state.bits,
-            flips=flips,
-            converged=flips < self.max_flips,
-            residual_norms=norms,
-            residual=residual,
-            corr_re=state.corr_re,
-            corr_im=state.corr_im,
-        )
-
-    # ---- round loop (numpy) ---------------------------------------------------
+    # ---- round loop -------------------------------------------------------------
     def _run_rounds(
         self,
         corr_re: np.ndarray,
@@ -1352,6 +1117,7 @@ class PackedBitFlipDecoder(BatchedBitFlipDecoder):
         active: np.ndarray,
         flips: np.ndarray,
     ) -> None:
+        """Flip every active column to its local optimum, in place."""
         overlap = self._overlap
         one = np.uint64(1)
         k_dim, m_dim = signs.shape
@@ -1369,16 +1135,16 @@ class PackedBitFlipDecoder(BatchedBitFlipDecoder):
         gains = np.empty((k_dim, m_dim))
         scratch = np.empty((k_dim, m_dim))
         while True:
+            # The per-position loop checks the flip budget *before* looking
+            # at gains, so a column at its budget retires unconverged here
+            # too, without a final gain pass.
             active &= flips < self.max_flips
             if not active.any():
                 return
             # Fused gain pass: sign · 2·Re(h·corr) − w·|h|², no complex
-            # temporaries. Elementwise-identical to the batched formula
-            # (scaling by 2.0 and multiplying by ±1 are exact, so the
-            # out= reassociation below cannot change a single bit).
-            # Computed over *all* columns — contiguous whole-matrix ops
-            # beat fancy-indexed copies of the active subset, and retired
-            # columns' gains are simply never consulted.
+            # temporaries. Computed over *all* columns — contiguous
+            # whole-matrix ops beat fancy-indexed copies of the active
+            # subset, and retired columns' gains are simply never consulted.
             np.multiply(hr, corr_re, out=gains)
             np.multiply(hi, corr_im, out=scratch)
             np.subtract(gains, scratch, out=gains)
@@ -1418,7 +1184,6 @@ class PackedBitFlipDecoder(BatchedBitFlipDecoder):
                 else:
                     corr_re[:, fcols] -= ov * fdre[None, :]
                     corr_im[:, fcols] += ov * fdim[None, :]
-                    # The batched kernel's exact residual update expression.
                     residual[:, fcols] -= self._d_f[:, fbits] * fdelta[None, :]
                 signs[fbits, fcols] = -s
                 # Word XOR per flip; ufunc.at because two columns of the
@@ -1443,15 +1208,24 @@ class PackedBitFlipDecoder(BatchedBitFlipDecoder):
         active: np.ndarray,
         flips: np.ndarray,
     ) -> None:
-        """Resolve the ``stalled`` columns (``gains`` is their block) and
-        apply every escaping column's pair flip.
+        """Pair-flip escape for the ``stalled`` columns (``gains`` is their
+        block): retire each column without a positive-gain pair and apply
+        every other column's pair flip.
 
-        Each pair is two single-bit flips in pair order — correlation axpy,
-        masked residual update, sign and word XOR — applied to all escaping
+        :func:`resolve_stalls` takes all the decisions in one batched pass
+        against this kernel's overlap and cross-term caps. Each pair is then
+        two single-bit flips in pair order — correlation axpy, masked
+        residual update, sign and word XOR — applied to all escaping
         columns at once; every element sees the per-column expressions.
         """
         delta = self.h[:, None] * signs[:, stalled]
-        cols, pairs = self._resolve_stalls(gains, delta, frozen_mask, stalled, active)
+        pairs = resolve_stalls(
+            gains, delta, frozen_mask, self._overlap, self._pair_cap,
+            cross_mag=self._cross_mag, co=self._co,
+        )
+        hit = pairs[:, 0] >= 0
+        active[stalled[~hit]] = False
+        cols, pairs = stalled[hit], pairs[hit]
         if cols.size == 0:
             return
         overlap = self._overlap
@@ -1472,175 +1246,11 @@ class PackedBitFlipDecoder(BatchedBitFlipDecoder):
         flips[cols] += 1
 
 
-def _fused_rounds_impl(
-    corr_re, corr_im, signs, packed, residual, d_f, h, hr, hi, wh2, overlap,
-    frozen, active, flips, max_flips,
-):  # pragma: no cover - exercised via NumbaBitFlipDecoder tests
-    """Single-flip rounds until every active column stalls or retires.
+def resolve_kernel() -> type:
+    """The decode kernel class the rateless loop runs:
+    :class:`PackedBitFlipDecoder`.
 
-    The numba-jitted heart of :class:`NumbaBitFlipDecoder` — one fused
-    pass per round over the active columns: per-element gain evaluation
-    (same expression tree as the packed numpy path, so results match
-    bitwise), first-maximum argmax, and in-place correlation/sign/packed-
-    word updates. Columns whose best gain is not above the tolerance are
-    reported back for the (rare, numpy-side) pair-flip escape. Returns the
-    stalled column indices, ascending; empty when every column retired.
+    Instrumentation that wraps the kernel's methods binds through this
+    function rather than naming the class.
     """
-    k_dim, m_dim = signs.shape
-    stalled = np.empty(m_dim, dtype=np.int64)
-    one = np.uint64(1)
-    while True:
-        n_stalled = 0
-        n_active = 0
-        for col in range(m_dim):
-            if active[col] and flips[col] >= max_flips:
-                active[col] = False
-        for col in range(m_dim):
-            if not active[col]:
-                continue
-            n_active += 1
-            best = -1
-            best_gain = -np.inf
-            for i in range(k_dim):
-                if frozen[i]:
-                    continue
-                base = 2.0 * (hr[i] * corr_re[i, col] - hi[i] * corr_im[i, col])
-                g = signs[i, col] * base - wh2[i]
-                if g > best_gain:
-                    best_gain = g
-                    best = i
-            if best < 0 or not (best_gain > _GAIN_TOL) or not np.isfinite(best_gain):
-                stalled[n_stalled] = col
-                n_stalled += 1
-                continue
-            s = signs[best, col]
-            dre = hr[best] * s
-            dim = hi[best] * s
-            dlt = h[best] * s
-            for r in range(k_dim):
-                ov = overlap[r, best]
-                corr_re[r, col] -= ov * dre
-                corr_im[r, col] -= ov * (-dim)
-            for r in range(residual.shape[0]):
-                residual[r, col] -= d_f[r, best] * dlt
-            signs[best, col] = -s
-            packed[best, col // 64] ^= one << np.uint64(col % 64)
-            flips[col] += 1
-        if n_stalled > 0 or n_active == 0:
-            return stalled[:n_stalled].copy()
-
-
-try:  # optional accelerator: `pip install .[fast]`
-    from numba import njit as _njit
-
-    _fused_rounds = _njit(_fused_rounds_impl)
-    HAVE_NUMBA = True
-except Exception:  # numba absent (or broken): clean pure-python fallback
-    _fused_rounds = _fused_rounds_impl
-    HAVE_NUMBA = False
-
-
-class NumbaBitFlipDecoder(PackedBitFlipDecoder):
-    """Packed kernel with the round loop jitted by numba when available.
-
-    Identical state and arithmetic to :class:`PackedBitFlipDecoder`; only
-    the per-round driver moves into :func:`_fused_rounds_impl`, which
-    numba compiles when installed. Without numba the same function runs as
-    pure Python — correct but slow, so :func:`resolve_kernel` only selects
-    this class when numba is importable; constructing it directly always
-    works (the conformance tests pin the fallback on small instances).
-    """
-
-    def _run_rounds(
-        self,
-        corr_re: np.ndarray,
-        corr_im: np.ndarray,
-        signs: np.ndarray,
-        packed: np.ndarray,
-        residual: np.ndarray,
-        frozen_mask: np.ndarray,
-        active: np.ndarray,
-        flips: np.ndarray,
-    ) -> None:
-        overlap = self._overlap
-        while True:
-            stalled = _fused_rounds(
-                corr_re, corr_im, signs, packed, residual, self._d_f, self.h,
-                self._hr, self._hi, self._wh2, overlap,
-                frozen_mask, active, flips, self.max_flips,
-            )
-            if stalled.size == 0:
-                return
-            if self.k == 0:
-                # Fully-peeled problem: nothing can flip (the fused pass
-                # reports every column stalled), every column retires.
-                active[stalled] = False
-                continue
-            # Pair-flip escape for the stalled columns, from the same gain
-            # snapshot the fused round saw (their columns are untouched).
-            # Gains for the whole stalled batch come back in one
-            # vectorized pass, elementwise-identical to the per-column
-            # expression.
-            base = 2.0 * (
-                self._hr[:, None] * corr_re[:, stalled]
-                - self._hi[:, None] * corr_im[:, stalled]
-            )
-            gs = signs[:, stalled] * base - self._wh2[:, None]
-            gs[frozen_mask, :] = _NEG_INF
-            self._escape_stalls(
-                gs, corr_re, corr_im, signs, packed, residual,
-                frozen_mask, stalled, active, flips,
-            )
-
-
-# ---- kernel selection registry ------------------------------------------------
-
-#: Environment variable selecting the decode kernel for the rateless loop.
-KERNEL_ENV_VAR = "REPRO_DECODER_KERNEL"
-
-_KERNELS = {
-    "batched": BatchedBitFlipDecoder,
-    "packed": PackedBitFlipDecoder,
-    "numba": NumbaBitFlipDecoder,
-}
-
-
-def available_kernels() -> list:
-    """Names :func:`resolve_kernel` accepts (``auto`` resolves per machine)."""
-    return ["auto", *sorted(_KERNELS)]
-
-
-def register_kernel(name: str, cls: type) -> None:
-    """Register a batched-API decode kernel under ``name``.
-
-    The class must accept ``(d_matrix, channels, max_flips=...)`` and
-    provide ``decode_best_of`` with :class:`BatchedBitFlipDecoder`'s
-    signature and draw order — every scheme, session, and campaign backend
-    reaches the kernel through this registry. Kernels that additionally
-    set ``SUPPORTS_STATE`` and implement ``from_state`` /
-    ``decode_best_of_state`` get the rateless loop's incremental-state
-    fast path; kernels without it are served by the rebuild path.
-    """
-    _KERNELS[str(name).lower()] = cls
-
-
-def resolve_kernel(name: Optional[str] = None) -> type:
-    """Resolve a kernel name (or the ``REPRO_DECODER_KERNEL`` env var).
-
-    ``auto`` (the default when the variable is unset or empty) picks the
-    numba-jitted kernel when numba is importable and the packed numpy
-    kernel otherwise. Requesting ``numba`` without numba installed falls
-    back to ``packed`` rather than running the pure-python loop.
-    """
-    requested = name if name is not None else os.environ.get(KERNEL_ENV_VAR, "")
-    requested = (requested or "auto").strip().lower()
-    if requested == "auto":
-        return NumbaBitFlipDecoder if HAVE_NUMBA else PackedBitFlipDecoder
-    if requested == "numba" and not HAVE_NUMBA:
-        return PackedBitFlipDecoder
-    try:
-        return _KERNELS[requested]
-    except KeyError:
-        raise ValueError(
-            f"unknown decoder kernel {requested!r}; choose from {available_kernels()}"
-        ) from None
+    return PackedBitFlipDecoder

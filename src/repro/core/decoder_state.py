@@ -35,8 +35,9 @@ by the same axpy expressions the packed kernel applies *within* one
 decode call, so across calls they match a from-scratch rebuild to float
 precision, not bitwise; decisions can differ only on exact float ties
 (vanishingly rare with continuous channel draws — the same boundary the
-packed/batched kernels already share). The discrete session outputs are
-pinned by the golden-seed, conformance, and hypothesis suites.
+packed kernel shares with the scalar decoder). The discrete session
+outputs are pinned by the golden-seed, conformance, and hypothesis suites
+against :class:`~repro.core.reference.RebuildRatelessDecoder`.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class DecoderState:
     bits:
         ``(K_active, M)`` uint8 — the canonical estimates for active nodes.
     corr_re / corr_im:
-        ``(K_active, M)`` split Dᵀ·conj(residual) correlations, valid when
-        ``corr_valid`` — the packed kernel's warm-start state.
+        ``(K_active, M)`` split Dᵀ·conj(residual) correlations — the
+        packed kernel's warm-start state.
     last_norms:
         ``(M,)`` per-position residual norms from the latest warm decode
         (diagnostic; the restart protocol reads them from the outcome).
@@ -117,9 +118,6 @@ class DecoderState:
         self.bits = np.ascontiguousarray(bits.copy())
         self.corr_re = np.zeros((self.k_full, self.m))
         self.corr_im = np.zeros((self.k_full, self.m))
-        # True whenever corr_re/corr_im equal Dᵀ·conj(residual) for the
-        # current residual. The zero-row state trivially satisfies it.
-        self.corr_valid = True
         self.last_norms: Optional[np.ndarray] = None
         self.n_rows = 0
         cap = _INITIAL_CAPACITY
@@ -229,7 +227,7 @@ class DecoderState:
         else:
             r = symbols
         self._residual[j] = r
-        if self.corr_valid and nz.size:
+        if nz.size:
             self.corr_re[nz] += r.real[None, :]
             self.corr_im[nz] -= r.imag[None, :]
         self.n_rows = j + 1
@@ -280,15 +278,10 @@ class DecoderState:
         """Install a winning restart trial for one message ``position``.
 
         ``outcome`` is the trial batch's ``BatchedDecodeOutcome``; its
-        ``residual`` (and, from the packed kernel, ``corr_re``/``corr_im``)
-        columns replace the state's so the warm state remains consistent.
-        A kernel that does not carry correlations simply invalidates them;
-        the next correlation-consuming warm start refreshes with one gemm.
+        ``residual``, ``corr_re`` and ``corr_im`` columns replace the
+        state's so the warm state remains consistent.
         """
         self.bits[:, position] = outcome.bits[:, trial]
         self._residual[: self.n_rows, position] = outcome.residual[:, trial]
-        if self.corr_valid and outcome.corr_re is not None:
-            self.corr_re[:, position] = outcome.corr_re[:, trial]
-            self.corr_im[:, position] = outcome.corr_im[:, trial]
-        else:
-            self.corr_valid = False
+        self.corr_re[:, position] = outcome.corr_re[:, trial]
+        self.corr_im[:, position] = outcome.corr_im[:, trial]

@@ -18,15 +18,14 @@ population through the PHY for end-to-end experiments.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.coding.crc import CRC5_GEN2, CrcSpec, crc_check_matrix
 from repro.coding.prng import slot_decision_matrix
-from repro.core.bp_decoder import resolve_kernel
+from repro.core.bp_decoder import PackedBitFlipDecoder
 from repro.core.config import BuzzConfig
 from repro.core.decoder_state import DecoderState
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
@@ -38,24 +37,7 @@ __all__ = [
     "DecodeProgress",
     "RatelessRunResult",
     "run_rateless_uplink",
-    "STATE_ENV_VAR",
 ]
-
-#: Environment variable selecting the decoder's cross-round state strategy:
-#: ``incremental`` (default — persistent DecoderState with rank-k updates
-#: and frozen-column peeling) or ``rebuild`` (reconstruct the problem from
-#: the stored rows on every try_decode call; the reference path the
-#: equivalence suites compare against).
-STATE_ENV_VAR = "REPRO_DECODER_STATE"
-
-
-def _incremental_default() -> bool:
-    value = os.environ.get(STATE_ENV_VAR, "").strip().lower() or "incremental"
-    if value not in ("incremental", "rebuild"):
-        raise ValueError(
-            f"{STATE_ENV_VAR} must be 'incremental' or 'rebuild', got {value!r}"
-        )
-    return value == "incremental"
 
 
 @dataclass(frozen=True)
@@ -89,16 +71,16 @@ class RatelessDecoder:
         decoder then only reports its best estimate).
     noise_std:
         Complex noise std of the link — gates message verification (below).
-    incremental:
-        Keep a persistent :class:`~repro.core.decoder_state.DecoderState`
-        across decode calls (rank-(new rows) extension per slot, frozen-
-        column peeling per verify) instead of rebuilding the problem from
-        the stored rows each call. Defaults to the ``REPRO_DECODER_STATE``
-        environment variable (``incremental`` unless set to ``rebuild``).
-        Both paths produce identical decoded masks, messages, and
-        :class:`DecodeProgress` traces up to exact float ties — pinned by
-        the incremental-equivalence suite; the incremental path is the
-        session-level fast path gated in ``BENCH_session.json``.
+
+    The decoder keeps a persistent :class:`~repro.core.decoder_state.
+    DecoderState` across decode calls: a rank-(new rows) extension per
+    slot and frozen-column peeling per verify pass, instead of rebuilding
+    the problem from the stored rows each call. The from-scratch rebuild
+    lives on as the test oracle
+    :class:`~repro.core.reference.RebuildRatelessDecoder`; both produce
+    identical decoded masks, messages and :class:`DecodeProgress` traces
+    up to exact float ties, pinned by the incremental-equivalence suite
+    and gated for speed in ``BENCH_session.json``.
 
     **Verification rule.** A 5-bit CRC alone false-positives on ~3 % of
     garbage decodes, and a frozen-wrong message poisons every later decode,
@@ -138,7 +120,6 @@ class RatelessDecoder:
         config: BuzzConfig = BuzzConfig(),
         rng: Optional[np.random.Generator] = None,
         noise_std: float = 0.0,
-        incremental: Optional[bool] = None,
     ):
         self.seeds = [int(s) for s in seeds]
         self.h = np.asarray(channels, dtype=complex).ravel()
@@ -167,10 +148,11 @@ class RatelessDecoder:
         self._decoded = np.zeros(self.k, dtype=bool)
         self.progress: List[DecodeProgress] = []
         self._bp_restarts = config.bp_restarts
-        self._incremental = _incremental_default() if incremental is None else bool(incremental)
-        self._state: Optional[DecoderState] = (
-            DecoderState(self.h, self._estimates) if self._incremental else None
-        )
+        self._state = self._new_state()
+
+    def _new_state(self) -> DecoderState:
+        """The persistent decode state, built over the initial estimates."""
+        return DecoderState(self.h, self._estimates)
 
     # ---- protocol-side queries -------------------------------------------------
     @property
@@ -233,17 +215,22 @@ class RatelessDecoder:
         self._row_buf[j] = row  # assignment copies — the buffer is append-only
         self._sym_buf[j] = symbols
         self._n_rows = j + 1
-        if self._state is not None:
-            # Peel the frozen transmitters out of the new symbols before the
-            # state ingests them: the active problem never sees frozen
-            # contributions (they live on the symbol side, exactly as
-            # DecoderState.peel leaves older rows).
-            frozen_tx = np.flatnonzero((row != 0) & self._decoded)
-            if frozen_tx.size:
-                symbols = symbols - (
-                    self.h[frozen_tx, None] * self._estimates[frozen_tx].astype(float)
-                ).sum(axis=0)
-            self._state.append_slot(row, symbols)
+        self._append_to_state(row, symbols)
+
+    def _append_to_state(self, row: np.ndarray, symbols: np.ndarray) -> None:
+        """Fold one ingested slot into the persistent state.
+
+        The frozen transmitters are peeled out of the new symbols first:
+        the active problem never sees frozen contributions (they live on
+        the symbol side, exactly as :meth:`DecoderState.peel` leaves older
+        rows).
+        """
+        frozen_tx = np.flatnonzero((row != 0) & self._decoded)
+        if frozen_tx.size:
+            symbols = symbols - (
+                self.h[frozen_tx, None] * self._estimates[frozen_tx].astype(float)
+            ).sum(axis=0)
+        self._state.append_slot(row, symbols)
 
     def _ensure_capacity(self, n: int) -> None:
         cap = self._row_buf.shape[0]
@@ -294,27 +281,15 @@ class RatelessDecoder:
         to per-column local optima (with random restarts while a column's
         residual is poor), then CRC-checks whole messages and freezes the
         passers — replacing the former P independent per-position decodes.
-        The kernel class comes from the selection registry
-        (:func:`~repro.core.bp_decoder.resolve_kernel`, honouring the
-        ``REPRO_DECODER_KERNEL`` environment variable), so sessions,
-        mobility, silencing, and every campaign backend inherit the
-        fastest bit-identical implementation available.
+        The kernel is :class:`~repro.core.bp_decoder.PackedBitFlipDecoder`,
+        bound to the persistent state.
         """
         if not self._n_rows:
             snapshot = DecodeProgress(slot=0, newly_decoded=0, total_decoded=0)
             self.progress.append(snapshot)
             return snapshot
-        kernel_cls = resolve_kernel()
-        if self._state is not None and not getattr(kernel_cls, "SUPPORTS_STATE", False):
-            # A registered kernel without the state hook: fall back to the
-            # rebuild path for the rest of the session (the state would go
-            # stale the moment a decode bypassed it).
-            self._state = None
         before = int(self._decoded.sum())
-        if self._state is not None:
-            self._try_decode_state(kernel_cls)
-        else:
-            self._try_decode_rebuild(kernel_cls)
+        self._decode_fixpoint()
         newly = int(self._decoded.sum()) - before
         snapshot = DecodeProgress(
             slot=self.slots_collected, newly_decoded=newly, total_decoded=int(self._decoded.sum())
@@ -322,44 +297,22 @@ class RatelessDecoder:
         self.progress.append(snapshot)
         return snapshot
 
-    def _try_decode_rebuild(self, kernel_cls: type) -> None:
-        """Reference path: rebuild the full-width problem from the buffers."""
-        d = self._row_buf[: self._n_rows]
-        y = self._sym_buf[: self._n_rows]  # (L, P)
-        kernel = kernel_cls(d, self.h, max_flips=self.config.bp_max_flips)
+    def _decode_fixpoint(self) -> None:
+        """BP + verify to a fixpoint on the peeled active problem.
 
-        # BP + verify to a fixpoint: each freeze pins bits that may unlock
-        # further flips and further freezes — the paper's ripple effect,
-        # realised within a single slot arrival.
-        for _ in range(self.config.bp_verify_rounds):
-            outcome = kernel.decode_best_of(
-                y,
-                restarts=self._bp_restarts,
-                rng=self.rng,
-                init=self._estimates,
-                frozen=self._decoded,
-            )
-            self._estimates = outcome.bits
-            if self.crc is None:
-                break
-            frozen_before_pass = int(self._decoded.sum())
-            self._verify_and_freeze(d, y)
-            if int(self._decoded.sum()) == frozen_before_pass or self.all_decoded:
-                break
-
-    def _try_decode_state(self, kernel_cls: type) -> None:
-        """Fast path: decode the peeled active problem from persistent state.
-
-        Same BP + verify fixpoint as the rebuild path, but each round binds
-        the kernel to the live state (O(1) — no stacking, no setup gemms)
-        and decodes the shrinking ``(L, K_active)`` problem. A fresh
-        binding per round is required because a verify pass that freezes
-        nodes compacts the state's arrays under the previous kernel's
-        views.
+        Each freeze pins bits that may unlock further flips and further
+        freezes — the paper's ripple effect, realised within a single slot
+        arrival. Each round binds the kernel to the live state (O(1) — no
+        stacking, no setup gemms) and decodes the shrinking
+        ``(L, K_active)`` problem. A fresh binding per round is required
+        because a verify pass that freezes nodes compacts the state's
+        arrays under the previous kernel's views.
         """
         state = self._state
         for _ in range(self.config.bp_verify_rounds):
-            kernel = kernel_cls.from_state(state, max_flips=self.config.bp_max_flips)
+            kernel = PackedBitFlipDecoder.from_state(
+                state, max_flips=self.config.bp_max_flips
+            )
             kernel.decode_best_of_state(restarts=self._bp_restarts, rng=self.rng)
             self._estimates[state.active_idx] = state.bits
             if self.crc is None:
@@ -369,61 +322,22 @@ class RatelessDecoder:
             if int(self._decoded.sum()) == frozen_before_pass or self.all_decoded:
                 break
 
-    def _verify_and_freeze(self, d: np.ndarray, y: np.ndarray) -> None:
-        """Apply the corroborated-CRC verification rule (class docstring)."""
-        weights = d.sum(axis=0)
-        # Residual with the current estimates (frozen rows included).
-        residual = y - (d.astype(float) * self.h[None, :]) @ self._estimates.astype(float)
-        row_power = np.mean(np.abs(residual) ** 2, axis=1)
-        row_ok = row_power <= max(4.0 * self.noise_std**2, 1e-12)
-
-        # Batched CRC over every unfrozen candidate at once: one GF(2)
-        # matmul against the cached remainder table replaces the former
-        # per-node bit-serial register walk (bit-identical, ≥5× gated in
-        # benchmarks/test_bench_decoder.py).
-        passes = np.zeros(self.k, dtype=bool)
-        candidates = ~self._decoded & (weights > 0)
-        if candidates.any():
-            passes[candidates] = crc_check_matrix(self._estimates[candidates], self.crc)
-
-        entangled = self._entangled_mask(d)
-
-        for node in range(self.k):
-            if self._decoded[node] or not passes[node] or entangled[node]:
-                continue
-            rows = np.flatnonzero(d[:, node])
-            # Weak nodes churn through more candidate bit patterns before
-            # converging (each a fresh 2^-crc CRC-collision lottery), so they
-            # must accumulate one more independent observation.
-            required = 2 if abs(self.h[node]) >= 5.0 * self.noise_std else 3
-            if weights[node] >= required:
-                self._decoded[node] = True
-                continue
-            # weight-1 peeling / joint-constellation case: the single slot
-            # must have a noise-consistent residual and be fully explained
-            # by frozen or simultaneously-passing messages, and the slot's
-            # constellation must be unambiguous for this node.
-            if not bool(np.all(row_ok[rows])):
-                continue
-            row = rows[0]
-            participants = np.flatnonzero(d[row])
-            others = participants[participants != node]
-            if bool(
-                np.all(self._decoded[others] | passes[others])
-            ) and self._node_margin_ok(node, row, participants):
-                self._decoded[node] = True
-
     def _verify_and_freeze_state(self) -> None:
-        """The corroborated-CRC rule, evaluated on the peeled active problem.
+        """The corroborated-CRC rule (class docstring), on the peeled
+        active problem.
 
-        Mirrors :meth:`_verify_and_freeze` decision for decision: weights
-        and pairwise overlaps come from the state's exact integer-valued
-        accumulations, the residual from its live (already frozen-free)
-        matrix instead of a fresh ``(L, K)·(K, P)`` gemm, and the node scan
-        walks the active set in ascending original order — the same order
-        (minus the frozen skips) as the full-width loop, so the live
-        ``self._decoded[others]`` reads agree. Nodes frozen by this pass
-        are peeled out of the state in one batch afterwards.
+        Weights and pairwise overlaps come from the state's exact
+        integer-valued accumulations and the residual from its live
+        (already frozen-free) matrix. The node scan walks the active set in
+        ascending original order, so the live ``self._decoded[others]``
+        reads see every earlier freeze of this pass — the decisions of the
+        full-width rule in :class:`~repro.core.reference.
+        RebuildRatelessDecoder`. Nodes frozen by this pass are peeled out
+        of the state in one batch afterwards. A node with weight ≥ 2 (≥ 3
+        for weak channels) freezes on its CRC; a weight-1 node also needs
+        its single slot to have a noise-consistent residual, to be fully
+        explained by frozen or simultaneously-passing messages, and to
+        have an unambiguous constellation (:meth:`_node_margin_ok`).
         """
         state = self._state
         if state.k_active == 0:
@@ -446,6 +360,9 @@ class RatelessDecoder:
             node = int(act[pos])
             if not passes[node] or entangled[pos]:
                 continue
+            # Weak nodes churn through more candidate bit patterns before
+            # converging (each a fresh 2^-crc CRC-collision lottery), so they
+            # must accumulate one more independent observation.
             required = 2 if abs(self.h[node]) >= 5.0 * self.noise_std else 3
             if weights[pos] >= required:
                 self._decoded[node] = True
@@ -466,12 +383,23 @@ class RatelessDecoder:
             state.peel(np.asarray(newly, dtype=np.int64))
 
     def _entangled_mask_state(self) -> np.ndarray:
-        """:meth:`_entangled_mask` on the active set (same rule, no gemm).
+        """Active positions vetoed because an indistinguishable partner exists.
 
-        The full-width version's candidate set ``~decoded & weights > 0``
-        is, on the peeled problem, simply the active positions with
-        nonzero weight; the pairwise slot-overlap counts are a slice of
-        the state's exact DᵀD instead of a fresh ``(n, n)`` matmul.
+        Node *i* is entangled with unfrozen node *j* when their channel
+        combination is near-degenerate (``min(|h_i+h_j|, |h_i−h_j|)`` below
+        ``4·noise_std`` and below half the weaker channel — a joint flip of
+        such a pair barely moves any symbol where both transmit) **and**
+        the accumulated evidence that can tell them apart is still thin.
+        Distinguishing evidence lives only in slots where exactly one of
+        the pair transmitted; the summed power margin of those slots,
+        ``Σ |h_lone|² / noise_std²``, must reach 16 (≈ 12 dB of
+        accumulated SNR) before either node may freeze. A pair that is
+        merely *jointly weak* is handled by the per-node weight
+        requirements, not by this veto.
+
+        The candidates are the active positions with nonzero weight, and
+        the lone-slot counts come from a slice of the state's exact DᵀD;
+        the degeneracy and evidence tests evaluate as whole matrices.
         """
         state = self._state
         mask = np.zeros(state.k_active, dtype=bool)
@@ -499,58 +427,6 @@ class RatelessDecoder:
         evidence = (only_i * power[:, None] + only_j * power[None, :]) / noise_power
         flagged = (candidate & (evidence < 16.0)).any(axis=1)
         mask[sel[flagged]] = True
-        return mask
-
-    def _entangled_mask(self, d: np.ndarray) -> np.ndarray:
-        """Nodes vetoed because an indistinguishable partner exists.
-
-        Node *i* is entangled with unfrozen node *j* when their channel
-        combination is near-degenerate (``min(|h_i+h_j|, |h_i−h_j|)`` below
-        ``4·noise_std`` — a joint flip of such a pair barely moves any
-        symbol where both transmit) **and** the accumulated evidence that
-        can tell them apart is still thin. Distinguishing evidence lives
-        only in slots where exactly one of the pair transmitted; we require
-        the summed power margin of those slots,
-        ``Σ |h_lone|² / noise_std²``, to reach 16 (≈ 12 dB of accumulated
-        SNR) before either node may freeze.
-
-        The pairwise scan is fully batched: one ``(n, n)`` slot-overlap
-        matmul yields every pair's lone-slot counts, and the degeneracy and
-        evidence tests evaluate as whole matrices — the same arithmetic the
-        former O(free²) Python double loop performed per surviving pair,
-        pinned by an equivalence test against a scalar reference.
-        """
-        mask = np.zeros(self.k, dtype=bool)
-        weights = d.sum(axis=0)
-        idx = np.flatnonzero(~self._decoded & (weights > 0))
-        if idx.size < 2:
-            return mask
-        h = self.h[idx]
-        absh = np.abs(h)
-        threshold = 4.0 * self.noise_std
-        noise_power = max(self.noise_std**2, 1e-18)
-        degenerate = np.minimum(
-            np.abs(h[:, None] + h[None, :]), np.abs(h[:, None] - h[None, :])
-        )
-        # The dangerous case is mutual near-cancellation, where the
-        # combination is far smaller than either channel. A pair that is
-        # merely *jointly weak* is handled by the per-node weight
-        # requirements, not by this veto.
-        candidate = (degenerate < threshold) & (
-            degenerate < 0.5 * np.minimum(absh[:, None], absh[None, :])
-        )
-        np.fill_diagonal(candidate, False)
-        if not candidate.any():
-            return mask
-        d_sub = d[:, idx].astype(float)
-        shared = d_sub.T @ d_sub  # |d_i ∩ d_j| per pair
-        w = weights[idx].astype(float)
-        only_i = w[:, None] - shared
-        only_j = w[None, :] - shared
-        power = absh**2
-        evidence = (only_i * power[:, None] + only_j * power[None, :]) / noise_power
-        flagged = (candidate & (evidence < 16.0)).any(axis=1)
-        mask[idx[flagged]] = True
         return mask
 
     def _node_margin_ok(self, node: int, row: int, participants: np.ndarray) -> bool:

@@ -274,31 +274,33 @@ class _ReaderActor:
         row = slot_decision_matrix(
             self.seeds, range(j, j + 1), float(self.decoder.density), salt=SALT_DATA
         )[0]
+        # Only members inside this reader's coverage are lit by its carrier
+        # and reflect: a member that drifted out mid-session stays silent,
+        # so it neither spends a transmission nor leaks into other zones.
         coverage = sim.zones.coverage_at(t0)
         covered_here = coverage[self.index, self.members]
         air_row = row * covered_here.astype(np.uint8)
-        sim.transmissions[self.members] += row
+        sim.transmissions[self.members] += air_row
 
         tx = (sim.messages[self.members] * air_row[:, None]).T  # (P, k_hat)
         symbols = sim.front_end.observe(tx, sim.channels[self.members], sim.rng)
 
         # Advertise what this slot leaks into every other zone: the
         # transmitting tags each foreign reader covers, at cross-zone gain.
-        transmitting = self.members[row.astype(bool)]
+        on_air = self.members[air_row.astype(bool)]
+        gains = np.abs(sim.channels[on_air]) ** 2
         power_at = np.zeros(sim.model.n_readers)
-        if transmitting.size:
-            gains = np.abs(sim.channels[transmitting]) ** 2
+        if on_air.size:
             cross = db_to_power(sim.model.cross_gain_db)
             for q in range(sim.model.n_readers):
                 if q == self.index:
                     continue
-                heard = coverage[q, transmitting]
+                heard = coverage[q, on_air]
                 if heard.any():
                     power_at[q] = cross * float(gains[heard].sum())
         sim.post(TransmissionRecord(self.index, t0, t1, power_at))
 
-        on_air = self.members[air_row.astype(bool)]
-        signal_power = float((np.abs(sim.channels[on_air]) ** 2).sum())
+        signal_power = float(gains.sum())
         self._pending = (j, t0, t1, symbols, signal_power)
         sched.at(t1, self.slot_end)
 

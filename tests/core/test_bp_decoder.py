@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bp_decoder import BatchedBitFlipDecoder, BitFlipDecoder
+from repro.core.bp_decoder import BitFlipDecoder, PackedBitFlipDecoder
 
 
 def _random_instance(rng, k=8, n_slots=14, density=0.4, noise=0.01):
@@ -203,14 +203,15 @@ def _batch_instance(rng, k=10, n_slots=16, p=8, density=0.35, noise=0.1):
 
 
 class TestBatchedDecoder:
-    """The batched kernel must be a drop-in for M per-position decodes."""
+    """The packed kernel's batched API must be a drop-in for M
+    per-position decodes."""
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            BatchedBitFlipDecoder(np.ones((3, 4), dtype=np.uint8), np.ones(3))
+            PackedBitFlipDecoder(np.ones((3, 4), dtype=np.uint8), np.ones(3))
 
     def test_ys_shape_validated(self):
-        dec = BatchedBitFlipDecoder(np.ones((3, 2), dtype=np.uint8), np.ones(2))
+        dec = PackedBitFlipDecoder(np.ones((3, 2), dtype=np.uint8), np.ones(2))
         with pytest.raises(ValueError):
             dec.decode(np.zeros((4, 5), dtype=complex), init=np.zeros((2, 5), dtype=np.uint8))
         with pytest.raises(ValueError):
@@ -219,7 +220,7 @@ class TestBatchedDecoder:
     def test_recovers_truth_all_positions(self):
         rng = np.random.default_rng(20)
         d, h, truth, ys, init = _batch_instance(rng, noise=0.01)
-        out = BatchedBitFlipDecoder(d, h).decode_best_of(
+        out = PackedBitFlipDecoder(d, h).decode_best_of(
             ys, restarts=6, rng=rng, init=init
         )
         assert np.array_equal(out.bits, truth)
@@ -227,7 +228,7 @@ class TestBatchedDecoder:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_golden_seed_equivalence_noisy(self, seed):
-        """Batched kernel ≡ per-position decoder, bits and RNG stream both:
+        """Packed kernel ≡ per-position decoder, bits and RNG stream both:
         the property that keeps every pre-refactor campaign golden green."""
         rng = np.random.default_rng(seed)
         d, h, _, ys, init = _batch_instance(rng)
@@ -241,7 +242,7 @@ class TestBatchedDecoder:
             expected[:, pos] = ref.decode_best_of(
                 ys[:, pos], restarts=4, rng=rng_ref, init=init[:, pos], frozen=frozen
             ).bits
-        out = BatchedBitFlipDecoder(d, h).decode_best_of(
+        out = PackedBitFlipDecoder(d, h).decode_best_of(
             ys, restarts=4, rng=rng_bat, init=init, frozen=frozen
         )
         assert np.array_equal(out.bits, expected)
@@ -262,7 +263,7 @@ class TestBatchedDecoder:
                 ys[:, pos], restarts=3, rng=rng_ref, init=init[:, pos],
                 frozen=np.zeros(7, dtype=bool),
             ).bits
-        out = BatchedBitFlipDecoder(d, h).decode_best_of(
+        out = PackedBitFlipDecoder(d, h).decode_best_of(
             ys, restarts=3, rng=rng_bat, init=init, frozen=np.zeros(7, dtype=bool)
         )
         assert np.array_equal(out.bits, expected)
@@ -277,7 +278,7 @@ class TestBatchedDecoder:
         )
         bits = np.array([1, 1, 0], dtype=np.uint8)
         ys = ((d * h) @ bits)[:, None]
-        out = BatchedBitFlipDecoder(d, h).decode(
+        out = PackedBitFlipDecoder(d, h).decode(
             ys, init=np.zeros((3, 1), dtype=np.uint8)
         )
         assert np.array_equal(out.bits[:, 0], bits)
@@ -289,14 +290,14 @@ class TestBatchedDecoder:
         wrong[0, :] ^= 1
         frozen = np.zeros(10, dtype=bool)
         frozen[0] = True
-        out = BatchedBitFlipDecoder(d, h).decode(ys, init=wrong, frozen=frozen)
+        out = PackedBitFlipDecoder(d, h).decode(ys, init=wrong, frozen=frozen)
         assert np.array_equal(out.bits[0, :], wrong[0, :])
 
     def test_positions_freeze_independently(self):
         """One hard column must not stop easy columns from converging."""
         rng = np.random.default_rng(22)
         d, h, truth, ys, init = _batch_instance(rng, noise=0.01)
-        out = BatchedBitFlipDecoder(d, h, max_flips=1).decode(ys, init=truth)
+        out = PackedBitFlipDecoder(d, h, max_flips=1).decode(ys, init=truth)
         # warm-started at the truth every column stalls at zero flips
         assert np.array_equal(out.bits, truth)
         assert bool(out.converged.all())
@@ -304,12 +305,12 @@ class TestBatchedDecoder:
     def test_flip_budget_reported_per_position(self):
         rng = np.random.default_rng(23)
         d, h, _, ys, init = _batch_instance(rng)
-        out = BatchedBitFlipDecoder(d, h, max_flips=1).decode(ys, init=init)
+        out = PackedBitFlipDecoder(d, h, max_flips=1).decode(ys, init=init)
         assert out.flips.max() <= 1
         assert out.converged.shape == (8,)
 
     def test_empty_batch(self):
-        dec = BatchedBitFlipDecoder(np.ones((3, 2), dtype=np.uint8), np.ones(2))
+        dec = PackedBitFlipDecoder(np.ones((3, 2), dtype=np.uint8), np.ones(2))
         out = dec.decode(
             np.zeros((3, 0), dtype=complex), init=np.zeros((2, 0), dtype=np.uint8)
         )

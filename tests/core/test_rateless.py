@@ -6,6 +6,7 @@ import pytest
 from repro.coding.crc import CRC5_GEN2
 from repro.core.config import BuzzConfig
 from repro.core.rateless import RatelessDecoder, run_rateless_uplink
+from repro.core.reference import RebuildRatelessDecoder
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import ChannelModel
@@ -178,8 +179,8 @@ class TestEntangledMaskVectorization:
         rng = np.random.default_rng(seed)
         if channels is None:
             channels = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        dec = RatelessDecoder(list(range(100, 100 + k)), channels, 12, 0.4,
-                              noise_std=0.1)
+        dec = RebuildRatelessDecoder(list(range(100, 100 + k)), channels, 12, 0.4,
+                                     noise_std=0.1)
         return dec, rng
 
     @pytest.mark.parametrize("seed", range(6))
@@ -218,6 +219,27 @@ class TestEntangledMaskVectorization:
         mask = dec._entangled_mask(d)
         assert not mask[2] and not mask[3]
         assert np.array_equal(mask, _entangled_mask_reference(dec, d))
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_state_mask_matches_reference(self, seed):
+        """The production veto on the peeled state equals the scalar scan
+        over the same collected rows."""
+        rng = np.random.default_rng(2000 + seed)
+        base = rng.standard_normal() + 1j * rng.standard_normal()
+        channels = np.array([base, -base + 0.01, 0.8j, 0.8j + 0.005, 1.5, -0.7])
+        dec = RatelessDecoder(list(range(100, 106)), channels, 12, 0.4, noise_std=0.1)
+        d = (rng.random((6, 6)) < 0.5).astype(np.uint8)
+        d[0, [0, 2]] = 1
+        d[:, 1] = d[:, 0]  # the near-cancelling pair shares every slot …
+        d[:, 3] = d[:, 2]
+        if seed >= 2:
+            d[5, [1, 3]] ^= 1  # … or all but one, which lifts the veto
+        for row in d:
+            dec.add_slot(np.zeros(12, dtype=complex), row=row)
+        got = dec._entangled_mask_state()
+        assert np.array_equal(got, _entangled_mask_reference(dec, d))
+        assert got[2:4].all() == (seed < 2)  # |0.8j|² lone evidence clears 16
 
 
 class TestDecoderView:

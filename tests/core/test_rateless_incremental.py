@@ -5,26 +5,24 @@ DᵀD overlaps, correlations, residuals) that grows by rank-(new rows)
 updates and shrinks by frozen-column peeling. These tests pin the load-
 bearing claim: every protocol-visible output of the incremental path —
 estimates, decoded masks, slots, progress — is byte-identical to the
-from-scratch rebuild path, across kernels, decode cadences, silencing row
-overrides, and adaptive re-identification splices; plus the exactness
-guarantees of the state algebra itself and the PHY block-batching that
-rides along.
+from-scratch :class:`RebuildRatelessDecoder` reference, across decode
+cadences, silencing row overrides, and adaptive re-identification
+splices; plus the exactness guarantees of the state algebra itself and
+the PHY block-batching that rides along. The reference is selected by
+patching the class name in the data-phase loop modules.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coding.gf2 import pack_rows, unpack_rows
-from repro.core.bp_decoder import available_kernels, register_kernel, resolve_kernel
 from repro.core.config import BuzzConfig
 from repro.core.decoder_state import DecoderState
-from repro.core.rateless import (
-    STATE_ENV_VAR,
-    RatelessDecoder,
-    _incremental_default,
-    run_rateless_uplink,
-)
+from repro.core.rateless import RatelessDecoder, run_rateless_uplink
+from repro.core.reference import RebuildRatelessDecoder
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import ChannelModel
@@ -43,11 +41,23 @@ def _population(k, seed, model=GOOD, message_bits=24):
     return pop
 
 
-def _run(pop, seed, incremental, noise=0.1, max_slots=None, config=BuzzConfig()):
+#: Modules whose data-phase loops construct the rateless decoder by this name.
+_LOOP_MODULES = ("repro.core.rateless", "repro.core.silencing", "repro.core.mobile")
+
+
+def _use_reference(monkeypatch):
+    """Point every data-phase loop at the rebuild reference for this test."""
+    for module in _LOOP_MODULES:
+        monkeypatch.setattr(f"{module}.RatelessDecoder", RebuildRatelessDecoder)
+
+
+def _run(pop, seed, rebuild=False, noise=0.1, max_slots=None, config=BuzzConfig()):
     fe = ReaderFrontEnd(noise_std=noise)
-    return run_rateless_uplink(
-        pop.tags, fe, np.random.default_rng(seed), max_slots=max_slots, config=config
-    )
+    decoder_cls = RebuildRatelessDecoder if rebuild else RatelessDecoder
+    with mock.patch("repro.core.rateless.RatelessDecoder", decoder_cls):
+        return run_rateless_uplink(
+            pop.tags, fe, np.random.default_rng(seed), max_slots=max_slots, config=config
+        )
 
 
 def _assert_identical(a, b):
@@ -170,28 +180,23 @@ class TestDecoderState:
 # Incremental ≡ rebuild, end to end
 # ---------------------------------------------------------------------------
 class TestIncrementalEquivalence:
-    @pytest.mark.parametrize("kernel", [k for k in available_kernels() if k != "auto"])
-    def test_golden_session_identical_per_kernel(self, kernel, monkeypatch):
-        """Acceptance: one full buzz-e2e session per registered kernel,
-        peeling on, byte-identical to the rebuild path."""
-        monkeypatch.setenv("REPRO_DECODER_KERNEL", kernel)
-        pop = _population(8, 42)
-        monkeypatch.setenv(STATE_ENV_VAR, "incremental")
-        inc = _run(pop, 42, incremental=True)
-        monkeypatch.setenv(STATE_ENV_VAR, "rebuild")
-        reb = _run(pop, 42, incremental=False)
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_golden_session_identical_per_k(self, k):
+        """Acceptance: one full buzz-e2e session per population size,
+        peeling on, byte-identical to the rebuild reference."""
+        pop = _population(k, 42)
+        inc = _run(pop, 42)
+        reb = _run(pop, 42, rebuild=True)
         _assert_identical(inc, reb)
         assert inc.decoded_mask.all() and inc.bit_errors == 0
 
-    def test_abort_bound_session_identical(self, monkeypatch):
+    def test_abort_bound_session_identical(self):
         """Sessions that hit the slot cap with tags still undecoded — the
         path where weight-0/entangled estimates stay live longest."""
         pop = _population(10, 7, model=ChannelModel(mean_snr_db=6.0, near_far_db=10.0,
                                                     noise_std=0.4))
-        monkeypatch.setenv(STATE_ENV_VAR, "incremental")
-        inc = _run(pop, 7, incremental=True, noise=0.4, max_slots=120)
-        monkeypatch.setenv(STATE_ENV_VAR, "rebuild")
-        reb = _run(pop, 7, incremental=False, noise=0.4, max_slots=120)
+        inc = _run(pop, 7, noise=0.4, max_slots=120)
+        reb = _run(pop, 7, rebuild=True, noise=0.4, max_slots=120)
         _assert_identical(inc, reb)
 
     @settings(max_examples=15, deadline=None)
@@ -213,15 +218,14 @@ class TestIncrementalEquivalence:
         density = config.data_density(k)
         dec_seed = int(rng.integers(0, 2**63))
 
-        def mk(inc):
-            return RatelessDecoder(
+        def mk(decoder_cls):
+            return decoder_cls(
                 seeds=seeds, channels=channels, n_positions=messages.shape[1],
                 density=density, config=config,
                 rng=np.random.default_rng(dec_seed), noise_std=noise,
-                incremental=inc,
             )
 
-        a, b = mk(True), mk(False)
+        a, b = mk(RatelessDecoder), mk(RebuildRatelessDecoder)
         assert a._state is not None and b._state is None
         phy = np.random.default_rng(dec_seed ^ 0x5DEECE66D)
         for slot in range(n_slots):
@@ -252,8 +256,7 @@ class TestIncrementalEquivalence:
         from repro.engine.campaign import CampaignSpec, run_campaign
         from repro.network.scenarios import scenario_by_name
 
-        def records(mode):
-            monkeypatch.setenv(STATE_ENV_VAR, mode)
+        def records():
             spec = CampaignSpec(
                 scenario=scenario_by_name("mobile-dense", 6),
                 root_seed=77,
@@ -270,9 +273,11 @@ class TestIncrementalEquivalence:
                 for r in result.runs
             ]
 
-        assert records("incremental") == records("rebuild")
+        incremental = records()
+        _use_reference(monkeypatch)
+        assert incremental == records()
 
-    def test_all_decoded_then_more_slots(self, monkeypatch):
+    def test_all_decoded_then_more_slots(self):
         """k_active == 0 edge: extra slots and decode calls after every
         node froze must be well-defined and identical in both modes."""
         pop = _population(5, 3)
@@ -280,12 +285,11 @@ class TestIncrementalEquivalence:
         config = BuzzConfig()
         density = config.data_density(5)
 
-        def run(inc):
-            dec = RatelessDecoder(
+        def run(decoder_cls):
+            dec = decoder_cls(
                 seeds=seeds, channels=pop.channels,
                 n_positions=pop.messages.shape[1], density=density,
                 config=config, rng=np.random.default_rng(99), noise_std=0.05,
-                incremental=inc,
             )
             phy = np.random.default_rng(100)
             slot = 0
@@ -309,46 +313,11 @@ class TestIncrementalEquivalence:
                 dec.try_decode()
             return dec
 
-        a, b = run(True), run(False)
+        a, b = run(RatelessDecoder), run(RebuildRatelessDecoder)
         assert np.array_equal(a.messages(), b.messages())
         assert np.array_equal(a.decoded_mask, b.decoded_mask)
         assert a.progress == b.progress
-        assert a._state is None or a._state.k_active == 0
-
-    def test_non_state_kernel_falls_back_to_rebuild(self, monkeypatch):
-        """A registered kernel without the state hook must route the loop
-        to the rebuild path permanently — never a stale state."""
-        from repro.core import bp_decoder
-
-        class NoStateKernel(bp_decoder.BatchedBitFlipDecoder):
-            SUPPORTS_STATE = False
-
-        register_kernel("nostate-test", NoStateKernel)
-        try:
-            monkeypatch.setenv("REPRO_DECODER_KERNEL", "nostate-test")
-            pop = _population(5, 8)
-            monkeypatch.setenv(STATE_ENV_VAR, "incremental")
-            inc = _run(pop, 8, incremental=True)
-            monkeypatch.setenv(STATE_ENV_VAR, "rebuild")
-            reb = _run(pop, 8, incremental=False)
-            _assert_identical(inc, reb)
-        finally:
-            bp_decoder._KERNELS.pop("nostate-test", None)
-
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.setenv(STATE_ENV_VAR, "rebuild")
-        assert _incremental_default() is False
-        dec = RatelessDecoder([1, 2], np.ones(2, dtype=complex), 10, 0.5)
-        assert dec._state is None
-        monkeypatch.setenv(STATE_ENV_VAR, "incremental")
-        assert _incremental_default() is True
-        monkeypatch.setenv(STATE_ENV_VAR, "bogus")
-        with pytest.raises(ValueError):
-            _incremental_default()
-        # The explicit kwarg wins over the environment.
-        dec = RatelessDecoder([1, 2], np.ones(2, dtype=complex), 10, 0.5,
-                              incremental=False)
-        assert dec._state is None
+        assert a._state.k_active == 0
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +359,7 @@ class TestRowMutationSafety:
         dec.add_slot(symbols, 0)
         dec._row_block[:] = 1 - dec._row_block  # corrupt the cache block
         assert np.array_equal(dec._row_buf[0], expected)
-        if dec._state is not None:
-            assert np.array_equal(dec._state.d[0], expected)
+        assert np.array_equal(dec._state.d[0], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +395,12 @@ class TestBpVerifyRounds:
             spec(BuzzConfig(bp_verify_rounds=2)), cell
         )
 
-    def test_bound_respected(self, monkeypatch):
+    def test_bound_respected(self):
         """bp_verify_rounds=1 runs exactly one BP+verify pass per call."""
         pop = _population(5, 13)
         cfg = BuzzConfig(bp_verify_rounds=1)
-        monkeypatch.setenv(STATE_ENV_VAR, "incremental")
-        inc = _run(pop, 13, incremental=True, config=cfg)
-        monkeypatch.setenv(STATE_ENV_VAR, "rebuild")
-        reb = _run(pop, 13, incremental=False, config=cfg)
+        inc = _run(pop, 13, config=cfg)
+        reb = _run(pop, 13, rebuild=True, config=cfg)
         _assert_identical(inc, reb)
         assert inc.decoded_mask.all()
 

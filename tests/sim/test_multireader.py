@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import BuzzConfig
 from repro.engine import CampaignSpec, run_campaign
@@ -217,6 +218,66 @@ class TestSimulateMultiReader:
         out = _outcome(multi_reader_scenario(6, n_readers=2), seed=3)
         assert out.transmissions.sum() > 0
         assert out.transmissions.shape == (6,)
+
+
+class TestTransmissionAccounting:
+    """Per-tag transmissions count the reflections that reached the air —
+    the coin row masked by the serving reader's coverage, exactly what the
+    mobile data loop counts — never the bare scheduled row."""
+
+    def _spied(self, scenario, seed, monkeypatch):
+        """Run once, tallying per tag: slots served while covered, coin
+        heads, and coin heads while covered."""
+        from repro.coding.prng import slot_decision_matrix
+        from repro.nodes.tag import SALT_DATA
+        from repro.sim.multireader import _ReaderActor
+
+        k = scenario.n_tags
+        tally = {name: np.zeros(k, dtype=int) for name in ("covered", "heads", "aired")}
+        original = _ReaderActor.slot_start
+
+        def spy(actor, sched):
+            j, t0, members = actor.slot_index, sched.now, actor.members.copy()
+            original(actor, sched)
+            if actor.slot_index != j + 1:
+                return  # the session ended instead of running a slot
+            covered = actor.sim.zones.coverage_at(t0)[actor.index, members]
+            heads = slot_decision_matrix(
+                actor.seeds, range(j, j + 1), float(actor.decoder.density), salt=SALT_DATA
+            )[0].astype(bool)
+            tally["covered"][members[covered]] += 1
+            tally["heads"][members[heads]] += 1
+            tally["aired"][members[heads & covered]] += 1
+
+        monkeypatch.setattr(_ReaderActor, "slot_start", spy)
+        return _outcome(scenario, seed=seed), tally
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), k=st.integers(4, 12))
+    def test_handoff_counts_never_exceed_covered_slots(self, seed, k):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            out, tally = self._spied(handoff_scenario(k), seed, monkeypatch)
+        assert np.array_equal(out.transmissions, tally["aired"])
+        assert np.all(out.transmissions <= tally["covered"])
+
+    def test_handoff_uncovered_heads_are_not_counted(self, monkeypatch):
+        """The seeded handoff run has coin heads outside coverage — the
+        case the scheduled-row count used to bill as transmissions."""
+        out, tally = self._spied(handoff_scenario(10), 5, monkeypatch)
+        assert out.handoffs > 0
+        assert tally["heads"].sum() > tally["aired"].sum()
+        assert np.array_equal(out.transmissions, tally["aired"])
+
+    def test_dense_floor_counts_unchanged(self, monkeypatch):
+        """No handoffs: every member stays covered, the covered row is the
+        scheduled row, and the seeded counts are the pinned ones."""
+        scenario = dense_floor_scenario(9)
+        assert scenario.readers.handoff_rate_hz == 0.0
+        out, tally = self._spied(scenario, 33, monkeypatch)
+        assert np.array_equal(tally["heads"], tally["aired"])
+        assert np.array_equal(out.transmissions, tally["heads"])
+        assert out.transmissions.tolist() == [64, 34, 2, 6, 62, 34, 2, 5, 68]
+        assert out.total_slots == 128
 
 
 class TestMultiReaderScheme:
