@@ -206,8 +206,7 @@ def run_rateless_with_silencing(
 
         progress = decoder.try_decode()
         if progress.newly_decoded:
-            for _ in range(int(progress.newly_decoded)):
-                ack_overhead += ack_duration_s(space, timing)
+            ack_overhead += progress.newly_decoded * ack_duration_s(space, timing)
             acked |= decoder.decoded_mask
             # A tag falls silent when its own temporary id is echoed back.
             silenced[matched] = acked[mapping[matched]]
