@@ -21,7 +21,7 @@ from repro.core.rateless import (
     RatelessRunResult,
     run_rateless_uplink,
 )
-from repro.core.silencing import SilencedRunResult, run_rateless_with_silencing
+from repro.core.silencing import run_rateless_with_silencing
 
 __all__ = [
     "BitFlipDecoder",
@@ -35,7 +35,6 @@ __all__ = [
     "KEstimateResult",
     "RatelessDecoder",
     "RatelessRunResult",
-    "SilencedRunResult",
     "candidate_ids",
     "estimate_k",
     "identify",

@@ -1,10 +1,8 @@
 """Mobility-aware data phase: the rateless code under a time-varying field.
 
-The plain drivers (:func:`repro.core.rateless.run_rateless_uplink`,
-:func:`repro.core.silencing.run_rateless_with_silencing`) hold channels and
-population fixed for the whole transfer — the paper's §9 bench. This module
-runs the same reader/decoder against a
-:class:`~repro.phy.channel.ChannelTrajectory`: per slot the *current*
+:func:`run_mobile_data_segment` runs the data-phase loop of
+:mod:`repro.core.rateless` against a :class:`~repro.phy.channel.
+ChannelTrajectory` instead of a static field: per slot the *current*
 fading block shapes the received symbols, tags that departed (or have not
 yet arrived) stay off the air, and only tags that heard the most recent
 identification trigger participate at all. The decoder still works from
@@ -16,74 +14,27 @@ reader tracks slots since the last newly verified message and, past a
 configurable limit, stops the segment and reports it ``stalled`` so the
 pipeline can re-run identification and splice fresh estimates into a new
 segment. With the monitor disabled a segment runs to the same termination
-conditions as the static drivers, which is what makes an adaptive session
+conditions as a static field, which is what makes an adaptive session
 with the monitor off bit-identical to a static end-to-end session.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.coding.crc import CRC5_GEN2, CrcSpec
-from repro.coding.prng import slot_decision_matrix
+from repro.coding.prng import slot_decision_matrix  # noqa: F401 -- bound by perfbench's tracer
 from repro.core.config import BuzzConfig
 from repro.core.identification import ChannelEstimates
-from repro.core.rateless import (
-    DecodeProgress,
-    RatelessDecoder,
-    _decoder_view,
-    _map_view_to_tags,
-)
-from repro.core.silencing import ack_duration_s
+from repro.core.rateless import RatelessRunResult, _decoder_view, _run_data_phase
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.reader import ReaderFrontEnd
-from repro.nodes.tag import SALT_DATA, BackscatterTag
+from repro.nodes.tag import BackscatterTag
 from repro.phy.channel import ChannelTrajectory
 
-__all__ = ["MobileSegmentResult", "run_mobile_data_segment"]
-
-
-@dataclass
-class MobileSegmentResult:
-    """Outcome of one mobile data-phase segment (between identifications).
-
-    Attributes
-    ----------
-    verified:
-        Per-tag CRC success within this segment (full population order;
-        tags outside the reader's view are always ``False``).
-    in_view:
-        Tags whose temporary id the reader's view covers — the columns the
-        decoder actually served.
-    messages:
-        ``(K, P)`` per-tag message estimates mapped back from the view.
-    slots_used:
-        Collision slots this segment collected.
-    duration_s:
-        Airtime of the segment: trigger command + slots + any ACKs.
-    ack_overhead_s:
-        Silencing-ACK share of ``duration_s`` (0 without silencing).
-    transmissions:
-        Per-tag count of slots each tag actually reflected in.
-    stalled:
-        True when the stall monitor stopped the segment early — the
-        adaptive pipeline's re-identification trigger.
-    progress:
-        Decode trace of the segment's rounds.
-    """
-
-    verified: np.ndarray
-    in_view: np.ndarray
-    messages: np.ndarray
-    slots_used: int
-    duration_s: float
-    ack_overhead_s: float
-    transmissions: np.ndarray
-    stalled: bool
-    progress: List[DecodeProgress]
+__all__ = ["run_mobile_data_segment"]
 
 
 def run_mobile_data_segment(
@@ -103,7 +54,7 @@ def run_mobile_data_segment(
     silencing: bool = False,
     id_space: Optional[int] = None,
     crc: Optional[CrcSpec] = CRC5_GEN2,
-) -> MobileSegmentResult:
+) -> RatelessRunResult:
     """Run one data-phase segment over a drifting, churning population.
 
     ``participants`` marks the tags that were present at the most recent
@@ -117,21 +68,17 @@ def run_mobile_data_segment(
     (``None`` disables the monitor). ``silencing`` adds the §8.2 per-ACK
     downlink cost and drops ACKed tags from later slots.
 
-    Two deliberate departures from the static driver's fast paths:
-
-    * Each segment constructs a **fresh** :class:`RatelessDecoder`, which
-      is exactly how an adaptive re-identification splice invalidates the
-      persistent incremental decode state — the refreshed view (seeds,
-      channel estimates) gets a clean :class:`~repro.core.decoder_state.
-      DecoderState` rather than a stale one patched in place. Within a
-      segment the view is constant, so the decoder's incremental path
-      stays valid for every slot the segment collects.
-    * The PHY loop stays per-slot: ``trajectory.channels_at(now)`` is
-      evaluated at each slot's airtime, and ``now`` includes the
-      accumulated silencing-ACK overhead, which is only known after the
-      previous slots' decodes — a block receive would have to guess
-      future ACKs. The static drivers, whose channels are constant, use
-      the batched ``observe_block`` receive instead.
+    Each segment constructs a **fresh** :class:`~repro.core.rateless.
+    RatelessDecoder`, which is exactly how an adaptive re-identification
+    splice invalidates the persistent incremental decode state — the
+    refreshed view (seeds, channel estimates) gets a clean
+    :class:`~repro.core.decoder_state.DecoderState` rather than a stale
+    one patched in place. Within a segment the view is constant, so the
+    decoder's incremental path stays valid for every slot the segment
+    collects. The loop receives slot by slot here:
+    ``trajectory.channels_at(now)`` is evaluated at each slot's airtime,
+    and ``now`` includes the accumulated silencing-ACK overhead, which is
+    only known after the previous slots' decodes.
     """
     k = len(tags)
     if k == 0:
@@ -142,115 +89,38 @@ def run_mobile_data_segment(
     if participants.shape != (k,):
         raise ValueError("participants must be one flag per tag")
     messages = np.stack([t.message for t in tags])
-    n_positions = messages.shape[1]
 
     # Schedule seeds for the vectorized per-block draw; non-participant
-    # tags use a placeholder seed and are zeroed out of every row below.
+    # tags use a placeholder seed and never go on the air.
     tag_seeds = [
         int(tag.temp_id) if participants[i] and tag.temp_id is not None else 0
         for i, tag in enumerate(tags)
     ]
     # Tag → view-column mapping: the same non-oracle view resolution the
-    # static drivers use, then non-participants are cut out — their stale
+    # static field uses, then non-participants are cut out — their stale
     # temporary ids did not come from *this* identification (but a departed
     # participant's id may well be in the view — mobility's whole failure
     # surface).
-    channels_now = trajectory.channels_at(start_s)
-    view_seeds, h_view, mapping = _decoder_view(
-        tag_seeds, channels_now, estimates.values, estimates.seeds()
+    view = _decoder_view(
+        tag_seeds, trajectory.channels_at(start_s), estimates.values, estimates.seeds()
     )
-    mapping = mapping.copy()
-    mapping[~participants] = -1
-
-    density = config.data_density(max(1, k_hat))
-    limit = int(max_slots)
-    space = id_space if id_space is not None else 10 * k * k
-    decoder = RatelessDecoder(
-        seeds=view_seeds,
-        channels=h_view,
-        n_positions=n_positions,
-        density=density,
-        crc=crc,
+    view = view._replace(mapping=np.where(participants, view.mapping, -1))
+    return _run_data_phase(
+        messages,
+        None,
+        front_end,
+        rng,
+        tag_seeds=tag_seeds,
+        view=view,
+        density=config.data_density(max(1, k_hat)),
+        limit=int(max_slots),
         config=config,
-        rng=np.random.default_rng(rng.integers(0, 2**63)),
-        noise_std=front_end.noise_std,
-    )
-
-    slot_s = n_positions * (1.0 / timing.uplink_rate_bps)
-    block_size = max(1, min(limit, RatelessDecoder.ROW_BLOCK))
-    matched = mapping >= 0
-
-    transmissions = np.zeros(k, dtype=int)
-    silenced = np.zeros(k, dtype=bool)
-    acked = np.zeros(len(view_seeds), dtype=bool)
-    ack_overhead = 0.0
-    schedule_rows = np.zeros((0, k), dtype=np.uint8)
-    view_rows = np.zeros((0, len(view_seeds)), dtype=np.uint8)
-    block_start = 0
-    slot = 0
-    slots_since_progress = 0
-    stalled = False
-    decode_every = 1 if silencing else config.decode_every
-    while slot < limit:
-        offset = slot - block_start
-        if not offset < schedule_rows.shape[0]:
-            block_start, offset = slot, 0
-            block = range(slot, min(slot + block_size, limit))
-            schedule_rows = slot_decision_matrix(tag_seeds, block, density, salt=SALT_DATA)
-            view_rows = decoder.expected_rows(block)
-            if not silencing:
-                # The silencing path masks ACKed columns per slot below;
-                # the plain path can hand the whole verified block over.
-                decoder.prime_row_cache(slot, view_rows)
-        # Airtime so far within the segment, measured at this slot's start.
-        now = start_s + slot * slot_s + ack_overhead
-        on_air = participants & trajectory.active_at(now) & ~silenced
-        row = schedule_rows[offset] * on_air.astype(np.uint8)
-        transmissions += row
-        tx_per_position = (messages * row[:, None]).T  # (P, K)
-        symbols = front_end.observe(
-            tx_per_position, trajectory.channels_at(now), rng
-        )
-        if silencing:
-            reader_row = view_rows[offset] * (~acked).astype(np.uint8)
-            decoder.add_slot(symbols, slot, row=reader_row)
-        else:
-            decoder.add_slot(symbols, slot)
-        slot += 1
-        if slot % decode_every != 0:
-            continue
-        progress = decoder.try_decode()
-        if progress.newly_decoded:
-            slots_since_progress = 0
-            if silencing:
-                ack_overhead += progress.newly_decoded * ack_duration_s(space, timing)
-                acked |= decoder.decoded_mask
-                silenced[matched] = acked[mapping[matched]]
-        else:
-            slots_since_progress += decode_every
-        if decoder.all_decoded:
-            break
-        if stall_limit is not None and slots_since_progress >= stall_limit:
-            stalled = True
-            break
-
-    if not decoder.all_decoded and not stalled and decoder.slots_collected and (
-        decoder.slots_collected % decode_every != 0
-    ):
-        decoder.try_decode()
-
-    verified, view_messages = _map_view_to_tags(decoder, mapping, n_positions)
-    duration = (
-        decoder.slots_collected * slot_s + timing.query_duration_s() + ack_overhead
-    )
-    return MobileSegmentResult(
-        verified=verified,
-        in_view=matched.copy(),
-        messages=view_messages,
-        slots_used=decoder.slots_collected,
-        duration_s=duration,
-        ack_overhead_s=ack_overhead,
-        transmissions=transmissions,
-        stalled=stalled,
-        progress=decoder.progress,
+        crc=crc,
+        timing=timing,
+        id_space=id_space if id_space is not None else 10 * k * k,
+        trajectory=trajectory,
+        participants=participants,
+        start_s=start_s,
+        silencing=silencing,
+        stall_limit=stall_limit,
     )

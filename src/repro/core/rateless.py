@@ -12,14 +12,21 @@ above 1 when channels are good (fewer slots than senders), below 1 when
 they are bad.
 
 :class:`RatelessDecoder` is the reader half (consumes symbols, never looks
-at true messages); :func:`run_rateless_uplink` wires it to a live tag
-population through the PHY for end-to-end experiments.
+at true messages). One loop, :func:`_run_data_phase`, wires it to a live
+tag population through the PHY. Its entry points only resolve their
+arguments: :func:`run_rateless_uplink` (static field),
+:func:`repro.core.silencing.run_rateless_with_silencing` (§8.2 ACK
+silencing) and :func:`repro.core.mobile.run_mobile_data_segment`
+(drifting, churning field with a stall monitor). All three return a
+:class:`RatelessRunResult`, and the loop looks the decoder class up here
+at call time — the single patch point for the rebuild reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,11 +38,13 @@ from repro.core.decoder_state import DecoderState
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import SALT_DATA, BackscatterTag
+from repro.phy.channel import ChannelTrajectory
 
 __all__ = [
     "RatelessDecoder",
     "DecodeProgress",
     "RatelessRunResult",
+    "ack_duration_s",
     "run_rateless_uplink",
 ]
 
@@ -244,8 +253,8 @@ class RatelessDecoder:
         sym_buf[: self._n_rows] = self._sym_buf[: self._n_rows]
         self._sym_buf = sym_buf
 
-    #: Slots regenerated per batched D-row refill; drivers that batch their
-    #: own tag-side draws (the plain and silencing loops) reuse this size.
+    #: Slots regenerated per batched D-row refill; the data-phase loop
+    #: draws the tags' coins in blocks of the same size.
     ROW_BLOCK = 64
 
     def _regenerated_row(self, index: int) -> np.ndarray:
@@ -257,21 +266,9 @@ class RatelessDecoder:
         """
         offset = index - self._row_block_start
         if not 0 <= offset < self._row_block.shape[0]:
-            self.prime_row_cache(
-                index, self.expected_rows(range(index, index + self.ROW_BLOCK))
-            )
-            offset = 0
+            self._row_block_start, offset = index, 0
+            self._row_block = self.expected_rows(range(index, index + self.ROW_BLOCK))
         return self._row_block[offset]
-
-    def prime_row_cache(self, start: int, rows: np.ndarray) -> None:
-        """Install a pre-regenerated block of D rows for ``start, start+1, …``.
-
-        Lets a driver that already computed (and verified) a block via
-        :meth:`expected_rows` hand it over instead of having
-        :meth:`add_slot` regenerate the same rows again.
-        """
-        self._row_block_start = int(start)
-        self._row_block = np.ascontiguousarray(rows, dtype=np.uint8)
 
     def try_decode(self) -> DecodeProgress:
         """Run the batched BP kernel over all positions at once.
@@ -474,26 +471,36 @@ class RatelessDecoder:
 
 @dataclass
 class RatelessRunResult:
-    """End-to-end outcome of one rateless uplink transfer.
+    """Outcome of one data phase (a whole transfer, or one mobile segment).
 
     Attributes
     ----------
     decoded_mask:
-        Per-node CRC success at termination.
+        Per-tag CRC success at termination (tags outside the reader's view
+        are always ``False``).
     messages:
-        ``(K, P)`` decoded message estimates.
+        ``(K, P)`` decoded message estimates, mapped back from the view.
     slots_used:
         Collision slots collected (the paper's L).
     duration_s:
-        ``L · P`` symbols at the uplink rate plus the start command.
+        Airtime: the start command, ``L · P`` symbols at the uplink rate,
+        and any silencing ACKs.
     transmissions:
-        Per-node count of slots in which the node actually transmitted
+        Per-tag count of slots in which the tag actually transmitted
         (drives the energy model).
     progress:
         Decode trace — the Fig. 9 bars.
     bit_errors:
         Hamming distance between decoded and true messages (diagnostic;
         zero for every CRC-passed message unless the CRC false-positived).
+    in_view:
+        Tags whose temporary id the reader's view covers — the columns
+        the decoder actually served.
+    ack_overhead_s:
+        Silencing-ACK share of ``duration_s`` (0 without silencing).
+    stalled:
+        True when the stall monitor stopped the phase early — the adaptive
+        session's re-identification trigger.
     """
 
     decoded_mask: np.ndarray
@@ -503,6 +510,9 @@ class RatelessRunResult:
     transmissions: np.ndarray
     progress: List[DecodeProgress]
     bit_errors: int
+    in_view: np.ndarray
+    ack_overhead_s: float = 0.0
+    stalled: bool = False
 
     @property
     def n_decoded(self) -> int:
@@ -514,10 +524,37 @@ class RatelessRunResult:
         return int((~self.decoded_mask).sum())
 
     def bits_per_symbol(self) -> float:
-        """Realised aggregate rate K/L (Fig. 9/12's right axis)."""
+        """Realised aggregate rate K/L (Fig. 9/12's right axis); ACK time
+        is not counted."""
         if self.slots_used == 0:
             return float("inf")
         return self.decoded_mask.size / self.slots_used
+
+
+def ack_duration_s(id_space: int, timing: LinkTiming = GEN2_DEFAULT_TIMING) -> float:
+    """Time for one silencing ACK: echo of a temporary id plus framing.
+
+    The id needs ``ceil(log2(id_space))`` bits; the ACK adds a 2-bit
+    command prefix (mirroring Gen-2's ACK framing) and a T1 turnaround on
+    each side.
+    """
+    id_bits = max(1, math.ceil(math.log2(max(2, id_space))))
+    return timing.downlink_s(id_bits + 2) + 2 * timing.t1_s
+
+
+class _ReaderView(NamedTuple):
+    """The reader's decoder view and its mapping back to the tags.
+
+    ``mapping[i]`` is the decoder column serving tag *i*, or −1 when the
+    reader never recovered that tag's temporary id (its message is
+    unreachable). ``oracle`` marks the view built from the tags
+    themselves, whose D must then match the tags' schedule bit for bit.
+    """
+
+    seeds: List[int]
+    h: np.ndarray
+    mapping: np.ndarray
+    oracle: bool
 
 
 def _decoder_view(
@@ -525,22 +562,17 @@ def _decoder_view(
     channels: np.ndarray,
     channel_estimates: Optional[Sequence[complex]],
     decoder_seeds: Optional[Sequence[int]],
-) -> tuple:
-    """Resolve the reader's decoder view and its mapping back to the tags.
-
-    Returns ``(view_seeds, h_view, mapping)`` where ``mapping[i]`` is the
-    decoder index serving tag *i*, or −1 when the reader never recovered
-    that tag's temporary id (its message is unreachable). With no explicit
+) -> _ReaderView:
+    """Resolve the reader's decoder view. With no explicit
     ``decoder_seeds`` the view is the oracle one — the tags themselves,
-    with ``channel_estimates`` (or the true channels) aligned per tag.
-    """
+    with ``channel_estimates`` (or the true channels) aligned per tag."""
     if decoder_seeds is None:
         h_view = (
             channels
             if channel_estimates is None
             else np.asarray(channel_estimates, dtype=complex).ravel()
         )
-        return tag_seeds, h_view, np.arange(len(tag_seeds))
+        return _ReaderView(tag_seeds, h_view, np.arange(len(tag_seeds)), True)
     if channel_estimates is None:
         raise ValueError("decoder_seeds requires channel_estimates (the reader's view)")
     view_seeds = [int(s) for s in decoder_seeds]
@@ -551,22 +583,237 @@ def _decoder_view(
     for j, s in enumerate(view_seeds):
         index.setdefault(s, j)
     mapping = np.array([index.get(s, -1) for s in tag_seeds], dtype=int)
-    return view_seeds, h_view, mapping
+    return _ReaderView(view_seeds, h_view, mapping, False)
 
 
-def _map_view_to_tags(
-    decoder: RatelessDecoder, mapping: np.ndarray, n_positions: int
+def _air_slot(
+    row: np.ndarray,
+    on_air: np.ndarray,
+    messages: np.ndarray,
+    channels: np.ndarray,
+    front_end: ReaderFrontEnd,
+    rng: np.random.Generator,
 ) -> tuple:
-    """Project the decoder's per-view state back onto the tag population."""
-    k = mapping.size
-    view_decoded = decoder.decoded_mask
-    view_messages = decoder.messages()
+    """One data slot on the air: the coin row masked to the tags that
+    actually reflect, and the symbols the reader receives for it."""
+    air_row = row * on_air.astype(np.uint8)
+    tx_per_position = (messages * air_row[:, None]).T  # (P, K)
+    return air_row, front_end.observe(tx_per_position, channels, rng)
+
+
+def _run_data_phase(
+    messages: np.ndarray,
+    channels: Optional[np.ndarray],
+    front_end: ReaderFrontEnd,
+    rng: np.random.Generator,
+    *,
+    tag_seeds: List[int],
+    view: _ReaderView,
+    density: float,
+    limit: int,
+    config: BuzzConfig,
+    crc: Optional[CrcSpec],
+    timing: LinkTiming,
+    id_space: int,
+    trajectory: Optional[ChannelTrajectory] = None,
+    participants: Optional[np.ndarray] = None,
+    start_s: float = 0.0,
+    silencing: bool = False,
+    stall_limit: Optional[int] = None,
+) -> RatelessRunResult:
+    """The data phase every entry point runs (module docstring).
+
+    Per slot: the tags on the air are the participants that are in the
+    field now and not silenced; the reader receives, ingests the slot,
+    and every ``decode_every`` slots (every slot under silencing) decodes,
+    ACKs what newly verified and runs the stall monitor. ``channels`` is
+    the static field; a ``trajectory`` replaces it with the channels and
+    presence at each slot's airtime, ``start_s`` on.
+
+    Receive path: a static field without silencing has fixed rows and
+    channels for a whole block of slots, so it receives the block in one
+    vectorized ``observe_block`` call (same noise stream as per-slot
+    calls, equal to the last ulp); otherwise each slot is received on its
+    own, because who transmits (silencing) or on what channel (a
+    trajectory, whose ``now`` includes ACK time) depends on the decodes of
+    the block's earlier slots.
+    """
+    k, n_positions = messages.shape
+    decoder = RatelessDecoder(
+        seeds=view.seeds,
+        channels=view.h,
+        n_positions=n_positions,
+        density=density,
+        crc=crc,
+        config=config,
+        rng=np.random.default_rng(rng.integers(0, 2**63)),
+        noise_std=front_end.noise_std,
+    )
+    block_receive = trajectory is None and not silencing
+    decode_every = 1 if silencing else config.decode_every
+    symbol_s = 1.0 / timing.uplink_rate_bps
+    slot_s = n_positions * symbol_s
+    block_size = max(1, min(limit, RatelessDecoder.ROW_BLOCK))
+    matched = view.mapping >= 0
+    channels_now = channels
+
+    transmissions = np.zeros(k, dtype=int)
+    silenced = np.zeros(k, dtype=bool)
+    acked = np.zeros(len(view.seeds), dtype=bool)
+    ack_overhead = 0.0
+    slots_since_progress = 0
+    stalled = False
+    slot = 0
+    while slot < limit and not (stalled or decoder.all_decoded):
+        # The tags' coins are a pure function of (temp_id, slot), drawn for
+        # a block at once; the reader regenerates its own D for the block.
+        block = range(slot, min(slot + block_size, limit))
+        tag_rows = slot_decision_matrix(tag_seeds, block, density, salt=SALT_DATA)
+        reader_rows = decoder.expected_rows(block)
+        # An explicit check (unlike an ``assert``, it survives ``python
+        # -O``); a non-oracle view's D may disagree with the tags — that is
+        # its whole failure surface.
+        if view.oracle and not np.array_equal(tag_rows, reader_rows):
+            raise RuntimeError(
+                "D regeneration diverged: reader-side seeds or density "
+                "do not reproduce the tags' transmit schedule"
+            )
+        if block_receive:
+            block_symbols = front_end.observe_block(tag_rows, messages, channels, rng)
+        for offset in range(len(block)):
+            if block_receive:
+                row, symbols = tag_rows[offset], block_symbols[offset]
+            else:
+                on_air = ~silenced
+                if trajectory is not None:
+                    # Airtime so far, measured at this slot's start.
+                    now = start_s + slot * slot_s + ack_overhead
+                    on_air &= participants & trajectory.active_at(now)
+                    channels_now = trajectory.channels_at(now)
+                row, symbols = _air_slot(
+                    tag_rows[offset], on_air, messages, channels_now, front_end, rng
+                )
+            transmissions += row
+            # The reader knows exactly whom it ACKed (nobody without
+            # silencing), so it masks them out of its own regenerated row —
+            # reader-side knowledge, not signalling.
+            decoder.add_slot(
+                symbols, slot, row=reader_rows[offset] * (~acked).astype(np.uint8)
+            )
+            slot += 1
+            if slot % decode_every != 0:
+                continue
+            progress = decoder.try_decode()
+            if progress.newly_decoded:
+                slots_since_progress = 0
+                if silencing:
+                    ack_overhead += progress.newly_decoded * ack_duration_s(id_space, timing)
+                    acked |= decoder.decoded_mask
+                    # A tag falls silent when its own temporary id is echoed.
+                    silenced[matched] = acked[view.mapping[matched]]
+            else:
+                slots_since_progress += decode_every
+            if decoder.all_decoded:
+                break
+            if stall_limit is not None and slots_since_progress >= stall_limit:
+                stalled = True
+                break
+
+    if decoder.slots_collected % decode_every != 0 and not decoder.all_decoded:
+        decoder.try_decode()
+
+    # Project the per-view outcome back onto the tags.
     decoded = np.zeros(k, dtype=bool)
     estimates = np.zeros((k, n_positions), dtype=np.uint8)
-    matched = mapping >= 0
-    decoded[matched] = view_decoded[mapping[matched]]
-    estimates[matched] = view_messages[mapping[matched]]
-    return decoded, estimates
+    decoded[matched] = decoder.decoded_mask[view.mapping[matched]]
+    estimates[matched] = decoder.messages()[view.mapping[matched]]
+    slots = decoder.slots_collected
+    # The static and mobile paths price slots as (L·P)·T and L·(P·T); the
+    # two differ in the last ulp and both are pinned by goldens.
+    airtime = slots * n_positions * symbol_s if trajectory is None else slots * slot_s
+    return RatelessRunResult(
+        decoded_mask=decoded,
+        messages=estimates,
+        slots_used=slots,
+        duration_s=airtime + timing.query_duration_s() + ack_overhead,
+        transmissions=transmissions,
+        progress=decoder.progress,
+        bit_errors=int(np.count_nonzero(estimates != messages)),
+        in_view=matched.copy(),
+        ack_overhead_s=ack_overhead,
+        stalled=stalled,
+    )
+
+
+def _run_static(
+    tags: Sequence[BackscatterTag],
+    front_end: ReaderFrontEnd,
+    rng: np.random.Generator,
+    k_hat: Optional[int],
+    channel_estimates: Optional[Sequence[complex]],
+    crc: Optional[CrcSpec],
+    config: BuzzConfig,
+    timing: LinkTiming,
+    max_slots: Optional[int],
+    decoder_seeds: Optional[Sequence[int]],
+    silencing: bool = False,
+    id_space: Optional[int] = None,
+) -> RatelessRunResult:
+    """Resolve a static field's view, density and limit, then run the loop.
+
+    Takes :func:`run_rateless_uplink`'s arguments in its order, so both
+    static entry points (it and :func:`~repro.core.silencing.
+    run_rateless_with_silencing`) forward them positionally.
+    """
+    k = len(tags)
+    if k == 0:
+        raise ValueError("need at least one tag")
+    messages = np.stack([t.message for t in tags])
+    channels = np.array([t.channel for t in tags], dtype=complex)
+    # The data-phase schedule (and hence the reader's D) is keyed by
+    # temporary ids. Tags that deviate from it (failure injection) are
+    # modelled by the caller's front end, not here.
+    for t in tags:
+        if t.temp_id is None:
+            raise RuntimeError("tag has no temporary id yet")
+    tag_seeds = [t.temp_id for t in tags]
+    view = _decoder_view(tag_seeds, channels, channel_estimates, decoder_seeds)
+    k_for_density = k_hat if k_hat is not None else len(view.seeds)
+    # The abort bound, like the density, comes from what the reader knows:
+    # the true K with the oracle view, the recovered count otherwise.
+    limit = (
+        max_slots
+        if max_slots is not None
+        else config.max_data_slots(k if view.oracle else k_for_density)
+    )
+    if len(view.seeds) == 0:
+        # The reader recovered nobody: it never opens a data phase, every
+        # message is lost, and only the trigger command costs airtime.
+        return RatelessRunResult(
+            decoded_mask=np.zeros(k, dtype=bool),
+            messages=np.zeros((k, messages.shape[1]), dtype=np.uint8),
+            slots_used=0,
+            duration_s=timing.query_duration_s(),
+            transmissions=np.zeros(k, dtype=int),
+            progress=[],
+            bit_errors=int(np.count_nonzero(messages)),
+            in_view=np.zeros(k, dtype=bool),
+        )
+    return _run_data_phase(
+        messages,
+        channels,
+        front_end,
+        rng,
+        tag_seeds=tag_seeds,
+        view=view,
+        density=config.data_density(k_for_density),
+        limit=limit,
+        config=config,
+        crc=crc,
+        timing=timing,
+        id_space=id_space if id_space is not None else 10 * k * k,
+        silencing=silencing,
+    )
 
 
 def run_rateless_uplink(
@@ -597,121 +844,7 @@ def run_rateless_uplink(
     phantom decoder columns that simply never verify — exactly the failure
     surface an imperfect identification leaves behind.
     """
-    k = len(tags)
-    if k == 0:
-        raise ValueError("need at least one tag")
-    messages = np.stack([t.message for t in tags])
-    n_positions = messages.shape[1]
-    channels = np.array([t.channel for t in tags], dtype=complex)
-
-    # Batched tag-side transmit draws: each tag's coin for a block of slots
-    # is drawn in one vectorized pass — the same pure function of
-    # ``(temp_id, slot)`` that ``BackscatterTag.data_transmits`` evaluates
-    # (which also requires a temporary id, hence the same precondition).
-    # Tags that deviate from their deterministic schedule (silencing,
-    # failure injection) are modelled by the driver, not here — see
-    # :mod:`repro.core.silencing` and the integration tests.
-    for t in tags:
-        if t.temp_id is None:
-            raise RuntimeError("tag has no temporary id yet")
-    tag_seeds = [t.temp_id for t in tags]
-    view_seeds, h_view, mapping = _decoder_view(
-        tag_seeds, channels, channel_estimates, decoder_seeds
-    )
-    oracle_view = decoder_seeds is None
-
-    k_for_density = k_hat if k_hat is not None else len(view_seeds)
-    # The abort bound, like the density, comes from what the reader knows:
-    # the true K with the oracle view, the recovered count otherwise.
-    limit = (
-        max_slots
-        if max_slots is not None
-        else config.max_data_slots(k if oracle_view else k_for_density)
-    )
-    if len(view_seeds) == 0:
-        # The reader recovered nobody: it never opens a data phase, every
-        # message is lost, and only the trigger command costs airtime.
-        return RatelessRunResult(
-            decoded_mask=np.zeros(k, dtype=bool),
-            messages=np.zeros((k, n_positions), dtype=np.uint8),
-            slots_used=0,
-            duration_s=timing.query_duration_s(),
-            transmissions=np.zeros(k, dtype=int),
-            progress=[],
-            bit_errors=int(np.count_nonzero(messages)),
-        )
-    density = config.data_density(k_for_density)
-    block_size = min(limit, RatelessDecoder.ROW_BLOCK)
-
-    decoder = RatelessDecoder(
-        seeds=view_seeds,
-        channels=h_view,
-        n_positions=n_positions,
-        density=density,
-        crc=crc,
-        config=config,
-        rng=np.random.default_rng(rng.integers(0, 2**63)),
-        noise_std=front_end.noise_std,
-    )
-
-    transmissions = np.zeros(k, dtype=int)
-    slot = 0
-    all_decoded = False
-    while slot < limit and not all_decoded:
-        block = range(slot, min(slot + block_size, limit))
-        tag_rows = slot_decision_matrix(tag_seeds, block, density, salt=SALT_DATA)
-        if oracle_view:
-            # Tag-side and reader-side views of D must agree bit-for-bit
-            # — an explicit check (unlike an ``assert``, it survives
-            # ``python -O``) over the whole batch at once.
-            reader_rows = decoder.expected_rows(block)
-            if not np.array_equal(tag_rows, reader_rows):
-                raise RuntimeError(
-                    "D regeneration diverged: reader-side seeds or density "
-                    "do not reproduce the tags' transmit schedule"
-                )
-            # The verified block doubles as the decoder's row cache, so
-            # add_slot below does not regenerate it a third time.
-            decoder.prime_row_cache(slot, reader_rows)
-        else:
-            # Non-oracle view: the reader's D covers the recovered ids,
-            # not the tags — the whole point is that the two schedules
-            # may disagree, so it regenerates its own block.
-            decoder.prime_row_cache(slot, decoder.expected_rows(block))
-        # One vectorized receive for the whole block replaces the per-slot
-        # (P, K) transmit-matrix build and observe call. The noise stream
-        # is consumed exactly as the per-slot calls consumed it, so seeded
-        # sessions reproduce; when decoding finishes mid-block, the
-        # generator simply stands at the block boundary instead of the
-        # stop slot (nothing downstream draws from it — the data phase is
-        # a session's last consumer of this rng).
-        block_symbols = front_end.observe_block(tag_rows, messages, channels, rng)
-        for offset in range(tag_rows.shape[0]):
-            row = tag_rows[offset]
-            transmissions += row
-            decoder.add_slot(block_symbols[offset], slot)
-            slot += 1
-            if slot % config.decode_every == 0:
-                decoder.try_decode()
-                if decoder.all_decoded:
-                    all_decoded = True
-                    break
-
-    if not decoder.all_decoded and decoder.slots_collected and (
-        decoder.slots_collected % config.decode_every != 0
-    ):
-        decoder.try_decode()
-
-    decoded, estimates = _map_view_to_tags(decoder, mapping, n_positions)
-    bit_errors = int(np.count_nonzero(estimates != messages))
-    symbol_s = 1.0 / timing.uplink_rate_bps
-    duration = decoder.slots_collected * n_positions * symbol_s + timing.query_duration_s()
-    return RatelessRunResult(
-        decoded_mask=decoded,
-        messages=estimates,
-        slots_used=decoder.slots_collected,
-        duration_s=duration,
-        transmissions=transmissions,
-        progress=decoder.progress,
-        bit_errors=bit_errors,
+    return _run_static(
+        tags, front_end, rng, k_hat, channel_estimates, crc, config, timing,
+        max_slots, decoder_seeds,
     )

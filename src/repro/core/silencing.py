@@ -6,10 +6,11 @@ its temporary id — downlink time the paper estimates at ~75 % of the uplink
 transfer for 14 tags. This module implements the alternative so the
 trade-off can be measured rather than asserted:
 
-* the protocol runs like :func:`repro.core.rateless.run_rateless_uplink`,
-  but after each decode round the reader transmits one ACK per *newly*
-  verified tag (at downlink rate, echoing the temporary id), and silenced
-  tags drop out of all later slots;
+* the protocol runs the same data-phase loop as
+  :func:`repro.core.rateless.run_rateless_uplink`, but after each decode
+  round the reader transmits one ACK per *newly* verified tag (at downlink
+  rate, echoing the temporary id), and silenced tags drop out of all later
+  slots;
 * silenced tags save transmit energy and reduce later collision depth, but
   every ACK costs wall-clock time and the remaining tags' code becomes
   denser-per-capita only slowly.
@@ -24,66 +25,19 @@ invocation can sweep it alongside the paper's three schemes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.coding.crc import CRC5_GEN2, CrcSpec
-from repro.coding.prng import slot_decision_matrix
+from repro.coding.prng import slot_decision_matrix  # noqa: F401 -- bound by perfbench's tracer
 from repro.core.config import BuzzConfig
-from repro.core.rateless import (
-    DecodeProgress,
-    RatelessDecoder,
-    _decoder_view,
-    _map_view_to_tags,
-)
+from repro.core.rateless import RatelessRunResult, _run_static, ack_duration_s
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.reader import ReaderFrontEnd
-from repro.nodes.tag import SALT_DATA, BackscatterTag
+from repro.nodes.tag import BackscatterTag
 
-__all__ = ["SilencedRunResult", "run_rateless_with_silencing", "ack_duration_s"]
-
-
-def ack_duration_s(id_space: int, timing: LinkTiming = GEN2_DEFAULT_TIMING) -> float:
-    """Time for one silencing ACK: echo of a temporary id plus framing.
-
-    The id needs ``ceil(log2(id_space))`` bits; the ACK adds a 2-bit
-    command prefix (mirroring Gen-2's ACK framing) and a T1 turnaround on
-    each side.
-    """
-    import math
-
-    id_bits = max(1, math.ceil(math.log2(max(2, id_space))))
-    return timing.downlink_s(id_bits + 2) + 2 * timing.t1_s
-
-
-@dataclass
-class SilencedRunResult:
-    """Outcome of a rateless transfer with ACK silencing."""
-
-    decoded_mask: np.ndarray
-    messages: np.ndarray
-    slots_used: int
-    duration_s: float
-    ack_overhead_s: float
-    transmissions: np.ndarray
-    progress: List[DecodeProgress]
-    bit_errors: int
-
-    @property
-    def n_decoded(self) -> int:
-        return int(self.decoded_mask.sum())
-
-    @property
-    def message_loss(self) -> int:
-        return int((~self.decoded_mask).sum())
-
-    def bits_per_symbol(self) -> float:
-        """Rate counted on airtime symbols only (ACK time reported apart)."""
-        if self.slots_used == 0:
-            return float("inf")
-        return self.decoded_mask.size / self.slots_used
+__all__ = ["run_rateless_with_silencing", "ack_duration_s"]
 
 
 def run_rateless_with_silencing(
@@ -98,7 +52,7 @@ def run_rateless_with_silencing(
     id_space: Optional[int] = None,
     channel_estimates: Optional[Sequence[complex]] = None,
     decoder_seeds: Optional[Sequence[int]] = None,
-) -> SilencedRunResult:
+) -> RatelessRunResult:
     """Rateless uplink where verified tags are ACKed and go silent.
 
     Semantics match :func:`repro.core.rateless.run_rateless_uplink` except
@@ -113,121 +67,7 @@ def run_rateless_with_silencing(
     when it hears its own temporary id ACKed, and unrecovered tags keep
     transmitting into slots the reader cannot explain.
     """
-    k = len(tags)
-    if k == 0:
-        raise ValueError("need at least one tag")
-    messages = np.stack([t.message for t in tags])
-    n_positions = messages.shape[1]
-    channels = np.array([t.channel for t in tags], dtype=complex)
-    space = id_space if id_space is not None else 10 * k * k
-
-    # Same precondition as the plain rateless driver: the data-phase
-    # schedule (and hence the reader's D) is keyed by temporary ids.
-    for t in tags:
-        if t.temp_id is None:
-            raise RuntimeError("tag has no temporary id yet")
-    tag_seeds = [t.temp_id for t in tags]
-    view_seeds, h_view, mapping = _decoder_view(
-        tag_seeds, channels, channel_estimates, decoder_seeds
-    )
-    oracle_view = decoder_seeds is None
-    k_for_density = k_hat if k_hat is not None else len(view_seeds)
-    # The abort bound, like the density, comes from what the reader knows:
-    # the true K with the oracle view, the recovered count otherwise.
-    limit = (
-        max_slots
-        if max_slots is not None
-        else config.max_data_slots(k if oracle_view else k_for_density)
-    )
-    if len(view_seeds) == 0:
-        return SilencedRunResult(
-            decoded_mask=np.zeros(k, dtype=bool),
-            messages=np.zeros((k, n_positions), dtype=np.uint8),
-            slots_used=0,
-            duration_s=timing.query_duration_s(),
-            ack_overhead_s=0.0,
-            transmissions=np.zeros(k, dtype=int),
-            progress=[],
-            bit_errors=int(np.count_nonzero(messages)),
-        )
-    density = config.data_density(k_for_density)
-
-    decoder = RatelessDecoder(
-        seeds=view_seeds,
-        channels=h_view,
-        n_positions=n_positions,
-        density=density,
-        crc=crc,
-        config=config,
-        rng=np.random.default_rng(rng.integers(0, 2**63)),
-        noise_std=front_end.noise_std,
-    )
-
-    # Tag-side transmit draws, batched exactly like the plain driver's:
-    # the unmasked schedule is a pure function of (temp_id, slot), so a
-    # block regenerates in one vectorized pass and the dynamic silencing
-    # mask is applied per slot at use time. The reader's own (view-side)
-    # rows are regenerated in the same blocks; with the oracle view the
-    # two are the same matrix.
-    block_size = min(limit, RatelessDecoder.ROW_BLOCK)
-    matched = mapping >= 0
-
-    transmissions = np.zeros(k, dtype=int)
-    silenced = np.zeros(k, dtype=bool)
-    acked = np.zeros(len(view_seeds), dtype=bool)
-    ack_overhead = 0.0
-    unmasked_rows = np.zeros((0, k), dtype=np.uint8)
-    view_rows = np.zeros((0, len(view_seeds)), dtype=np.uint8)
-    block_start = 0
-    slot = 0
-    while slot < limit:
-        offset = slot - block_start
-        if not offset < unmasked_rows.shape[0]:
-            block_start, offset = slot, 0
-            block = range(slot, min(slot + block_size, limit))
-            unmasked_rows = slot_decision_matrix(tag_seeds, block, density, salt=SALT_DATA)
-            # With the oracle view the reader's rows are the very same
-            # matrix — don't regenerate the block twice in the hot loop.
-            view_rows = (
-                unmasked_rows
-                if oracle_view
-                else slot_decision_matrix(view_seeds, block, density, salt=SALT_DATA)
-            )
-        row = unmasked_rows[offset] * (~silenced).astype(np.uint8)
-        transmissions += row
-        tx_per_position = (messages * row[:, None]).T
-        symbols = front_end.observe(tx_per_position, channels, rng)
-        # The reader knows exactly whom it ACKed, so it reconstructs the
-        # masked row over its recovered ids — reader-side knowledge, not
-        # signalling.
-        reader_row = view_rows[offset] * (~acked).astype(np.uint8)
-        decoder.add_slot(symbols, slot, row=reader_row)
-        slot += 1
-
-        progress = decoder.try_decode()
-        if progress.newly_decoded:
-            ack_overhead += progress.newly_decoded * ack_duration_s(space, timing)
-            acked |= decoder.decoded_mask
-            # A tag falls silent when its own temporary id is echoed back.
-            silenced[matched] = acked[mapping[matched]]
-        if decoder.all_decoded:
-            break
-
-    decoded, estimates = _map_view_to_tags(decoder, mapping, n_positions)
-    bit_errors = int(np.count_nonzero(estimates != messages))
-    symbol_s = 1.0 / timing.uplink_rate_bps
-    duration = (
-        decoder.slots_collected * n_positions * symbol_s
-        + timing.query_duration_s()
-        + ack_overhead
-    )
-    return SilencedRunResult(
-        decoded_mask=decoded,
-        messages=estimates,
-        slots_used=decoder.slots_collected,
-        duration_s=duration,
-        ack_overhead_s=ack_overhead,
-        transmissions=transmissions,
-        progress=decoder.progress,
-        bit_errors=bit_errors,
+    return _run_static(
+        tags, front_end, rng, k_hat, channel_estimates, crc, config, timing,
+        max_slots, decoder_seeds, silencing=True, id_space=id_space,
     )

@@ -135,7 +135,7 @@ class RatelessScheme:
         id_space = 10 * n * n
         for tag in population.tags:
             tag.draw_temp_id(id_space, rng)
-        run = run_rateless_uplink(
+        run = self._transfer(
             population.tags, front_end, rng, config=config, max_slots=max_slots
         )
         return self._summarise(run, n)
@@ -158,9 +158,10 @@ class RatelessScheme:
         Unlike :meth:`run`, nothing is drawn here: the tags keep the
         temporary ids identification assigned them, and the decoder runs
         on the *recovered* ids and *estimated* channels — the session
-        pipeline's non-oracle view.
+        pipeline's non-oracle view. ``id_space`` is the identification's
+        id space, which prices silencing ACKs (the ids the reader echoes).
         """
-        run = run_rateless_uplink(
+        run = self._transfer(
             population.tags,
             front_end,
             rng,
@@ -169,8 +170,13 @@ class RatelessScheme:
             config=config,
             max_slots=max_slots,
             decoder_seeds=decoder_seeds,
+            id_space=id_space,
         )
         return self._summarise(run, len(population))
+
+    def _transfer(self, tags, front_end, rng, id_space=None, **kwargs):
+        # No ACKs without silencing, so the id space prices nothing here.
+        return run_rateless_uplink(tags, front_end, rng, **kwargs)
 
     def _summarise(self, run, n: int) -> SchemeResult:
         return SchemeResult(
@@ -185,7 +191,7 @@ class RatelessScheme:
         )
 
 
-class SilencedScheme:
+class SilencedScheme(RatelessScheme):
     """The §8.2 design alternative: rateless code with ACK silencing.
 
     Same data phase as :class:`RatelessScheme`, but after each decode round
@@ -198,71 +204,8 @@ class SilencedScheme:
 
     name = "silenced"
 
-    def run(
-        self,
-        population: TagPopulation,
-        front_end: ReaderFrontEnd,
-        rng: np.random.Generator,
-        config: BuzzConfig,
-        max_slots: Optional[int] = None,
-    ) -> SchemeResult:
-        n = len(population)
-        id_space = 10 * n * n
-        for tag in population.tags:
-            tag.draw_temp_id(id_space, rng)
-        run = run_rateless_with_silencing(
-            population.tags,
-            front_end,
-            rng,
-            config=config,
-            max_slots=max_slots,
-            id_space=id_space,
-        )
-        return self._summarise(run, n)
-
-    def run_session_data(
-        self,
-        population: TagPopulation,
-        front_end: ReaderFrontEnd,
-        rng: np.random.Generator,
-        config: BuzzConfig,
-        max_slots: Optional[int] = None,
-        *,
-        decoder_seeds: Optional[Sequence[int]] = None,
-        channel_estimates: Optional[Sequence[complex]] = None,
-        k_hat: Optional[int] = None,
-        id_space: Optional[int] = None,
-    ) -> SchemeResult:
-        """ACK-silenced data phase on identification's recovered view.
-
-        The ACK length is priced off the *identification* id space (the
-        ids the reader actually echoes), and the decoder/ACK loop runs
-        over the recovered ids with their estimated channels.
-        """
-        run = run_rateless_with_silencing(
-            population.tags,
-            front_end,
-            rng,
-            k_hat=k_hat,
-            config=config,
-            max_slots=max_slots,
-            id_space=id_space,
-            channel_estimates=channel_estimates,
-            decoder_seeds=decoder_seeds,
-        )
-        return self._summarise(run, len(population))
-
-    def _summarise(self, run, n: int) -> SchemeResult:
-        return SchemeResult(
-            scheme=self.name,
-            duration_s=run.duration_s,
-            message_loss=run.message_loss,
-            n_tags=n,
-            bits_per_symbol=run.bits_per_symbol(),
-            slots_used=run.slots_used,
-            transmissions=run.transmissions.copy(),
-            bit_errors=run.bit_errors,
-        )
+    def _transfer(self, tags, front_end, rng, **kwargs):
+        return run_rateless_with_silencing(tags, front_end, rng, **kwargs)
 
 
 class TdmaScheme:

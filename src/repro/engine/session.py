@@ -584,9 +584,9 @@ class SessionPipeline:
                 # Refresh message estimates for every tag this view served,
                 # except rows already delivered earlier and not re-verified now
                 # (a later stale estimate must not clobber a verified message).
-                refresh = segment.in_view & (segment.verified | ~delivered)
+                refresh = segment.in_view & (segment.decoded_mask | ~delivered)
                 final_messages[refresh] = segment.messages[refresh]
-                delivered |= segment.verified
+                delivered |= segment.decoded_mask
 
                 if bool(delivered.all()) or not segment.stalled or budget <= 0:
                     break

@@ -17,11 +17,14 @@ each grid point:
 
 The figure of merit is **verified-message goodput** — messages actually
 delivered per second of session airtime — the quantity a warehouse portal
-cares about. At zero drift and churn all session schemes coincide
-(mobility degenerates to the static draw); as drift grows, the static
-session's goodput collapses (it burns its slot budget against stale
-estimates) while the adaptive session pays a few cheap identification
-re-runs to keep decoding.
+cares about. At zero drift and churn the session schemes agree only in
+expectation: mobility degenerates to the static draw, but each cell's
+noise stream is keyed by its scheme name (``_cell_rng_keys`` in
+:mod:`repro.engine.campaign`), so ``fig16 --quick`` shows e.g. 1196
+(``buzz-e2e``) against 1243 (``buzz-adaptive``) msg/s there. As drift
+grows, the static session's goodput collapses (it burns its slot budget
+against stale estimates) while the adaptive session pays a few cheap
+identification re-runs to keep decoding.
 
 Runs entirely on the campaign engine: ``jobs`` parallelises bit-
 identically, ``cache_dir`` persists cells, ``schemes`` re-targets the

@@ -1,7 +1,7 @@
 """Reader actors: concurrent rateless sessions over one shared tag field.
 
-The single-reader drivers in :mod:`repro.core` advance one slot counter;
-here R readers free-run, each at its own cadence, each inventorying its
+The single-reader data-phase loop in :mod:`repro.core.rateless` advances
+one slot counter; here R readers free-run, each at its own cadence, each inventorying its
 own zone and driving its own :class:`~repro.core.rateless.RatelessDecoder`
 over the tags currently homed there. The pieces:
 
@@ -28,11 +28,13 @@ over the tags currently homed there. The pieces:
   as Gaussian noise. Dropped slots still cost airtime and budget — the
   slot index is skipped, which the decoder's regenerate-by-index path
   handles natively.
-* **The genie row discipline** matches :mod:`repro.core.mobile`: the
-  decoder regenerates the full member coin row for each slot index while
-  the air side only carries tags the reader still covers — a member that
-  handed off mid-session leaves a residual in every row it was scheduled
-  into, exactly mobility's failure surface.
+* **The genie row discipline** matches the mobile data phase
+  (:mod:`repro.core.mobile`): the decoder regenerates the full member coin
+  row for each slot index while the air side only carries tags the reader
+  still covers — a member that handed off mid-session leaves a residual in
+  every row it was scheduled into, exactly mobility's failure surface. The
+  per-slot air step itself (coin-row mask, transmit matrix, receive) is
+  the single-reader loop's own.
 
 All noise, inventory and id draws happen inside event callbacks of a
 deterministically-ordered :class:`~repro.sim.scheduler.EventScheduler`,
@@ -49,7 +51,7 @@ import numpy as np
 from repro.coding.crc import CRC5_GEN2, CrcSpec
 from repro.coding.prng import slot_decision_matrix
 from repro.core.config import BuzzConfig
-from repro.core.rateless import RatelessDecoder
+from repro.core.rateless import RatelessDecoder, _air_slot
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.population import TagPopulation
 from repro.nodes.reader import ReaderFrontEnd
@@ -278,12 +280,15 @@ class _ReaderActor:
         # and reflect: a member that drifted out mid-session stays silent,
         # so it neither spends a transmission nor leaks into other zones.
         coverage = sim.zones.coverage_at(t0)
-        covered_here = coverage[self.index, self.members]
-        air_row = row * covered_here.astype(np.uint8)
+        air_row, symbols = _air_slot(
+            row,
+            coverage[self.index, self.members],
+            sim.messages[self.members],
+            sim.channels[self.members],
+            sim.front_end,
+            sim.rng,
+        )
         sim.transmissions[self.members] += air_row
-
-        tx = (sim.messages[self.members] * air_row[:, None]).T  # (P, k_hat)
-        symbols = sim.front_end.observe(tx, sim.channels[self.members], sim.rng)
 
         # Advertise what this slot leaks into every other zone: the
         # transmitting tags each foreign reader covers, at cross-zone gain.

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coding.crc import CRC5_GEN2
 from repro.core.config import BuzzConfig
 from repro.core.rateless import RatelessDecoder, run_rateless_uplink
 from repro.core.reference import RebuildRatelessDecoder
+from repro.core.silencing import run_rateless_with_silencing
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import ChannelModel
@@ -305,6 +307,25 @@ class TestDecoderView:
             )
 
 
+class TestRegenerationCheck:
+    @pytest.mark.parametrize("run", [run_rateless_uplink, run_rateless_with_silencing])
+    def test_oracle_view_rejects_a_diverging_reader_schedule(self, monkeypatch, run):
+        """With the oracle view the reader's regenerated D must equal the
+        tags' schedule bit for bit — on the silencing path too."""
+
+        class Skewed(RatelessDecoder):
+            def expected_rows(self, slots):
+                rows = super().expected_rows(slots)
+                rows[:, 0] ^= 1  # the reader mis-regenerates one column
+                return rows
+
+        monkeypatch.setattr("repro.core.rateless.RatelessDecoder", Skewed)
+        pop = _population(4, 35)
+        fe = ReaderFrontEnd(noise_std=0.1)
+        with pytest.raises(RuntimeError, match="D regeneration diverged"):
+            run(pop.tags, fe, np.random.default_rng(0))
+
+
 class TestVerificationSafety:
     def test_no_wrong_freezes_across_seeds(self):
         """The corroborated-CRC rule's whole point: when everything is
@@ -335,3 +356,52 @@ class TestVerificationSafety:
         result = run_rateless_uplink(pop.tags, fe, np.random.default_rng(11))
         assert result.decoded_mask.all()
         assert result.bit_errors == 0
+
+
+class TestPhysicalBound:
+    """No data phase outruns the Gaussian MAC.
+
+    Correctly delivered information bits per received symbol,
+    ``n_correct · (P − crc_bits) / (L · P)``, can never exceed the sum-rate
+    capacity ``log2(1 + Σ|h_i|² / σ²)`` of the K-user Gaussian multiple-
+    access channel (El Gamal & Kim, *Lecture Notes on Network Information
+    Theory*) — the tags' on-off inputs carry at most unit power and the
+    receiver's complex noise has ``E|n|² = σ²``.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(min_value=2, max_value=12),
+        snr_db=st.floats(min_value=-5.0, max_value=30.0),
+        noise_std=st.floats(min_value=0.02, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        silencing=st.booleans(),
+        oracle=st.booleans(),
+    )
+    def test_delivered_rate_within_mac_sum_capacity(
+        self, k, snr_db, noise_std, seed, silencing, oracle
+    ):
+        model = ChannelModel(mean_snr_db=snr_db, near_far_db=8.0, noise_std=noise_std)
+        pop = _population(k, seed % 10_000, model=model, message_bits=12)
+        fe = ReaderFrontEnd(noise_std=noise_std)
+        kwargs = {}
+        if not oracle:
+            # Identification missed one tag and estimated the rest with error.
+            err = np.random.default_rng(seed)
+            kept = pop.tags[1:]
+            kwargs = dict(
+                k_hat=len(kept),
+                decoder_seeds=[t.temp_id for t in kept],
+                channel_estimates=[
+                    t.channel + 0.1 * noise_std * complex(*err.standard_normal(2))
+                    for t in kept
+                ],
+            )
+        run = run_rateless_with_silencing if silencing else run_rateless_uplink
+        result = run(pop.tags, fe, np.random.default_rng(seed), **kwargs)
+        assert result.slots_used > 0
+        p = pop.messages.shape[1]
+        correct = result.decoded_mask & np.all(result.messages == pop.messages, axis=1)
+        rate = correct.sum() * (p - CRC5_GEN2.width) / (result.slots_used * p)
+        capacity = np.log2(1.0 + np.sum(np.abs(pop.channels) ** 2) / noise_std**2)
+        assert rate <= capacity

@@ -21,11 +21,14 @@ from hypothesis import given, settings, strategies as st
 from repro.coding.gf2 import pack_rows, unpack_rows
 from repro.core.config import BuzzConfig
 from repro.core.decoder_state import DecoderState
+from repro.core.identification import ChannelEstimates
+from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import RatelessDecoder, run_rateless_uplink
 from repro.core.reference import RebuildRatelessDecoder
+from repro.core.silencing import run_rateless_with_silencing
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
-from repro.phy.channel import ChannelModel
+from repro.phy.channel import ChannelModel, ChannelTrajectory, MobilityModel
 from repro.phy.noise import awgn, awgn_block
 from repro.phy.signal import received_symbol_block, received_symbols
 
@@ -41,14 +44,47 @@ def _population(k, seed, model=GOOD, message_bits=24):
     return pop
 
 
-#: Modules whose data-phase loops construct the rateless decoder by this name.
-_LOOP_MODULES = ("repro.core.rateless", "repro.core.silencing", "repro.core.mobile")
+#: The module whose data-phase loop constructs the rateless decoder by name.
+_LOOP_MODULES = ("repro.core.rateless",)
 
 
 def _use_reference(monkeypatch):
     """Point every data-phase loop at the rebuild reference for this test."""
     for module in _LOOP_MODULES:
         monkeypatch.setattr(f"{module}.RatelessDecoder", RebuildRatelessDecoder)
+
+
+class TestSinglePatchPoint:
+    def test_every_entry_point_builds_the_decoder_named_in_rateless(self, monkeypatch):
+        """The static, silencing and mobile entry points share one loop, so
+        a decoder class patched at ``repro.core.rateless`` alone reaches
+        all three — the rebuild reference needs no other patch point."""
+        built = []
+
+        class Counting(RatelessDecoder):
+            def __init__(self, *args, **kwargs):
+                built.append(type(self))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("repro.core.rateless.RatelessDecoder", Counting)
+        pop = _population(4, 5)
+        fe = ReaderFrontEnd(noise_std=0.1)
+        run_rateless_uplink(pop.tags, fe, np.random.default_rng(0))
+        run_rateless_with_silencing(pop.tags, fe, np.random.default_rng(1))
+        run_mobile_data_segment(
+            pop.tags,
+            fe,
+            np.random.default_rng(2),
+            estimates=ChannelEstimates([t.temp_id for t in pop.tags], pop.channels),
+            trajectory=ChannelTrajectory(
+                pop.channels, MobilityModel(), np.random.default_rng(3)
+            ),
+            participants=np.ones(4, dtype=bool),
+            start_s=0.0,
+            k_hat=4,
+            max_slots=40,
+        )
+        assert built == [Counting] * 3
 
 
 def _run(pop, seed, rebuild=False, noise=0.1, max_slots=None, config=BuzzConfig()):
@@ -347,13 +383,11 @@ class TestRowMutationSafety:
         assert np.array_equal(dec.messages(), ctl.messages())
 
     def test_mutating_primed_cache_block_after_add_slot_is_harmless(self):
-        """_regenerated_row returns a view into the primed block; add_slot
+        """_regenerated_row returns a view into the cached block; add_slot
         must have copied it into the append-only buffer already."""
         pop = _population(4, 12)
         dec = self._decoder(pop)
-        rows = dec.expected_rows(range(4)).copy()
-        dec.prime_row_cache(0, rows)
-        served = dec._regenerated_row(0)
+        served = dec._regenerated_row(0)  # fills the cache block
         expected = served.copy()
         symbols = np.ones(pop.messages.shape[1], dtype=complex)
         dec.add_slot(symbols, 0)
