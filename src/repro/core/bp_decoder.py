@@ -103,7 +103,6 @@ def best_pair_flip(
     overlap: np.ndarray,
     frozen: np.ndarray,
     cap: Optional[np.ndarray] = None,
-    cross_mag: Optional[np.ndarray] = None,
     co: Optional[np.ndarray] = None,
 ) -> Optional[tuple]:
     """Best positive-gain joint two-bit flip, closed form, or ``None``.
@@ -135,13 +134,13 @@ def best_pair_flip(
     set smaller than a pair) instead of O(K²). Quadratic in the
     candidate count otherwise — narrow blocks take the exact complex
     gain matrix directly, wide blocks run a real-arithmetic per-pair
-    bound first (``cross_mag``, :func:`cross_magnitudes`, makes it
-    exact up to sign alignment) and evaluate exact gains only for the
-    survivors; both select identically. ``co`` is the precomputed
-    elementwise product ``cross_mag * overlap`` — callers scanning many
-    columns against one problem pay that K×K multiply once and each
-    wide block then costs a single row gather plus two adds. Only
-    invoked when single flips have stalled.
+    bound first and evaluate exact gains only for the survivors; both
+    select identically. The bound is ``co``, the elementwise product
+    ``cross_magnitudes(h) * overlap`` (exact up to sign alignment):
+    callers scanning many columns against one problem pay that K×K
+    multiply once and each wide block then costs a single row gather
+    plus two adds. Without ``co`` a wide block derives it from
+    ``delta``. Only invoked when single flips have stalled.
     """
     free = np.flatnonzero(~frozen)
     if free.size < 2:
@@ -180,24 +179,13 @@ def best_pair_flip(
             # beat a 2-D ``np.ix_`` gather even though they keep the
             # non-candidate columns — then exact complex gains just for
             # the pairs that pass. The bound is exact up to sign
-            # alignment when ``co``/``cross_mag`` is supplied. Extra
-            # columns are harmless: a pair with an endpoint outside
-            # ``cand`` provably has gain ≤ 0, so it can neither win nor
-            # tie the strict maximum.
+            # alignment. Extra columns are harmless: a pair with an
+            # endpoint outside ``cand`` provably has gain ≤ 0, so it can
+            # neither win nor tie the strict maximum.
             full_free = free.size == overlap.shape[0]
-            if co is not None:
-                bound = co[sub] if full_free else co[sub][:, free]
-            else:
-                ov_rows = overlap[sub] if full_free else overlap[sub][:, free]
-                if cross_mag is not None:
-                    cm_rows = (
-                        cross_mag[sub] if full_free else cross_mag[sub][:, free]
-                    )
-                    bound = cm_rows * ov_rows
-                else:
-                    bound = (
-                        2.0 * np.abs(dc)[:, None] * np.abs(dlt)[None, :]
-                    ) * ov_rows
+            if co is None:
+                co = cross_magnitudes(delta) * overlap
+            bound = co[sub] if full_free else co[sub][:, free]
             bound += g[None, :]
             bound[np.arange(cand.size), cand] = _NEG_INF
             # Row maxima prove most stalls fruitless in one reduction
@@ -254,7 +242,6 @@ def resolve_stalls(
     frozen: np.ndarray,
     overlap: np.ndarray,
     cap: np.ndarray,
-    cross_mag: Optional[np.ndarray] = None,
     co: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """:func:`best_pair_flip` for S stalled columns in one batched pass.
@@ -272,7 +259,8 @@ def resolve_stalls(
     the upper triangle in ascending candidate order: the scan's row-major
     first maximum, so every decision is bit-identical. Columns whose
     candidates are both many and more than half the free bits go to
-    ``best_pair_flip`` one by one, whose bound path is cheaper there.
+    ``best_pair_flip`` one by one, whose bound path is cheaper there;
+    ``co`` is handed on as their bound (:func:`best_pair_flip`).
     """
     s_dim = gains.shape[1]
     pairs = np.full((s_dim, 2), -1, dtype=np.int64)
@@ -297,7 +285,7 @@ def resolve_stalls(
     for s in np.flatnonzero(bound):
         pair = best_pair_flip(
             gains[:, s], delta[:, s], overlap, frozen,
-            cap=cap, cross_mag=cross_mag, co=co,
+            cap=cap, co=co,
         )
         if pair is not None:
             pairs[s] = pair
@@ -481,7 +469,7 @@ class BitFlipDecoder:
         delta = self.h * (1.0 - 2.0 * bits.astype(float))
         return best_pair_flip(
             gains, delta, self._overlap, frozen,
-            cap=self._pair_cap, cross_mag=self._cross_mag, co=self._co,
+            cap=self._pair_cap, co=self._co,
         )
 
     # ---- decoding -------------------------------------------------------------
@@ -614,6 +602,12 @@ class BitFlipDecoder:
 class BatchedDecodeOutcome:
     """Result of one batched decode over M bit positions.
 
+    Every array is the one the decode worked in: a state-bound decode
+    (:meth:`PackedBitFlipDecoder.decode_best_of_state`) returns the
+    state's own bits, residual and correlations, and a restart winner is
+    spliced into them (:meth:`splice`), so the residual and correlations
+    always match ``bits``.
+
     Attributes
     ----------
     bits:
@@ -626,21 +620,28 @@ class BatchedDecodeOutcome:
     residual_norms:
         ``(M,)`` per-position ``‖D(h∘b̂_m) − y_m‖₂`` at termination.
     residual:
-        ``(L, M)`` final residual matrix — consumed by the incremental
-        decoder state to splice restart winners without recomputing
-        ``y − D(h∘b̂)``. ``None`` only for an empty batch.
+        ``(L, M)`` final residual ``y − D(h∘b̂)``.
     corr_re / corr_im:
-        ``(K, M)`` split final correlations ``Dᵀ·conj(residual)``, spliced
-        alongside the residual. ``None`` only for an empty batch.
+        ``(K, M)`` split final correlations ``Dᵀ·conj(residual)``.
     """
 
     bits: np.ndarray
     flips: np.ndarray
     converged: np.ndarray
     residual_norms: np.ndarray
-    residual: Optional[np.ndarray] = None
-    corr_re: Optional[np.ndarray] = None
-    corr_im: Optional[np.ndarray] = None
+    residual: np.ndarray
+    corr_re: np.ndarray
+    corr_im: np.ndarray
+
+    def splice(self, cols, trials: "BatchedDecodeOutcome", picks) -> None:
+        """Overwrite columns ``cols`` with columns ``picks`` of ``trials``."""
+        self.bits[:, cols] = trials.bits[:, picks]
+        self.residual[:, cols] = trials.residual[:, picks]
+        self.corr_re[:, cols] = trials.corr_re[:, picks]
+        self.corr_im[:, cols] = trials.corr_im[:, picks]
+        self.flips[cols] = trials.flips[picks]
+        self.converged[cols] = trials.converged[picks]
+        self.residual_norms[cols] = trials.residual_norms[picks]
 
 
 class PackedBitFlipDecoder:
@@ -712,9 +713,11 @@ class PackedBitFlipDecoder:
         self._hr = np.ascontiguousarray(self.h.real)
         self._hi = np.ascontiguousarray(self.h.imag)
         self._wh2 = self._weights * np.abs(self.h) ** 2
-        self._overlap_cache: Optional[np.ndarray] = None
-        self._pair_cap_cache: Optional[np.ndarray] = None
-        self._cross_mag_cache: Optional[np.ndarray] = None
+        # Every decode reads the overlap in its first round and the caps at
+        # its first stall, so both are built here rather than on demand.
+        self._overlap = self._dT @ self._d_f
+        self._cross_mag = cross_magnitudes(self.h)
+        self._pair_cap = pair_cross_caps(self._overlap, self.h, cross_mag=self._cross_mag)
         self._co_cache: Optional[np.ndarray] = None
 
     @classmethod
@@ -722,14 +725,14 @@ class PackedBitFlipDecoder:
         """Bind a kernel to a persistent decoder state — no setup gemms.
 
         Where :meth:`__init__` stacks and derives every operand (signal
-        matrix, float D, weights — and lazily the (K, K) overlap), this
-        constructor points the kernel at the live views the state already
-        maintains: O(1) plus a transpose view. The kernel then decodes the
-        *peeled active* problem (``state.k_active`` columns, frozen
-        contributions already subtracted from ``state.y``), so no
-        ``frozen`` mask is needed. Kernels built this way additionally
-        expose :meth:`decode_best_of_state`, which runs the restart
-        protocol directly on (and back into) the state.
+        matrix, float D, weights, the (K, K) overlap and the pair-scan
+        caps), this constructor points the kernel at the live views the
+        state already maintains: O(1) plus a transpose view. The kernel
+        then decodes the *peeled active* problem (``state.k_active``
+        columns, frozen contributions already subtracted from
+        ``state.y``), so no ``frozen`` mask is needed. Kernels built this
+        way additionally expose :meth:`decode_best_of_state`, which runs
+        the restart protocol directly on (and back into) the state.
         """
         ensure_positive_int(max_flips, "max_flips")
         self = cls.__new__(cls)
@@ -747,48 +750,11 @@ class PackedBitFlipDecoder:
         self._hr = state.hr
         self._hi = state.hi
         self._wh2 = state.weights * state.abs_h2
-        self._overlap_cache = state.overlap
-        self._pair_cap_cache = state.pair_cap
-        self._cross_mag_cache = state.cross_mag
+        self._overlap = state.overlap
+        self._cross_mag = state.cross_mag
+        self._pair_cap = state.pair_cap
         self._co_cache = None
         return self
-
-    @property
-    def _overlap(self) -> np.ndarray:
-        """Pairwise slot overlap |d_i ∩ d_j|, built on first use.
-
-        From-scratch kernels compute the K×K matmul lazily; state-bound
-        kernels share the overlap the state accumulates per slot.
-        """
-        if self._overlap_cache is None:
-            self._overlap_cache = self._dT @ self._d_f
-        return self._overlap_cache
-
-    @property
-    def _cross_mag(self) -> np.ndarray:
-        """Exact pair cross-term magnitudes (:func:`cross_magnitudes`).
-
-        From-scratch kernels build them on the first stall; state-bound
-        kernels share the matrix the state keeps per channel vector.
-        """
-        if self._cross_mag_cache is None:
-            self._cross_mag_cache = cross_magnitudes(self.h)
-        return self._cross_mag_cache
-
-    @property
-    def _pair_cap(self) -> np.ndarray:
-        """Cross-term caps for the pair scan's O(K) skip.
-
-        From-scratch kernels derive them from the (lazily built) overlap
-        on the first stall; state-bound kernels share the caps the
-        :class:`~repro.core.decoder_state.DecoderState` maintains
-        incrementally alongside the overlap.
-        """
-        if self._pair_cap_cache is None:
-            self._pair_cap_cache = pair_cross_caps(
-                self._overlap, self.h, cross_mag=self._cross_mag
-            )
-        return self._pair_cap_cache
 
     @property
     def _co(self) -> np.ndarray:
@@ -820,7 +786,8 @@ class PackedBitFlipDecoder:
             ``(L, M)`` received symbols — column *m* is position *m*'s.
         init:
             ``(K, M)`` starting estimates (the rateless loop's previous
-            round, or random draws for a restart batch).
+            round, or random draws for a restart batch). Copied, never
+            written.
         frozen:
             ``(K,)`` boolean mask of bits that must not flip in any
             position (CRC-passed messages); values come from ``init``.
@@ -829,9 +796,9 @@ class PackedBitFlipDecoder:
         if ys.ndim != 2 or ys.shape[0] != self.n_slots:
             raise ValueError(f"ys must be (L={self.n_slots}, M), got {ys.shape}")
         m = ys.shape[1]
-        init_bits = np.asarray(init, dtype=np.uint8)
-        if init_bits.shape != (self.k, m):
-            raise ValueError(f"init must be (K={self.k}, {m}), got {init_bits.shape}")
+        bits = np.array(init, dtype=np.uint8)
+        if bits.shape != (self.k, m):
+            raise ValueError(f"init must be (K={self.k}, {m}), got {bits.shape}")
         frozen_mask = (
             np.zeros(self.k, dtype=bool)
             if frozen is None
@@ -839,32 +806,40 @@ class PackedBitFlipDecoder:
         )
         if frozen_mask.size != self.k:
             raise ValueError("frozen mask length mismatch")
+        residual = ys - self._signal @ bits.astype(float)
+        corr = self._dT @ np.conj(residual)
+        return self._solve(
+            bits, residual, np.ascontiguousarray(corr.real),
+            np.ascontiguousarray(corr.imag), frozen_mask,
+        )
 
+    def _solve(
+        self,
+        bits: np.ndarray,
+        residual: np.ndarray,
+        corr_re: np.ndarray,
+        corr_im: np.ndarray,
+        frozen_mask: np.ndarray,
+    ) -> BatchedDecodeOutcome:
+        """Flip every column of ``bits`` to its local optimum, in place.
+
+        ``residual`` and the split correlations must match ``bits``; the
+        round loop keeps all four consistent, and the outcome is a view
+        over the same arrays. Signs and packed words are derived from the
+        bit matrix per call: both are O(K·M) reshufflings, not gemms.
+        """
+        m = bits.shape[1]
+        packed = pack_rows(bits)
+        signs = 1.0 - 2.0 * bits.astype(float)
         flips = np.zeros(m, dtype=np.int64)
         active = np.ones(m, dtype=bool)
-        if m == 0:
-            return BatchedDecodeOutcome(
-                bits=init_bits.copy(), flips=flips, converged=active.copy(),
-                residual_norms=np.zeros(0),
-            )
-
-        packed = pack_rows(init_bits)
-        signs = 1.0 - 2.0 * init_bits.astype(float)
-        residual = ys - self._signal @ init_bits.astype(float)
-        corr = self._dT @ np.conj(residual)
-        corr_re = np.ascontiguousarray(corr.real)
-        corr_im = np.ascontiguousarray(corr.imag)
-        del corr
-
         self._run_rounds(corr_re, corr_im, signs, packed, residual, frozen_mask, active, flips)
-
-        bits = unpack_rows(packed, m)
-        norms = np.sqrt(np.sum(np.abs(residual) ** 2, axis=0))
+        bits[...] = unpack_rows(packed, m)
         return BatchedDecodeOutcome(
             bits=bits,
             flips=flips,
             converged=flips < self.max_flips,
-            residual_norms=norms,
+            residual_norms=np.sqrt(np.sum(np.abs(residual) ** 2, axis=0)),
             residual=residual,
             corr_re=corr_re,
             corr_im=corr_im,
@@ -881,44 +856,77 @@ class PackedBitFlipDecoder:
         """Batched warm start plus ``restarts`` random retries per position.
 
         Reproduces :meth:`BitFlipDecoder.decode_best_of` run position by
-        position with a shared ``rng`` — including its draw order (position-
-        major: all of position 0's restart inits before position 1's) and
-        its early stop once a position's best residual is exact. The common
-        case draws every restart init up front and decodes all trials as
-        one batch; if any position *would* have stopped early (an exact
-        decode mid-restarts, essentially only on noiseless inputs), the
-        generator state is rewound and that draw-interleaving is replayed
-        sequentially instead.
+        position with a shared ``rng`` (see :meth:`_restart`).
         """
         warm = self.decode(ys, init=init, frozen=frozen)
-        n_restarts = max(0, restarts)
-        if n_restarts == 0:
-            return warm
-        init = np.asarray(init, dtype=np.uint8)
-        frozen_mask = (
-            np.zeros(self.k, dtype=bool)
-            if frozen is None
-            else np.asarray(frozen, dtype=bool)
-        )
-        need = np.flatnonzero(warm.residual_norms > _RESIDUAL_EXACT)
-        if need.size == 0:
-            return warm
+        return self._restart(warm, ys, frozen, self.k, slice(None), restarts, rng)
 
-        state = rng.bit_generator.state
-        # Position-major block draw — identical stream consumption to R
-        # successive rng.random(K) calls per needed position.
-        draws = rng.random((need.size, n_restarts, self.k)) < 0.5
+    def decode_best_of_state(self, restarts: int, rng: np.random.Generator) -> BatchedDecodeOutcome:
+        """The restart protocol of :meth:`decode_best_of`, on the state.
+
+        The warm decode runs in place on the state's bits, residual and
+        correlations, which already sit at the previous round's local
+        optimum plus the rank-(new rows) extensions: no stacking, no
+        initial residual or correlation gemm. Restart inits are drawn over
+        the *full* population (``state.k_full``) and cut to the active
+        set — a frozen node's draw is discarded here exactly as
+        :meth:`decode_best_of` overwrites it with the frozen value, so
+        both leave the generator in the same state. Winning trials land in
+        the state's own arrays, keeping it warm for the next round.
+        Requires a kernel built by :meth:`from_state`.
+        """
+        state = self._state
+        if state is None:
+            raise ValueError("decode_best_of_state requires a from_state kernel")
+        warm = self._solve(
+            state.bits, state.residual, state.corr_re, state.corr_im,
+            np.zeros(self.k, dtype=bool),
+        )
+        return self._restart(
+            warm, state.y, None, state.k_full, state.active_idx, restarts, rng
+        )
+
+    def _restart(
+        self,
+        warm: BatchedDecodeOutcome,
+        ys: np.ndarray,
+        frozen: Optional[np.ndarray],
+        k_draw: int,
+        rows,
+        restarts: int,
+        rng: np.random.Generator,
+    ) -> BatchedDecodeOutcome:
+        """``restarts`` random retries per inexact position of ``warm``.
+
+        Each init is ``rng.random(k_draw) < 0.5`` cut to ``rows`` (a slice
+        or an index array), drawn position-major (all of position 0's
+        restart inits before position 1's), with frozen and zero-weight
+        bits pinned to their warm values: neither kind can flip (frozen
+        gains are −inf, zero-weight gains exactly 0), and randomizing them
+        would only make an equal-norm trial adoption visible. The common case draws every init up front
+        and decodes all trials as one batch; if any position *would* have
+        stopped early (an exact residual mid-restarts, essentially only on
+        noiseless inputs), the generator is rewound and the trials are
+        replayed one by one. A strictly smaller norm wins, so ties go to
+        the earlier trial, and the winner is spliced into ``warm``'s own
+        arrays — bits, residual, correlations, flips, converged, norm.
+        """
+        n_restarts = max(0, restarts)
+        need = np.flatnonzero(warm.residual_norms > _RESIDUAL_EXACT)
+        if n_restarts == 0 or need.size == 0:
+            return warm
+        pinned = self._weights == 0
+        if frozen is not None:
+            pinned = pinned | np.asarray(frozen, dtype=bool)
+
+        gen_state = rng.bit_generator.state
+        draws = rng.random((need.size, n_restarts, k_draw)) < 0.5
         trial_init = (
-            draws.transpose(2, 0, 1).reshape(self.k, need.size * n_restarts)
+            draws.transpose(2, 0, 1).reshape(k_draw, need.size * n_restarts)[rows]
         ).astype(np.uint8)
         trial_cols = np.repeat(need, n_restarts)
-        # Frozen values must survive the restart; so must zero-weight
-        # nodes' bits — with no slots collected they have zero gain in
-        # every position, and randomizing them only makes an equal-norm
-        # trial adoption (a float-rounding tie) change visible output.
-        pinned = frozen_mask | (self._weights == 0)
-        trial_init[pinned, :] = init[np.ix_(pinned, trial_cols)]
-        trials = self.decode(ys[:, trial_cols], init=trial_init, frozen=frozen_mask)
+        trial_init[pinned, :] = warm.bits[np.ix_(pinned, trial_cols)]
+        trials = self.decode(ys[:, trial_cols], init=trial_init, frozen=frozen)
         trial_norms = trials.residual_norms.reshape(need.size, n_restarts)
 
         # Validate the optimistic draw: had any position reached an exact
@@ -928,181 +936,26 @@ class PackedBitFlipDecoder:
             np.column_stack([warm.residual_norms[need], trial_norms]), axis=1
         )
         if np.any(running[:, 1:-1] <= _RESIDUAL_EXACT):
-            rng.bit_generator.state = state
-            return self._decode_best_of_sequential(
-                ys, n_restarts, rng, init, frozen_mask, warm
-            )
-
-        best = warm
-        # Winner per position: strictly-smaller residual replaces, earlier
-        # trial wins ties — the per-position comparison order.
-        for row, m in enumerate(need):
-            best_norm = warm.residual_norms[m]
-            winner = -1
-            for r in range(n_restarts):
-                if trial_norms[row, r] < best_norm:
-                    best_norm = trial_norms[row, r]
-                    winner = r
-            if winner >= 0:
-                t = row * n_restarts + winner
-                best.bits[:, m] = trials.bits[:, t]
-                best.flips[m] = trials.flips[t]
-                best.converged[m] = trials.converged[t]
-                best.residual_norms[m] = trials.residual_norms[t]
-        return best
-
-    def _decode_best_of_sequential(
-        self,
-        ys: np.ndarray,
-        n_restarts: int,
-        rng: np.random.Generator,
-        init: np.ndarray,
-        frozen_mask: np.ndarray,
-        warm: BatchedDecodeOutcome,
-    ) -> BatchedDecodeOutcome:
-        """Exact replay of the per-position restart loop (rare path)."""
-        best = warm
-        pinned = frozen_mask | (self._weights == 0)
-        for m in range(ys.shape[1]):
-            best_norm = best.residual_norms[m]
-            for _ in range(n_restarts):
-                if best_norm <= _RESIDUAL_EXACT:
-                    break
-                trial_init = (rng.random(self.k) < 0.5).astype(np.uint8)
-                trial_init[pinned] = init[pinned, m]
-                trial = self.decode(
-                    ys[:, m : m + 1], init=trial_init[:, None], frozen=frozen_mask
-                )
-                if trial.residual_norms[0] < best_norm:
-                    best_norm = trial.residual_norms[0]
-                    best.bits[:, m] = trial.bits[:, 0]
-                    best.flips[m] = trial.flips[0]
-                    best.converged[m] = trial.converged[0]
-                    best.residual_norms[m] = trial.residual_norms[0]
-        return best
-
-    # ---- state-backed decoding --------------------------------------------------
-    def _decode_warm_state(self) -> BatchedDecodeOutcome:
-        """Warm decode straight on the persistent state, in place.
-
-        The state's residual, correlations and bit matrix already sit at
-        the previous round's local optimum plus the rank-(new rows)
-        extensions, so this is :meth:`decode` minus every setup step: no
-        stacking, no initial residual or correlation gemm — the round loop
-        picks up exactly where the last call left off, and its axpy
-        updates keep the state's correlations valid for the next call.
-        Signs and packed words are derived from the canonical bit matrix
-        per call: both are O(K·M) reshufflings, not gemms.
-        """
-        state = self._state
-        m = state.m
-        residual = state.residual
-        packed = pack_rows(state.bits)
-        signs = 1.0 - 2.0 * state.bits.astype(float)
-        flips = np.zeros(m, dtype=np.int64)
-        active = np.ones(m, dtype=bool)
-        frozen_mask = np.zeros(self.k, dtype=bool)
-        self._run_rounds(
-            state.corr_re, state.corr_im, signs, packed, residual, frozen_mask, active, flips
-        )
-        state.bits[...] = unpack_rows(packed, m)
-        norms = np.sqrt(np.sum(np.abs(residual) ** 2, axis=0))
-        state.last_norms = norms
-        return BatchedDecodeOutcome(
-            bits=state.bits,
-            flips=flips,
-            converged=flips < self.max_flips,
-            residual_norms=norms,
-            residual=residual,
-            corr_re=state.corr_re,
-            corr_im=state.corr_im,
-        )
-
-    def decode_best_of_state(self, restarts: int, rng: np.random.Generator) -> BatchedDecodeOutcome:
-        """The restart protocol of :meth:`decode_best_of`, on the state.
-
-        Byte-compatible RNG consumption with the full-width protocol:
-        restart inits are still drawn over the *full* population
-        (``rng.random((need, R, K_full))``) and sliced to the active set —
-        a frozen node's draw is discarded here exactly as
-        :meth:`decode_best_of` overwrites it with the frozen value, so both
-        leave the generator in the same state and all later draws line up.
-        Winning trials are spliced back into the state (bits, residual and
-        correlations), keeping it warm for the next round. Requires a
-        kernel built by :meth:`from_state`.
-        """
-        state = self._state
-        if state is None:
-            raise ValueError("decode_best_of_state requires a from_state kernel")
-        warm = self._decode_warm_state()
-        n_restarts = max(0, restarts)
-        if n_restarts == 0:
-            return warm
-        need = np.flatnonzero(warm.residual_norms > _RESIDUAL_EXACT)
-        if need.size == 0:
-            return warm
-
-        gen_state = rng.bit_generator.state
-        draws = rng.random((need.size, n_restarts, state.k_full)) < 0.5
-        full_init = (
-            draws.transpose(2, 0, 1).reshape(state.k_full, need.size * n_restarts)
-        ).astype(np.uint8)
-        trial_init = full_init[state.active_idx]
-        trial_cols = np.repeat(need, n_restarts)
-        # Same zero-weight pinning as decode_best_of (frozen nodes are
-        # already outside the active set here).
-        pinned = state.weights == 0
-        trial_init[pinned, :] = state.bits[np.ix_(pinned, trial_cols)]
-        trials = self.decode(state.y[:, trial_cols], init=trial_init)
-        trial_norms = trials.residual_norms.reshape(need.size, n_restarts)
-
-        # Same optimistic-draw validation as decode_best_of: an exact
-        # residual mid-restarts would have stopped that position's draws.
-        running = np.minimum.accumulate(
-            np.column_stack([warm.residual_norms[need], trial_norms]), axis=1
-        )
-        if np.any(running[:, 1:-1] <= _RESIDUAL_EXACT):
             rng.bit_generator.state = gen_state
-            return self._decode_best_of_sequential_state(n_restarts, rng, warm)
+            for m in need:
+                for _ in range(n_restarts):
+                    if warm.residual_norms[m] <= _RESIDUAL_EXACT:
+                        break
+                    trial_init = (rng.random(k_draw) < 0.5)[rows].astype(np.uint8)
+                    trial_init[pinned] = warm.bits[pinned, m]
+                    trial = self.decode(
+                        ys[:, m : m + 1], init=trial_init[:, None], frozen=frozen
+                    )
+                    if trial.residual_norms[0] < warm.residual_norms[m]:
+                        warm.splice([m], trial, [0])
+            return warm
 
-        for row, m in enumerate(need):
-            best_norm = warm.residual_norms[m]
-            winner = -1
-            for r in range(n_restarts):
-                if trial_norms[row, r] < best_norm:
-                    best_norm = trial_norms[row, r]
-                    winner = r
-            if winner >= 0:
-                t = row * n_restarts + winner
-                state.adopt_trial_column(int(m), trials, t)
-                warm.flips[m] = trials.flips[t]
-                warm.converged[m] = trials.converged[t]
-                warm.residual_norms[m] = trials.residual_norms[t]
-        state.last_norms = warm.residual_norms
-        return warm
-
-    def _decode_best_of_sequential_state(
-        self, n_restarts: int, rng: np.random.Generator, warm: BatchedDecodeOutcome
-    ) -> BatchedDecodeOutcome:
-        """Exact replay of the per-position restart loop, on the state."""
-        state = self._state
-        pinned = state.weights == 0
-        for m in range(state.m):
-            best_norm = warm.residual_norms[m]
-            for _ in range(n_restarts):
-                if best_norm <= _RESIDUAL_EXACT:
-                    break
-                full_init = (rng.random(state.k_full) < 0.5).astype(np.uint8)
-                trial_init = full_init[state.active_idx]
-                trial_init[pinned] = state.bits[pinned, m]
-                trial = self.decode(state.y[:, m : m + 1], init=trial_init[:, None])
-                if trial.residual_norms[0] < best_norm:
-                    best_norm = trial.residual_norms[0]
-                    state.adopt_trial_column(m, trial, 0)
-                    warm.flips[m] = trial.flips[0]
-                    warm.converged[m] = trial.converged[0]
-                    warm.residual_norms[m] = trial.residual_norms[0]
-        state.last_norms = warm.residual_norms
+        # First minimum per position: the earlier trial wins ties.
+        winner = np.argmin(trial_norms, axis=1)
+        won = np.flatnonzero(
+            trial_norms[np.arange(need.size), winner] < warm.residual_norms[need]
+        )
+        warm.splice(need[won], trials, won * n_restarts + winner[won])
         return warm
 
     # ---- round loop -------------------------------------------------------------
@@ -1220,8 +1073,7 @@ class PackedBitFlipDecoder:
         """
         delta = self.h[:, None] * signs[:, stalled]
         pairs = resolve_stalls(
-            gains, delta, frozen_mask, self._overlap, self._pair_cap,
-            cross_mag=self._cross_mag, co=self._co,
+            gains, delta, frozen_mask, self._overlap, self._pair_cap, co=self._co
         )
         hit = pairs[:, 0] >= 0
         active[stalled[~hit]] = False

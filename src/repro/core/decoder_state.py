@@ -42,7 +42,7 @@ against :class:`~repro.core.reference.RebuildRatelessDecoder`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +56,11 @@ _INITIAL_CAPACITY = 64
 
 class DecoderState:
     """Live decode state shared between the rateless loop and its kernels.
+
+    :meth:`~repro.core.bp_decoder.PackedBitFlipDecoder.decode_best_of_state`
+    solves in place on ``bits``, ``residual``, ``corr_re`` and ``corr_im``
+    and splices each restart winner straight into them, so the four stay
+    consistent with no copy-back step.
 
     Parameters
     ----------
@@ -93,9 +98,6 @@ class DecoderState:
     corr_re / corr_im:
         ``(K_active, M)`` split Dᵀ·conj(residual) correlations — the
         packed kernel's warm-start state.
-    last_norms:
-        ``(M,)`` per-position residual norms from the latest warm decode
-        (diagnostic; the restart protocol reads them from the outcome).
     n_rows:
         Collected slots L; ``d``/``d_f``/``signal``/``y``/``residual``
         are views of the first ``n_rows`` rows of the grown buffers.
@@ -118,7 +120,6 @@ class DecoderState:
         self.bits = np.ascontiguousarray(bits.copy())
         self.corr_re = np.zeros((self.k_full, self.m))
         self.corr_im = np.zeros((self.k_full, self.m))
-        self.last_norms: Optional[np.ndarray] = None
         self.n_rows = 0
         cap = _INITIAL_CAPACITY
         self._d = np.zeros((cap, self.k_full), dtype=np.uint8)
@@ -272,16 +273,3 @@ class DecoderState:
             compact = np.zeros((cap, k_new), dtype=old.dtype)
             compact[:n] = old[:n][:, keep]
             setattr(self, name, compact)
-
-    # ---- restart-winner splice ----------------------------------------------------
-    def adopt_trial_column(self, position: int, outcome, trial: int) -> None:
-        """Install a winning restart trial for one message ``position``.
-
-        ``outcome`` is the trial batch's ``BatchedDecodeOutcome``; its
-        ``residual``, ``corr_re`` and ``corr_im`` columns replace the
-        state's so the warm state remains consistent.
-        """
-        self.bits[:, position] = outcome.bits[:, trial]
-        self._residual[: self.n_rows, position] = outcome.residual[:, trial]
-        self.corr_re[:, position] = outcome.corr_re[:, trial]
-        self.corr_im[:, position] = outcome.corr_im[:, trial]

@@ -156,7 +156,6 @@ class RatelessDecoder:
         self._estimates = (self.rng.random((self.k, self.p)) < 0.5).astype(np.uint8)
         self._decoded = np.zeros(self.k, dtype=bool)
         self.progress: List[DecodeProgress] = []
-        self._bp_restarts = config.bp_restarts
         self._state = self._new_state()
 
     def _new_state(self) -> DecoderState:
@@ -310,7 +309,7 @@ class RatelessDecoder:
             kernel = PackedBitFlipDecoder.from_state(
                 state, max_flips=self.config.bp_max_flips
             )
-            kernel.decode_best_of_state(restarts=self._bp_restarts, rng=self.rng)
+            kernel.decode_best_of_state(restarts=self.config.bp_restarts, rng=self.rng)
             self._estimates[state.active_idx] = state.bits
             if self.crc is None:
                 break

@@ -47,7 +47,7 @@ class RebuildRatelessDecoder(RatelessDecoder):
         for _ in range(self.config.bp_verify_rounds):
             outcome = kernel.decode_best_of(
                 y,
-                restarts=self._bp_restarts,
+                restarts=self.config.bp_restarts,
                 rng=self.rng,
                 init=self._estimates,
                 frozen=self._decoded,

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.coding.crc import CRC5_GEN2
 from repro.core.config import BuzzConfig
+from repro.core.identification import ChannelEstimates
+from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import RatelessDecoder, run_rateless_uplink
 from repro.core.reference import RebuildRatelessDecoder
 from repro.core.silencing import run_rateless_with_silencing
+from repro.network.scenarios import mobile_scenario
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
-from repro.phy.channel import ChannelModel
+from repro.phy.channel import ChannelModel, ChannelTrajectory
 
 GOOD = ChannelModel(mean_snr_db=24.0, near_far_db=8.0, noise_std=0.1)
 BAD = ChannelModel(mean_snr_db=10.0, near_far_db=6.0, noise_std=0.1)
@@ -405,3 +408,49 @@ class TestPhysicalBound:
         rate = correct.sum() * (p - CRC5_GEN2.width) / (result.slots_used * p)
         capacity = np.log2(1.0 + np.sum(np.abs(pop.channels) ** 2) / noise_std**2)
         assert rate <= capacity
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(min_value=2, max_value=12),
+        drift_hz=st.floats(min_value=0.0, max_value=24.0),
+        departure_hz=st.floats(min_value=0.0, max_value=10.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        silencing=st.booleans(),
+    )
+    def test_mobile_segment_within_mac_sum_capacity(
+        self, k, drift_hz, departure_hz, seed, silencing
+    ):
+        """The same bound on a drifting, churning field, with the sum power
+        taken at the strongest fading block the segment covered."""
+        scenario = mobile_scenario(
+            k, 12, drift_rate_hz=drift_hz, departure_rate_hz=departure_hz
+        )
+        pop = scenario.draw_population(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        for tag in pop.tags:
+            tag.draw_temp_id(10 * k * k, rng)
+        trajectory = ChannelTrajectory(
+            pop.channels, pop.mobility, np.random.default_rng(seed + 2)
+        )
+        result = run_mobile_data_segment(
+            pop.tags,
+            ReaderFrontEnd(noise_std=pop.noise_std),
+            rng,
+            estimates=ChannelEstimates([t.temp_id for t in pop.tags], pop.channels),
+            trajectory=trajectory,
+            participants=np.ones(k, dtype=bool),
+            start_s=0.0,
+            k_hat=k,
+            max_slots=BuzzConfig().max_data_slots(k),
+            silencing=silencing,
+        )
+        assert result.slots_used > 0
+        p = pop.messages.shape[1]
+        correct = result.decoded_mask & np.all(result.messages == pop.messages, axis=1)
+        rate = correct.sum() * (p - CRC5_GEN2.width) / (result.slots_used * p)
+        block_s = pop.mobility.coherence_s
+        power = max(
+            np.sum(np.abs(trajectory.channels_at((b + 0.5) * block_s)) ** 2)
+            for b in range(trajectory.block_index(result.duration_s) + 1)
+        )
+        assert rate <= np.log2(1.0 + power / pop.noise_std**2)

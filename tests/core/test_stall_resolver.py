@@ -110,10 +110,9 @@ def test_resolver_matches_uncapped_scan_fuzz(bound_route_calls):
             0.08, 0.08, 0.14, 0.2, 0.2, 0.1, 0.1, 0.1,
         ]))
         h, overlap, gains, delta, frozen = _round(rng, k, integer)
-        cm = cross_magnitudes(h)
         got = resolve_stalls(
             gains, delta, frozen, overlap, pair_cross_caps(overlap, h),
-            cross_mag=cm, co=cm * overlap,
+            co=cross_magnitudes(h) * overlap,
         )
         want = _oracle(gains, delta, overlap, frozen)
         np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
@@ -141,8 +140,7 @@ def test_resolver_chunks_stacked_blocks(monkeypatch):
         k = int(rng.integers(4, 40))
         h, overlap, gains, delta, frozen = _round(rng, k, integer=trial % 2 == 0)
         got = resolve_stalls(
-            gains, delta, frozen, overlap, pair_cross_caps(overlap, h),
-            cross_mag=cross_magnitudes(h),
+            gains, delta, frozen, overlap, pair_cross_caps(overlap, h)
         )
         np.testing.assert_array_equal(
             got, _oracle(gains, delta, overlap, frozen), err_msg=f"trial {trial}"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coding.crc import CRC5_GEN2
 from repro.core.config import BuzzConfig
 from repro.engine import CampaignSpec, run_campaign
 from repro.engine.schemes import available_schemes, get_scheme
@@ -334,6 +335,40 @@ class TestMultiReaderScheme:
             BuzzConfig(),
         )
         assert result.n_tags == 4
+
+
+class TestPhysicalBound:
+    """No multi-reader run outruns the Gaussian MAC.
+
+    Correctly delivered information bits per collected slot symbol, over
+    every reader's slots, stay within the sum-rate capacity
+    ``log2(1 + Σ|h_i|² / σ²)`` (El Gamal & Kim, *Lecture Notes on Network
+    Information Theory*): a foreign reader hears an overlap tag at no more
+    than its in-zone gain, so no reader receives more than the sum power.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(min_value=2, max_value=12),
+        mode=st.sampled_from(COLLISION_MODES),
+        handoff_hz=st.floats(min_value=0.0, max_value=40.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_delivered_rate_within_mac_sum_capacity(self, k, mode, handoff_hz, seed):
+        scenario = multi_reader_scenario(
+            k, 12, collision_mode=mode, handoff_rate_hz=handoff_hz
+        )
+        rng = np.random.default_rng(seed)
+        population = scenario.draw_population(rng)
+        out = simulate_multi_reader(
+            population, ReaderFrontEnd(noise_std=population.noise_std), rng
+        )
+        assert out.total_slots > 0
+        p = population.messages.shape[1]
+        correct = out.delivered & np.all(out.messages == population.messages, axis=1)
+        rate = correct.sum() * (p - CRC5_GEN2.width) / (out.total_slots * p)
+        noise_power = population.noise_std**2
+        assert rate <= np.log2(1.0 + np.sum(np.abs(population.channels) ** 2) / noise_power)
 
 
 class TestScenarioIntegration:
