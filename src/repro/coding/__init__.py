@@ -4,9 +4,9 @@ Contents:
 
 * :mod:`repro.coding.crc` — EPC Gen-2 CRC-5 and CRC-16 (the paper's
   messages carry a 5-bit CRC; Gen-2 frames use CRC-16).
-* :mod:`repro.coding.fm0` / :mod:`repro.coding.miller` — the Gen-2 uplink
-  line codes. TDMA in the paper protects messages with Miller-4, which
-  trades 8× more impedance switching for noise robustness.
+* :mod:`repro.coding.miller` — the Gen-2 Miller uplink line code. TDMA in
+  the paper protects messages with Miller-4, which trades 8× more
+  impedance switching for noise robustness.
 * :mod:`repro.coding.walsh` — Walsh-Hadamard orthogonal codes for the
   synchronous-CDMA baseline.
 * :mod:`repro.coding.prng` — the deterministic per-tag pseudorandom
@@ -23,7 +23,6 @@ from repro.coding.crc import (
     crc_check,
     crc_compute,
 )
-from repro.coding.fm0 import fm0_decode, fm0_encode
 from repro.coding.miller import (
     miller_basis,
     miller_decode,
@@ -46,8 +45,6 @@ __all__ = [
     "crc_append",
     "crc_check",
     "crc_compute",
-    "fm0_decode",
-    "fm0_encode",
     "miller_basis",
     "miller_decode",
     "miller_encode",

@@ -151,13 +151,3 @@ def _ml_estimate(empty_fractions: List[float], s: int, k_max: int = 1 << 16) -> 
     log_like = empties[None, :] * np.log(q) + (s - empties)[None, :] * np.log(1.0 - q)
     return int(candidates[int(np.argmax(log_like.sum(axis=1)))])
 
-
-def _estimate_from_fraction(e_j: float, p_j: float, s: int) -> int:
-    """Invert ``E = (1 − p)^K`` with the paper's all-empty clamp."""
-    if e_j <= 0.0:
-        # No empty slot at the terminating step — should not happen given the
-        # threshold, but guard the log anyway.
-        e_j = 1.0 / (2 * s)
-    clamped = min(e_j, 1.0 - 1.0 / s)  # footnote 2: handle E = 1
-    k = np.log(clamped) / np.log(1.0 - p_j)
-    return max(0, int(round(k)))

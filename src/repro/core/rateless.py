@@ -12,14 +12,19 @@ above 1 when channels are good (fewer slots than senders), below 1 when
 they are bad.
 
 :class:`RatelessDecoder` is the reader half (consumes symbols, never looks
-at true messages). One loop, :func:`_run_data_phase`, wires it to a live
-tag population through the PHY. Its entry points only resolve their
-arguments: :func:`run_rateless_uplink` (static field),
+at true messages). :class:`_DataPhase` is the reader's decode policy
+around it, stepped one collected slot at a time: decode cadence, ACK
+pricing, stall monitor, newly verified columns. Every reader steps it.
+One air-side loop, :func:`_run_data_phase`, drives it from a live tag
+population through the PHY for the single-reader entry points, which
+only resolve their arguments: :func:`run_rateless_uplink` (static field),
 :func:`repro.core.silencing.run_rateless_with_silencing` (§8.2 ACK
 silencing) and :func:`repro.core.mobile.run_mobile_data_segment`
-(drifting, churning field with a stall monitor). All three return a
-:class:`RatelessRunResult`, and the loop looks the decoder class up here
-at call time — the single patch point for the rebuild reference.
+(drifting, churning field with a stall monitor), all returning a
+:class:`RatelessRunResult`. The multi-reader actors of
+:mod:`repro.sim.multireader` step it from their slot events. The stepper
+looks the decoder class up here at call time — the single patch point
+for the rebuild reference, reaching all four entry points.
 """
 
 from __future__ import annotations
@@ -600,6 +605,87 @@ def _air_slot(
     return air_row, front_end.observe(tx_per_position, channels, rng)
 
 
+_NONE_FRESH = np.zeros(0, dtype=np.int64)
+
+
+class _DataPhase:
+    """The reader side of one data phase, stepped one collected slot at a
+    time — the decode policy every driver shares.
+
+    It builds the one :class:`RatelessDecoder` (looked up here at call
+    time, the rebuild oracle's patch point) and, per :meth:`ingest`ed
+    slot, masks the ACKed columns out of the reader's row, decodes every
+    ``config.decode_every`` collected slots (every slot under silencing),
+    prices the ACKs of what newly verified and runs the stall monitor.
+    ``ack_s`` is one silencing ACK's airtime, ``None`` without silencing;
+    ``stall_limit`` bounds the collected slots without a newly verified
+    message (``None`` disables the monitor). The drivers keep the air side
+    and read ``done``, ``acked``, ``ack_overhead_s``, ``stalled`` and
+    ``decoder``.
+    """
+
+    def __init__(
+        self,
+        seeds: Sequence[int],
+        channels: np.ndarray,
+        n_positions: int,
+        density: float,
+        *,
+        config: BuzzConfig,
+        crc: Optional[CrcSpec],
+        noise_std: float,
+        rng: np.random.Generator,
+        ack_s: Optional[float] = None,
+        stall_limit: Optional[int] = None,
+    ):
+        self.decoder = RatelessDecoder(
+            seeds, channels, n_positions, density, crc, config,
+            np.random.default_rng(rng.integers(0, 2**63)), noise_std,
+        )
+        self.ack_s, self.stall_limit = ack_s, stall_limit
+        self.every = 1 if ack_s is not None else config.decode_every
+        self.acked = self._verified = np.zeros(len(seeds), dtype=bool)
+        self.ack_overhead_s = 0.0
+        self.stalled = False
+        self._idle_slots = 0  # collected since the last newly verified message
+
+    @property
+    def done(self) -> bool:
+        return self.stalled or self.decoder.all_decoded
+
+    def ingest(self, symbols: np.ndarray, slot: int, row: np.ndarray) -> np.ndarray:
+        """Collect one slot under the reader's regenerated ``row``; return
+        the view columns that newly verified (empty between decodes).
+
+        The reader knows exactly whom it ACKed (nobody without silencing),
+        so it masks them out of its own row — reader-side knowledge, not
+        signalling.
+        """
+        decoder = self.decoder
+        decoder.add_slot(symbols, slot, row=row * (~self.acked).astype(np.uint8))
+        if decoder.slots_collected % self.every:
+            return _NONE_FRESH
+        fresh = self._decode()
+        if self.ack_s is not None:
+            self.ack_overhead_s += fresh.size * self.ack_s
+            self.acked = self._verified
+        self._idle_slots = 0 if fresh.size else self._idle_slots + self.every
+        if self.stall_limit is not None and not decoder.all_decoded:
+            self.stalled = self._idle_slots >= self.stall_limit
+        return fresh
+
+    def finish(self) -> np.ndarray:
+        """The trailing decode over slots collected since the last one."""
+        return self._decode() if self.decoder.slots_collected % self.every else _NONE_FRESH
+
+    def _decode(self) -> np.ndarray:
+        self.decoder.try_decode()
+        mask = self.decoder.decoded_mask
+        fresh = np.flatnonzero(mask & ~self._verified)
+        self._verified = mask
+        return fresh
+
+
 def _run_data_phase(
     messages: np.ndarray,
     channels: Optional[np.ndarray],
@@ -620,14 +706,14 @@ def _run_data_phase(
     silencing: bool = False,
     stall_limit: Optional[int] = None,
 ) -> RatelessRunResult:
-    """The data phase every entry point runs (module docstring).
+    """The air side of the data phase every single-reader entry point runs
+    (module docstring); the reader side is a :class:`_DataPhase`.
 
     Per slot: the tags on the air are the participants that are in the
-    field now and not silenced; the reader receives, ingests the slot,
-    and every ``decode_every`` slots (every slot under silencing) decodes,
-    ACKs what newly verified and runs the stall monitor. ``channels`` is
-    the static field; a ``trajectory`` replaces it with the channels and
-    presence at each slot's airtime, ``start_s`` on.
+    field now and not silenced; the reader receives and the phase ingests
+    the slot. ``channels`` is the static field; a ``trajectory`` replaces
+    it with the channels and presence at each slot's airtime,
+    ``start_s`` on.
 
     Receive path: a static field without silencing has fixed rows and
     channels for a whole block of slots, so it receives the block in one
@@ -638,18 +724,13 @@ def _run_data_phase(
     the block's earlier slots.
     """
     k, n_positions = messages.shape
-    decoder = RatelessDecoder(
-        seeds=view.seeds,
-        channels=view.h,
-        n_positions=n_positions,
-        density=density,
-        crc=crc,
-        config=config,
-        rng=np.random.default_rng(rng.integers(0, 2**63)),
-        noise_std=front_end.noise_std,
+    phase = _DataPhase(
+        view.seeds, view.h, n_positions, density, config=config, crc=crc,
+        noise_std=front_end.noise_std, rng=rng, stall_limit=stall_limit,
+        ack_s=ack_duration_s(id_space, timing) if silencing else None,
     )
+    decoder = phase.decoder
     block_receive = trajectory is None and not silencing
-    decode_every = 1 if silencing else config.decode_every
     symbol_s = 1.0 / timing.uplink_rate_bps
     slot_s = n_positions * symbol_s
     block_size = max(1, min(limit, RatelessDecoder.ROW_BLOCK))
@@ -657,13 +738,8 @@ def _run_data_phase(
     channels_now = channels
 
     transmissions = np.zeros(k, dtype=int)
-    silenced = np.zeros(k, dtype=bool)
-    acked = np.zeros(len(view.seeds), dtype=bool)
-    ack_overhead = 0.0
-    slots_since_progress = 0
-    stalled = False
     slot = 0
-    while slot < limit and not (stalled or decoder.all_decoded):
+    while slot < limit and not phase.done:
         # The tags' coins are a pure function of (temp_id, slot), drawn for
         # a block at once; the reader regenerates its own D for the block.
         block = range(slot, min(slot + block_size, limit))
@@ -683,43 +759,22 @@ def _run_data_phase(
             if block_receive:
                 row, symbols = tag_rows[offset], block_symbols[offset]
             else:
-                on_air = ~silenced
+                # A tag falls silent when its own temporary id is echoed.
+                on_air = ~(matched & phase.acked[view.mapping])
                 if trajectory is not None:
                     # Airtime so far, measured at this slot's start.
-                    now = start_s + slot * slot_s + ack_overhead
+                    now = start_s + slot * slot_s + phase.ack_overhead_s
                     on_air &= participants & trajectory.active_at(now)
                     channels_now = trajectory.channels_at(now)
                 row, symbols = _air_slot(
                     tag_rows[offset], on_air, messages, channels_now, front_end, rng
                 )
             transmissions += row
-            # The reader knows exactly whom it ACKed (nobody without
-            # silencing), so it masks them out of its own regenerated row —
-            # reader-side knowledge, not signalling.
-            decoder.add_slot(
-                symbols, slot, row=reader_rows[offset] * (~acked).astype(np.uint8)
-            )
+            phase.ingest(symbols, slot, reader_rows[offset])
             slot += 1
-            if slot % decode_every != 0:
-                continue
-            progress = decoder.try_decode()
-            if progress.newly_decoded:
-                slots_since_progress = 0
-                if silencing:
-                    ack_overhead += progress.newly_decoded * ack_duration_s(id_space, timing)
-                    acked |= decoder.decoded_mask
-                    # A tag falls silent when its own temporary id is echoed.
-                    silenced[matched] = acked[view.mapping[matched]]
-            else:
-                slots_since_progress += decode_every
-            if decoder.all_decoded:
+            if phase.done:
                 break
-            if stall_limit is not None and slots_since_progress >= stall_limit:
-                stalled = True
-                break
-
-    if decoder.slots_collected % decode_every != 0 and not decoder.all_decoded:
-        decoder.try_decode()
+    phase.finish()
 
     # Project the per-view outcome back onto the tags.
     decoded = np.zeros(k, dtype=bool)
@@ -734,13 +789,13 @@ def _run_data_phase(
         decoded_mask=decoded,
         messages=estimates,
         slots_used=slots,
-        duration_s=airtime + timing.query_duration_s() + ack_overhead,
+        duration_s=airtime + timing.query_duration_s() + phase.ack_overhead_s,
         transmissions=transmissions,
         progress=decoder.progress,
         bit_errors=int(np.count_nonzero(estimates != messages)),
         in_view=matched.copy(),
-        ack_overhead_s=ack_overhead,
-        stalled=stalled,
+        ack_overhead_s=phase.ack_overhead_s,
+        stalled=phase.stalled,
     )
 
 

@@ -9,9 +9,9 @@ verification residual, weights and slot overlaps with fresh gemms. It
 builds no state at all, so its timings are an honest rebuild baseline.
 
 The equivalence suites and the session benchmark select it by patching
-the class name where the one data-phase loop looks it up, in
+the class name where the one data-phase stepper looks it up, in
 ``repro.core.rateless`` — the static, silencing and mobile entry points
-all run that loop::
+and the multi-reader actors all step it::
 
     monkeypatch.setattr("repro.core.rateless.RatelessDecoder",
                         RebuildRatelessDecoder)

@@ -1,9 +1,11 @@
 """Reader actors: concurrent rateless sessions over one shared tag field.
 
 The single-reader data-phase loop in :mod:`repro.core.rateless` advances
-one slot counter; here R readers free-run, each at its own cadence, each inventorying its
-own zone and driving its own :class:`~repro.core.rateless.RatelessDecoder`
-over the tags currently homed there. The pieces:
+one slot counter; here R readers free-run, each at its own cadence, each
+inventorying its own zone and stepping its own data phase (the
+single-reader loop's reader side, :class:`~repro.core.rateless.
+_DataPhase`: decode cadence, verification, newly verified columns) over
+the tags currently homed there. The pieces:
 
 * **Zone membership** comes from a :class:`~repro.phy.channel.
   ZoneTrajectory` realised once per run — homes, overlap flags and Poisson
@@ -25,9 +27,10 @@ over the tags currently homed there. The pieces:
   end it sums the foreign records that temporally overlap its receive
   window and lets :func:`~repro.sim.interference.resolve_slot` decide:
   drop the slot, feed it clean, or feed it with the foreign power added
-  as Gaussian noise. Dropped slots still cost airtime and budget — the
-  slot index is skipped, which the decoder's regenerate-by-index path
-  handles natively.
+  as Gaussian noise. Dropped slots still cost airtime and budget but never
+  reach the data phase, so they do not count toward its decode cadence;
+  a kept slot is ingested under the coin row its slot start drew, the
+  row the decoder would regenerate for that index.
 * **The genie row discipline** matches the mobile data phase
   (:mod:`repro.core.mobile`): the decoder regenerates the full member coin
   row for each slot index while the air side only carries tags the reader
@@ -51,7 +54,7 @@ import numpy as np
 from repro.coding.crc import CRC5_GEN2, CrcSpec
 from repro.coding.prng import slot_decision_matrix
 from repro.core.config import BuzzConfig
-from repro.core.rateless import RatelessDecoder, _air_slot
+from repro.core.rateless import _air_slot, _DataPhase
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.population import TagPopulation
 from repro.nodes.reader import ReaderFrontEnd
@@ -175,7 +178,8 @@ class _ReaderActor:
 
     The actor is a small state machine driven entirely by scheduler
     callbacks; between events its state is the open session (members,
-    decoder, slot index) or nothing.
+    data phase, slot index) or nothing. It owns the air side; the
+    session's :class:`~repro.core.rateless._DataPhase` owns decoding.
     """
 
     def __init__(self, index: int, sim: _Simulation):
@@ -191,10 +195,8 @@ class _ReaderActor:
     def _clear_session(self) -> None:
         self.members = np.zeros(0, dtype=int)
         self.seeds: List[int] = []
-        self.decoder: Optional[RatelessDecoder] = None
+        self.phase: Optional[_DataPhase] = None
         self.slot_index = 0
-        self.fed_slots = 0
-        self.decoded_local = np.zeros(0, dtype=bool)
 
     # ---- session lifecycle -----------------------------------------------------
 
@@ -222,34 +224,30 @@ class _ReaderActor:
         self.seeds = [
             int(s) for s in sim.rng.choice(sim.id_space, size=k_hat, replace=False)
         ]
-        self.decoder = RatelessDecoder(
-            seeds=self.seeds,
-            channels=sim.channels[members],
-            n_positions=sim.messages.shape[1],
-            density=sim.config.data_density(k_hat),
-            crc=sim.crc,
-            config=sim.config,
-            rng=np.random.default_rng(sim.rng.integers(0, 2**63)),
-            noise_std=sim.front_end.noise_std,
+        self.phase = _DataPhase(
+            self.seeds, sim.channels[members], sim.messages.shape[1],
+            sim.config.data_density(k_hat), config=sim.config, crc=sim.crc,
+            noise_std=sim.front_end.noise_std, rng=sim.rng,
         )
         self.slot_index = 0
-        self.fed_slots = 0
         self.session_limit = sim.config.max_data_slots(k_hat)
-        self.decoded_local = np.zeros(k_hat, dtype=bool)
         sched.at(now + query_s, self.slot_start)
 
     def _end_session(self, sched: EventScheduler) -> None:
-        decoder = self.decoder
-        if decoder is not None and decoder.slots_collected and (
-            self.fed_slots % self.sim.config.decode_every != 0
-        ):
-            self._absorb_decode(decoder)
+        self._deliver(self.phase.finish())
         self._clear_session()
         self.start_session(sched)
 
+    def _deliver(self, fresh: np.ndarray) -> None:
+        """Hand the session's newly verified columns to the field."""
+        if fresh.size:
+            estimates = self.phase.decoder.messages()
+            for local in fresh:
+                self.sim.deliver(int(self.members[local]), estimates[local])
+
     def _session_exhausted(self, now_s: float) -> bool:
         """True when no undecoded member is still worth slots."""
-        pending = self.members[~self.decoded_local]
+        pending = self.members[~self.phase.decoder.decoded_mask]
         if pending.size == 0:
             return True
         still_mine = self.sim.zones.home_at(now_s)[pending] == self.index
@@ -274,7 +272,7 @@ class _ReaderActor:
         # Tag-side coin draw for this slot — the same pure function of
         # (temp id, slot index) the decoder will regenerate.
         row = slot_decision_matrix(
-            self.seeds, range(j, j + 1), float(self.decoder.density), salt=SALT_DATA
+            self.seeds, range(j, j + 1), float(self.phase.decoder.density), salt=SALT_DATA
         )[0]
         # Only members inside this reader's coverage are lit by its carrier
         # and reflect: a member that drifted out mid-session stays silent,
@@ -306,17 +304,16 @@ class _ReaderActor:
         sim.post(TransmissionRecord(self.index, t0, t1, power_at))
 
         signal_power = float(gains.sum())
-        self._pending = (j, t0, t1, symbols, signal_power)
+        self._pending = (j, row, t0, t1, symbols, signal_power)
         sched.at(t1, self.slot_end)
 
     def slot_end(self, sched: EventScheduler) -> None:
         sim = self.sim
-        j, t0, t1, symbols, signal_power = self._pending
+        j, row, t0, t1, symbols, signal_power = self._pending
         foreign = sim.interference_at(self.index, t0, t1)
         verdict = resolve_slot(
             sim.model.collision_mode, signal_power, foreign, self.capture_margin
         )
-        decoder = self.decoder
         if not verdict.kept:
             sim.dropped_slots += 1
         else:
@@ -327,16 +324,14 @@ class _ReaderActor:
                     sim.rng.standard_normal(symbols.size)
                     + 1j * sim.rng.standard_normal(symbols.size)
                 )
-            decoder.add_slot(symbols, slot=j)
-            self.fed_slots += 1
-            if self.fed_slots % sim.config.decode_every == 0:
-                self._absorb_decode(decoder)
+            # The coin row equals the one the decoder would regenerate.
+            self._deliver(self.phase.ingest(symbols, j, row))
         # Every open receive window ends at or after now and spans one slot
         # airtime, so records ending earlier than now − slot_s are inert.
         sim.prune_records(t1 - sim.slot_s)
 
         if (
-            decoder.all_decoded
+            self.phase.done
             or self.slot_index >= self.session_limit
             or sim.budget <= 0
             or self._session_exhausted(t1)
@@ -346,18 +341,6 @@ class _ReaderActor:
         # Next slot starts one reader-period after this one's start; the
         # period exceeds the slot airtime, so windows never self-overlap.
         sched.at(t0 + self.period, self.slot_start)
-
-    def _absorb_decode(self, decoder: RatelessDecoder) -> None:
-        progress = decoder.try_decode()
-        if not progress.newly_decoded:
-            return
-        mask = decoder.decoded_mask
-        fresh = np.flatnonzero(mask & ~self.decoded_local)
-        if fresh.size:
-            estimates = decoder.messages()
-            for local in fresh:
-                self.sim.deliver(int(self.members[local]), estimates[local])
-            self.decoded_local = mask.copy()
 
 
 def simulate_multi_reader(

@@ -6,10 +6,11 @@ updates and shrinks by frozen-column peeling. These tests pin the load-
 bearing claim: every protocol-visible output of the incremental path —
 estimates, decoded masks, slots, progress — is byte-identical to the
 from-scratch :class:`RebuildRatelessDecoder` reference, across decode
-cadences, silencing row overrides, and adaptive re-identification
-splices; plus the exactness guarantees of the state algebra itself and
-the PHY block-batching that rides along. The reference is selected by
-patching the class name in the data-phase loop modules.
+cadences, silencing row overrides, adaptive re-identification splices
+and multi-reader sessions; plus the exactness guarantees of the state
+algebra itself and the PHY block-batching that rides along. The
+reference is selected by patching the class name where the data-phase
+stepper looks it up.
 """
 
 from unittest import mock
@@ -26,11 +27,13 @@ from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import RatelessDecoder, run_rateless_uplink
 from repro.core.reference import RebuildRatelessDecoder
 from repro.core.silencing import run_rateless_with_silencing
+from repro.network.scenarios import scenario_by_name
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import ChannelModel, ChannelTrajectory, MobilityModel
 from repro.phy.noise import awgn, awgn_block
 from repro.phy.signal import received_symbol_block, received_symbols
+from repro.sim.multireader import MultiReaderOutcome, simulate_multi_reader
 
 GOOD = ChannelModel(mean_snr_db=24.0, near_far_db=8.0, noise_std=0.1)
 
@@ -44,14 +47,32 @@ def _population(k, seed, model=GOOD, message_bits=24):
     return pop
 
 
-#: The module whose data-phase loop constructs the rateless decoder by name.
+#: The module whose data-phase stepper constructs the rateless decoder by
+#: name — for the single-reader loop and the multi-reader actor alike.
 _LOOP_MODULES = ("repro.core.rateless",)
 
 
 def _use_reference(monkeypatch):
-    """Point every data-phase loop at the rebuild reference for this test."""
+    """Point the data-phase stepper at the rebuild reference for this test."""
     for module in _LOOP_MODULES:
         monkeypatch.setattr(f"{module}.RatelessDecoder", RebuildRatelessDecoder)
+
+
+def _counting(base, built):
+    """``base`` subclassed to record every construction in ``built``."""
+
+    class Counting(base):
+        def __init__(self, *args, **kwargs):
+            built.append(type(self))
+            super().__init__(*args, **kwargs)
+
+    return Counting
+
+
+def _multi_reader(scenario, seed):
+    rng = np.random.default_rng(seed)
+    pop = scenario.draw_population(rng)
+    return simulate_multi_reader(pop, ReaderFrontEnd(noise_std=pop.noise_std), rng)
 
 
 class TestSinglePatchPoint:
@@ -60,12 +81,7 @@ class TestSinglePatchPoint:
         a decoder class patched at ``repro.core.rateless`` alone reaches
         all three — the rebuild reference needs no other patch point."""
         built = []
-
-        class Counting(RatelessDecoder):
-            def __init__(self, *args, **kwargs):
-                built.append(type(self))
-                super().__init__(*args, **kwargs)
-
+        Counting = _counting(RatelessDecoder, built)
         monkeypatch.setattr("repro.core.rateless.RatelessDecoder", Counting)
         pop = _population(4, 5)
         fe = ReaderFrontEnd(noise_std=0.1)
@@ -85,6 +101,32 @@ class TestSinglePatchPoint:
             max_slots=40,
         )
         assert built == [Counting] * 3
+
+    def test_multi_reader_builds_the_decoder_named_in_rateless(self, monkeypatch):
+        """The multi-reader actor steps the same data phase, so the patch
+        point reaches it too: one decoder per inventory session."""
+        built = []
+        Counting = _counting(RatelessDecoder, built)
+        monkeypatch.setattr("repro.core.rateless.RatelessDecoder", Counting)
+        out = _multi_reader(scenario_by_name("dense-floor", 12), 0)
+        assert out.sessions > 0
+        assert built == [Counting] * out.sessions
+
+    @pytest.mark.parametrize("name", ["dense-floor", "two-portal"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_multi_reader_rebuild_equivalence(self, monkeypatch, name, seed):
+        """The rebuild oracle, patched at the one patch point, drives every
+        multi-reader session and reproduces the incremental run exactly."""
+        incremental = _multi_reader(scenario_by_name(name, 12), seed)
+        built = []
+        monkeypatch.setattr(
+            "repro.core.rateless.RatelessDecoder",
+            _counting(RebuildRatelessDecoder, built),
+        )
+        rebuilt = _multi_reader(scenario_by_name(name, 12), seed)
+        assert len(built) == rebuilt.sessions > 0
+        for attr in MultiReaderOutcome.__dataclass_fields__:
+            assert np.array_equal(getattr(incremental, attr), getattr(rebuilt, attr)), attr
 
 
 def _run(pop, seed, rebuild=False, noise=0.1, max_slots=None, config=BuzzConfig()):

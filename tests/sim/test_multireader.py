@@ -221,6 +221,36 @@ class TestSimulateMultiReader:
         assert out.transmissions.shape == (6,)
 
 
+class TestDecodeCadence:
+    """The actor steps the single-reader decode policy: a decode every
+    ``decode_every`` *kept* slots and one trailing decode at session end.
+    Dropped slots never reach the decoder, so they do not count."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_decodes_every_third_kept_slot(self, seed, monkeypatch):
+        from repro.core.rateless import RatelessDecoder
+
+        built = []
+
+        class Recording(RatelessDecoder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr("repro.core.rateless.RatelessDecoder", Recording)
+        scenario = multi_reader_scenario(12, collision_mode="naive")
+        out = _outcome(scenario, seed=seed, config=BuzzConfig(decode_every=3))
+        assert out.dropped_slots > 0
+        assert len(built) == out.sessions
+        for decoder in built:
+            n = decoder.slots_collected
+            if not n:
+                continue
+            # Multiples of 3, then the trailing decode at the last kept slot.
+            slots = [p.slot for p in decoder.progress]
+            assert slots == list(range(3, n + 1, 3)) + ([n] if n % 3 else [])
+
+
 class TestTransmissionAccounting:
     """Per-tag transmissions count the reflections that reached the air —
     the coin row masked by the serving reader's coverage, exactly what the
@@ -244,7 +274,7 @@ class TestTransmissionAccounting:
                 return  # the session ended instead of running a slot
             covered = actor.sim.zones.coverage_at(t0)[actor.index, members]
             heads = slot_decision_matrix(
-                actor.seeds, range(j, j + 1), float(actor.decoder.density), salt=SALT_DATA
+                actor.seeds, range(j, j + 1), float(actor.phase.decoder.density), salt=SALT_DATA
             )[0].astype(bool)
             tally["covered"][members[covered]] += 1
             tally["heads"][members[heads]] += 1
