@@ -7,7 +7,8 @@ values as defaults:
 * Stage 2: ``c = 10`` buckets per expected node, ``a = K`` ids per bucket;
 * Stage 3: ``M ≈ K·log a`` pattern slots (we expose the safety margin);
 * Data phase: sparse-D density target (expected colliders per slot) and the
-  decode cadence of the rateless loop.
+  abort bound; the reader decodes after every slot (the paper's "decode as
+  you go").
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from repro.utils.validation import (
-    ensure_in_range,
     ensure_positive,
     ensure_positive_int,
     ensure_probability,
@@ -55,9 +55,6 @@ class BuzzConfig:
         transmitters per slot (the sparsity of D, §6d).
     density_min / density_max:
         Clamp on the per-slot transmit probability ``p = colliders/K̂``.
-    decode_every:
-        Run the BP decoder after every ``decode_every`` new collision slots
-        (1 = paper's "decode as you go").
     max_data_slots_factor:
         Abort threshold: declare loss if ``L > factor · K`` slots have not
         decoded everything (the rateless code has no intrinsic end).
@@ -87,7 +84,6 @@ class BuzzConfig:
     density_colliders: float = 5.0
     density_min: float = 0.20
     density_max: float = 0.85
-    decode_every: int = 1
     max_data_slots_factor: float = 25.0
     bp_max_flips: int = 10_000
     bp_restarts: int = 4
@@ -106,7 +102,6 @@ class BuzzConfig:
         ensure_probability(self.density_max, "density_max")
         if self.density_min > self.density_max:
             raise ValueError("density_min must be <= density_max")
-        ensure_positive_int(self.decode_every, "decode_every")
         ensure_positive(self.max_data_slots_factor, "max_data_slots_factor")
         ensure_positive_int(self.bp_max_flips, "bp_max_flips")
         if self.bp_restarts < 0:

@@ -1,7 +1,7 @@
 """Persistent cross-round decode state for the rateless reader.
 
-The rateless reader decodes *online*: every ``decode_every`` slot arrivals
-it re-solves ``min_b ‖D·diag(h)·b − y_m‖²`` per message position,
+The rateless reader decodes *online*: after every slot arrival it
+re-solves ``min_b ‖D·diag(h)·b − y_m‖²`` per message position,
 warm-started from the previous round's estimates. Rebuilding that problem
 from scratch on each call costs a stack over all L collected rows, an
 (L, K) signal build, an initial (K, M) correlation gemm and — on every

@@ -1,13 +1,14 @@
-"""Mobility-aware data phase: the rateless code under a time-varying field.
+"""A session's data phase: the rateless code on a static or moving field.
 
 :func:`run_mobile_data_segment` runs the data-phase loop of
-:mod:`repro.core.rateless` against a :class:`~repro.phy.channel.
-ChannelTrajectory` instead of a static field: per slot the *current*
-fading block shapes the received symbols, tags that departed (or have not
+:mod:`repro.core.rateless` from an identification's recovered ids and
+estimated channels. Without a trajectory the field is static. Against a
+:class:`~repro.phy.channel.ChannelTrajectory` the *current* fading block
+shapes the received symbols per slot, tags that departed (or have not
 yet arrived) stay off the air, and only tags that heard the most recent
 identification trigger participate at all. The decoder still works from
-the identification stage's (by now possibly stale) channel estimates —
-exactly the mismatch mobility creates in a real deployment.
+the (by now possibly stale) channel estimates — exactly the mismatch
+mobility creates in a real deployment.
 
 On top sits the **stall monitor**, the adaptive session's trigger: the
 reader tracks slots since the last newly verified message and, past a
@@ -15,7 +16,7 @@ configurable limit, stops the segment and reports it ``stalled`` so the
 pipeline can re-run identification and splice fresh estimates into a new
 segment. With the monitor disabled a segment runs to the same termination
 conditions as a static field, which is what makes an adaptive session
-with the monitor off bit-identical to a static end-to-end session.
+with the monitor off bit-identical to a plain end-to-end session.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def run_mobile_data_segment(
     rng: np.random.Generator,
     *,
     estimates: ChannelEstimates,
-    trajectory: ChannelTrajectory,
+    trajectory: Optional[ChannelTrajectory],
     participants: np.ndarray,
     start_s: float,
     k_hat: int,
@@ -55,8 +56,9 @@ def run_mobile_data_segment(
     id_space: Optional[int] = None,
     crc: Optional[CrcSpec] = CRC5_GEN2,
 ) -> RatelessRunResult:
-    """Run one data-phase segment over a drifting, churning population.
+    """Run one data-phase segment over the population.
 
+    ``trajectory=None`` is a static field with the tags' own channels.
     ``participants`` marks the tags that were present at the most recent
     identification — only they hold current temporary ids and heard the
     data trigger, so only they may reflect; each still does so *only*
@@ -75,7 +77,7 @@ def run_mobile_data_segment(
     :class:`~repro.core.decoder_state.DecoderState` rather than a stale
     one patched in place. Within a segment the view is constant, so the
     decoder's incremental path stays valid for every slot the segment
-    collects. The loop receives slot by slot here:
+    collects. With a trajectory the loop receives slot by slot:
     ``trajectory.channels_at(now)`` is evaluated at each slot's airtime,
     and ``now`` includes the accumulated silencing-ACK overhead, which is
     only known after the previous slots' decodes.
@@ -96,18 +98,19 @@ def run_mobile_data_segment(
         int(tag.temp_id) if participants[i] and tag.temp_id is not None else 0
         for i, tag in enumerate(tags)
     ]
-    # Tag → view-column mapping: the same non-oracle view resolution the
-    # static field uses, then non-participants are cut out — their stale
-    # temporary ids did not come from *this* identification (but a departed
-    # participant's id may well be in the view — mobility's whole failure
-    # surface).
-    view = _decoder_view(
-        tag_seeds, trajectory.channels_at(start_s), estimates.values, estimates.seeds()
+    channels = (
+        trajectory.channels_at(start_s) if trajectory is not None
+        else np.array([t.channel for t in tags], dtype=complex)
     )
+    # Tag → view-column mapping: the non-oracle view resolution, then
+    # non-participants are cut out — their stale temporary ids did not come
+    # from *this* identification (but a departed participant's id may well
+    # be in the view — mobility's whole failure surface).
+    view = _decoder_view(tag_seeds, channels, estimates.values, estimates.seeds())
     view = view._replace(mapping=np.where(participants, view.mapping, -1))
     return _run_data_phase(
         messages,
-        None,
+        channels,
         front_end,
         rng,
         tag_seeds=tag_seeds,

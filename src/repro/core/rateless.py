@@ -13,14 +13,15 @@ they are bad.
 
 :class:`RatelessDecoder` is the reader half (consumes symbols, never looks
 at true messages). :class:`_DataPhase` is the reader's decode policy
-around it, stepped one collected slot at a time: decode cadence, ACK
+around it, stepped one collected slot at a time: a decode per slot, ACK
 pricing, stall monitor, newly verified columns. Every reader steps it.
 One air-side loop, :func:`_run_data_phase`, drives it from a live tag
 population through the PHY for the single-reader entry points, which
-only resolve their arguments: :func:`run_rateless_uplink` (static field),
-:func:`repro.core.silencing.run_rateless_with_silencing` (§8.2 ACK
-silencing) and :func:`repro.core.mobile.run_mobile_data_segment`
-(drifting, churning field with a stall monitor), all returning a
+only resolve their arguments: :func:`run_rateless_uplink` (static field,
+oracle or given view), :func:`repro.core.silencing.
+run_rateless_with_silencing` (§8.2 ACK silencing) and
+:func:`repro.core.mobile.run_mobile_data_segment` (a session's data
+segment on a static or drifting, churning field), all returning a
 :class:`RatelessRunResult`. The multi-reader actors of
 :mod:`repro.sim.multireader` step it from their slot events. The stepper
 looks the decoder class up here at call time — the single patch point
@@ -156,8 +157,6 @@ class RatelessDecoder:
         self._row_buf = np.zeros((cap, self.k), dtype=np.uint8)
         self._sym_buf = np.zeros((cap, self.p), dtype=complex)
         self._n_rows = 0
-        self._row_block = np.zeros((0, self.k), dtype=np.uint8)  # D-row cache
-        self._row_block_start = 0
         self._estimates = (self.rng.random((self.k, self.p)) < 0.5).astype(np.uint8)
         self._decoded = np.zeros(self.k, dtype=bool)
         self.progress: List[DecodeProgress] = []
@@ -217,8 +216,7 @@ class RatelessDecoder:
         if symbols.size != self.p:
             raise ValueError(f"expected {self.p} symbols per slot, got {symbols.size}")
         if row is None:
-            index = self.slots_collected if slot is None else int(slot)
-            row = self._regenerated_row(index)
+            row = self.expected_row(self.slots_collected if slot is None else int(slot))
         else:
             row = np.asarray(row, dtype=np.uint8).ravel()
             if row.size != self.k:
@@ -257,22 +255,10 @@ class RatelessDecoder:
         sym_buf[: self._n_rows] = self._sym_buf[: self._n_rows]
         self._sym_buf = sym_buf
 
-    #: Slots regenerated per batched D-row refill; the data-phase loop
-    #: draws the tags' coins in blocks of the same size.
+    #: Slots per block of the data-phase loop (the tags draw their coins
+    #: and the reader regenerates its D rows a block at a time), and the
+    #: initial capacity of the decoder's collected-slot buffers.
     ROW_BLOCK = 64
-
-    def _regenerated_row(self, index: int) -> np.ndarray:
-        """D row for ``index``, served from a block-regenerated cache.
-
-        Returns a read-only view into the cache block: :meth:`add_slot`
-        copies rows into its append-only buffer, so the former per-row
-        defensive ``.copy()`` would only be paid for, never observed.
-        """
-        offset = index - self._row_block_start
-        if not 0 <= offset < self._row_block.shape[0]:
-            self._row_block_start, offset = index, 0
-            self._row_block = self.expected_rows(range(index, index + self.ROW_BLOCK))
-        return self._row_block[offset]
 
     def try_decode(self) -> DecodeProgress:
         """Run the batched BP kernel over all positions at once.
@@ -605,18 +591,15 @@ def _air_slot(
     return air_row, front_end.observe(tx_per_position, channels, rng)
 
 
-_NONE_FRESH = np.zeros(0, dtype=np.int64)
-
-
 class _DataPhase:
     """The reader side of one data phase, stepped one collected slot at a
     time — the decode policy every driver shares.
 
     It builds the one :class:`RatelessDecoder` (looked up here at call
     time, the rebuild oracle's patch point) and, per :meth:`ingest`ed
-    slot, masks the ACKed columns out of the reader's row, decodes every
-    ``config.decode_every`` collected slots (every slot under silencing),
-    prices the ACKs of what newly verified and runs the stall monitor.
+    slot, masks the ACKed columns out of the reader's row, decodes (the
+    paper's "decode as you go"), prices the ACKs of what newly verified
+    and runs the stall monitor.
     ``ack_s`` is one silencing ACK's airtime, ``None`` without silencing;
     ``stall_limit`` bounds the collected slots without a newly verified
     message (``None`` disables the monitor). The drivers keep the air side
@@ -643,7 +626,6 @@ class _DataPhase:
             np.random.default_rng(rng.integers(0, 2**63)), noise_std,
         )
         self.ack_s, self.stall_limit = ack_s, stall_limit
-        self.every = 1 if ack_s is not None else config.decode_every
         self.acked = self._verified = np.zeros(len(seeds), dtype=bool)
         self.ack_overhead_s = 0.0
         self.stalled = False
@@ -654,8 +636,8 @@ class _DataPhase:
         return self.stalled or self.decoder.all_decoded
 
     def ingest(self, symbols: np.ndarray, slot: int, row: np.ndarray) -> np.ndarray:
-        """Collect one slot under the reader's regenerated ``row``; return
-        the view columns that newly verified (empty between decodes).
+        """Collect and decode one slot under the reader's regenerated
+        ``row``; return the view columns that newly verified.
 
         The reader knows exactly whom it ACKed (nobody without silencing),
         so it masks them out of its own row — reader-side knowledge, not
@@ -663,26 +645,16 @@ class _DataPhase:
         """
         decoder = self.decoder
         decoder.add_slot(symbols, slot, row=row * (~self.acked).astype(np.uint8))
-        if decoder.slots_collected % self.every:
-            return _NONE_FRESH
-        fresh = self._decode()
+        decoder.try_decode()
+        mask = decoder.decoded_mask
+        fresh = np.flatnonzero(mask & ~self._verified)
+        self._verified = mask
         if self.ack_s is not None:
             self.ack_overhead_s += fresh.size * self.ack_s
             self.acked = self._verified
-        self._idle_slots = 0 if fresh.size else self._idle_slots + self.every
+        self._idle_slots = 0 if fresh.size else self._idle_slots + 1
         if self.stall_limit is not None and not decoder.all_decoded:
             self.stalled = self._idle_slots >= self.stall_limit
-        return fresh
-
-    def finish(self) -> np.ndarray:
-        """The trailing decode over slots collected since the last one."""
-        return self._decode() if self.decoder.slots_collected % self.every else _NONE_FRESH
-
-    def _decode(self) -> np.ndarray:
-        self.decoder.try_decode()
-        mask = self.decoder.decoded_mask
-        fresh = np.flatnonzero(mask & ~self._verified)
-        self._verified = mask
         return fresh
 
 
@@ -774,7 +746,6 @@ def _run_data_phase(
             slot += 1
             if phase.done:
                 break
-    phase.finish()
 
     # Project the per-view outcome back onto the tags.
     decoded = np.zeros(k, dtype=bool)
@@ -811,13 +782,13 @@ def _run_static(
     max_slots: Optional[int],
     decoder_seeds: Optional[Sequence[int]],
     silencing: bool = False,
-    id_space: Optional[int] = None,
 ) -> RatelessRunResult:
     """Resolve a static field's view, density and limit, then run the loop.
 
     Takes :func:`run_rateless_uplink`'s arguments in its order, so both
     static entry points (it and :func:`~repro.core.silencing.
-    run_rateless_with_silencing`) forward them positionally.
+    run_rateless_with_silencing`, which passes the oracle view) forward
+    them positionally.
     """
     k = len(tags)
     if k == 0:
@@ -865,7 +836,7 @@ def _run_static(
         config=config,
         crc=crc,
         timing=timing,
-        id_space=id_space if id_space is not None else 10 * k * k,
+        id_space=10 * k * k,
         silencing=silencing,
     )
 

@@ -44,30 +44,25 @@ def run_rateless_with_silencing(
     tags: Sequence[BackscatterTag],
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
-    k_hat: Optional[int] = None,
     crc: Optional[CrcSpec] = CRC5_GEN2,
     config: BuzzConfig = BuzzConfig(),
     timing: LinkTiming = GEN2_DEFAULT_TIMING,
     max_slots: Optional[int] = None,
-    id_space: Optional[int] = None,
-    channel_estimates: Optional[Sequence[complex]] = None,
-    decoder_seeds: Optional[Sequence[int]] = None,
 ) -> RatelessRunResult:
     """Rateless uplink where verified tags are ACKed and go silent.
 
-    Semantics match :func:`repro.core.rateless.run_rateless_uplink` except
-    that after any decode round that verifies new messages, the reader
-    spends ``ack_duration_s`` per new message and those tags stop
-    participating in subsequent slots. The decoder regenerates D with the
-    silenced set masked out (the reader knows exactly whom it ACKed).
+    Semantics match :func:`repro.core.rateless.run_rateless_uplink` with
+    the oracle reader view, except that after any decode round that
+    verifies new messages, the reader spends ``ack_duration_s`` per new
+    message and those tags stop participating in subsequent slots. The
+    decoder regenerates D with the silenced set masked out (the reader
+    knows exactly whom it ACKed).
 
-    ``channel_estimates``/``decoder_seeds`` select a non-oracle reader view
-    exactly as in :func:`~repro.core.rateless.run_rateless_uplink`: the
-    decoder (and the ACKs) run over the recovered ids, a tag falls silent
-    when it hears its own temporary id ACKed, and unrecovered tags keep
-    transmitting into slots the reader cannot explain.
+    A session's silenced data phase runs over the reader's *recovered*
+    view instead: :func:`repro.core.mobile.run_mobile_data_segment` with
+    ``silencing=True``.
     """
     return _run_static(
-        tags, front_end, rng, k_hat, channel_estimates, crc, config, timing,
-        max_slots, decoder_seeds, silencing=True, id_space=id_space,
+        tags, front_end, rng, None, None, crc, config, timing, max_slots, None,
+        silencing=True,
     )

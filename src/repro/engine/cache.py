@@ -90,7 +90,9 @@ __all__ = ["CampaignCache", "cell_cache_key", "spec_key_material"]
 #: 2: session records carry data_transmissions/reidentifications, which
 #: the fig13 energy pricing consumes — serving format-1 session cells
 #: would silently mix two pricing models in one figure.
-_CACHE_FORMAT = 2
+#: 3: the config and scenario key material each lost a field (the decode
+#: cadence and the channel model's path-loss exponent).
+_CACHE_FORMAT = 3
 
 _LEASE_DIR = "leases"
 _QUEUE_DIR = "queue"

@@ -12,7 +12,7 @@ code changes, and no per-scheme record-building branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -65,7 +65,9 @@ class SchemeResult:
         Stage-resolved accounting, set only by session-pipeline schemes
         (``*-e2e``, ``*-adaptive``): identification airtime, data-phase
         airtime (their sum is exactly ``duration_s``), and the number of
-        identification restarts. ``None`` for single-phase schemes.
+        identification restarts. ``None`` for single-phase schemes. A
+        static-field session that recovers nobody still charges its data
+        trigger (one query) to ``data_s``; a mobile one charges nothing.
     data_transmissions:
         Per-tag transmission counts of the *data* stages alone (session
         schemes only; ``None`` otherwise). ``transmissions −
@@ -73,9 +75,10 @@ class SchemeResult:
         a single uplink symbol, which the fig13 energy model prices very
         differently from a P-symbol data transmission.
     reidentifications:
-        Mid-session identification re-runs an adaptive session performed
-        (0 for a session that never re-identified; ``None`` for
-        single-phase schemes and pre-mobility records).
+        Mid-session identification re-runs a session performed on a
+        mobile field (0 when it never re-identified). ``None`` on static
+        fields, sessions included, for single-phase schemes, and in
+        pre-mobility records.
     """
 
     scheme: str
@@ -138,47 +141,6 @@ class RatelessScheme:
         run = self._transfer(
             population.tags, front_end, rng, config=config, max_slots=max_slots
         )
-        return self._summarise(run, n)
-
-    def run_session_data(
-        self,
-        population: TagPopulation,
-        front_end: ReaderFrontEnd,
-        rng: np.random.Generator,
-        config: BuzzConfig,
-        max_slots: Optional[int] = None,
-        *,
-        decoder_seeds: Optional[Sequence[int]] = None,
-        channel_estimates: Optional[Sequence[complex]] = None,
-        k_hat: Optional[int] = None,
-        id_space: Optional[int] = None,
-    ) -> SchemeResult:
-        """Data phase driven by a completed identification stage.
-
-        Unlike :meth:`run`, nothing is drawn here: the tags keep the
-        temporary ids identification assigned them, and the decoder runs
-        on the *recovered* ids and *estimated* channels — the session
-        pipeline's non-oracle view. ``id_space`` is the identification's
-        id space, which prices silencing ACKs (the ids the reader echoes).
-        """
-        run = self._transfer(
-            population.tags,
-            front_end,
-            rng,
-            k_hat=k_hat,
-            channel_estimates=channel_estimates,
-            config=config,
-            max_slots=max_slots,
-            decoder_seeds=decoder_seeds,
-            id_space=id_space,
-        )
-        return self._summarise(run, len(population))
-
-    def _transfer(self, tags, front_end, rng, id_space=None, **kwargs):
-        # No ACKs without silencing, so the id space prices nothing here.
-        return run_rateless_uplink(tags, front_end, rng, **kwargs)
-
-    def _summarise(self, run, n: int) -> SchemeResult:
         return SchemeResult(
             scheme=self.name,
             duration_s=run.duration_s,
@@ -189,6 +151,9 @@ class RatelessScheme:
             transmissions=run.transmissions.copy(),
             bit_errors=run.bit_errors,
         )
+
+    def _transfer(self, tags, front_end, rng, **kwargs):
+        return run_rateless_uplink(tags, front_end, rng, **kwargs)
 
 
 class SilencedScheme(RatelessScheme):

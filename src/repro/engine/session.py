@@ -14,10 +14,8 @@ this module closes the loop.
   identify` (including its duplicate-id retry loop) or the Gen-2
   alternatives (FSA, FSA seeded with Buzz's K̂, binary tree).
 * :class:`DataStage` — wraps any registered
-  :class:`~repro.engine.schemes.UplinkScheme`. Schemes that expose
-  ``run_session_data`` (the rateless family) receive the *recovered* ids
-  and *estimated* channels — never the oracle ones; identity-agnostic
-  baselines (TDMA/CDMA) run unchanged.
+  :class:`~repro.engine.schemes.UplinkScheme` and runs its plain ``run``
+  path (TDMA/CDMA — identity-agnostic transfers).
 * :class:`SessionPipeline` — composes the stages into one
   :class:`~repro.engine.schemes.UplinkScheme`, so every campaign, cache
   key, figure driver and ``python -m repro --schemes`` sweep gets the
@@ -31,14 +29,17 @@ Registered end-to-end variants: ``buzz-e2e`` (three-stage identification
 identification → ACK-silenced data phase), and ``gen2-tdma-e2e`` (FSA
 inventory → TDMA transfer) — today's RFID session as the baseline.
 
-On *mobile* populations (scenarios carrying a
-:class:`~repro.phy.channel.MobilityModel`) the rateless-family sessions
-run a mobility-aware path: channels drift block-by-block during the data
-phase, departed tags fall silent, late arrivals wait for the next
-identification. :class:`AdaptiveSessionPipeline` — registered as
-``buzz-adaptive`` / ``silenced-adaptive`` — additionally monitors the
-data phase for verification stalls and re-runs identification mid-session,
-splicing the refreshed estimates into a fresh decoder view.
+A Buzz identification followed by a rateless-family data stage runs one
+identify → data-segment loop on every field, never the generic stage
+path: the data phase works from the *recovered* ids and *estimated*
+channels, never the oracle ones. A static field is the loop with no
+trajectory. On *mobile* populations (scenarios carrying a
+:class:`~repro.phy.channel.MobilityModel`) channels drift block-by-block
+during the data phase, departed tags fall silent, late arrivals wait for
+the next identification. :class:`AdaptiveSessionPipeline` — registered as
+``buzz-adaptive`` / ``silenced-adaptive`` — additionally monitors a mobile
+data phase for verification stalls and re-runs identification
+mid-session, splicing the refreshed estimates into a fresh decoder view.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ __all__ = [
     "AdaptiveSessionPipeline",
 ]
 
-#: Data schemes the mobility-aware session path knows how to drive
-#: slot-by-slot against a drifting field (the rateless family).
-MOBILE_DATA_SCHEMES = ("buzz", "silenced")
+#: Data schemes the session loop drives slot by slot (the rateless family).
+RATELESS_DATA_SCHEMES = ("buzz", "silenced")
 
 #: Identification protocols :class:`IdentificationStage` knows how to run.
 IDENTIFICATION_METHODS = ("buzz", "fsa", "fsa-khat", "btree")
@@ -281,13 +281,11 @@ class IdentificationStage:
 class DataStage:
     """The session's second act: transfer every identified tag's message.
 
-    Wraps any registered :class:`~repro.engine.schemes.UplinkScheme`.
-    When the wrapped scheme exposes ``run_session_data`` *and* the state
-    carries channel estimates, the stage threads the recovered ids and
-    estimated channels into it — the decoder then works from what
-    identification actually delivered, estimation error included. Other
-    schemes (TDMA, CDMA — identity-agnostic transfers) run their plain
-    ``run`` path.
+    Wraps any registered :class:`~repro.engine.schemes.UplinkScheme` and
+    runs its plain ``run`` path. A rateless-family stage behind a Buzz
+    identification never runs here: :class:`SessionPipeline` drives that
+    pair through its session loop, on the recovered ids and estimated
+    channels.
     """
 
     kind = "data"
@@ -298,27 +296,13 @@ class DataStage:
         self.name = f"data-{scheme}"
 
     def run(self, state: SessionState) -> StageAccount:
-        scheme = get_scheme(self.scheme)
-        if state.estimates is not None and hasattr(scheme, "run_session_data"):
-            result = scheme.run_session_data(
-                state.population,
-                state.front_end,
-                state.rng,
-                config=state.config,
-                max_slots=state.max_slots,
-                decoder_seeds=state.estimates.seeds(),
-                channel_estimates=state.estimates.values,
-                k_hat=state.k_hat,
-                id_space=state.id_space,
-            )
-        else:
-            result = scheme.run(
-                state.population,
-                state.front_end,
-                state.rng,
-                config=state.config,
-                max_slots=state.max_slots,
-            )
+        result = get_scheme(self.scheme).run(
+            state.population,
+            state.front_end,
+            state.rng,
+            config=state.config,
+            max_slots=state.max_slots,
+        )
         state.data = result
         return StageAccount(
             stage=self.name,
@@ -355,9 +339,9 @@ class SessionPipeline:
         self.stages = tuple(stages)
 
     #: Stall monitor (slots without a newly verified message, as a factor
-    #: of the view size) — ``None`` disables it: the static session never
+    #: of the view size) — ``None`` disables it: the plain session never
     #: interrupts its data phase. :class:`AdaptiveSessionPipeline` turns
-    #: it on.
+    #: it on for mobile fields.
     stall_slots_factor: Optional[float] = None
     #: Mid-session identification re-runs the session may perform.
     max_reidentifications: int = 0
@@ -370,13 +354,11 @@ class SessionPipeline:
         config: BuzzConfig,
         max_slots: Optional[int] = None,
     ) -> SchemeResult:
-        mobility = getattr(population, "mobility", None)
-        if mobility is not None and not mobility.is_static:
-            mobile = self._mobile_stages()
-            if mobile is not None:
-                return self._run_mobile(
-                    population, front_end, rng, config, max_slots, *mobile
-                )
+        rateless = self._rateless_stages()
+        if rateless is not None:
+            return self._run_rateless(
+                population, front_end, rng, config, max_slots, *rateless
+            )
         # Both stage families price airtime off the Gen-2 default timing
         # (the data schemes' drivers hard-code it), so the pipeline pins
         # the same model rather than offering a knob only half the session
@@ -414,22 +396,22 @@ class SessionPipeline:
             data_transmissions=data_transmissions,
         )
 
-    # ---- the mobility-aware session path -------------------------------------
-    def _mobile_stages(self):
-        """``(identification, data)`` when this pipeline can run mobile.
+    # ---- the rateless session loop ------------------------------------------
+    def _rateless_stages(self):
+        """``(identification, data)`` when this pipeline runs the loop.
 
-        The mobile path needs channel-estimating identification (Buzz is
-        the only method that produces estimates to go stale) driving a
-        rateless-family data phase it can interleave with the trajectory.
-        Anything else — e.g. the Gen-2 FSA → TDMA session — falls back to
-        the static path, which evaluates the deployment frozen at ``t=0``.
+        The loop needs channel-estimating identification (Buzz is the only
+        method that produces estimates) driving a rateless-family data
+        phase. Anything else — e.g. the Gen-2 FSA → TDMA session — runs the
+        generic stage path, which evaluates the deployment frozen at
+        ``t=0``.
         """
         if len(self.stages) != 2:
             return None
         ident, data = self.stages
         if not isinstance(ident, IdentificationStage) or ident.method != "buzz":
             return None
-        if not isinstance(data, DataStage) or data.scheme not in MOBILE_DATA_SCHEMES:
+        if not isinstance(data, DataStage) or data.scheme not in RATELESS_DATA_SCHEMES:
             return None
         return ident, data
 
@@ -449,7 +431,7 @@ class SessionPipeline:
             np.random.default_rng(rng.integers(0, 2**63)),
         )
 
-    def _run_mobile(
+    def _run_rateless(
         self,
         population: TagPopulation,
         front_end: ReaderFrontEnd,
@@ -459,15 +441,20 @@ class SessionPipeline:
         ident_stage: "IdentificationStage",
         data_stage: "DataStage",
     ) -> SchemeResult:
-        """One session against a drifting, churning field.
+        """One session: identify, then run the data phase on the view.
 
         Identify the tags *currently present*, run the data phase from the
         recovered view while the trajectory keeps moving, and — when the
         stall monitor trips and the budgets allow — re-identify and splice
         the refreshed estimates and id set into a fresh decoder view. With
-        the monitor disabled (the static pipelines) the loop body runs
+        the monitor disabled (the plain pipelines) the loop body runs
         exactly once, which is what makes an adaptive session with
-        re-identification turned off bit-identical to its static twin.
+        re-identification turned off bit-identical to its plain twin.
+
+        A static field (no mobility, or all rates zero) is the loop with no
+        trajectory: no draw realises one, every tag is present, the tags'
+        channels stay untouched and the stall monitor stays off
+        (``reidentifications=None``).
 
         The per-segment decoder construction inside
         :func:`~repro.core.mobile.run_mobile_data_segment` is also what
@@ -482,11 +469,17 @@ class SessionPipeline:
         k = len(population)
         messages = population.messages
         silencing = data_stage.scheme == "silenced"
-        trajectory = self._make_trajectory(population, rng)
-        # Identification stages read each tag's channel, so the loop below
-        # writes trajectory snapshots into the tag objects; restore the
-        # t = 0 draw afterwards — a session must not mutate its inputs
-        # (the population is an input to the pure cell function).
+        mobility = getattr(population, "mobility", None)
+        trajectory = (
+            None
+            if mobility is None or mobility.is_static
+            else self._make_trajectory(population, rng)
+        )
+        # Identification stages read each tag's channel, so on a mobile
+        # field the loop below writes trajectory snapshots into the tag
+        # objects; restore the t = 0 draw afterwards — a session must not
+        # mutate its inputs (the population is an input to the pure cell
+        # function).
         original_channels = [tag.channel for tag in tags]
 
         now = 0.0
@@ -503,20 +496,24 @@ class SessionPipeline:
 
         try:
             while True:
-                present = trajectory.active_at(now)
-                present_idx = np.flatnonzero(present)
+                present_idx = (
+                    np.arange(k) if trajectory is None
+                    else np.flatnonzero(trajectory.active_at(now))
+                )
                 if present_idx.size == 0:
                     # The reader triggers into an empty field: no reply, no
                     # candidates, no data phase — the empty-view short-circuit.
                     ident_parts.append(timing.query_duration_s())
                     now += timing.query_duration_s()
                     break
-                # Identification observes the field as it stands now: the
-                # current fading block's channels (block fading holds them for
-                # the short identification exchange) and only the present tags.
-                snapshot = trajectory.channels_at(now)
-                for i in present_idx:
-                    tags[i].channel = complex(snapshot[i])
+                if trajectory is not None:
+                    # Identification observes the field as it stands now: the
+                    # current fading block's channels (block fading holds them
+                    # for the short identification exchange) and only the
+                    # present tags.
+                    snapshot = trajectory.channels_at(now)
+                    for i in present_idx:
+                        tags[i].channel = complex(snapshot[i])
                 sub_population = TagPopulation(
                     tags=[tags[i] for i in present_idx],
                     noise_std=population.noise_std,
@@ -536,8 +533,13 @@ class SessionPipeline:
                 transmissions[present_idx] += account.transmissions
 
                 estimates = sub_state.estimates
-                if estimates is None or len(estimates) == 0:
-                    break  # recovered nobody — no data trigger is worth issuing
+                if len(estimates) == 0:
+                    # Recovered nobody: no data phase opens. A static session
+                    # still prices the trigger it sends; a mobile one issues
+                    # none.
+                    if trajectory is None:
+                        data_parts.append(timing.query_duration_s())
+                    break
                 k_hat = sub_state.k_hat if sub_state.k_hat else len(estimates)
                 if budget is None:
                     budget = (
@@ -545,20 +547,17 @@ class SessionPipeline:
                         if max_slots is not None
                         else config.max_data_slots(max(1, k_hat))
                     )
-                if budget <= 0:
-                    break
+                if budget <= 0 and trajectory is not None:
+                    break  # no slots: a static session still sends the trigger
                 participants = np.zeros(k, dtype=bool)
                 participants[present_idx] = True
+                factor = None if trajectory is None else self.stall_slots_factor
                 stall_limit = None
-                if self.stall_slots_factor is not None and math.isfinite(
-                    self.stall_slots_factor
-                ):
+                if factor is not None and math.isfinite(factor):
                     # Floor of 8: tiny views verify their first message within
                     # a handful of slots, but the monitor must never beat the
                     # decoder's ramp-up to it.
-                    stall_limit = max(
-                        8, int(math.ceil(self.stall_slots_factor * max(1, len(estimates))))
-                    )
+                    stall_limit = max(8, int(math.ceil(factor * max(1, len(estimates)))))
                 segment = run_mobile_data_segment(
                     tags,
                     front_end,
@@ -615,7 +614,7 @@ class SessionPipeline:
             data_s=data_s,
             retries=retries,
             data_transmissions=data_transmissions,
-            reidentifications=reidentifications,
+            reidentifications=None if trajectory is None else reidentifications,
         )
 
 

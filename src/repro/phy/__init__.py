@@ -18,7 +18,6 @@ This package implements that model at two resolutions:
 from repro.phy.channel import (
     ChannelModel,
     SingleTapChannel,
-    backscatter_path_gain,
     near_far_spread_db,
 )
 from repro.phy.constellation import (
@@ -55,7 +54,6 @@ __all__ = [
     "SingleTapChannel",
     "SyncProfile",
     "awgn",
-    "backscatter_path_gain",
     "collision_constellation",
     "collision_trace",
     "measure_snr_db",

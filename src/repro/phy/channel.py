@@ -30,7 +30,6 @@ __all__ = [
     "MultiReaderModel",
     "ZoneTrajectory",
     "COLLISION_MODES",
-    "backscatter_path_gain",
     "near_far_spread_db",
 ]
 
@@ -45,22 +44,6 @@ __all__ = [
 #:   discarded, the foreign energy lands in the received symbols as extra
 #:   noise (FADR mode 2).
 COLLISION_MODES: Tuple[str, ...] = ("naive", "capture", "interference")
-
-
-def backscatter_path_gain(distance_m, exponent: float = 2.0, reference_m: float = 0.3) -> np.ndarray:
-    """Amplitude gain of the round-trip backscatter path at ``distance_m``.
-
-    Free-space power falls as ``d^-2`` per direction, so the round-trip
-    backscatter *power* falls as ``d^-4`` and the *amplitude* as ``d^-2``
-    (``exponent = 2``). ``reference_m`` is the distance at which the gain is
-    1.0; the paper's testbed spans 0.15–1.8 m (0.5–6 ft).
-    """
-    ensure_positive(exponent, "exponent")
-    ensure_positive(reference_m, "reference_m")
-    d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distances must be strictly positive")
-    return (reference_m / d) ** exponent
 
 
 @dataclass(frozen=True)
@@ -131,7 +114,6 @@ class ChannelModel:
     near_far_db: float = 12.0
     rician_k_db: float = 10.0
     noise_std: float = 1.0
-    path_loss_exponent: float = 2.0
     _mean_gain: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -162,24 +144,6 @@ class ChannelModel:
             rng.standard_normal(n_tags) + 1j * rng.standard_normal(n_tags)
         ) / np.sqrt(2.0 * (k_lin + 1.0))
         return amplitudes * (los + scatter)
-
-    def sample_at_distances(
-        self, distances_m: Sequence[float], rng: np.random.Generator, reference_m: float = 0.3
-    ) -> np.ndarray:
-        """Draw channels for tags at explicit distances (metres).
-
-        The tag at ``reference_m`` sees ``mean_snr_db``; other distances are
-        scaled by the round-trip path gain.
-        """
-        gains = backscatter_path_gain(distances_m, self.path_loss_exponent, reference_m)
-        n = len(gains)
-        k_lin = float(db_to_power(self.rician_k_db))
-        los_phase = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        los = np.sqrt(k_lin / (k_lin + 1.0)) * np.exp(1j * los_phase)
-        scatter = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(
-            2.0 * (k_lin + 1.0)
-        )
-        return self._mean_gain * gains * (los + scatter)
 
     def snrs_db(self, channels: Sequence[complex]) -> np.ndarray:
         """Per-tag SNRs (power dB) implied by a channel draw."""

@@ -4,8 +4,8 @@ The single-reader data-phase loop in :mod:`repro.core.rateless` advances
 one slot counter; here R readers free-run, each at its own cadence, each
 inventorying its own zone and stepping its own data phase (the
 single-reader loop's reader side, :class:`~repro.core.rateless.
-_DataPhase`: decode cadence, verification, newly verified columns) over
-the tags currently homed there. The pieces:
+_DataPhase`: a decode per kept slot, verification, newly verified
+columns) over the tags currently homed there. The pieces:
 
 * **Zone membership** comes from a :class:`~repro.phy.channel.
   ZoneTrajectory` realised once per run — homes, overlap flags and Poisson
@@ -28,9 +28,9 @@ the tags currently homed there. The pieces:
   window and lets :func:`~repro.sim.interference.resolve_slot` decide:
   drop the slot, feed it clean, or feed it with the foreign power added
   as Gaussian noise. Dropped slots still cost airtime and budget but never
-  reach the data phase, so they do not count toward its decode cadence;
-  a kept slot is ingested under the coin row its slot start drew, the
-  row the decoder would regenerate for that index.
+  reach the data phase, so they trigger no decode; a kept slot is
+  ingested under the coin row its slot start drew, the row the decoder
+  would regenerate for that index.
 * **The genie row discipline** matches the mobile data phase
   (:mod:`repro.core.mobile`): the decoder regenerates the full member coin
   row for each slot index while the air side only carries tags the reader
@@ -234,7 +234,6 @@ class _ReaderActor:
         sched.at(now + query_s, self.slot_start)
 
     def _end_session(self, sched: EventScheduler) -> None:
-        self._deliver(self.phase.finish())
         self._clear_session()
         self.start_session(sched)
 

@@ -387,21 +387,34 @@ class TestPhysicalBound:
         model = ChannelModel(mean_snr_db=snr_db, near_far_db=8.0, noise_std=noise_std)
         pop = _population(k, seed % 10_000, model=model, message_bits=12)
         fe = ReaderFrontEnd(noise_std=noise_std)
-        kwargs = {}
-        if not oracle:
+        rng = np.random.default_rng(seed)
+        if oracle:
+            run = run_rateless_with_silencing if silencing else run_rateless_uplink
+            result = run(pop.tags, fe, rng)
+        else:
             # Identification missed one tag and estimated the rest with error.
             err = np.random.default_rng(seed)
             kept = pop.tags[1:]
-            kwargs = dict(
-                k_hat=len(kept),
-                decoder_seeds=[t.temp_id for t in kept],
-                channel_estimates=[
-                    t.channel + 0.1 * noise_std * complex(*err.standard_normal(2))
-                    for t in kept
-                ],
-            )
-        run = run_rateless_with_silencing if silencing else run_rateless_uplink
-        result = run(pop.tags, fe, np.random.default_rng(seed), **kwargs)
+            seeds = [t.temp_id for t in kept]
+            estimates = [
+                t.channel + 0.1 * noise_std * complex(*err.standard_normal(2))
+                for t in kept
+            ]
+            if silencing:
+                # A silenced session's data phase over the recovered view.
+                result = run_mobile_data_segment(
+                    pop.tags, fe, rng,
+                    estimates=ChannelEstimates(seeds, estimates),
+                    trajectory=None, participants=np.ones(k, dtype=bool),
+                    start_s=0.0, k_hat=len(kept),
+                    max_slots=BuzzConfig().max_data_slots(len(kept)),
+                    silencing=True,
+                )
+            else:
+                result = run_rateless_uplink(
+                    pop.tags, fe, rng, k_hat=len(kept), decoder_seeds=seeds,
+                    channel_estimates=estimates,
+                )
         assert result.slots_used > 0
         p = pop.messages.shape[1]
         correct = result.decoded_mask & np.all(result.messages == pop.messages, axis=1)

@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.core.config import BuzzConfig
+from repro.core.identification import ChannelEstimates
+from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import run_rateless_uplink
 from repro.core.silencing import ack_duration_s, run_rateless_with_silencing
+from repro.engine.session import (
+    DataStage,
+    IdentificationStage,
+    SessionPipeline,
+    StageAccount,
+)
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import ChannelModel
@@ -68,20 +78,30 @@ class TestSilencedRun:
         assert result.slots_used <= 3
 
 
+def _segment(tags, fe, rng, recovered, **kwargs):
+    """A static silenced session segment over the ``recovered`` tags' view."""
+    estimates = ChannelEstimates(
+        [t.temp_id for t in recovered], [t.channel for t in recovered]
+    )
+    kwargs.setdefault("max_slots", BuzzConfig().max_data_slots(len(recovered)))
+    return run_mobile_data_segment(
+        tags, fe, rng, estimates=estimates, trajectory=None,
+        participants=np.ones(len(tags), dtype=bool), start_s=0.0,
+        k_hat=len(recovered), silencing=True, **kwargs,
+    )
+
+
 class TestSilencedDecoderView:
-    """The non-oracle reader view threaded by the session pipeline."""
+    """The non-oracle reader view a silenced session's data phase runs on."""
 
     def test_identity_view_matches_default_path(self):
         pop = _population(6, 5)
+        # The view lists the recovered ids in order; so do the tags here,
+        # so decoder column i serves tag i on both paths.
+        tags = sorted(pop.tags, key=lambda t: t.temp_id)
         fe = ReaderFrontEnd(noise_std=0.1)
-        baseline = run_rateless_with_silencing(pop.tags, fe, np.random.default_rng(3))
-        viewed = run_rateless_with_silencing(
-            pop.tags,
-            fe,
-            np.random.default_rng(3),
-            decoder_seeds=[t.temp_id for t in pop.tags],
-            channel_estimates=pop.channels,
-        )
+        baseline = run_rateless_with_silencing(tags, fe, np.random.default_rng(3))
+        viewed = _segment(tags, fe, np.random.default_rng(3), tags)
         assert np.array_equal(baseline.decoded_mask, viewed.decoded_mask)
         assert np.array_equal(baseline.messages, viewed.messages)
         assert baseline.slots_used == viewed.slots_used
@@ -95,14 +115,8 @@ class TestSilencedDecoderView:
         pop = _population(5, 6)
         fe = ReaderFrontEnd(noise_std=0.1)
         recovered = pop.tags[:-1]
-        result = run_rateless_with_silencing(
-            pop.tags,
-            fe,
-            np.random.default_rng(4),
-            k_hat=len(recovered),
-            decoder_seeds=[t.temp_id for t in recovered],
-            channel_estimates=[t.channel for t in recovered],
-            max_slots=60,
+        result = _segment(
+            pop.tags, fe, np.random.default_rng(4), recovered, max_slots=60
         )
         assert not result.decoded_mask[-1]
         assert result.message_loss >= 1
@@ -110,16 +124,27 @@ class TestSilencedDecoderView:
         # density × slots of the run, not zero.
         assert result.transmissions[-1] > 0
 
-    def test_empty_view_loses_everything_immediately(self):
+    def test_empty_view_loses_everything_immediately(self, monkeypatch):
+        """A silenced session that recovers nobody opens no data phase: it
+        sends the trigger, loses every message and ACKs nobody."""
         pop = _population(4, 7)
         fe = ReaderFrontEnd(noise_std=0.1)
-        result = run_rateless_with_silencing(
-            pop.tags,
-            fe,
-            np.random.default_rng(5),
-            decoder_seeds=[],
-            channel_estimates=[],
-        )
-        assert result.slots_used == 0
-        assert result.message_loss == 4
-        assert result.ack_overhead_s == 0.0
+        # The segment refuses an empty view; the session short-circuits it.
+        with pytest.raises(ValueError, match="empty reader view"):
+            _segment(pop.tags, fe, np.random.default_rng(5), [])
+
+        def recover_nobody(stage, state):
+            state.estimates = ChannelEstimates([], [])
+            return StageAccount(
+                stage=stage.name, kind=stage.kind, duration_s=0.0, slots_used=0,
+                transmissions=np.zeros(len(state.population), dtype=int),
+            )
+
+        monkeypatch.setattr(IdentificationStage, "_run_buzz", recover_nobody)
+        session = SessionPipeline(
+            "silenced-e2e", (IdentificationStage("buzz"), DataStage("silenced"))
+        ).run(pop, fe, np.random.default_rng(5), BuzzConfig())
+        assert session.slots_used == 0
+        assert session.message_loss == 4
+        assert session.data_s == GEN2_DEFAULT_TIMING.query_duration_s()
+        assert session.transmissions.sum() == 0

@@ -102,7 +102,7 @@ class TestCampaignSpec:
     def test_config_sweep_adds_variant_axis(self):
         spec = _spec(
             schemes=("tdma",),
-            configs=(BuzzConfig(), BuzzConfig(decode_every=2)),
+            configs=(BuzzConfig(), BuzzConfig(bp_restarts=0)),
         )
         assert spec.n_cells == 2 * 2 * 1 * 2
         variants = [c.variant for c in spec.cells()]
@@ -285,7 +285,7 @@ class TestResultCache:
             _spec(scenario=error_prone_scenario(4)), cell
         )
         assert base != cell_cache_key(
-            _spec(configs=(BuzzConfig(decode_every=2),)), cell
+            _spec(configs=(BuzzConfig(bp_restarts=0),)), cell
         )
         assert base != cell_cache_key(_spec(max_slots=9), cell)
 

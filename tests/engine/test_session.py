@@ -18,7 +18,8 @@ from repro.engine.session import (
     SessionStage,
     SessionState,
 )
-from repro.network.scenarios import default_uplink_scenario
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
+from repro.network.scenarios import default_uplink_scenario, scenario_by_name
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import BackscatterTag
 from repro.utils.rng import SeedSequenceFactory
@@ -149,6 +150,31 @@ class TestSessionResults:
         )
         with pytest.raises(RuntimeError, match="prior Buzz identification"):
             IdentificationStage("fsa-khat").run(state)
+
+
+class TestStaticSessionAccounting:
+    """A static field runs the session loop with no trajectory; its pinned
+    accounting must hold: no re-identification count, and a session that
+    recovers nobody still charges its data trigger to ``data_s``."""
+
+    def test_recovered_nobody_charges_one_trigger(self):
+        # challenging at K = 1, root 7: identification recovers nobody in
+        # every cell of the 2 × 2 grid.
+        spec = CampaignSpec(
+            scenario=scenario_by_name("challenging", 1),
+            root_seed=7,
+            n_locations=2,
+            n_traces=2,
+            schemes=("buzz-e2e", "silenced-e2e", "buzz-adaptive"),
+        )
+        runs = run_campaign(spec).runs
+        assert len(runs) == 12
+        for run in runs:
+            assert run.slots_used == 0
+            assert run.message_loss == run.n_tags
+            assert run.data_s == GEN2_DEFAULT_TIMING.query_duration_s()
+            assert run.duration_s == run.identification_s + run.data_s
+            assert run.reidentifications is None
 
 
 class TestRetryLoop:

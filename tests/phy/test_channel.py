@@ -8,27 +8,9 @@ from repro.phy.channel import (
     ChannelTrajectory,
     MobilityModel,
     SingleTapChannel,
-    backscatter_path_gain,
     channels_for_snr_band,
     near_far_spread_db,
 )
-
-
-class TestPathGain:
-    def test_reference_distance_is_unity(self):
-        assert backscatter_path_gain(0.3, reference_m=0.3) == pytest.approx(1.0)
-
-    def test_inverse_square(self):
-        assert backscatter_path_gain(0.6, exponent=2.0, reference_m=0.3) == pytest.approx(0.25)
-
-    def test_monotone_decreasing(self):
-        d = np.linspace(0.1, 3.0, 30)
-        g = backscatter_path_gain(d)
-        assert np.all(np.diff(g) < 0)
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            backscatter_path_gain(0.0)
 
 
 class TestSingleTapChannel:
@@ -84,12 +66,6 @@ class TestChannelModel:
         h = model.sample(16, np.random.default_rng(3))
         lo, hi = model.snr_range_db(h)
         assert lo <= hi
-
-    def test_sample_at_distances_attenuates(self):
-        model = ChannelModel(rician_k_db=40.0)
-        rng = np.random.default_rng(4)
-        h = model.sample_at_distances([0.3, 1.2], rng)
-        assert abs(h[0]) > abs(h[1])
 
     def test_negative_near_far_rejected(self):
         with pytest.raises(ValueError):

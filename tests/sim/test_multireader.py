@@ -222,12 +222,12 @@ class TestSimulateMultiReader:
 
 
 class TestDecodeCadence:
-    """The actor steps the single-reader decode policy: a decode every
-    ``decode_every`` *kept* slots and one trailing decode at session end.
-    Dropped slots never reach the decoder, so they do not count."""
+    """The actor steps the single-reader decode policy: one decode per
+    *kept* slot. Dropped slots never reach the decoder, so they do not
+    count."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_decodes_every_third_kept_slot(self, seed, monkeypatch):
+    def test_decodes_every_kept_slot(self, seed, monkeypatch):
         from repro.core.rateless import RatelessDecoder
 
         built = []
@@ -239,16 +239,12 @@ class TestDecodeCadence:
 
         monkeypatch.setattr("repro.core.rateless.RatelessDecoder", Recording)
         scenario = multi_reader_scenario(12, collision_mode="naive")
-        out = _outcome(scenario, seed=seed, config=BuzzConfig(decode_every=3))
+        out = _outcome(scenario, seed=seed)
         assert out.dropped_slots > 0
         assert len(built) == out.sessions
         for decoder in built:
             n = decoder.slots_collected
-            if not n:
-                continue
-            # Multiples of 3, then the trailing decode at the last kept slot.
-            slots = [p.slot for p in decoder.progress]
-            assert slots == list(range(3, n + 1, 3)) + ([n] if n % 3 else [])
+            assert [p.slot for p in decoder.progress] == list(range(1, n + 1))
 
 
 class TestTransmissionAccounting:
