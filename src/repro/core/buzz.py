@@ -3,9 +3,11 @@
 :class:`BuzzSystem` strings together the two protocols the way the paper's
 event-driven deployment does (§4a): identify the K active nodes with the
 three-stage compressive-sensing protocol, then let them collide their data
-under the rateless code, decoding with the channel estimates obtained
-during identification. Periodic networks (§4b) skip identification via
-:meth:`BuzzSystem.run_data_phase`.
+under the rateless code, decoding from the recovered view — the ids and
+channel estimates obtained during identification — through the session
+data segment :func:`~repro.core.mobile.run_mobile_data_segment`. Periodic
+networks (§4b) skip identification via :meth:`BuzzSystem.run_data_phase`,
+the oracle-view :func:`~repro.core.rateless.run_rateless_uplink`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from repro.coding.crc import CRC5_GEN2, CrcSpec
 from repro.core.config import BuzzConfig
 from repro.core.identification import IdentificationResult, identify
+from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import RatelessRunResult, run_rateless_uplink
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.reader import ReaderFrontEnd
@@ -54,17 +57,12 @@ class BuzzSystem:
         Air-interface timing for duration accounting.
     crc:
         Message CRC used by the rateless phase.
-    use_estimated_channels:
-        When True (default) the data phase decodes with the channel
-        estimates produced by identification — the full paper pipeline.
-        False substitutes genie channels (isolates rateless behaviour).
     """
 
     front_end: ReaderFrontEnd
     config: BuzzConfig = BuzzConfig()
     timing: LinkTiming = GEN2_DEFAULT_TIMING
     crc: Optional[CrcSpec] = CRC5_GEN2
-    use_estimated_channels: bool = True
 
     def run_identification(
         self, tags: Sequence[BackscatterTag], rng: np.random.Generator
@@ -73,53 +71,45 @@ class BuzzSystem:
         return identify(tags, self.front_end, rng, self.config, self.timing)
 
     def run_data_phase(
-        self,
-        tags: Sequence[BackscatterTag],
-        rng: np.random.Generator,
-        k_hat: Optional[int] = None,
-        channel_estimates: Optional[Sequence[complex]] = None,
-        max_slots: Optional[int] = None,
-        decoder_seeds: Optional[Sequence[int]] = None,
+        self, tags: Sequence[BackscatterTag], rng: np.random.Generator
     ) -> RatelessRunResult:
-        """Rateless uplink only (periodic-network mode, §4b)."""
+        """Rateless uplink only (periodic-network mode, §4b): the tags'
+        temporary ids are assigned statically, so the reader's view is
+        the oracle one."""
         return run_rateless_uplink(
-            tags,
-            self.front_end,
-            rng,
-            k_hat=k_hat,
-            channel_estimates=channel_estimates,
-            crc=self.crc,
-            config=self.config,
-            timing=self.timing,
-            max_slots=max_slots,
-            decoder_seeds=decoder_seeds,
+            tags, self.front_end, rng, crc=self.crc, config=self.config, timing=self.timing
         )
 
     def run(self, tags: Sequence[BackscatterTag], rng: np.random.Generator) -> BuzzRunResult:
         """Full event-driven interaction: identify, then transfer data.
 
-        The data phase decodes from the reader's *recovered* view — the
-        ids and channel estimates identification produced — so an inexact
-        identification degrades the transfer honestly (missed tags are
-        lost, spurious ids never verify) instead of silently borrowing
-        genie knowledge. The richer campaign-facing composition of the
-        same two phases lives in :mod:`repro.engine.session`.
+        The data phase is a session's data segment on a static field
+        (:func:`~repro.core.mobile.run_mobile_data_segment`), decoding
+        from the reader's *recovered* view — the ids and channel estimates
+        identification produced — so an inexact identification degrades
+        the transfer honestly (missed tags are lost, spurious ids never
+        verify, and a reader that recovered nobody only sends its trigger)
+        instead of silently borrowing genie knowledge. The richer
+        campaign-facing composition of the same two phases lives in
+        :mod:`repro.engine.session`.
         """
         ident = self.run_identification(tags, rng)
-
-        if self.use_estimated_channels:
-            estimates = ident.estimates
-            data = self.run_data_phase(
-                tags,
-                rng,
-                k_hat=max(1, len(estimates)),
-                channel_estimates=estimates.values,
-                decoder_seeds=estimates.seeds(),
-            )
-        else:
-            data = self.run_data_phase(
-                tags, rng, k_hat=max(1, ident.k_estimate.k_hat)
-            )
+        estimates = ident.estimates
+        k_hat = max(1, len(estimates))
+        data = run_mobile_data_segment(
+            tags,
+            self.front_end,
+            rng,
+            estimates=estimates,
+            trajectory=None,
+            participants=np.ones(len(tags), dtype=bool),
+            start_s=0.0,
+            k_hat=k_hat,
+            config=self.config,
+            timing=self.timing,
+            max_slots=self.config.max_data_slots(k_hat),
+            crc=self.crc,
+        )
         return BuzzRunResult(
             identification=ident,
             data=data,

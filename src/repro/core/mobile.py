@@ -1,14 +1,18 @@
-"""A session's data phase: the rateless code on a static or moving field.
+"""A data phase over the reader's recovered view, on a static or moving field.
 
 :func:`run_mobile_data_segment` runs the data-phase loop of
 :mod:`repro.core.rateless` from an identification's recovered ids and
-estimated channels. Without a trajectory the field is static. Against a
-:class:`~repro.phy.channel.ChannelTrajectory` the *current* fading block
-shapes the received symbols per slot, tags that departed (or have not
-yet arrived) stay off the air, and only tags that heard the most recent
-identification trigger participate at all. The decoder still works from
-the (by now possibly stale) channel estimates — exactly the mismatch
-mobility creates in a real deployment.
+estimated channels — the one recovered-view entry point, serving every
+session of :mod:`repro.engine.session` and
+:meth:`repro.core.buzz.BuzzSystem.run`. A reader that recovered nobody
+opens no data phase: the segment returns the trigger-only result (no
+slots, every message lost). Without a trajectory the field is static.
+Against a :class:`~repro.phy.channel.ChannelTrajectory` the *current*
+fading block shapes the received symbols per slot, tags that departed
+(or have not yet arrived) stay off the air, and only tags that heard the
+most recent identification trigger participate at all. The decoder still
+works from the (by now possibly stale) channel estimates — exactly the
+mismatch mobility creates in a real deployment.
 
 On top sits the **stall monitor**, the adaptive session's trigger: the
 reader tracks slots since the last newly verified message and, past a
@@ -21,7 +25,7 @@ with the monitor off bit-identical to a plain end-to-end session.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -29,13 +33,25 @@ from repro.coding.crc import CRC5_GEN2, CrcSpec
 from repro.coding.prng import slot_decision_matrix  # noqa: F401 -- bound by perfbench's tracer
 from repro.core.config import BuzzConfig
 from repro.core.identification import ChannelEstimates
-from repro.core.rateless import RatelessRunResult, _decoder_view, _run_data_phase
+from repro.core.rateless import RatelessRunResult, _ReaderView, _run_data_phase
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import BackscatterTag
 from repro.phy.channel import ChannelTrajectory
 
 __all__ = ["run_mobile_data_segment"]
+
+
+def _decoder_view(tag_seeds: List[int], estimates: ChannelEstimates) -> _ReaderView:
+    """The reader's recovered view: the decoder columns are the ids and
+    channel estimates identification produced, mapped onto the tags by
+    temporary id (a tag whose id was not recovered maps to −1)."""
+    view_seeds = estimates.seeds()
+    index: dict = {}
+    for j, s in enumerate(view_seeds):
+        index.setdefault(s, j)
+    mapping = np.array([index.get(s, -1) for s in tag_seeds], dtype=int)
+    return _ReaderView(view_seeds, estimates.values, mapping, False)
 
 
 def run_mobile_data_segment(
@@ -65,7 +81,8 @@ def run_mobile_data_segment(
     while ``trajectory.active_at(t)`` keeps it in the field. The reader's
     decoder is built solely from ``estimates`` (the identification's
     recovered ids and estimated channels) and never sees the drifted
-    truth. ``stall_limit`` bounds the slots the reader tolerates without a
+    truth; an empty view returns the trigger-only result without drawing
+    from ``rng``. ``stall_limit`` bounds the slots the reader tolerates without a
     newly verified message before giving up on the current view
     (``None`` disables the monitor). ``silencing`` adds the §8.2 per-ACK
     downlink cost and drops ACKed tags from later slots.
@@ -85,12 +102,23 @@ def run_mobile_data_segment(
     k = len(tags)
     if k == 0:
         raise ValueError("need at least one tag")
-    if len(estimates) == 0:
-        raise ValueError("empty reader view — the caller should short-circuit")
     participants = np.asarray(participants, dtype=bool)
     if participants.shape != (k,):
         raise ValueError("participants must be one flag per tag")
     messages = np.stack([t.message for t in tags])
+    if len(estimates) == 0:
+        # The reader recovered nobody: it never opens a data phase, every
+        # message is lost, and only the trigger command costs airtime.
+        return RatelessRunResult(
+            decoded_mask=np.zeros(k, dtype=bool),
+            messages=np.zeros((k, messages.shape[1]), dtype=np.uint8),
+            slots_used=0,
+            duration_s=timing.query_duration_s(),
+            transmissions=np.zeros(k, dtype=int),
+            progress=[],
+            bit_errors=int(np.count_nonzero(messages)),
+            in_view=np.zeros(k, dtype=bool),
+        )
 
     # Schedule seeds for the vectorized per-block draw; non-participant
     # tags use a placeholder seed and never go on the air.
@@ -102,11 +130,11 @@ def run_mobile_data_segment(
         trajectory.channels_at(start_s) if trajectory is not None
         else np.array([t.channel for t in tags], dtype=complex)
     )
-    # Tag → view-column mapping: the non-oracle view resolution, then
-    # non-participants are cut out — their stale temporary ids did not come
-    # from *this* identification (but a departed participant's id may well
-    # be in the view — mobility's whole failure surface).
-    view = _decoder_view(tag_seeds, channels, estimates.values, estimates.seeds())
+    # Tag → view-column mapping: the recovered view, with non-participants
+    # cut out — their stale temporary ids did not come from *this*
+    # identification (but a departed participant's id may well be in the
+    # view — mobility's whole failure surface).
+    view = _decoder_view(tag_seeds, estimates)
     view = view._replace(mapping=np.where(participants, view.mapping, -1))
     return _run_data_phase(
         messages,

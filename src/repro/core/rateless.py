@@ -17,15 +17,20 @@ around it, stepped one collected slot at a time: a decode per slot, ACK
 pricing, stall monitor, newly verified columns. Every reader steps it.
 One air-side loop, :func:`_run_data_phase`, drives it from a live tag
 population through the PHY for the single-reader entry points, which
-only resolve their arguments: :func:`run_rateless_uplink` (static field,
-oracle or given view), :func:`repro.core.silencing.
-run_rateless_with_silencing` (§8.2 ACK silencing) and
-:func:`repro.core.mobile.run_mobile_data_segment` (a session's data
-segment on a static or drifting, churning field), all returning a
-:class:`RatelessRunResult`. The multi-reader actors of
-:mod:`repro.sim.multireader` step it from their slot events. The stepper
-looks the decoder class up here at call time — the single patch point
-for the rebuild reference, reaching all four entry points.
+only resolve their arguments. Each reader view has one entry point:
+
+* the **oracle view** (the tags' own ids and channels, paper §9's
+  evaluation setting): :func:`run_rateless_uplink` and, with §8.2 ACK
+  silencing, :func:`repro.core.silencing.run_rateless_with_silencing`;
+* the **recovered view** (the ids and channel estimates an
+  identification produced, §4a): :func:`repro.core.mobile.
+  run_mobile_data_segment`, a session's data segment on a static or a
+  drifting, churning field.
+
+All return a :class:`RatelessRunResult`. The multi-reader actors of
+:mod:`repro.sim.multireader` step the stepper from their slot events. It
+looks the decoder class up here at call time — the single patch point for
+the rebuild reference, reaching every entry point.
 """
 
 from __future__ import annotations
@@ -547,35 +552,6 @@ class _ReaderView(NamedTuple):
     oracle: bool
 
 
-def _decoder_view(
-    tag_seeds: List[int],
-    channels: np.ndarray,
-    channel_estimates: Optional[Sequence[complex]],
-    decoder_seeds: Optional[Sequence[int]],
-) -> _ReaderView:
-    """Resolve the reader's decoder view. With no explicit
-    ``decoder_seeds`` the view is the oracle one — the tags themselves,
-    with ``channel_estimates`` (or the true channels) aligned per tag."""
-    if decoder_seeds is None:
-        h_view = (
-            channels
-            if channel_estimates is None
-            else np.asarray(channel_estimates, dtype=complex).ravel()
-        )
-        return _ReaderView(tag_seeds, h_view, np.arange(len(tag_seeds)), True)
-    if channel_estimates is None:
-        raise ValueError("decoder_seeds requires channel_estimates (the reader's view)")
-    view_seeds = [int(s) for s in decoder_seeds]
-    h_view = np.asarray(channel_estimates, dtype=complex).ravel()
-    if len(view_seeds) != h_view.size:
-        raise ValueError("decoder_seeds and channel_estimates must have equal length")
-    index: dict = {}
-    for j, s in enumerate(view_seeds):
-        index.setdefault(s, j)
-    mapping = np.array([index.get(s, -1) for s in tag_seeds], dtype=int)
-    return _ReaderView(view_seeds, h_view, mapping, False)
-
-
 def _air_slot(
     row: np.ndarray,
     on_air: np.ndarray,
@@ -770,25 +746,21 @@ def _run_data_phase(
     )
 
 
-def _run_static(
+def _run_oracle(
     tags: Sequence[BackscatterTag],
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
-    k_hat: Optional[int],
-    channel_estimates: Optional[Sequence[complex]],
     crc: Optional[CrcSpec],
     config: BuzzConfig,
     timing: LinkTiming,
     max_slots: Optional[int],
-    decoder_seeds: Optional[Sequence[int]],
     silencing: bool = False,
 ) -> RatelessRunResult:
-    """Resolve a static field's view, density and limit, then run the loop.
-
-    Takes :func:`run_rateless_uplink`'s arguments in its order, so both
-    static entry points (it and :func:`~repro.core.silencing.
-    run_rateless_with_silencing`, which passes the oracle view) forward
-    them positionally.
+    """Run the loop over a static field with the oracle view — the tags'
+    own temporary ids and true channels, density and abort bound from the
+    true K. Takes :func:`run_rateless_uplink`'s arguments in its order, so
+    both oracle entry points (it and :func:`~repro.core.silencing.
+    run_rateless_with_silencing`) forward them positionally.
     """
     k = len(tags)
     if k == 0:
@@ -802,37 +774,15 @@ def _run_static(
         if t.temp_id is None:
             raise RuntimeError("tag has no temporary id yet")
     tag_seeds = [t.temp_id for t in tags]
-    view = _decoder_view(tag_seeds, channels, channel_estimates, decoder_seeds)
-    k_for_density = k_hat if k_hat is not None else len(view.seeds)
-    # The abort bound, like the density, comes from what the reader knows:
-    # the true K with the oracle view, the recovered count otherwise.
-    limit = (
-        max_slots
-        if max_slots is not None
-        else config.max_data_slots(k if view.oracle else k_for_density)
-    )
-    if len(view.seeds) == 0:
-        # The reader recovered nobody: it never opens a data phase, every
-        # message is lost, and only the trigger command costs airtime.
-        return RatelessRunResult(
-            decoded_mask=np.zeros(k, dtype=bool),
-            messages=np.zeros((k, messages.shape[1]), dtype=np.uint8),
-            slots_used=0,
-            duration_s=timing.query_duration_s(),
-            transmissions=np.zeros(k, dtype=int),
-            progress=[],
-            bit_errors=int(np.count_nonzero(messages)),
-            in_view=np.zeros(k, dtype=bool),
-        )
     return _run_data_phase(
         messages,
         channels,
         front_end,
         rng,
         tag_seeds=tag_seeds,
-        view=view,
-        density=config.data_density(k_for_density),
-        limit=limit,
+        view=_ReaderView(tag_seeds, channels, np.arange(k), True),
+        density=config.data_density(k),
+        limit=max_slots if max_slots is not None else config.max_data_slots(k),
         config=config,
         crc=crc,
         timing=timing,
@@ -845,31 +795,19 @@ def run_rateless_uplink(
     tags: Sequence[BackscatterTag],
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
-    k_hat: Optional[int] = None,
-    channel_estimates: Optional[Sequence[complex]] = None,
     crc: Optional[CrcSpec] = CRC5_GEN2,
     config: BuzzConfig = BuzzConfig(),
     timing: LinkTiming = GEN2_DEFAULT_TIMING,
     max_slots: Optional[int] = None,
-    decoder_seeds: Optional[Sequence[int]] = None,
 ) -> RatelessRunResult:
-    """Run the full data-transmission phase over the simulated PHY.
+    """Run the full data-transmission phase over the simulated PHY, with
+    the oracle reader view (paper §9: "the reader has already performed
+    node identification").
 
     ``tags`` must already hold temporary ids (from :func:`repro.core.
     identification.identify`, or assigned statically for periodic
-    networks). ``channel_estimates`` defaults to the true channels —
-    pass identification's estimates to include estimation error.
-
-    ``decoder_seeds`` switches the reader to a *non-oracle* view: the
-    decoder is built from those temporary ids (what identification
-    recovered) and ``channel_estimates`` (one per decoder seed), while the
-    air side still runs every tag's true schedule. Tags whose id the
-    reader never recovered transmit into slots the reader cannot explain
-    and their messages count as lost; spurious recovered ids become
-    phantom decoder columns that simply never verify — exactly the failure
-    surface an imperfect identification leaves behind.
+    networks); the decoder works from those ids and the true channels.
+    A data phase over the ids and channel estimates an identification
+    *recovered* is :func:`repro.core.mobile.run_mobile_data_segment`.
     """
-    return _run_static(
-        tags, front_end, rng, k_hat, channel_estimates, crc, config, timing,
-        max_slots, decoder_seeds,
-    )
+    return _run_oracle(tags, front_end, rng, crc, config, timing, max_slots)

@@ -32,7 +32,7 @@ import numpy as np
 from repro.coding.crc import CRC5_GEN2, CrcSpec
 from repro.coding.prng import slot_decision_matrix  # noqa: F401 -- bound by perfbench's tracer
 from repro.core.config import BuzzConfig
-from repro.core.rateless import RatelessRunResult, _run_static, ack_duration_s
+from repro.core.rateless import RatelessRunResult, _run_oracle, ack_duration_s
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import BackscatterTag
@@ -58,11 +58,11 @@ def run_rateless_with_silencing(
     decoder regenerates D with the silenced set masked out (the reader
     knows exactly whom it ACKed).
 
-    A session's silenced data phase runs over the reader's *recovered*
-    view instead: :func:`repro.core.mobile.run_mobile_data_segment` with
-    ``silencing=True``.
+    This is the oracle-view entry point. A silenced data phase over the
+    reader's *recovered* view — every ``silenced-e2e`` and
+    ``silenced-adaptive`` session — is :func:`repro.core.mobile.
+    run_mobile_data_segment` with ``silencing=True``.
     """
-    return _run_static(
-        tags, front_end, rng, None, None, crc, config, timing, max_slots, None,
-        silencing=True,
+    return _run_oracle(
+        tags, front_end, rng, crc, config, timing, max_slots, silencing=True
     )

@@ -454,7 +454,9 @@ class SessionPipeline:
         A static field (no mobility, or all rates zero) is the loop with no
         trajectory: no draw realises one, every tag is present, the tags'
         channels stay untouched and the stall monitor stays off
-        (``reidentifications=None``).
+        (``reidentifications=None``); when identification recovers nobody,
+        the static session still runs its segment, which charges only the
+        trigger command (a mobile one stops without a trigger).
 
         The per-segment decoder construction inside
         :func:`~repro.core.mobile.run_mobile_data_segment` is also what
@@ -533,12 +535,10 @@ class SessionPipeline:
                 transmissions[present_idx] += account.transmissions
 
                 estimates = sub_state.estimates
-                if len(estimates) == 0:
-                    # Recovered nobody: no data phase opens. A static session
-                    # still prices the trigger it sends; a mobile one issues
-                    # none.
-                    if trajectory is None:
-                        data_parts.append(timing.query_duration_s())
+                if len(estimates) == 0 and trajectory is not None:
+                    # Recovered nobody: a mobile session issues no data
+                    # trigger. A static one runs the segment, which prices
+                    # the trigger it sends and opens no data phase.
                     break
                 k_hat = sub_state.k_hat if sub_state.k_hat else len(estimates)
                 if budget is None:

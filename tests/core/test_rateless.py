@@ -11,6 +11,7 @@ from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import RatelessDecoder, run_rateless_uplink
 from repro.core.reference import RebuildRatelessDecoder
 from repro.core.silencing import run_rateless_with_silencing
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.network.scenarios import mobile_scenario
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
@@ -27,6 +28,18 @@ def _population(k, seed, model=GOOD, message_bits=24):
     for tag in pop.tags:
         tag.draw_temp_id(10 * k * k, rng)
     return pop
+
+
+def _segment(tags, fe, rng, seeds, channels, **kwargs):
+    """A static session segment over the recovered view ``seeds`` with
+    channel estimates ``channels``, the density and abort bound from its
+    size."""
+    kwargs.setdefault("max_slots", BuzzConfig().max_data_slots(len(seeds)))
+    return run_mobile_data_segment(
+        tags, fe, rng, estimates=ChannelEstimates(seeds, channels), trajectory=None,
+        participants=np.ones(len(tags), dtype=bool), start_s=0.0,
+        k_hat=len(seeds), **kwargs,
+    )
 
 
 class TestRatelessDecoder:
@@ -129,9 +142,7 @@ class TestRunRatelessUplink:
         fe = ReaderFrontEnd(noise_std=0.1)
         rng = np.random.default_rng(6)
         perturbed = pop.channels * (1.0 + 0.03 * rng.standard_normal(6))
-        result = run_rateless_uplink(
-            pop.tags, fe, rng, channel_estimates=perturbed
-        )
+        result = _segment(pop.tags, fe, rng, [t.temp_id for t in pop.tags], perturbed)
         assert result.decoded_mask.all()
         assert result.bit_errors == 0
 
@@ -248,20 +259,17 @@ class TestEntangledMaskVectorization:
 
 
 class TestDecoderView:
-    """run_rateless_uplink with a non-oracle reader view (decoder_seeds)."""
+    """A static session segment over the reader's recovered view."""
 
     def test_identity_view_matches_default_path(self):
-        """Passing the tags' own ids + true channels as the view must
+        """The tags' own ids + true channels as the recovered view must
         reproduce the oracle run bit for bit."""
         pop = _population(6, 31)
         fe = ReaderFrontEnd(noise_std=0.1)
         baseline = run_rateless_uplink(pop.tags, fe, np.random.default_rng(8))
-        viewed = run_rateless_uplink(
-            pop.tags,
-            fe,
-            np.random.default_rng(8),
-            decoder_seeds=[t.temp_id for t in pop.tags],
-            channel_estimates=pop.channels,
+        viewed = _segment(
+            pop.tags, fe, np.random.default_rng(8), [t.temp_id for t in pop.tags],
+            pop.channels,
         )
         assert np.array_equal(baseline.decoded_mask, viewed.decoded_mask)
         assert np.array_equal(baseline.messages, viewed.messages)
@@ -275,39 +283,28 @@ class TestDecoderView:
         pop = _population(5, 32)
         fe = ReaderFrontEnd(noise_std=0.1)
         recovered = pop.tags[:-1]  # reader never learned the last tag
-        result = run_rateless_uplink(
+        result = _segment(
             pop.tags,
             fe,
             np.random.default_rng(9),
-            k_hat=len(recovered),
-            decoder_seeds=[t.temp_id for t in recovered],
-            channel_estimates=[t.channel for t in recovered],
+            [t.temp_id for t in recovered],
+            [t.channel for t in recovered],
             max_slots=60,
         )
         assert not result.decoded_mask[-1]
         assert result.message_loss >= 1
 
     def test_empty_view_loses_everything_immediately(self):
+        """A reader that recovered nobody opens no data phase: it sends the
+        trigger and loses every message."""
         pop = _population(4, 33)
         fe = ReaderFrontEnd(noise_std=0.1)
-        result = run_rateless_uplink(
-            pop.tags,
-            fe,
-            np.random.default_rng(10),
-            decoder_seeds=[],
-            channel_estimates=[],
-        )
+        result = _segment(pop.tags, fe, np.random.default_rng(10), [], [])
         assert result.slots_used == 0
+        assert result.duration_s == GEN2_DEFAULT_TIMING.query_duration_s()
         assert result.message_loss == 4
         assert not result.decoded_mask.any()
-
-    def test_decoder_seeds_without_estimates_rejected(self):
-        pop = _population(3, 34)
-        fe = ReaderFrontEnd(noise_std=0.1)
-        with pytest.raises(ValueError, match="requires channel_estimates"):
-            run_rateless_uplink(
-                pop.tags, fe, np.random.default_rng(0), decoder_seeds=[1, 2, 3]
-            )
+        assert result.ack_overhead_s == 0
 
 
 class TestRegenerationCheck:
@@ -400,21 +397,7 @@ class TestPhysicalBound:
                 t.channel + 0.1 * noise_std * complex(*err.standard_normal(2))
                 for t in kept
             ]
-            if silencing:
-                # A silenced session's data phase over the recovered view.
-                result = run_mobile_data_segment(
-                    pop.tags, fe, rng,
-                    estimates=ChannelEstimates(seeds, estimates),
-                    trajectory=None, participants=np.ones(k, dtype=bool),
-                    start_s=0.0, k_hat=len(kept),
-                    max_slots=BuzzConfig().max_data_slots(len(kept)),
-                    silencing=True,
-                )
-            else:
-                result = run_rateless_uplink(
-                    pop.tags, fe, rng, k_hat=len(kept), decoder_seeds=seeds,
-                    channel_estimates=estimates,
-                )
+            result = _segment(pop.tags, fe, rng, seeds, estimates, silencing=silencing)
         assert result.slots_used > 0
         p = pop.messages.shape[1]
         correct = result.decoded_mask & np.all(result.messages == pop.messages, axis=1)

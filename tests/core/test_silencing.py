@@ -129,9 +129,12 @@ class TestSilencedDecoderView:
         sends the trigger, loses every message and ACKs nobody."""
         pop = _population(4, 7)
         fe = ReaderFrontEnd(noise_std=0.1)
-        # The segment refuses an empty view; the session short-circuits it.
-        with pytest.raises(ValueError, match="empty reader view"):
-            _segment(pop.tags, fe, np.random.default_rng(5), [])
+        result = _segment(pop.tags, fe, np.random.default_rng(5), [])
+        assert result.slots_used == 0
+        assert result.duration_s == GEN2_DEFAULT_TIMING.query_duration_s()
+        assert result.message_loss == 4
+        assert not result.decoded_mask.any()
+        assert result.ack_overhead_s == 0
 
         def recover_nobody(stage, state):
             state.estimates = ChannelEstimates([], [])

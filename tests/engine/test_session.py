@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import BuzzConfig
 from repro.core.identification import identify
+from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import run_rateless_uplink
 from repro.engine.campaign import CampaignResult, CampaignSpec, SchemeRun, run_campaign
 from repro.engine.schemes import UplinkScheme, available_schemes, get_scheme
@@ -225,13 +226,17 @@ class TestOracleVsEstimatedParity:
             population.tags, front_end, seeds.stream("ident"), BuzzConfig()
         )
         assert ident.exact, "pick a seed where identification is exact"
-        estimated = run_rateless_uplink(
+        k_hat = len(ident.estimates)
+        estimated = run_mobile_data_segment(
             population.tags,
             front_end,
             seeds.stream("data", "estimated"),
-            k_hat=len(ident.estimates),
-            channel_estimates=ident.estimates.values,
-            decoder_seeds=ident.estimates.seeds(),
+            estimates=ident.estimates,
+            trajectory=None,
+            participants=np.ones(len(population), dtype=bool),
+            start_s=0.0,
+            k_hat=k_hat,
+            max_slots=BuzzConfig().max_data_slots(k_hat),
         )
         oracle = run_rateless_uplink(
             population.tags, front_end, seeds.stream("data", "oracle")

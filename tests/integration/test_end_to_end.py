@@ -66,16 +66,6 @@ class TestConfigPropagation:
         result = system.run(pop.tags, np.random.default_rng(8))
         assert result.identification.k_estimate.slots_used % 8 == 0
 
-    def test_genie_channel_mode(self):
-        scenario = default_uplink_scenario(4)
-        pop = scenario.draw_population(np.random.default_rng(9))
-        system = BuzzSystem(
-            front_end=ReaderFrontEnd(noise_std=pop.noise_std),
-            use_estimated_channels=False,
-        )
-        result = system.run(pop.tags, np.random.default_rng(10))
-        assert result.data.decoded_mask.all()
-
 
 class TestDeterminism:
     def test_full_pipeline_reproducible(self):

@@ -96,7 +96,8 @@ class TestChannelEstimateFaults:
         on every channel — is outside the envelope: there the residual is
         systematically large and only CRC-5's 2⁻⁵ protects, as in the
         paper's own design.)"""
-        from repro.core.rateless import run_rateless_uplink
+        from repro.core.identification import ChannelEstimates
+        from repro.core.mobile import run_mobile_data_segment
 
         pop = make_population(6, np.random.default_rng(3), channel_model=MODEL,
                               message_bits=24)
@@ -105,8 +106,11 @@ class TestChannelEstimateFaults:
             tag.draw_temp_id(360, rng)
         fe = ReaderFrontEnd(noise_std=0.1)
         bad_estimates = pop.channels * np.exp(1j * 0.12) * 1.04  # ~7°, +4 %
-        result = run_rateless_uplink(
-            pop.tags, fe, rng, channel_estimates=bad_estimates, max_slots=40
+        result = run_mobile_data_segment(
+            pop.tags, fe, rng,
+            estimates=ChannelEstimates([t.temp_id for t in pop.tags], bad_estimates),
+            trajectory=None, participants=np.ones(6, dtype=bool), start_s=0.0,
+            k_hat=6, max_slots=40,
         )
         assert result.decoded_mask.any()
         for i in np.flatnonzero(result.decoded_mask):
