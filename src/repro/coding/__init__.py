@@ -29,12 +29,7 @@ from repro.coding.miller import (
     miller_encode,
     miller_switch_count,
 )
-from repro.coding.prng import (
-    TagLfsr,
-    slot_decision,
-    transmit_pattern,
-    transmit_pattern_matrix,
-)
+from repro.coding.prng import TagLfsr, slot_decision, transmit_pattern_matrix
 from repro.coding.walsh import walsh_code_length, walsh_codes
 
 __all__ = [
@@ -50,7 +45,6 @@ __all__ = [
     "miller_encode",
     "miller_switch_count",
     "slot_decision",
-    "transmit_pattern",
     "transmit_pattern_matrix",
     "walsh_code_length",
     "walsh_codes",

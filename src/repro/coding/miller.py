@@ -21,7 +21,6 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from repro.utils.bits import as_bits
-from repro.utils.validation import ensure_positive_int
 
 __all__ = ["miller_basis", "miller_encode", "miller_decode", "miller_switch_count"]
 

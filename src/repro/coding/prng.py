@@ -26,7 +26,6 @@ __all__ = [
     "TagLfsr",
     "slot_decision",
     "slot_decision_matrix",
-    "transmit_pattern",
     "transmit_pattern_matrix",
 ]
 
@@ -133,15 +132,6 @@ def slot_decision_matrix(
     # the comparison reproduces the scalar path's float division exactly.
     u = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
     return (u < p).astype(np.uint8)
-
-
-def transmit_pattern(seed: int, n_slots: int, p: float = 0.5, salt: int = 0) -> np.ndarray:
-    """A tag's binary transmit pattern over ``n_slots`` slots.
-
-    Column ``A[:, i]`` of the identification sensing matrix for tag ``i``.
-    """
-    ensure_positive_int(n_slots, "n_slots")
-    return slot_decision_matrix([seed], range(n_slots), p, salt)[:, 0]
 
 
 def transmit_pattern_matrix(

@@ -10,7 +10,7 @@ energy cannot belong to any active node and are eliminated — at most
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -25,7 +25,7 @@ force oversized temporary-id spaces or protocol restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -10,9 +10,7 @@ delivers every message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.experiments.common import format_table
 from repro.network.campaign import run_campaign

@@ -9,7 +9,6 @@ level structure by 1-D k-means clustering of the magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 

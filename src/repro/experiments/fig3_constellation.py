@@ -9,7 +9,6 @@ verifies each cluster is centred on its ideal point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 

@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.phy.sync import COMMERCIAL_RFID_SYNC, MOO_RFID_SYNC, SyncProfile
+from repro.phy.sync import COMMERCIAL_RFID_SYNC, MOO_RFID_SYNC
 from repro.utils.stats import empirical_cdf
 
 __all__ = ["SyncOffsetResult", "run", "render"]

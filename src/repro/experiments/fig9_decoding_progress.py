@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.core.config import BuzzConfig
 from repro.core.rateless import run_rateless_uplink
 from repro.experiments.common import format_table

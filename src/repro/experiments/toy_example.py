@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

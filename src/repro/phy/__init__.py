@@ -26,7 +26,7 @@ from repro.phy.constellation import (
     min_distance,
     nearest_point,
 )
-from repro.phy.noise import awgn, noise_std_for_snr, snr_db as measure_snr_db
+from repro.phy.noise import awgn, snr_db as measure_snr_db
 from repro.phy.signal import (
     CW_LEVEL,
     collision_trace,
@@ -41,7 +41,6 @@ from repro.phy.sync import (
     COMMERCIAL_RFID_SYNC,
     MOO_RFID_SYNC,
     misalignment_fraction,
-    sample_initial_offsets,
 )
 
 __all__ = [
@@ -61,10 +60,8 @@ __all__ = [
     "misalignment_fraction",
     "near_far_spread_db",
     "nearest_point",
-    "noise_std_for_snr",
     "ook_waveform",
     "received_symbols",
-    "sample_initial_offsets",
     "slot_energies",
     "tag_baseband",
 ]

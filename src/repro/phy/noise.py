@@ -12,10 +12,10 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from repro.utils.units import db_to_power, power_to_db
+from repro.utils.units import power_to_db
 from repro.utils.validation import ensure_positive
 
-__all__ = ["awgn", "awgn_block", "noise_std_for_snr", "snr_db"]
+__all__ = ["awgn", "awgn_block", "snr_db"]
 
 
 def awgn(
@@ -55,12 +55,6 @@ def awgn_block(
     scale = noise_std / np.sqrt(2.0)
     draws = rng.standard_normal((n_slots, 2, n_symbols))
     return scale * (draws[:, 0, :] + 1j * draws[:, 1, :])
-
-
-def noise_std_for_snr(signal_amplitude: float, snr_db_value: float) -> float:
-    """Noise std that puts a signal of the given amplitude at ``snr_db_value``."""
-    ensure_positive(signal_amplitude, "signal_amplitude")
-    return float(signal_amplitude / np.sqrt(db_to_power(snr_db_value)))
 
 
 def snr_db(signal: np.ndarray, noise_std: float) -> float:

@@ -19,7 +19,6 @@ measurements; their shape parameters are taken from the quoted statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "SyncProfile",
     "COMMERCIAL_RFID_SYNC",
     "MOO_RFID_SYNC",
-    "sample_initial_offsets",
     "ClockModel",
     "misalignment_fraction",
 ]
@@ -72,13 +70,6 @@ COMMERCIAL_RFID_SYNC = SyncProfile("commercial", p90_offset_s=us(0.3), max_offse
 
 #: UMass Moo computational RFID (paper Fig. 7: 90th pct 0.5 µs).
 MOO_RFID_SYNC = SyncProfile("moo", p90_offset_s=us(0.5), max_offset_s=us(0.98))
-
-
-def sample_initial_offsets(
-    profile: SyncProfile, n_tags: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-tag initial offsets (seconds) for a concurrent reply."""
-    return profile.sample(n_tags, rng)
 
 
 @dataclass(frozen=True)

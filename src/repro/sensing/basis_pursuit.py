@@ -16,7 +16,6 @@ splits exactly into two independent real problems on Re(y) and Im(y)
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 

@@ -12,8 +12,6 @@ views stay bit-identical.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.utils.validation import ensure_positive_int, ensure_probability

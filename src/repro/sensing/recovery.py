@@ -7,7 +7,7 @@ greedy solvers behind one call and owns the support-selection rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np

@@ -1,7 +1,7 @@
 """Shared utilities for the Buzz reproduction.
 
 This package deliberately holds only generic helpers — deterministic random
-number streams, bit manipulation, unit conversions, empirical statistics and
+number streams, bit manipulation, unit conversions, empirical CDFs and
 argument validation. Anything that encodes knowledge about backscatter
 communication lives in a domain package (``repro.phy``, ``repro.coding``,
 ``repro.core``, ...).
@@ -16,13 +16,7 @@ from repro.utils.bits import (
     random_bits,
 )
 from repro.utils.rng import SeedSequenceFactory, derive_seed, stream
-from repro.utils.stats import (
-    Summary,
-    bootstrap_ci,
-    empirical_cdf,
-    geometric_mean,
-    summarize,
-)
+from repro.utils.stats import empirical_cdf
 from repro.utils.units import (
     db_to_linear,
     db_to_power,
@@ -40,12 +34,10 @@ from repro.utils.validation import (
 
 __all__ = [
     "SeedSequenceFactory",
-    "Summary",
     "bits_from_bytes",
     "bits_from_int",
     "bits_to_bytes",
     "bits_to_int",
-    "bootstrap_ci",
     "db_to_linear",
     "db_to_power",
     "derive_seed",
@@ -54,13 +46,11 @@ __all__ = [
     "ensure_positive",
     "ensure_positive_int",
     "ensure_probability",
-    "geometric_mean",
     "hamming_distance",
     "linear_to_db",
     "ms",
     "power_to_db",
     "random_bits",
     "stream",
-    "summarize",
     "us",
 ]

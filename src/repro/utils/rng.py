@@ -17,7 +17,7 @@ derivation.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 

@@ -1,56 +1,16 @@
 """Empirical statistics helpers for experiment aggregation.
 
-The paper reports medians, CDFs (Fig. 7) and averages over locations/traces;
-these helpers centralise that aggregation so every experiment reports numbers
-the same way.
+The paper reports CDFs of synchronization offsets (Fig. 7); this helper
+builds them the same way for every experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Summary", "bootstrap_ci", "empirical_cdf", "geometric_mean", "summarize"]
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-style summary of a sample."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-    p10: float
-    p90: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.n} mean={self.mean:.4g} std={self.std:.4g} "
-            f"min={self.minimum:.4g} p10={self.p10:.4g} med={self.median:.4g} "
-            f"p90={self.p90:.4g} max={self.maximum:.4g}"
-        )
-
-
-def summarize(values: Sequence[float]) -> Summary:
-    """Compute a :class:`Summary` of a non-empty sample."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return Summary(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        minimum=float(arr.min()),
-        median=float(np.median(arr)),
-        maximum=float(arr.max()),
-        p10=float(np.percentile(arr, 10)),
-        p90=float(np.percentile(arr, 90)),
-    )
+__all__ = ["empirical_cdf"]
 
 
 def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -64,34 +24,3 @@ def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError("cannot build a CDF from an empty sample")
     fractions = np.arange(1, arr.size + 1, dtype=float) / arr.size
     return arr, fractions
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of a strictly positive sample (used for gain factors)."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot average an empty sample")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    confidence: float = 0.95,
-    n_resamples: int = 2000,
-    statistic=np.mean,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for ``statistic`` of a sample."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    gen = rng if rng is not None else np.random.default_rng(0)
-    stats = np.empty(n_resamples, dtype=float)
-    for i in range(n_resamples):
-        stats[i] = statistic(gen.choice(arr, size=arr.size, replace=True))
-    alpha = (1.0 - confidence) / 2.0
-    return float(np.percentile(stats, 100 * alpha)), float(np.percentile(stats, 100 * (1 - alpha)))

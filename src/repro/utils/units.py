@@ -20,8 +20,6 @@ __all__ = [
     "power_to_db",
     "us",
     "ms",
-    "khz",
-    "mhz",
 ]
 
 _EPS = np.finfo(float).tiny
@@ -35,16 +33,6 @@ def us(value: float) -> float:
 def ms(value: float) -> float:
     """Milliseconds → seconds."""
     return float(value) * 1e-3
-
-
-def khz(value: float) -> float:
-    """Kilohertz → hertz."""
-    return float(value) * 1e3
-
-
-def mhz(value: float) -> float:
-    """Megahertz → hertz."""
-    return float(value) * 1e6
 
 
 def power_to_db(ratio):

@@ -8,7 +8,6 @@ from repro.coding.prng import (
     TagLfsr,
     slot_decision,
     slot_decision_matrix,
-    transmit_pattern,
     transmit_pattern_matrix,
 )
 
@@ -120,7 +119,9 @@ class TestTransmitPattern:
         matrix = transmit_pattern_matrix(seeds, 32, p=0.5)
         assert matrix.shape == (32, 3)
         for col, seed in enumerate(seeds):
-            assert np.array_equal(matrix[:, col], transmit_pattern(seed, 32, p=0.5))
+            assert np.array_equal(
+                matrix[:, col], transmit_pattern_matrix([seed], 32, p=0.5)[:, 0]
+            )
 
     def test_empty_seed_list(self):
         assert transmit_pattern_matrix([], 8).shape == (8, 0)
@@ -130,7 +131,7 @@ class TestTransmitPattern:
         a reader regenerating it from the id must agree bit-for-bit."""
         seed = 0xABCD
         tag_view = np.array([slot_decision(seed, j, 0.5) for j in range(64)], dtype=np.uint8)
-        reader_view = transmit_pattern(seed, 64, p=0.5)
+        reader_view = transmit_pattern_matrix([seed], 64, p=0.5)[:, 0]
         assert np.array_equal(tag_view, reader_view)
 
     def test_distinct_seeds_give_distinct_patterns(self):

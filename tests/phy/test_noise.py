@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.phy.noise import awgn, noise_std_for_snr, snr_db
+from repro.phy.noise import awgn, snr_db
 
 
 class TestAwgn:
@@ -30,14 +30,11 @@ class TestAwgn:
 
 
 class TestSnrHelpers:
-    def test_noise_std_for_snr(self):
-        std = noise_std_for_snr(1.0, 20.0)
-        assert std == pytest.approx(0.1)
-
     def test_snr_roundtrip(self):
         rng = np.random.default_rng(4)
         signal = np.full(50_000, 1.0 + 0j)
-        assert snr_db(signal, noise_std_for_snr(1.0, 13.0)) == pytest.approx(13.0, abs=0.1)
+        noise_std = 10 ** (-13 / 20)  # a unit-amplitude signal at 13 dB
+        assert snr_db(signal, noise_std) == pytest.approx(13.0, abs=0.1)
 
     def test_snr_rejects_zero_noise(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from repro.phy.sync import (
     ClockModel,
     SyncProfile,
     misalignment_fraction,
-    sample_initial_offsets,
 )
 from repro.utils.units import us
 
@@ -38,10 +37,6 @@ class TestSyncProfile:
     def test_invalid_profile_rejected(self):
         with pytest.raises(ValueError):
             SyncProfile("bad", p90_offset_s=us(1.0), max_offset_s=us(0.5))
-
-    def test_sample_initial_offsets_delegates(self):
-        rng = np.random.default_rng(3)
-        assert sample_initial_offsets(MOO_RFID_SYNC, 5, rng).shape == (5,)
 
 
 class TestClockModel:

@@ -4,26 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.stats import bootstrap_ci, empirical_cdf, geometric_mean, summarize
-
-
-class TestSummarize:
-    def test_basic(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s.n == 3
-        assert s.mean == pytest.approx(2.0)
-        assert s.median == pytest.approx(2.0)
-        assert s.minimum == 1.0 and s.maximum == 3.0
-
-    def test_single_value_has_zero_std(self):
-        assert summarize([5.0]).std == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_str_renders(self):
-        assert "mean" in str(summarize([1.0, 2.0]))
+from repro.utils.stats import empirical_cdf
 
 
 class TestEmpiricalCdf:
@@ -46,36 +27,3 @@ class TestEmpiricalCdf:
     def test_output_lengths_match(self, values):
         x, f = empirical_cdf(values)
         assert x.size == f.size == len(values)
-
-
-class TestGeometricMean:
-    def test_known(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_le_arithmetic_mean(self):
-        vals = [1.0, 2.0, 9.0]
-        assert geometric_mean(vals) <= np.mean(vals)
-
-
-class TestBootstrapCi:
-    def test_contains_true_mean_mostly(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(10.0, 1.0, size=200)
-        lo, hi = bootstrap_ci(data, rng=np.random.default_rng(1))
-        assert lo < 10.0 < hi
-
-    def test_interval_ordering(self):
-        lo, hi = bootstrap_ci([1.0, 2.0, 3.0, 4.0], rng=np.random.default_rng(2))
-        assert lo <= hi
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([])
-
-    def test_bad_confidence_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0], confidence=1.5)

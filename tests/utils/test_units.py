@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.units import (
-    db_to_linear,
-    db_to_power,
-    khz,
-    linear_to_db,
-    mhz,
-    ms,
-    power_to_db,
-    us,
-)
+from repro.utils.units import db_to_linear, db_to_power, linear_to_db, ms, power_to_db, us
 
 
 class TestTimeUnits:
@@ -22,12 +13,6 @@ class TestTimeUnits:
 
     def test_ms(self):
         assert ms(2.5) == pytest.approx(2.5e-3)
-
-    def test_khz(self):
-        assert khz(80) == pytest.approx(80_000.0)
-
-    def test_mhz(self):
-        assert mhz(4) == pytest.approx(4e6)
 
 
 class TestDbConversions:
