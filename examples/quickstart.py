@@ -30,7 +30,7 @@ def main() -> None:
     print("\nIdentification (3-stage compressive sensing):")
     print(f"  stage-1 estimate K^ = {ident.k_estimate.k_hat} (true K = {len(population)})")
     print(f"  stage-2 candidates  = {ident.bucketing.n_candidates} "
-          f"(of {ident.bucketing.occupied.size * 0 + ident.bucketing.occupied.size} buckets)")
+          f"(of {ident.bucketing.occupied.size} buckets)")
     print(f"  recovered ids       = {ident.recovered_ids.tolist()}")
     print(f"  exact               = {ident.exact}")
     print(f"  slots used          = {ident.slots_used}  "

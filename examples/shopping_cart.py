@@ -56,7 +56,7 @@ def main() -> None:
     print(f"  end-to-end with the optional 96-bit per-item records: "
           f"{gen2_total / buzz.total_duration_s:.1f}x")
     print("  (long messages at K=20 are where this reproduction's stricter")
-    print("   message verification costs rate — see EXPERIMENTS.md)")
+    print("   message verification costs rate)")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ Entry points:
 >>> from repro.network.scenarios import default_uplink_scenario
 >>> from repro.nodes import ReaderFrontEnd
 
-See README.md for a tour and DESIGN.md / EXPERIMENTS.md for the
-reproduction methodology and measured results.
+See README.md for a tour, its "Architecture" section for the design and
+its "Performance" section for the measured results.
 """
 
 __version__ = "1.0.0"

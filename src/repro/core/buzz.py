@@ -77,7 +77,8 @@ class BuzzSystem:
         temporary ids are assigned statically, so the reader's view is
         the oracle one."""
         return run_rateless_uplink(
-            tags, self.front_end, rng, crc=self.crc, config=self.config, timing=self.timing
+            tags, self.front_end, rng,
+            crc=self.crc, config=self.config, timing=self.timing,
         )
 
     def run(self, tags: Sequence[BackscatterTag], rng: np.random.Generator) -> BuzzRunResult:

@@ -45,7 +45,10 @@ __all__ = ["run_mobile_data_segment"]
 def _decoder_view(tag_seeds: List[int], estimates: ChannelEstimates) -> _ReaderView:
     """The reader's recovered view: the decoder columns are the ids and
     channel estimates identification produced, mapped onto the tags by
-    temporary id (a tag whose id was not recovered maps to −1)."""
+    temporary id. A tag whose id was not recovered maps to −1: it
+    transmits into slots the reader cannot explain and its message counts
+    as lost. A spurious recovered id becomes a phantom column that never
+    verifies."""
     view_seeds = estimates.seeds()
     index: dict = {}
     for j, s in enumerate(view_seeds):
@@ -82,8 +85,8 @@ def run_mobile_data_segment(
     decoder is built solely from ``estimates`` (the identification's
     recovered ids and estimated channels) and never sees the drifted
     truth; an empty view returns the trigger-only result without drawing
-    from ``rng``. ``stall_limit`` bounds the slots the reader tolerates without a
-    newly verified message before giving up on the current view
+    from ``rng``. ``stall_limit`` bounds the slots the reader tolerates
+    without a newly verified message before giving up on the current view
     (``None`` disables the monitor). ``silencing`` adds the §8.2 per-ACK
     downlink cost and drops ACKed tags from later slots.
 

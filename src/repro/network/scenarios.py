@@ -26,7 +26,7 @@ simulator); scenarios pin the *relative* conditions that drive each figure:
 SNRs were measured on their USRP against their noise floor; our equivalent
 bands are shifted down by a fixed calibration offset chosen so that the
 *baseline* (TDMA with Miller-4) degrades across the sweep the way the paper
-reports — see EXPERIMENTS.md.
+reports.
 """
 
 from __future__ import annotations
@@ -178,8 +178,7 @@ def error_prone_scenario(n_tags: int, message_bits: int = 32) -> Scenario:
     The paper's Fig. 11 shows nonzero TDMA/CDMA losses on the *same* traces
     as Fig. 10; our simulator's idealized receivers (perfect channel
     knowledge, no CW phase noise) need a lower SNR operating point to
-    exhibit the same baseline loss behaviour — see EXPERIMENTS.md's
-    calibration note.
+    exhibit the same baseline loss behaviour.
     """
     ensure_positive_int(n_tags, "n_tags")
     return Scenario(
