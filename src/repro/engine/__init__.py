@@ -23,13 +23,13 @@
 * :mod:`repro.engine.cache` — content-addressed per-cell result cache, so
   re-running a campaign with ``cache_dir`` set only executes new cells —
   and the lease/queue medium the distributed backend coordinates through;
-* :mod:`repro.engine.session` — the session pipeline layer: composable
-  identification + data stages, registering the end-to-end variants
-  (``buzz-e2e``, ``silenced-e2e``, ``gen2-tdma-e2e``) that thread
-  *recovered* ids and *estimated* channels into the data phase, plus the
-  mobility-aware adaptive variants (``buzz-adaptive``,
-  ``silenced-adaptive``) that re-identify mid-session when the data
-  phase stalls.
+* :mod:`repro.engine.session` — the two complete sessions:
+  :class:`~repro.engine.session.SessionPipeline`, Buzz's identify →
+  data-segment loop on the *recovered* ids and *estimated* channels
+  (``buzz-e2e``, ``silenced-e2e``, and the adaptive ``buzz-adaptive`` /
+  ``silenced-adaptive`` that re-identify mid-session when a mobile data
+  phase stalls), and :class:`~repro.engine.session.Gen2Session`, the
+  FSA → TDMA baseline (``gen2-tdma-e2e``).
 
 The classic entry point :func:`repro.network.campaign.run_campaign` is a
 thin wrapper over this package.
@@ -68,15 +68,7 @@ from repro.engine.schemes import (
     get_scheme,
     register_scheme,
 )
-from repro.engine.session import (
-    AdaptiveSessionPipeline,
-    DataStage,
-    IdentificationStage,
-    SessionPipeline,
-    SessionStage,
-    SessionState,
-    StageAccount,
-)
+from repro.engine.session import Gen2Session, SessionPipeline
 
 # Importing the sim scheme module registers the ``multi-reader`` family
 # (same side-effect pattern as the session schemes above).
@@ -84,7 +76,6 @@ from repro.sim.scheme import MultiReaderScheme
 
 __all__ = [
     "SCHEMES",
-    "AdaptiveSessionPipeline",
     "CacheQueueBackend",
     "CampaignCache",
     "CampaignCell",
@@ -92,10 +83,9 @@ __all__ = [
     "CampaignResult",
     "CampaignSpec",
     "CdmaScheme",
-    "DataStage",
     "ExecutionContext",
     "ExecutorBackend",
-    "IdentificationStage",
+    "Gen2Session",
     "MultiReaderScheme",
     "PlannedCell",
     "ProcessPoolBackend",
@@ -104,12 +94,9 @@ __all__ = [
     "SchemeRun",
     "SerialBackend",
     "SessionPipeline",
-    "SessionStage",
-    "SessionState",
     "SilencedScheme",
     "TdmaScheme",
     "UplinkScheme",
-    "StageAccount",
     "available_backends",
     "available_schemes",
     "get_scheme",

@@ -8,12 +8,12 @@ Three protocols identify the K tags that want to transmit:
 * **FSA with K̂** — FSA seeded with Buzz's Stage-1 estimate: initial
   ``Q = log2 K̂`` and a temporary id sized for the reduced space.
 
-All three run as :class:`~repro.engine.session.IdentificationStage`
-instances over one :class:`~repro.engine.session.SessionState` per
-location — the same composable stage objects the end-to-end schemes
-(``buzz-e2e`` & co.) are built from, so this figure and the session
-pipeline cannot drift apart. The ``fsa-khat`` stage reads the Buzz
-stage's Stage-1 estimate off the shared state and re-pays its slots.
+The figure calls the same :func:`~repro.core.identification.identify`
+and :func:`~repro.gen2.fsa.run_fsa_inventory` the end-to-end sessions
+(``buzz-e2e``, ``gen2-tdma-e2e`` & co.) call, so it and the sessions
+cannot drift apart. The three protocols share one generator per location,
+back-to-back; FSA with K̂ reads Buzz's Stage-1 estimate and re-pays its
+slots.
 
 The paper reports a 5.5× reduction over FSA at 16 tags (4.5× over
 FSA-with-K̂), and a 20–40 % gain for FSA from knowing K̂ alone.
@@ -21,14 +21,17 @@ FSA-with-K̂), and a 20–40 % gain for FSA from knowing K̂ alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.config import BuzzConfig
-from repro.engine.session import IdentificationStage, SessionState
+from repro.core.identification import IdentificationResult, identify
 from repro.experiments.common import format_table
+from repro.gen2.fsa import FsaConfig, run_fsa_inventory
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.network.scenarios import default_uplink_scenario
 from repro.nodes.reader import ReaderFrontEnd
 from repro.utils.rng import SeedSequenceFactory
@@ -57,6 +60,30 @@ class IdentificationTimeResult:
         return 1.0 - self.fsa_khat_ms[k] / self.fsa_ms[k]
 
 
+def _run_fsa_khat(
+    ident: IdentificationResult, n_tags: int, rng: np.random.Generator, config: BuzzConfig
+) -> float:
+    """FSA seeded with Buzz's Stage-1 estimate (paper §10), in seconds.
+
+    Pays Buzz's K-estimation slots again (the FSA reader must run Stage 1
+    itself), then starts at ``Q = log2 K̂`` with an id space sized like
+    Buzz's.
+    """
+    k_hat = max(1, ident.k_estimate.k_hat)
+    stage1_s = ident.k_estimate.slots_used * GEN2_DEFAULT_TIMING.uplink_symbol_s()
+    id_bits = max(6, math.ceil(math.log2(config.temp_id_space(k_hat))))
+    inv = run_fsa_inventory(
+        FsaConfig(
+            n_tags=n_tags,
+            initial_q=math.log2(max(2, k_hat)),
+            id_bits=id_bits,
+            ack_bits=id_bits + 2,  # the ACK echoes the shorter id
+        ),
+        rng,
+    )
+    return inv.total_time_s + stage1_s
+
+
 def run(
     tag_counts: Sequence[int] = (4, 8, 12, 16),
     n_locations: int = 10,
@@ -65,11 +92,6 @@ def run(
 ) -> IdentificationTimeResult:
     """Run all three identification protocols at each K."""
     seeds = SeedSequenceFactory(seed)
-    stages = (
-        IdentificationStage("buzz"),
-        IdentificationStage("fsa"),
-        IdentificationStage("fsa-khat"),
-    )
     buzz_ms: Dict[int, float] = {}
     fsa_ms: Dict[int, float] = {}
     fsa_khat_ms: Dict[int, float] = {}
@@ -77,28 +99,28 @@ def run(
 
     for k in tag_counts:
         scenario = default_uplink_scenario(k)
-        times: Dict[str, List[float]] = {s.name: [] for s in stages}
+        buzz_times: List[float] = []
+        fsa_times: List[float] = []
+        fsa_khat_times: List[float] = []
         exact_flags = []
         for location in range(n_locations):
             pop = scenario.draw_population(seeds.stream("pop", k, location))
-            state = SessionState(
-                population=pop,
-                front_end=ReaderFrontEnd(noise_std=pop.noise_std),
-                rng=seeds.stream("run", k, location),
-                config=config,
+            front_end = ReaderFrontEnd(noise_std=pop.noise_std)
+            # One generator per location: the protocols share it
+            # back-to-back (the paper's "without changing the environment").
+            rng = seeds.stream("run", k, location)
+            ident = identify(
+                pop.tags, front_end, rng, config=config, timing=GEN2_DEFAULT_TIMING
             )
-            # One state per location: the protocols share the generator
-            # back-to-back (the paper's "without changing the environment"),
-            # and fsa-khat reads the Buzz stage's Stage-1 estimate off the
-            # state rather than re-running it.
-            for stage in stages:
-                account = stage.run(state)
-                times[stage.name].append(account.duration_s * 1e3)
-            exact_flags.append(1.0 if state.identification.exact else 0.0)
+            buzz_times.append(ident.duration_s * 1e3)
+            fsa = run_fsa_inventory(FsaConfig(n_tags=len(pop)), rng)
+            fsa_times.append(fsa.total_time_s * 1e3)
+            fsa_khat_times.append(_run_fsa_khat(ident, len(pop), rng, config) * 1e3)
+            exact_flags.append(1.0 if ident.exact else 0.0)
 
-        buzz_ms[k] = float(np.mean(times["identify-buzz"]))
-        fsa_ms[k] = float(np.mean(times["identify-fsa"]))
-        fsa_khat_ms[k] = float(np.mean(times["identify-fsa-khat"]))
+        buzz_ms[k] = float(np.mean(buzz_times))
+        fsa_ms[k] = float(np.mean(fsa_times))
+        fsa_khat_ms[k] = float(np.mean(fsa_khat_times))
         exact[k] = float(np.mean(exact_flags))
 
     return IdentificationTimeResult(

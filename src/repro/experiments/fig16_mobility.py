@@ -9,9 +9,10 @@ each grid point:
 
 * ``buzz-e2e`` — the static end-to-end session: identify once, then spend
   the whole data phase on those (increasingly stale) estimates;
-* ``buzz-adaptive`` — the :class:`~repro.engine.session.
-  AdaptiveSessionPipeline`: re-identify mid-session when the data phase's
-  verification stalls, splicing fresh estimates into the decoder view;
+* ``buzz-adaptive`` — a :class:`~repro.engine.session.SessionPipeline`
+  with the stall monitor armed: re-identify mid-session when the data
+  phase's verification stalls, splicing fresh estimates into the decoder
+  view;
 * ``buzz`` — the oracle bound: genie ids and genie channels, no mobility
   (the §9 setup).
 

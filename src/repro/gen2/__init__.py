@@ -14,20 +14,16 @@ implements that substrate:
   with Buzz's Stage-1 estimate K̂ ("FSA with known K").
 """
 
-from repro.gen2.btree import BTreeConfig, BTreeResult, run_btree_inventory
 from repro.gen2.fsa import FsaConfig, FsaResult, run_fsa_inventory
 from repro.gen2.qalgorithm import QAlgorithm
 from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming, SlotOutcome
 
 __all__ = [
-    "BTreeConfig",
-    "BTreeResult",
     "FsaConfig",
     "FsaResult",
     "GEN2_DEFAULT_TIMING",
     "LinkTiming",
     "QAlgorithm",
     "SlotOutcome",
-    "run_btree_inventory",
     "run_fsa_inventory",
 ]

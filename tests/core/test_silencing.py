@@ -1,5 +1,7 @@
 """Tests for repro.core.silencing — the §8.2 ACK-silencing variant."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,8 @@ from repro.core.identification import ChannelEstimates
 from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import run_rateless_uplink
 from repro.core.silencing import ack_duration_s, run_rateless_with_silencing
-from repro.engine.session import (
-    DataStage,
-    IdentificationStage,
-    SessionPipeline,
-    StageAccount,
-)
+from repro.engine import session as session_module
+from repro.engine.session import SessionPipeline
 from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
@@ -136,17 +134,20 @@ class TestSilencedDecoderView:
         assert not result.decoded_mask.any()
         assert result.ack_overhead_s == 0
 
-        def recover_nobody(stage, state):
-            state.estimates = ChannelEstimates([], [])
-            return StageAccount(
-                stage=stage.name, kind=stage.kind, duration_s=0.0, slots_used=0,
-                transmissions=np.zeros(len(state.population), dtype=int),
+        def recover_nobody(tags, front_end, rng, config, timing):
+            return SimpleNamespace(
+                duration_s=0.0,
+                attempts=1,
+                transmissions=np.zeros(len(tags), dtype=int),
+                estimates=ChannelEstimates([], []),
+                recovered_ids=np.zeros(0, dtype=int),
+                k_estimate=SimpleNamespace(k_hat=0),
             )
 
-        monkeypatch.setattr(IdentificationStage, "_run_buzz", recover_nobody)
-        session = SessionPipeline(
-            "silenced-e2e", (IdentificationStage("buzz"), DataStage("silenced"))
-        ).run(pop, fe, np.random.default_rng(5), BuzzConfig())
+        monkeypatch.setattr(session_module, "identify", recover_nobody)
+        session = SessionPipeline("silenced-e2e", silencing=True).run(
+            pop, fe, np.random.default_rng(5), BuzzConfig()
+        )
         assert session.slots_used == 0
         assert session.message_loss == 4
         assert session.data_s == GEN2_DEFAULT_TIMING.query_duration_s()

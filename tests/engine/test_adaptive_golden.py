@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.engine.campaign import CampaignResult, CampaignSpec, run_campaign
-from repro.engine.session import AdaptiveSessionPipeline, SessionPipeline
+from repro.engine.session import SessionPipeline
 from repro.network.scenarios import mobile_dense_scenario, scenario_by_name
 
 FIXTURES = Path(__file__).parent / "data"
@@ -90,7 +90,6 @@ class TestCacheRoundTrip:
         def boom(*args, **kwargs):
             raise AssertionError("cache miss: session executed on re-run")
 
-        monkeypatch.setattr(AdaptiveSessionPipeline, "run", boom)
         monkeypatch.setattr(SessionPipeline, "run", boom)
         second = run_campaign(spec, cache_dir=str(tmp_path))
         assert [_record(r) for r in second.runs] == [_record(r) for r in first.runs]

@@ -12,13 +12,7 @@ from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import run_rateless_uplink
 from repro.engine.campaign import CampaignResult, CampaignSpec, SchemeRun, run_campaign
 from repro.engine.schemes import UplinkScheme, available_schemes, get_scheme
-from repro.engine.session import (
-    DataStage,
-    IdentificationStage,
-    SessionPipeline,
-    SessionStage,
-    SessionState,
-)
+from repro.engine.session import SessionPipeline
 from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.network.scenarios import default_uplink_scenario, scenario_by_name
 from repro.nodes.reader import ReaderFrontEnd
@@ -62,23 +56,18 @@ class TestRegistry:
     def test_pipelines_satisfy_scheme_protocol(self, name):
         assert isinstance(get_scheme(name), UplinkScheme)
 
-    def test_stages_satisfy_stage_protocol(self):
-        assert isinstance(IdentificationStage("buzz"), SessionStage)
-        assert isinstance(DataStage("buzz"), SessionStage)
-
-    def test_unknown_identification_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown identification method"):
-            IdentificationStage("aloha")
-
-    def test_data_stage_requires_registered_scheme(self):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            DataStage("aloha")
-
-    def test_pipeline_requires_a_data_stage(self):
-        with pytest.raises(ValueError, match="data stage"):
-            SessionPipeline("ident-only", (IdentificationStage("buzz"),))
-        with pytest.raises(ValueError, match="at least one stage"):
-            SessionPipeline("empty", ())
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"stall_slots_factor": 0},
+            {"stall_slots_factor": -1.0},
+            {"max_reidentifications": -1},
+        ],
+        ids=["zero-stall-factor", "negative-stall-factor", "negative-reidentifications"],
+    )
+    def test_pipeline_rejects_invalid_monitor_settings(self, kwargs):
+        with pytest.raises(ValueError):
+            SessionPipeline("bad", **kwargs)
 
 
 class TestSessionResults:
@@ -131,26 +120,6 @@ class TestSessionResults:
         )
         assert result.message_loss == 0
         assert result.bit_errors == 0
-
-    def test_btree_pipeline_composes_without_registration(self):
-        """Any stage combination works as an ad-hoc pipeline object."""
-        population, front_end, seeds = _location(n_tags=4, seed=3)
-        pipeline = SessionPipeline(
-            "btree-tdma", (IdentificationStage("btree"), DataStage("tdma"))
-        )
-        result = pipeline.run(
-            population, front_end, seeds.stream("t"), config=BuzzConfig()
-        )
-        assert result.scheme == "btree-tdma"
-        assert result.duration_s == result.identification_s + result.data_s
-
-    def test_fsa_khat_requires_prior_buzz_stage(self):
-        population, front_end, seeds = _location(n_tags=4, seed=3)
-        state = SessionState(
-            population=population, front_end=front_end, rng=seeds.stream("t")
-        )
-        with pytest.raises(RuntimeError, match="prior Buzz identification"):
-            IdentificationStage("fsa-khat").run(state)
 
 
 class TestStaticSessionAccounting:

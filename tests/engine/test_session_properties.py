@@ -1,13 +1,13 @@
 """Property-based invariants of the session layer (hypothesis).
 
-Sessions compose stages with float airtime, per-tag ledgers and a mutable
-reader view; these properties pin the algebra that every figure and cache
-record relies on, under *randomised* configurations rather than golden
-seeds:
+Sessions add identification and data phases with float airtime, per-tag
+ledgers and a refreshed reader view; these properties pin the algebra
+that every figure and cache record relies on, under *randomised*
+configurations rather than golden seeds:
 
 * ``duration_s`` is the **exact** float sum ``identification_s + data_s``;
-* per-tag transmissions sum across stages (the data stages' share is
-  carried separately for the energy model);
+* per-tag transmissions sum across both phases (the data phase's share
+  is carried separately for the energy model);
 * a decoder view polluted with phantom columns (spurious recovered ids)
   never verifies a phantom — the non-oracle path's safety property;
 * an adaptive session with the re-identification threshold disabled is
@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import BuzzConfig
 from repro.core.rateless import RatelessDecoder
 from repro.engine.schemes import get_scheme
-from repro.engine.session import AdaptiveSessionPipeline, DataStage, IdentificationStage
+from repro.engine.session import SessionPipeline
 from repro.network.scenarios import (
     default_uplink_scenario,
     dense_deployment_scenario,
@@ -168,10 +168,10 @@ class TestAdaptiveDisabledIsStatic:
         scenario = mobile_scenario(
             n_tags, drift_rate_hz=drift, departure_rate_hz=churn
         )
-        disabled = AdaptiveSessionPipeline(
+        disabled = SessionPipeline(
             "adaptive-disabled",
-            (IdentificationStage("buzz"), DataStage("buzz")),
             stall_slots_factor=None if disabled_by == "none" else math.inf,
+            max_reidentifications=2,
         )
 
         seeds = SeedSequenceFactory(seed)

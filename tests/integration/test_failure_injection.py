@@ -149,13 +149,9 @@ class _ForcedSchedule(object):
 
     @staticmethod
     def pipeline(departures, stall=2.0, max_reident=3):
-        from repro.engine.session import (
-            AdaptiveSessionPipeline,
-            DataStage,
-            IdentificationStage,
-        )
+        from repro.engine.session import SessionPipeline
 
-        class Forced(AdaptiveSessionPipeline):
+        class Forced(SessionPipeline):
             def _make_trajectory(self, population, rng):
                 trajectory = super()._make_trajectory(population, rng)
                 trajectory.departures[:] = departures
@@ -163,7 +159,6 @@ class _ForcedSchedule(object):
 
         return Forced(
             "forced-adaptive",
-            (IdentificationStage("buzz"), DataStage("buzz")),
             stall_slots_factor=stall,
             max_reidentifications=max_reident,
         )
