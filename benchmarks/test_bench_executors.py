@@ -16,7 +16,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.engine import CampaignSpec, ProcessPoolBackend, run_campaign
 from repro.engine import schemes as schemes_module
-from repro.engine.schemes import SchemeResult, register_scheme
+from repro.engine.schemes import SchemeRun, register_scheme
 from repro.network.scenarios import default_uplink_scenario
 
 
@@ -27,7 +27,7 @@ class _NoopScheme:
 
     def run(self, population, front_end, rng, config, max_slots=None):
         k = len(population)
-        return SchemeResult(
+        return SchemeRun(
             scheme=self.name,
             duration_s=0.0,
             message_loss=0,

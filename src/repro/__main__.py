@@ -47,9 +47,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread per process, set before anything imports numpy: campaign
+# parallelism belongs to the process pool and the cache-queue, and threaded
+# BLAS makes the decode kernel several times slower on these small (L, K)
+# matrices. Pool children inherit the setting; a value the user set wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from repro.experiments import (
     fig2_waveforms,

@@ -10,9 +10,9 @@ Contents:
 * :mod:`repro.coding.walsh` — Walsh-Hadamard orthogonal codes for the
   synchronous-CDMA baseline.
 * :mod:`repro.coding.prng` — the deterministic per-tag pseudorandom
-  generator both the tags and the reader run (a 16-bit Galois LFSR plus a
-  stateless hash-based slot-decision function), the mechanism that lets the
-  reader regenerate the sensing matrix A and collision matrix D.
+  decision both the tags and the reader run (a stateless hash-based
+  slot-decision function), the mechanism that lets the reader regenerate
+  the sensing matrix A and collision matrix D.
 """
 
 from repro.coding.crc import (
@@ -29,14 +29,13 @@ from repro.coding.miller import (
     miller_encode,
     miller_switch_count,
 )
-from repro.coding.prng import TagLfsr, slot_decision, transmit_pattern_matrix
+from repro.coding.prng import slot_decision, transmit_pattern_matrix
 from repro.coding.walsh import walsh_code_length, walsh_codes
 
 __all__ = [
     "CRC16_GEN2",
     "CRC5_GEN2",
     "CrcSpec",
-    "TagLfsr",
     "crc_append",
     "crc_check",
     "crc_compute",

@@ -1,17 +1,13 @@
-"""Per-tag pseudorandom generators shared by tags and reader.
+"""The per-tag pseudorandom decision shared by tags and reader.
 
 Buzz's protocols hinge on the reader being able to *regenerate* each tag's
 random decisions (§5: "the reader can generate this matrix by using the same
-pseudorandom number generator used by the nodes"). Two generators are
-provided:
-
-* :class:`TagLfsr` — a 16-bit Galois LFSR of the kind Gen-2 tags already
-  contain for RN16 generation. Stateful, cheap enough for an RFID tag.
-* :func:`slot_decision` — a *stateless* keyed decision: a 64-bit integer
-  hash of ``(seed, slot)`` compared against a probability. This mirrors the
-  paper's rate-adaptation protocol where the generator is "seeded by its own
-  temporary id and the current time slot" (§6a), and makes reader-side
-  regeneration of any slot O(1) without replaying a stream.
+pseudorandom number generator used by the nodes"). :func:`slot_decision` is
+a *stateless* keyed decision: a 64-bit integer hash of ``(seed, slot)``
+compared against a probability. This mirrors the paper's rate-adaptation
+protocol where the generator is "seeded by its own temporary id and the
+current time slot" (§6a), and makes reader-side regeneration of any slot
+O(1) without replaying a stream.
 """
 
 from __future__ import annotations
@@ -23,57 +19,10 @@ import numpy as np
 from repro.utils.validation import ensure_positive_int, ensure_probability
 
 __all__ = [
-    "TagLfsr",
     "slot_decision",
     "slot_decision_matrix",
     "transmit_pattern_matrix",
 ]
-
-#: Taps of the 16-bit Galois LFSR: x^16 + x^14 + x^13 + x^11 + 1 (maximal).
-_LFSR_TAPS = 0xB400
-
-
-class TagLfsr:
-    """16-bit Galois LFSR — the tag-feasible PRNG of the identification phase.
-
-    A zero seed is remapped to a fixed non-zero state (an LFSR locks up at
-    zero). The sequence is deterministic in the seed, so the reader can
-    regenerate any tag's transmit pattern from its id.
-    """
-
-    def __init__(self, seed: int):
-        state = int(seed) & 0xFFFF
-        self.state = state if state else 0xACE1
-        self._initial = self.state
-
-    def reset(self) -> None:
-        """Rewind to the construction state."""
-        self.state = self._initial
-
-    def next_bit(self) -> int:
-        """Advance one step and return the output bit."""
-        out = self.state & 1
-        self.state >>= 1
-        if out:
-            self.state ^= _LFSR_TAPS
-        return out
-
-    def bits(self, n: int) -> np.ndarray:
-        """The next ``n`` output bits as a uint8 array."""
-        ensure_positive_int(n, "n")
-        return np.array([self.next_bit() for _ in range(n)], dtype=np.uint8)
-
-    def uniform(self) -> float:
-        """A uniform [0, 1) variate built from the next 16 output bits."""
-        value = 0
-        for _ in range(16):
-            value = (value << 1) | self.next_bit()
-        return value / 65536.0
-
-    def bernoulli(self, p: float) -> int:
-        """1 with probability ``p`` (16-bit resolution), else 0."""
-        ensure_probability(p, "p")
-        return 1 if self.uniform() < p else 0
 
 
 def _mix64(x: int) -> int:

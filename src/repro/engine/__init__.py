@@ -3,12 +3,14 @@
 ``repro.engine`` decouples *what* a campaign compares from *how* it runs:
 
 * :mod:`repro.engine.schemes` — the :class:`~repro.engine.schemes.
-  UplinkScheme` protocol, the :class:`~repro.engine.schemes.SchemeResult`
-  record, and a registry holding the paper's three schemes (``buzz``,
-  ``tdma``, ``cdma``) plus the §8.2 ``silenced`` variant;
+  UplinkScheme` protocol, the :class:`~repro.engine.schemes.SchemeRun`
+  record every scheme returns and every campaign stores, and a registry
+  holding the paper's three schemes (``buzz``, ``tdma``, ``cdma``) plus
+  the §8.2 ``silenced`` variant;
 * :mod:`repro.engine.campaign` — the declarative
-  :class:`~repro.engine.campaign.CampaignSpec` grid and its deterministic
-  cell evaluator;
+  :class:`~repro.engine.campaign.CampaignSpec` grid, its deterministic
+  cell evaluator, and :func:`~repro.engine.campaign.run_campaign`, the one
+  entry point every campaign figure calls;
 * :mod:`repro.engine.plan` — the pipeline's first stage: enumerate the
   grid, give every cell a content address, resolve cache hits into a
   :class:`~repro.engine.plan.CampaignPlan`;
@@ -30,9 +32,6 @@
   ``silenced-adaptive`` that re-identify mid-session when a mobile data
   phase stalls), and :class:`~repro.engine.session.Gen2Session`, the
   FSA → TDMA baseline (``gen2-tdma-e2e``).
-
-The classic entry point :func:`repro.network.campaign.run_campaign` is a
-thin wrapper over this package.
 """
 
 from repro.engine.cache import CampaignCache
@@ -51,7 +50,6 @@ from repro.engine.campaign import (
     CampaignCell,
     CampaignResult,
     CampaignSpec,
-    SchemeRun,
     run_campaign,
     run_cell,
 )
@@ -60,7 +58,7 @@ from repro.engine.queue import run_worker
 from repro.engine.schemes import (
     CdmaScheme,
     RatelessScheme,
-    SchemeResult,
+    SchemeRun,
     SilencedScheme,
     TdmaScheme,
     UplinkScheme,
@@ -90,7 +88,6 @@ __all__ = [
     "PlannedCell",
     "ProcessPoolBackend",
     "RatelessScheme",
-    "SchemeResult",
     "SchemeRun",
     "SerialBackend",
     "SessionPipeline",

@@ -4,7 +4,7 @@ medium the multi-host work queue coordinates through.
 A campaign cell is a pure function of ``(root_seed, cell RNG keys,
 scenario, config, max_slots)`` — the determinism contract
 :mod:`repro.engine.campaign` already guarantees for executor parity. That
-makes its :class:`~repro.engine.campaign.SchemeRun` cacheable by content
+makes its :class:`~repro.engine.schemes.SchemeRun` cacheable by content
 address: hash the inputs, store the record as JSON, and a re-run of the
 same spec (or any spec sharing cells with it) loads instead of executing.
 
@@ -82,7 +82,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.engine.campaign import CampaignCell, CampaignSpec, SchemeRun
+    from repro.engine.campaign import CampaignCell, CampaignSpec
+    from repro.engine.schemes import SchemeRun
 
 __all__ = ["CampaignCache", "cell_cache_key", "spec_key_material"]
 
@@ -211,7 +212,7 @@ class CampaignCache:
         The work-queue coordinator polls completed cells by key; computing
         the address once at plan time keeps the poll loop hash-free.
         """
-        from repro.engine.campaign import SchemeRun
+        from repro.engine.schemes import SchemeRun
 
         try:
             payload = json.loads(self._path(key).read_text())

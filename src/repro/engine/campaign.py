@@ -22,7 +22,7 @@ reproduce the pre-engine serial loop exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.config import BuzzConfig
 from repro.engine.schemes import (
-    SchemeResult,
+    SchemeRun,
     UplinkScheme,
     available_schemes,
     get_scheme,
@@ -54,119 +54,6 @@ __all__ = [
 
 #: The paper's three-scheme comparison — the default grid axis.
 SCHEMES = ("buzz", "tdma", "cdma")
-
-
-@dataclass(frozen=True)
-class SchemeRun:
-    """One scheme's outcome on one grid cell.
-
-    ``identification_s``/``data_s``/``retries`` are the stage-resolved
-    fields session-pipeline schemes fill in (``duration_s`` is exactly
-    their sum); single-phase schemes — and records persisted before the
-    session layer existed — carry ``None``. ``data_transmissions`` (the
-    data stages' share of ``transmissions``) and ``reidentifications``
-    (mid-session identification re-runs) arrived with the mobility layer
-    and default to ``None`` for every earlier record.
-    """
-
-    scheme: str
-    location: int
-    trace: int
-    duration_s: float
-    message_loss: int
-    n_tags: int
-    bits_per_symbol: float
-    slots_used: int
-    transmissions: np.ndarray
-    bit_errors: int
-    variant: int = 0
-    identification_s: Optional[float] = None
-    data_s: Optional[float] = None
-    retries: Optional[int] = None
-    data_transmissions: Optional[np.ndarray] = None
-    reidentifications: Optional[int] = None
-
-    @classmethod
-    def from_result(cls, result: SchemeResult, cell: "CampaignCell") -> "SchemeRun":
-        """Attach a cell's grid coordinates to its scheme result."""
-        return cls(
-            scheme=result.scheme,
-            location=cell.location,
-            trace=cell.trace,
-            duration_s=result.duration_s,
-            message_loss=result.message_loss,
-            n_tags=result.n_tags,
-            bits_per_symbol=result.bits_per_symbol,
-            slots_used=result.slots_used,
-            transmissions=result.transmissions,
-            bit_errors=result.bit_errors,
-            variant=cell.variant,
-            identification_s=result.identification_s,
-            data_s=result.data_s,
-            retries=result.retries,
-            data_transmissions=result.data_transmissions,
-            reidentifications=result.reidentifications,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-able record; floats round-trip exactly through ``repr``."""
-        return {
-            "scheme": self.scheme,
-            "location": int(self.location),
-            "trace": int(self.trace),
-            "duration_s": float(self.duration_s),
-            "message_loss": int(self.message_loss),
-            "n_tags": int(self.n_tags),
-            "bits_per_symbol": float(self.bits_per_symbol),
-            "slots_used": int(self.slots_used),
-            "transmissions": [int(t) for t in self.transmissions],
-            "bit_errors": int(self.bit_errors),
-            "variant": int(self.variant),
-            "identification_s": None
-            if self.identification_s is None
-            else float(self.identification_s),
-            "data_s": None if self.data_s is None else float(self.data_s),
-            "retries": None if self.retries is None else int(self.retries),
-            "data_transmissions": None
-            if self.data_transmissions is None
-            else [int(t) for t in self.data_transmissions],
-            "reidentifications": None
-            if self.reidentifications is None
-            else int(self.reidentifications),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SchemeRun":
-        """Inverse of :meth:`to_dict` (transmissions back to an int array).
-
-        Stage fields default to ``None`` when absent, so records persisted
-        before the session layer existed load unchanged.
-        """
-        identification_s = data.get("identification_s")
-        data_s = data.get("data_s")
-        retries = data.get("retries")
-        data_transmissions = data.get("data_transmissions")
-        reidentifications = data.get("reidentifications")
-        return cls(
-            scheme=str(data["scheme"]),
-            location=int(data["location"]),
-            trace=int(data["trace"]),
-            duration_s=float(data["duration_s"]),
-            message_loss=int(data["message_loss"]),
-            n_tags=int(data["n_tags"]),
-            bits_per_symbol=float(data["bits_per_symbol"]),
-            slots_used=int(data["slots_used"]),
-            transmissions=np.asarray(data["transmissions"], dtype=int),
-            bit_errors=int(data["bit_errors"]),
-            variant=int(data.get("variant", 0)),
-            identification_s=None if identification_s is None else float(identification_s),
-            data_s=None if data_s is None else float(data_s),
-            retries=None if retries is None else int(retries),
-            data_transmissions=None
-            if data_transmissions is None
-            else np.asarray(data_transmissions, dtype=int),
-            reidentifications=None if reidentifications is None else int(reidentifications),
-        )
 
 
 @dataclass(frozen=True)
@@ -195,7 +82,7 @@ class CampaignSpec:
         Registry names to run back-to-back on each trace.
     configs:
         Config-sweep axis: one entry runs the classic grid, several entries
-        add an inner variant axis (e.g. density or decode-cadence sweeps).
+        add an inner variant axis (e.g. a density or restart-count sweep).
     max_slots:
         Optional abort bound forwarded to slot-based schemes.
     """
@@ -369,14 +256,14 @@ def run_cell(
     front_end = ReaderFrontEnd(noise_std=population.noise_std)
     run_rng = seeds.stream(*_cell_rng_keys(spec, cell))
     scheme_obj = scheme if scheme is not None else get_scheme(cell.scheme)
-    result = scheme_obj.run(
+    run = scheme_obj.run(
         population,
         front_end,
         run_rng,
         config=spec.configs[cell.variant],
         max_slots=spec.max_slots,
     )
-    return SchemeRun.from_result(result, cell)
+    return replace(run, location=cell.location, trace=cell.trace, variant=cell.variant)
 
 
 def run_campaign(

@@ -19,12 +19,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.engine.cache import CampaignCache, cell_cache_key, spec_key_material
-from repro.engine.campaign import (
-    CampaignCell,
-    CampaignResult,
-    CampaignSpec,
-    SchemeRun,
-)
+from repro.engine.campaign import CampaignCell, CampaignResult, CampaignSpec
+from repro.engine.schemes import SchemeRun
 
 __all__ = ["PlannedCell", "CampaignPlan", "plan_campaign"]
 

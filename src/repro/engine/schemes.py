@@ -4,14 +4,14 @@ Every uplink scheme the campaigns compare (Buzz's rateless code, the TDMA
 and CDMA baselines, and anything a future PR adds) is exposed through one
 :class:`UplinkScheme` protocol: draw nothing, mutate nothing global, take a
 population + front end + per-run generator, and return one
-:class:`SchemeResult`. The campaign executor only ever talks to this
+:class:`SchemeRun`. The campaign executor only ever talks to this
 interface, so adding a scheme is a ``register_scheme`` call — no campaign
 code changes, and no per-scheme record-building branches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
@@ -25,7 +25,7 @@ from repro.nodes.population import TagPopulation
 from repro.nodes.reader import ReaderFrontEnd
 
 __all__ = [
-    "SchemeResult",
+    "SchemeRun",
     "UplinkScheme",
     "RatelessScheme",
     "SilencedScheme",
@@ -38,8 +38,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SchemeResult:
+class SchemeRun:
     """One scheme's outcome on one population draw — the unified record.
+
+    A scheme returns it with no grid coordinates; the campaign's
+    :func:`~repro.engine.campaign.run_cell` places it in the grid.
 
     Attributes
     ----------
@@ -65,7 +68,8 @@ class SchemeResult:
         Stage-resolved accounting, set only by session-pipeline schemes
         (``*-e2e``, ``*-adaptive``): identification airtime, data-phase
         airtime (their sum is exactly ``duration_s``), and the number of
-        identification restarts. ``None`` for single-phase schemes. A
+        identification restarts. ``None`` for single-phase schemes and in
+        records persisted before the session layer existed. A
         static-field session that recovers nobody still charges its data
         trigger (one query) to ``data_s``; a mobile one charges nothing.
     data_transmissions:
@@ -79,6 +83,8 @@ class SchemeResult:
         mobile field (0 when it never re-identified). ``None`` on static
         fields, sessions included, for single-phase schemes, and in
         pre-mobility records.
+    location / trace / variant:
+        The grid cell, keyword-only; ``None`` means not placed in a grid.
     """
 
     scheme: str
@@ -94,6 +100,71 @@ class SchemeResult:
     retries: Optional[int] = None
     data_transmissions: Optional[np.ndarray] = None
     reidentifications: Optional[int] = None
+    _: KW_ONLY
+    location: Optional[int] = None
+    trace: Optional[int] = None
+    variant: Optional[int] = None
+
+    def to_dict(self) -> dict:
+        """JSON-able record of a placed run; floats round-trip exactly
+        through ``repr``."""
+        return {
+            "scheme": self.scheme,
+            "location": int(self.location),
+            "trace": int(self.trace),
+            "duration_s": float(self.duration_s),
+            "message_loss": int(self.message_loss),
+            "n_tags": int(self.n_tags),
+            "bits_per_symbol": float(self.bits_per_symbol),
+            "slots_used": int(self.slots_used),
+            "transmissions": [int(t) for t in self.transmissions],
+            "bit_errors": int(self.bit_errors),
+            "variant": int(self.variant),
+            "identification_s": None
+            if self.identification_s is None
+            else float(self.identification_s),
+            "data_s": None if self.data_s is None else float(self.data_s),
+            "retries": None if self.retries is None else int(self.retries),
+            "data_transmissions": None
+            if self.data_transmissions is None
+            else [int(t) for t in self.data_transmissions],
+            "reidentifications": None
+            if self.reidentifications is None
+            else int(self.reidentifications),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SchemeRun":
+        """Inverse of :meth:`to_dict` (transmissions back to an int array).
+
+        Stage fields default to ``None`` and ``variant`` to 0 when absent,
+        so records persisted before those fields existed load unchanged.
+        """
+        identification_s = data.get("identification_s")
+        data_s = data.get("data_s")
+        retries = data.get("retries")
+        data_transmissions = data.get("data_transmissions")
+        reidentifications = data.get("reidentifications")
+        return cls(
+            scheme=str(data["scheme"]),
+            location=int(data["location"]),
+            trace=int(data["trace"]),
+            duration_s=float(data["duration_s"]),
+            message_loss=int(data["message_loss"]),
+            n_tags=int(data["n_tags"]),
+            bits_per_symbol=float(data["bits_per_symbol"]),
+            slots_used=int(data["slots_used"]),
+            transmissions=np.asarray(data["transmissions"], dtype=int),
+            bit_errors=int(data["bit_errors"]),
+            variant=int(data.get("variant", 0)),
+            identification_s=None if identification_s is None else float(identification_s),
+            data_s=None if data_s is None else float(data_s),
+            retries=None if retries is None else int(retries),
+            data_transmissions=None
+            if data_transmissions is None
+            else np.asarray(data_transmissions, dtype=int),
+            reidentifications=None if reidentifications is None else int(reidentifications),
+        )
 
 
 @runtime_checkable
@@ -109,7 +180,7 @@ class UplinkScheme(Protocol):
         rng: np.random.Generator,
         config: BuzzConfig,
         max_slots: Optional[int] = None,
-    ) -> SchemeResult:
+    ) -> SchemeRun:
         """Run one transfer of every tag's message and summarise it."""
         ...
 
@@ -133,7 +204,7 @@ class RatelessScheme:
         rng: np.random.Generator,
         config: BuzzConfig,
         max_slots: Optional[int] = None,
-    ) -> SchemeResult:
+    ) -> SchemeRun:
         n = len(population)
         id_space = 10 * n * n
         for tag in population.tags:
@@ -141,7 +212,7 @@ class RatelessScheme:
         run = self._transfer(
             population.tags, front_end, rng, config=config, max_slots=max_slots
         )
-        return SchemeResult(
+        return SchemeRun(
             scheme=self.name,
             duration_s=run.duration_s,
             message_loss=run.message_loss,
@@ -185,9 +256,9 @@ class TdmaScheme:
         rng: np.random.Generator,
         config: BuzzConfig,
         max_slots: Optional[int] = None,
-    ) -> SchemeResult:
+    ) -> SchemeRun:
         run = run_tdma_uplink(population.tags, front_end, rng)
-        return SchemeResult(
+        return SchemeRun(
             scheme=self.name,
             duration_s=run.duration_s,
             message_loss=run.message_loss,
@@ -211,9 +282,9 @@ class CdmaScheme:
         rng: np.random.Generator,
         config: BuzzConfig,
         max_slots: Optional[int] = None,
-    ) -> SchemeResult:
+    ) -> SchemeRun:
         run = run_cdma_uplink(population.tags, front_end, rng)
-        return SchemeResult(
+        return SchemeRun(
             scheme=self.name,
             duration_s=run.duration_s,
             message_loss=run.message_loss,

@@ -18,7 +18,7 @@ registry-compatible :class:`~repro.engine.schemes.UplinkScheme`:
 * :class:`Gen2Session` — ``gen2-tdma-e2e``: today's RFID session (FSA
   inventory → TDMA transfer) as the baseline.
 
-Both fill the :class:`~repro.engine.schemes.SchemeResult` stage fields:
+Both fill the :class:`~repro.engine.schemes.SchemeRun` stage fields:
 ``duration_s`` is exactly ``identification_s + data_s`` and
 ``transmissions`` sums each tag's reflections over both phases for the
 energy model. A static field is the loop with no trajectory. On *mobile*
@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.config import BuzzConfig
 from repro.core.identification import identify
 from repro.core.mobile import run_mobile_data_segment
-from repro.engine.schemes import SchemeResult, get_scheme, register_scheme
+from repro.engine.schemes import SchemeRun, get_scheme, register_scheme
 from repro.gen2.fsa import FsaConfig, run_fsa_inventory
 from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.population import TagPopulation
@@ -115,7 +115,7 @@ class SessionPipeline:
         rng: np.random.Generator,
         config: BuzzConfig,
         max_slots: Optional[int] = None,
-    ) -> SchemeResult:
+    ) -> SchemeRun:
         """Identify the tags *currently present*, run the data phase from
         the recovered view while the trajectory keeps moving, and — when
         the stall monitor trips and the budgets allow — re-identify and
@@ -265,7 +265,7 @@ class SessionPipeline:
 
         identification_s = math.fsum(ident_parts)
         data_s = math.fsum(data_parts)
-        return SchemeResult(
+        return SchemeRun(
             scheme=self.name,
             duration_s=identification_s + data_s,
             message_loss=int((~delivered).sum()),
@@ -301,7 +301,7 @@ class Gen2Session:
         rng: np.random.Generator,
         config: BuzzConfig,
         max_slots: Optional[int] = None,
-    ) -> SchemeResult:
+    ) -> SchemeRun:
         k = len(population)
         inv = run_fsa_inventory(FsaConfig(n_tags=k), rng)
         # Every unresolved tag replies once per processed occupied slot; the

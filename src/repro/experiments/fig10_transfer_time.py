@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.experiments.common import format_table
-from repro.network.campaign import SCHEMES, run_campaign
+from repro.engine import SCHEMES, CampaignSpec, run_campaign
 from repro.network.metrics import UplinkMetrics, uplink_metrics_from_runs
 from repro.network.scenarios import (
     ScenarioLike,
@@ -67,12 +67,15 @@ def run(
     factory = resolve_scenario_factory(scenario, default_uplink_scenario)
     metrics: Dict[int, Dict[str, UplinkMetrics]] = {}
     for k in tag_counts:
-        campaign = run_campaign(
-            factory(k),
+        spec = CampaignSpec(
+            scenario=factory(k),
             root_seed=seed + k,
             n_locations=n_locations,
             n_traces=n_traces,
             schemes=schemes,
+        )
+        campaign = run_campaign(
+            spec,
             jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.experiments.common import format_table
-from repro.network.campaign import SCHEMES, run_campaign
+from repro.engine import SCHEMES, CampaignSpec, run_campaign
 from repro.network.metrics import UplinkMetrics, uplink_metrics_from_runs
 from repro.network.scenarios import (
     Scenario,
@@ -61,12 +61,15 @@ def run(
     factory = resolve_scenario_factory(scenario, error_scenario)
     metrics: Dict[int, Dict[str, UplinkMetrics]] = {}
     for k in tag_counts:
-        campaign = run_campaign(
-            factory(k),
+        spec = CampaignSpec(
+            scenario=factory(k),
             root_seed=seed + k,
             n_locations=n_locations,
             n_traces=n_traces,
             schemes=schemes,
+        )
+        campaign = run_campaign(
+            spec,
             jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.experiments.common import format_table
-from repro.network.campaign import run_campaign
+from repro.engine import CampaignSpec, run_campaign
 from repro.network.metrics import uplink_metrics_from_runs
 from repro.network.scenarios import CHALLENGING_SNR_BANDS, challenging_scenario
 
@@ -51,11 +51,14 @@ def run(
     buzz_rate, tdma_rate = [], []
     buzz_loss, tdma_med, cdma_loss = [], [], []
     for band in bands:
-        campaign = run_campaign(
-            challenging_scenario(band, n_tags=n_tags),
+        spec = CampaignSpec(
+            scenario=challenging_scenario(band, n_tags=n_tags),
             root_seed=seed + band[0] * 100 + band[1],
             n_locations=n_locations,
             n_traces=n_traces,
+        )
+        campaign = run_campaign(
+            spec,
             jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,

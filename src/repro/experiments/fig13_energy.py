@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.experiments.common import format_table
-from repro.network.campaign import SCHEMES, run_campaign
+from repro.engine import SCHEMES, CampaignSpec, run_campaign
 from repro.network.scenarios import (
     ScenarioLike,
     default_uplink_scenario,
@@ -80,12 +80,15 @@ def run(
         lambda k: default_uplink_scenario(k, message_bits=message_bits),
         message_bits=message_bits,
     )
-    campaign = run_campaign(
-        factory(n_tags),
+    spec = CampaignSpec(
+        scenario=factory(n_tags),
         root_seed=seed,
         n_locations=n_locations,
         n_traces=n_traces,
         schemes=schemes,
+    )
+    campaign = run_campaign(
+        spec,
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,

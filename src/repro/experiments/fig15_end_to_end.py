@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.experiments.common import format_table
-from repro.network.campaign import run_campaign
+from repro.engine import CampaignSpec, run_campaign
 from repro.network.scenarios import (
     ScenarioLike,
     default_uplink_scenario,
@@ -104,12 +104,15 @@ def run(
     mean_retries: Dict[int, Dict[str, Optional[float]]] = {}
 
     for k in tag_counts:
-        campaign = run_campaign(
-            factory(k),
+        spec = CampaignSpec(
+            scenario=factory(k),
             root_seed=seed + k,
             n_locations=n_locations,
             n_traces=n_traces,
             schemes=schemes,
+        )
+        campaign = run_campaign(
+            spec,
             jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,

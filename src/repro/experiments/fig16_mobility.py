@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.common import format_table
-from repro.network.campaign import run_campaign
+from repro.engine import CampaignSpec, run_campaign
 from repro.network.scenarios import mobile_scenario
 
 __all__ = ["MobilityResult", "MOBILITY_SCHEMES", "run", "render"]
@@ -116,12 +116,15 @@ def run(
             departure_rate_hz=churn,
             name=f"fig16-k{n_tags}-d{drift:g}-c{churn:g}",
         )
-        campaign = run_campaign(
-            scenario,
+        spec = CampaignSpec(
+            scenario=scenario,
             root_seed=seed + index,
             n_locations=n_locations,
             n_traces=n_traces,
             schemes=schemes,
+        )
+        campaign = run_campaign(
+            spec,
             jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,

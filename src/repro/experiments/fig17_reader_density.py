@@ -33,7 +33,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.experiments.common import format_table
-from repro.network.campaign import run_campaign
+from repro.engine import CampaignSpec, run_campaign
 from repro.network.scenarios import multi_reader_scenario
 
 __all__ = ["ReaderDensityResult", "READER_DENSITY_SCHEMES", "run", "render"]
@@ -103,12 +103,15 @@ def run(
             overlap_fraction=overlap_fraction,
             name=f"fig17-k{n_tags}-r{n_readers}",
         )
-        campaign = run_campaign(
-            scenario,
+        spec = CampaignSpec(
+            scenario=scenario,
             root_seed=seed + index,
             n_locations=n_locations,
             n_traces=n_traces,
             schemes=schemes,
+        )
+        campaign = run_campaign(
+            spec,
             jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,

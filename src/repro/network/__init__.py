@@ -1,15 +1,14 @@
-"""Network-level simulation glue: scenarios, trace campaigns, metrics.
+"""Network-level simulation glue: scenarios and metrics.
 
 The paper's methodology (§9) is "ten different locations, five traces per
 scheme at each location, schemes run back-to-back without moving anything".
-This package reproduces that experimental structure: a
-:class:`~repro.network.scenarios.Scenario` fixes the channel statistics of a
-location class; :func:`~repro.network.campaign.run_campaign` draws
-locations, re-runs every scheme on the *same* channel realisation, and
+A :class:`~repro.network.scenarios.Scenario` fixes the channel statistics of
+a location class; a :class:`~repro.engine.campaign.CampaignSpec` over it,
+run by :func:`repro.engine.run_campaign`, draws locations and re-runs every
+scheme on the *same* channel realisation; :mod:`repro.network.metrics`
 aggregates the per-scheme metrics the figures plot.
 """
 
-from repro.network.campaign import CampaignResult, SchemeRun, run_campaign
 from repro.network.metrics import UplinkMetrics, uplink_metrics_from_runs
 from repro.network.scenarios import (
     CHALLENGING_SNR_BANDS,
@@ -21,13 +20,10 @@ from repro.network.scenarios import (
 
 __all__ = [
     "CHALLENGING_SNR_BANDS",
-    "CampaignResult",
     "Scenario",
-    "SchemeRun",
     "UplinkMetrics",
     "challenging_scenario",
     "default_uplink_scenario",
-    "run_campaign",
     "shopping_cart_scenario",
     "uplink_metrics_from_runs",
 ]

@@ -15,11 +15,7 @@ This package implements that model at two resolutions:
   used by the microbenchmarks (Figs. 2, 3, 8) and the synchronization study.
 """
 
-from repro.phy.channel import (
-    ChannelModel,
-    SingleTapChannel,
-    near_far_spread_db,
-)
+from repro.phy.channel import ChannelModel, SingleTapChannel
 from repro.phy.constellation import (
     Constellation,
     collision_constellation,
@@ -58,7 +54,6 @@ __all__ = [
     "measure_snr_db",
     "min_distance",
     "misalignment_fraction",
-    "near_far_spread_db",
     "nearest_point",
     "ook_waveform",
     "received_symbols",

@@ -30,7 +30,6 @@ __all__ = [
     "MultiReaderModel",
     "ZoneTrajectory",
     "COLLISION_MODES",
-    "near_far_spread_db",
 ]
 
 #: Reader-to-reader interference resolutions the multi-reader simulator
@@ -76,16 +75,6 @@ class SingleTapChannel:
     def apply(self, bits: np.ndarray) -> np.ndarray:
         """Return ``h · bits`` as a complex array (noiseless contribution)."""
         return self.h * np.asarray(bits, dtype=float)
-
-
-def near_far_spread_db(channels: Sequence[complex]) -> float:
-    """Power spread (dB) between the strongest and weakest tag in a draw."""
-    mags = np.abs(np.asarray(channels, dtype=complex))
-    if mags.size == 0:
-        raise ValueError("need at least one channel")
-    if np.any(mags <= 0):
-        raise ValueError("channel magnitudes must be positive")
-    return float(power_to_db(mags.max() ** 2 / mags.min() ** 2))
 
 
 @dataclass

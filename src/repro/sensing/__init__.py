@@ -4,8 +4,8 @@ Buzz's identification Stage 3 recovers a K-sparse complex vector (active
 temporary ids and their channels) from ``M ≈ K·log a`` collision symbols
 (Eq. 5/6). This package provides:
 
-* :mod:`repro.sensing.matrices` — sparse binary sensing matrices and their
-  diagnostics (the tags' transmit patterns *are* the matrix);
+* :mod:`repro.sensing.matrices` — the Bernoulli model of the sparse
+  binary sensing matrix (the tags' transmit patterns *are* the matrix);
 * :mod:`repro.sensing.basis_pursuit` — the paper's solver family: L1
   minimization as a linear program on an interior-point backend, both
   noiseless (basis pursuit) and noise-tolerant (BPDN);
@@ -17,12 +17,7 @@ temporary ids and their channels) from ``M ≈ K·log a`` collision symbols
 
 from repro.sensing.basis_pursuit import basis_pursuit, basis_pursuit_complex
 from repro.sensing.greedy import cosamp, iht, omp
-from repro.sensing.matrices import (
-    bernoulli_matrix,
-    coherence,
-    column_weight_matrix,
-    expected_collisions_per_slot,
-)
+from repro.sensing.matrices import bernoulli_matrix
 from repro.sensing.recovery import RecoveryResult, recover_sparse, support_from_estimate
 
 __all__ = [
@@ -30,10 +25,7 @@ __all__ = [
     "basis_pursuit",
     "basis_pursuit_complex",
     "bernoulli_matrix",
-    "coherence",
-    "column_weight_matrix",
     "cosamp",
-    "expected_collisions_per_slot",
     "iht",
     "omp",
     "recover_sparse",

@@ -15,7 +15,7 @@ sessions free-run against each other. This package provides:
   tag field;
 * :mod:`repro.sim.scheme` — the ``multi-reader`` :class:`~repro.engine.
   schemes.UplinkScheme` family, which rolls the simulation up into the
-  standard :class:`~repro.engine.schemes.SchemeResult` so campaigns,
+  standard :class:`~repro.engine.schemes.SchemeRun` so campaigns,
   caching and every executor backend work unchanged.
 """
 

@@ -3,7 +3,7 @@
 Wraps :func:`~repro.sim.multireader.simulate_multi_reader` in the
 :class:`~repro.engine.schemes.UplinkScheme` contract so multi-reader runs
 flow through the campaign engine unchanged — same grids, same caching,
-same executor backends, same :class:`~repro.engine.schemes.SchemeResult`
+same executor backends, same :class:`~repro.engine.schemes.SchemeRun`
 rows next to the single-reader schemes.
 
 ``multi-reader`` honours the collision mode the scenario's
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import BuzzConfig
-from repro.engine.schemes import SchemeResult, register_scheme
+from repro.engine.schemes import SchemeRun, register_scheme
 from repro.nodes.population import TagPopulation
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import COLLISION_MODES, MultiReaderModel
@@ -56,7 +56,7 @@ class MultiReaderScheme:
         rng: np.random.Generator,
         config: BuzzConfig,
         max_slots: Optional[int] = None,
-    ) -> SchemeResult:
+    ) -> SchemeRun:
         model = (
             population.readers
             if population.readers is not None
@@ -74,7 +74,7 @@ class MultiReaderScheme:
         )
         k = len(population)
         truth = population.messages
-        return SchemeResult(
+        return SchemeRun(
             scheme=self.name,
             duration_s=outcome.duration_s,
             message_loss=int(k - outcome.delivered.sum()),

@@ -8,19 +8,14 @@ communication lives in a domain package (``repro.phy``, ``repro.coding``,
 """
 
 from repro.utils.bits import (
-    bits_from_bytes,
     bits_from_int,
-    bits_to_bytes,
     bits_to_int,
-    hamming_distance,
     random_bits,
 )
 from repro.utils.rng import SeedSequenceFactory, derive_seed, stream
 from repro.utils.stats import empirical_cdf
 from repro.utils.units import (
-    db_to_linear,
     db_to_power,
-    linear_to_db,
     power_to_db,
     us,
     ms,
@@ -34,11 +29,8 @@ from repro.utils.validation import (
 
 __all__ = [
     "SeedSequenceFactory",
-    "bits_from_bytes",
     "bits_from_int",
-    "bits_to_bytes",
     "bits_to_int",
-    "db_to_linear",
     "db_to_power",
     "derive_seed",
     "empirical_cdf",
@@ -46,8 +38,6 @@ __all__ = [
     "ensure_positive",
     "ensure_positive_int",
     "ensure_probability",
-    "hamming_distance",
-    "linear_to_db",
     "ms",
     "power_to_db",
     "random_bits",

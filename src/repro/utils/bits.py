@@ -2,8 +2,8 @@
 
 Backscatter messages are short binary strings; throughout the code base they
 are represented as 1-D ``numpy`` arrays with dtype ``uint8`` and values in
-``{0, 1}``. These helpers convert between that representation and integers /
-bytes, and provide small utilities (Hamming distance, random bits).
+``{0, 1}``. These helpers convert between that representation and integers
+and draw random bits.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ BitArray = np.ndarray
 
 __all__ = [
     "as_bits",
-    "bits_from_bytes",
     "bits_from_int",
-    "bits_to_bytes",
     "bits_to_int",
-    "hamming_distance",
     "random_bits",
 ]
 
@@ -62,29 +59,6 @@ def bits_to_int(bits: Union[Sequence[int], np.ndarray]) -> int:
     for bit in arr:
         value = (value << 1) | int(bit)
     return value
-
-
-def bits_from_bytes(data: bytes) -> BitArray:
-    """MSB-first bit expansion of a byte string."""
-    if not data:
-        return np.zeros(0, dtype=np.uint8)
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-
-
-def bits_to_bytes(bits: Union[Sequence[int], np.ndarray]) -> bytes:
-    """Pack an MSB-first bit array into bytes; length must be a multiple of 8."""
-    arr = as_bits(bits)
-    if arr.size % 8:
-        raise ValueError("bit length must be a multiple of 8 to pack into bytes")
-    return np.packbits(arr).tobytes()
-
-
-def hamming_distance(a: Union[Sequence[int], np.ndarray], b: Union[Sequence[int], np.ndarray]) -> int:
-    """Number of positions at which two equal-length bit arrays differ."""
-    aa, bb = as_bits(a), as_bits(b)
-    if aa.shape != bb.shape:
-        raise ValueError(f"length mismatch: {aa.size} vs {bb.size}")
-    return int(np.count_nonzero(aa != bb))
 
 
 def random_bits(n: int, rng: Optional[np.random.Generator] = None, p_one: float = 0.5) -> BitArray:

@@ -4,9 +4,8 @@ Conventions:
 
 * Time is carried in **seconds** internally; ``us``/``ms`` build second
   values from the units the paper quotes.
-* ``linear_to_db``/``db_to_linear`` operate on *amplitude* ratios (20 log10);
-  ``power_to_db``/``db_to_power`` operate on *power* ratios (10 log10). SNRs
-  in this code base are power ratios.
+* ``power_to_db``/``db_to_power`` operate on *power* ratios (10 log10).
+  SNRs in this code base are power ratios.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "db_to_linear",
     "db_to_power",
-    "linear_to_db",
     "power_to_db",
     "us",
     "ms",
@@ -43,13 +40,3 @@ def power_to_db(ratio):
 def db_to_power(db):
     """Decibels → power ratio."""
     return np.power(10.0, np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(ratio):
-    """Amplitude ratio → decibels (20·log10)."""
-    return 20.0 * np.log10(np.maximum(np.asarray(ratio, dtype=float), _EPS))
-
-
-def db_to_linear(db):
-    """Decibels → amplitude ratio."""
-    return np.power(10.0, np.asarray(db, dtype=float) / 20.0)

@@ -5,57 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coding.prng import (
-    TagLfsr,
     slot_decision,
     slot_decision_matrix,
     transmit_pattern_matrix,
 )
-
-
-class TestTagLfsr:
-    def test_deterministic_in_seed(self):
-        assert np.array_equal(TagLfsr(123).bits(64), TagLfsr(123).bits(64))
-
-    def test_different_seeds_differ(self):
-        assert not np.array_equal(TagLfsr(1).bits(64), TagLfsr(2).bits(64))
-
-    def test_zero_seed_remapped(self):
-        # An LFSR at state 0 would lock up; the seed must be remapped.
-        assert TagLfsr(0).bits(32).any()
-
-    def test_reset_rewinds(self):
-        lfsr = TagLfsr(7)
-        first = lfsr.bits(16)
-        lfsr.reset()
-        assert np.array_equal(first, lfsr.bits(16))
-
-    def test_balanced_output(self):
-        bits = TagLfsr(99).bits(4096)
-        assert abs(bits.mean() - 0.5) < 0.03
-
-    def test_period_is_maximal(self):
-        # Maximal 16-bit LFSR revisits its start state after 2^16 - 1 steps.
-        lfsr = TagLfsr(0xBEEF)
-        start = lfsr.state
-        count = 0
-        while True:
-            lfsr.next_bit()
-            count += 1
-            if lfsr.state == start:
-                break
-            assert count < 70_000
-        assert count == 2**16 - 1
-
-    def test_uniform_in_unit_interval(self):
-        lfsr = TagLfsr(5)
-        vals = [lfsr.uniform() for _ in range(500)]
-        assert 0.0 <= min(vals) and max(vals) < 1.0
-        assert abs(np.mean(vals) - 0.5) < 0.05
-
-    def test_bernoulli_bias(self):
-        lfsr = TagLfsr(11)
-        draws = [lfsr.bernoulli(0.25) for _ in range(2000)]
-        assert abs(np.mean(draws) - 0.25) < 0.04
 
 
 class TestSlotDecision:

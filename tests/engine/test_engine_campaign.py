@@ -1,9 +1,9 @@
 """Tests for repro.engine.campaign — declarative grid + executors.
 
 The golden records below were captured from the pre-engine serial loop
-(``repro.network.campaign.run_campaign`` before the scheme-registry
-refactor) at root_seed 2024/77: the engine must reproduce them bit for
-bit, serially and in parallel.
+(the campaign loop that predates the scheme registry) at root_seed
+2024/77: the engine must reproduce them bit for bit, serially and in
+parallel.
 """
 
 import dataclasses

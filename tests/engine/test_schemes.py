@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import BuzzConfig
+from repro.engine.campaign import CampaignCell, CampaignSpec, run_cell
 from repro.engine.schemes import (
     CdmaScheme,
     RatelessScheme,
-    SchemeResult,
+    SchemeRun,
     SilencedScheme,
     TdmaScheme,
     UplinkScheme,
@@ -60,20 +61,41 @@ class TestRegistry:
 
 
 class TestSchemeAdapters:
-    @pytest.mark.parametrize("name", ["buzz", "tdma", "cdma", "silenced"])
+    @pytest.mark.parametrize("name", available_schemes())
     def test_unified_result_shape(self, name):
-        population, front_end = _location()
-        seeds = SeedSequenceFactory(3)
-        result = get_scheme(name).run(
-            population, front_end, seeds.stream("trace", 0, 0, name), config=BuzzConfig()
+        """Every registered scheme yields one SchemeRun that ``run_cell``
+        places in the grid and that survives the JSON record unchanged."""
+        spec = CampaignSpec(
+            scenario=default_uplink_scenario(3),
+            root_seed=3,
+            n_locations=2,
+            n_traces=2,
+            schemes=(name,),
+            configs=(BuzzConfig(), BuzzConfig(bp_restarts=0)),
         )
-        assert isinstance(result, SchemeResult)
-        assert result.scheme == name
-        assert result.n_tags == 4
-        assert result.duration_s > 0
-        assert result.slots_used > 0
-        assert result.transmissions.shape == (4,)
-        assert 0 <= result.message_loss <= 4
+        cell = CampaignCell(location=1, trace=1, scheme=name, variant=1)
+        run = run_cell(spec, cell)
+        assert isinstance(run, SchemeRun)
+        assert (run.scheme, run.location, run.trace, run.variant) == (
+            cell.scheme,
+            cell.location,
+            cell.trace,
+            cell.variant,
+        )
+        assert run.n_tags == 3
+        assert run.duration_s > 0
+        assert run.slots_used > 0
+        assert run.transmissions.shape == (3,)
+        assert 0 <= run.message_loss <= 3
+        record = run.to_dict()
+        assert SchemeRun.from_dict(record).to_dict() == record
+
+    def test_scheme_returns_an_unplaced_run(self):
+        population, front_end = _location()
+        run = TdmaScheme().run(
+            population, front_end, np.random.default_rng(0), config=BuzzConfig()
+        )
+        assert (run.location, run.trace, run.variant) == (None, None, None)
 
     def test_tdma_slots_used_is_population_size(self):
         population, front_end = _location(n_tags=5, seed=8)

@@ -1,9 +1,10 @@
-"""Tests for repro.network.campaign."""
+"""The paper's location × trace × scheme grid over a network scenario,
+declared as a :class:`~repro.engine.CampaignSpec` and run by
+:func:`repro.engine.run_campaign`."""
 
-import numpy as np
 import pytest
 
-from repro.network.campaign import run_campaign
+from repro.engine import CampaignSpec, run_campaign
 from repro.network.metrics import uplink_metrics_from_runs
 from repro.network.scenarios import default_uplink_scenario
 
@@ -11,7 +12,7 @@ from repro.network.scenarios import default_uplink_scenario
 class TestRunCampaign:
     def test_grid_size(self):
         campaign = run_campaign(
-            default_uplink_scenario(4), n_locations=2, n_traces=2
+            CampaignSpec(default_uplink_scenario(4), n_locations=2, n_traces=2)
         )
         assert len(campaign.runs) == 2 * 2 * 3  # locations × traces × schemes
         for scheme in ("buzz", "tdma", "cdma"):
@@ -21,31 +22,36 @@ class TestRunCampaign:
         """Back-to-back methodology: within a location every scheme must see
         the same number of tags and comparable conditions."""
         campaign = run_campaign(
-            default_uplink_scenario(4), n_locations=1, n_traces=1
+            CampaignSpec(default_uplink_scenario(4), n_locations=1, n_traces=1)
         )
         n_tags = {r.n_tags for r in campaign.runs}
         assert n_tags == {4}
 
     def test_reproducible(self):
-        a = run_campaign(default_uplink_scenario(4), root_seed=7, n_locations=1, n_traces=1)
-        b = run_campaign(default_uplink_scenario(4), root_seed=7, n_locations=1, n_traces=1)
+        spec = CampaignSpec(
+            default_uplink_scenario(4), root_seed=7, n_locations=1, n_traces=1
+        )
+        a = run_campaign(spec)
+        b = run_campaign(spec)
         for ra, rb in zip(a.runs, b.runs):
             assert ra.duration_s == rb.duration_s
             assert ra.message_loss == rb.message_loss
 
     def test_subset_of_schemes(self):
         campaign = run_campaign(
-            default_uplink_scenario(4), n_locations=1, n_traces=1, schemes=("tdma",)
+            CampaignSpec(
+                default_uplink_scenario(4), n_locations=1, n_traces=1, schemes=("tdma",)
+            )
         )
         assert {r.scheme for r in campaign.runs} == {"tdma"}
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            run_campaign(default_uplink_scenario(4), schemes=("aloha",))
+            CampaignSpec(default_uplink_scenario(4), schemes=("aloha",))
 
     def test_aggregates(self):
         campaign = run_campaign(
-            default_uplink_scenario(4), n_locations=2, n_traces=1
+            CampaignSpec(default_uplink_scenario(4), n_locations=2, n_traces=1)
         )
         assert campaign.mean_duration_s("tdma") > 0
         assert campaign.total_loss("buzz") >= 0
@@ -53,7 +59,7 @@ class TestRunCampaign:
 
     def test_metrics_builder(self):
         campaign = run_campaign(
-            default_uplink_scenario(4), n_locations=2, n_traces=1
+            CampaignSpec(default_uplink_scenario(4), n_locations=2, n_traces=1)
         )
         metrics = uplink_metrics_from_runs("buzz", campaign.by_scheme("buzz"))
         assert metrics.n_runs == 2

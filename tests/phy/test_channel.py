@@ -9,7 +9,6 @@ from repro.phy.channel import (
     MobilityModel,
     SingleTapChannel,
     channels_for_snr_band,
-    near_far_spread_db,
 )
 
 
@@ -29,18 +28,6 @@ class TestSingleTapChannel:
         assert np.allclose(out, [0, 2j, 2j])
 
 
-class TestNearFarSpread:
-    def test_equal_channels_zero(self):
-        assert near_far_spread_db([1 + 0j, 1j]) == pytest.approx(0.0)
-
-    def test_known_ratio(self):
-        assert near_far_spread_db([1.0, 10.0]) == pytest.approx(20.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            near_far_spread_db([])
-
-
 class TestChannelModel:
     def test_sample_count_and_dtype(self):
         model = ChannelModel()
@@ -57,9 +44,9 @@ class TestChannelModel:
         rng = np.random.default_rng(2)
         narrow = ChannelModel(near_far_db=0.1, rician_k_db=40.0)
         wide = ChannelModel(near_far_db=24.0, rician_k_db=40.0)
-        sn = near_far_spread_db(narrow.sample(200, rng))
-        sw = near_far_spread_db(wide.sample(200, np.random.default_rng(2)))
-        assert sw > sn + 6.0
+        lo_n, hi_n = narrow.snr_range_db(narrow.sample(200, rng))
+        lo_w, hi_w = wide.snr_range_db(wide.sample(200, np.random.default_rng(2)))
+        assert hi_w - lo_w > hi_n - lo_n + 6.0
 
     def test_snr_range_orders(self):
         model = ChannelModel()

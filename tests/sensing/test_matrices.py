@@ -1,14 +1,8 @@
 """Tests for repro.sensing.matrices."""
 
 import numpy as np
-import pytest
 
-from repro.sensing.matrices import (
-    bernoulli_matrix,
-    coherence,
-    column_weight_matrix,
-    expected_collisions_per_slot,
-)
+from repro.sensing.matrices import bernoulli_matrix
 
 
 class TestBernoulliMatrix:
@@ -25,47 +19,3 @@ class TestBernoulliMatrix:
         assert not bernoulli_matrix(5, 5, 0.0, rng).any()
         assert bernoulli_matrix(5, 5, 1.0, rng).all()
 
-
-class TestColumnWeightMatrix:
-    def test_exact_weights(self):
-        m = column_weight_matrix(20, 15, 4, np.random.default_rng(3))
-        assert (m.sum(axis=0) == 4).all()
-
-    def test_weight_exceeding_rows_rejected(self):
-        with pytest.raises(ValueError):
-            column_weight_matrix(3, 2, 4, np.random.default_rng(0))
-
-    def test_columns_differ(self):
-        m = column_weight_matrix(64, 30, 8, np.random.default_rng(4))
-        assert len({tuple(c) for c in m.T}) == 30
-
-
-class TestCoherence:
-    def test_identity_is_zero(self):
-        assert coherence(np.eye(4)) == pytest.approx(0.0)
-
-    def test_duplicate_columns_are_one(self):
-        col = np.array([[1.0], [1.0], [0.0]])
-        m = np.hstack([col, col])
-        assert coherence(m) == pytest.approx(1.0)
-
-    def test_bounds(self):
-        m = bernoulli_matrix(50, 30, 0.4, np.random.default_rng(5)).astype(float)
-        assert 0.0 <= coherence(m) <= 1.0
-
-    def test_zero_columns_skipped(self):
-        m = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        assert np.isfinite(coherence(m))
-
-    def test_requires_two_columns(self):
-        with pytest.raises(ValueError):
-            coherence(np.ones((3, 1)))
-
-
-class TestExpectedCollisions:
-    def test_value(self):
-        assert expected_collisions_per_slot(16, 0.25) == pytest.approx(4.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            expected_collisions_per_slot(0, 0.5)

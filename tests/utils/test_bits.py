@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.bits import (
-    as_bits,
-    bits_from_bytes,
-    bits_from_int,
-    bits_to_bytes,
-    bits_to_int,
-    hamming_distance,
-    random_bits,
-)
+from repro.utils.bits import as_bits, bits_from_int, bits_to_int, random_bits
 
 
 class TestAsBits:
@@ -48,37 +40,6 @@ class TestIntRoundtrip:
     @given(st.integers(min_value=0, max_value=2**20 - 1))
     def test_roundtrip(self, value):
         assert bits_to_int(bits_from_int(value, 20)) == value
-
-
-class TestBytesRoundtrip:
-    @given(st.binary(max_size=64))
-    def test_roundtrip(self, data):
-        assert bits_to_bytes(bits_from_bytes(data)) == data
-
-    def test_non_multiple_of_8_rejected(self):
-        with pytest.raises(ValueError):
-            bits_to_bytes([1, 0, 1])
-
-    def test_msb_first(self):
-        assert bits_from_bytes(b"\x80").tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
-
-
-class TestHamming:
-    def test_zero_for_equal(self):
-        assert hamming_distance([1, 0, 1], [1, 0, 1]) == 0
-
-    def test_counts_differences(self):
-        assert hamming_distance([1, 0, 1, 1], [0, 0, 1, 0]) == 2
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            hamming_distance([1], [1, 0])
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
-    def test_symmetric(self, bits):
-        rng = np.random.default_rng(0)
-        other = random_bits(len(bits), rng)
-        assert hamming_distance(bits, other) == hamming_distance(other, bits)
 
 
 class TestRandomBits:
