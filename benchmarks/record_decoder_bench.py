@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """Record the decoder wall-time trajectory to ``BENCH_decoder.json``.
 
-Times one warm-start :meth:`decode` call per kernel on the synthetic
-collision systems the benchmark gates use (``synthetic_instance`` — D at
-the config's clamped data density, L = 1.2·K slots, 8 % warm-start bit
+Times one warm-start decode per kernel on the synthetic collision
+systems the benchmark gates use (``synthetic_instance`` — D at the
+config's clamped data density, L = 1.2·K slots, 8 % warm-start bit
 errors), across a sweep of tag-population sizes K. The kernels are the
-packed production kernel and the scalar per-position reference; the
-scalar one is only run at small K (it is minutes-slow beyond that).
+packed production kernel, driven through the from-scratch reference
+front end :func:`repro.core.reference.decode_full_width`, and the scalar
+per-position reference; the scalar one is only run at small K (it is
+minutes-slow beyond that).
 
 Usage::
 
@@ -17,7 +19,8 @@ Usage::
 The artifact is a single JSON object::
 
     {
-      "schema": "bench-decoder/v1",
+      "schema": "bench-decoder/v2",
+      "blas_threads": "1",                    # OPENBLAS_NUM_THREADS seen
       "workload": {...},                      # instance parameters
       "kernels": ["packed", "scalar"],        # entries actually recorded
       "series": [
@@ -27,24 +30,35 @@ The artifact is a single JSON object::
       ]
     }
 
-``seconds`` is the median of ``--rounds`` timed calls (decoder
-construction included — the rateless loop builds a fresh kernel per slot
-arrival, so construction is part of the honest cost).
+``seconds`` is the median of ``--rounds`` timed calls. Each call
+derives every operand from scratch (signal matrix, overlap gemm,
+pair-scan caps, initial correlations): it times the reference front
+end, not the rateless loop, which binds the kernel to its persistent
+decoder state in O(1).
+
+BLAS runs on one thread, as under ``python -m repro``, unless the
+environment sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``; ``blas_threads`` records the value the run saw.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# Before numpy is first imported: its BLAS reads these once.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from test_bench_decoder import synthetic_instance  # noqa: E402
 
-from repro.core.bp_decoder import BitFlipDecoder, PackedBitFlipDecoder  # noqa: E402
+from repro.core.reference import BitFlipDecoder, decode_full_width  # noqa: E402
 
 _MAX_FLIPS = 60
 _M = 37  # 32-bit message + CRC-5, the paper's uplink frame
@@ -66,8 +80,7 @@ def _scalar_decode(d, h, y, init):
 
 
 def _packed_decode(d, h, y, init):
-    decoder = PackedBitFlipDecoder(d, h, max_flips=_MAX_FLIPS)
-    return int(decoder.decode(y, init=init).flips.sum())
+    return int(decode_full_width(d, h, y, init, max_flips=_MAX_FLIPS).flips.sum())
 
 
 _KERNELS = {"scalar": _scalar_decode, "packed": _packed_decode}
@@ -100,7 +113,8 @@ def record(ks, rounds):
                 f"({entry['flips']} flips)"
             )
     return {
-        "schema": "bench-decoder/v1",
+        "schema": "bench-decoder/v2",
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "workload": {
             "m": _M,
             "slots_per_k": 1.2,

@@ -25,7 +25,8 @@ Usage::
 The artifact is a single JSON object::
 
     {
-      "schema": "bench-session/v1",
+      "schema": "bench-session/v2",
+      "blas_threads": "1",              # OPENBLAS_NUM_THREADS seen
       "workload": {...},                # shared session parameters
       "series": [
         {"k": 500, "slots": 1000, "decoded": 496,
@@ -37,15 +38,24 @@ The artifact is a single JSON object::
 
 ``*_seconds`` is the median of ``--rounds`` timed sessions (decoder and
 state construction included — they are part of the honest session cost).
+
+BLAS runs on one thread, as under ``python -m repro``, unless the
+environment sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``; ``blas_threads`` records the value the run saw.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# Before numpy is first imported: its BLAS reads these once.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -96,7 +106,8 @@ def record(ks, rounds):
             flush=True,
         )
     return {
-        "schema": "bench-session/v1",
+        "schema": "bench-session/v2",
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "workload": {
             "snr_band_db": list(SNR_BAND_DB),
             "noise_std": NOISE_STD,

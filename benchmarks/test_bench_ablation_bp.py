@@ -11,7 +11,7 @@ Alg. 1 are ablated here:
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.core.bp_decoder import BitFlipDecoder
+from repro.core.reference import BitFlipDecoder
 
 
 def _instance(rng, k=10, n_slots=8, density=0.5, noise=0.02):

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from repro.coding.prng import slot_decision_matrix
-from repro.core.bp_decoder import BitFlipDecoder, PackedBitFlipDecoder
+from repro.core.reference import BitFlipDecoder, decode_full_width
 from repro.core.config import BuzzConfig
 from repro.network.scenarios import default_uplink_scenario
 from repro.nodes.tag import SALT_DATA
@@ -77,10 +77,7 @@ def test_bench_batched_decode_kernel(benchmark):
 
     def packed():
         rng = np.random.default_rng(5)
-        kernel = PackedBitFlipDecoder(d, h)
-        return kernel.decode_best_of(
-            y, restarts=_RESTARTS, rng=rng, init=init, frozen=frozen
-        ).bits
+        return decode_full_width(d, h, y, init, frozen, restarts=_RESTARTS, rng=rng).bits
 
     reference = per_position()
     result = benchmark.pedantic(packed, rounds=1, iterations=1, warmup_rounds=0)
@@ -134,7 +131,7 @@ def test_bench_packed_decode_kernel(benchmark):
         ]
 
     def packed():
-        return PackedBitFlipDecoder(d, h, max_flips=60).decode(y, init=init, frozen=frozen)
+        return decode_full_width(d, h, y, init, frozen, max_flips=60)
 
     start = time.perf_counter()
     reference = per_position()
@@ -156,7 +153,7 @@ def test_bench_packed_k1000_smoke(benchmark):
     d, h, y, init = synthetic_instance(k=1000, m=16, seed=202)
 
     def packed():
-        return PackedBitFlipDecoder(d, h, max_flips=60).decode(y, init=init)
+        return decode_full_width(d, h, y, init, max_flips=60)
 
     outcome = benchmark.pedantic(packed, rounds=1, iterations=1, warmup_rounds=0)
     assert outcome.bits.shape == init.shape

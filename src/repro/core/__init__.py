@@ -7,9 +7,10 @@
 * :mod:`repro.core.bp_decoder` — bit-flipping belief propagation (Alg. 1).
 * :mod:`repro.core.rateless` — the distributed rateless collision code.
 * :mod:`repro.core.buzz` — end-to-end system.
+* :mod:`repro.core.reference` — the test oracles (scalar decoder, rebuild
+  reader); no production module imports it.
 """
 
-from repro.core.bp_decoder import BitFlipDecoder, DecodeOutcome
 from repro.core.bucketing import BucketingResult, candidate_ids, run_bucketing
 from repro.core.buzz import BuzzRunResult, BuzzSystem
 from repro.core.config import BuzzConfig
@@ -24,12 +25,10 @@ from repro.core.rateless import (
 from repro.core.silencing import run_rateless_with_silencing
 
 __all__ = [
-    "BitFlipDecoder",
     "BucketingResult",
     "BuzzConfig",
     "BuzzRunResult",
     "BuzzSystem",
-    "DecodeOutcome",
     "DecodeProgress",
     "IdentificationResult",
     "KEstimateResult",

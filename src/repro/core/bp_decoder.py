@@ -20,13 +20,19 @@ delta ``δ_i = h_i(1 − 2b̂_i)``,
     G_i = 2·Re(δ_i · Σ_{j: D_ji=1} conj(r_j)) − w_i·|δ_i|²
 
 where ``w_i`` is tag *i*'s column weight.
+
+:class:`PackedBitFlipDecoder` is the one production kernel: the rateless
+reader binds it to its persistent decoder state and decodes all message
+positions at once. The scalar per-position decoder it is pinned to, and
+a full-width front end with a ``frozen`` mask, are test oracles in
+:mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,8 +40,6 @@ from repro.coding.gf2 import pack_rows, unpack_rows
 from repro.utils.validation import ensure_positive_int
 
 __all__ = [
-    "BitFlipDecoder",
-    "DecodeOutcome",
     "best_pair_flip",
     "resolve_stalls",
     "pair_cross_caps",
@@ -113,9 +117,10 @@ def best_pair_flip(
     single-flip gains already in hand plus the slot-overlap counts; no
     per-pair residual correlations. Selection: pairs ``i < j`` over
     unfrozen bits in row-major order, first strict maximum above the gain
-    tolerance. The per-position decoder calls it directly and the packed
-    kernel through :func:`resolve_stalls`, which returns the same pairs,
-    so both take identical escape decisions at a stall.
+    tolerance. The scalar reference decoder
+    (:class:`repro.core.reference.BitFlipDecoder`) calls it directly and
+    the packed kernel through :func:`resolve_stalls`, which returns the
+    same pairs, so both take identical escape decisions at a stall.
 
     ``cap``, when given, is :func:`pair_cross_caps` for this problem and
     restricts the scan to a candidate set in O(K): a pair's gain is at
@@ -342,263 +347,6 @@ def _exact_block_pairs(g, delta, free, is_cand, n_cand, chunk, overlap, pairs):
 
 
 @dataclass
-class DecodeOutcome:
-    """Result of one bit-position decode.
-
-    Attributes
-    ----------
-    bits:
-        The decoded ``(K,)`` binary vector.
-    flips:
-        Number of flips performed.
-    converged:
-        False only if the flip-budget safety valve tripped.
-    residual_norm:
-        ``‖D(h∘b̂) − y‖₂`` at termination.
-    """
-
-    bits: np.ndarray
-    flips: int
-    converged: bool
-    residual_norm: float
-
-
-class BitFlipDecoder:
-    """Joint decoder for one bit position of all K nodes.
-
-    Parameters
-    ----------
-    d_matrix:
-        ``(L, K)`` binary collision matrix (reader-regenerated D).
-    channels:
-        ``(K,)`` complex channel estimates ``ĥ``.
-    max_flips:
-        Safety bound on flips per decode call.
-    """
-
-    def __init__(self, d_matrix: np.ndarray, channels: Sequence[complex], max_flips: int = 10_000):
-        self.d = np.atleast_2d(np.asarray(d_matrix, dtype=np.uint8))
-        self.h = np.asarray(channels, dtype=complex).ravel()
-        if self.d.shape[1] != self.h.size:
-            raise ValueError(
-                f"D has {self.d.shape[1]} columns but {self.h.size} channels given"
-            )
-        ensure_positive_int(max_flips, "max_flips")
-        self.max_flips = max_flips
-        self.n_slots, self.k = self.d.shape
-        # Signal matrix: S[j, i] = h_i if tag i transmitted in slot j.
-        self._signal = self.d.astype(float) * self.h[None, :]
-        self._weights = self.d.sum(axis=0).astype(float)
-        # Bipartite-graph adjacency: rows (slots) per tag, and
-        # neighbours-of-neighbours per tag (tags sharing at least one slot).
-        self._rows_of: List[np.ndarray] = [np.flatnonzero(self.d[:, i]) for i in range(self.k)]
-        # Pairwise slot-overlap counts |d_i ∩ d_j| — adjacency for the
-        # incremental gain updates and the closed-form pair-flip escape.
-        self._overlap = self.d.T.astype(int) @ self.d.astype(int)
-        shared = self._overlap > 0
-        self._nofn: List[np.ndarray] = [np.flatnonzero(shared[i]) for i in range(self.k)]
-        self._pair_cap_cache: Optional[np.ndarray] = None
-        self._cross_mag_cache: Optional[np.ndarray] = None
-        self._co_cache: Optional[np.ndarray] = None
-
-    @property
-    def _cross_mag(self) -> np.ndarray:
-        """Exact pair cross-term magnitudes, built on demand."""
-        if self._cross_mag_cache is None:
-            self._cross_mag_cache = cross_magnitudes(self.h)
-        return self._cross_mag_cache
-
-    @property
-    def _co(self) -> np.ndarray:
-        """``cross_mag * overlap`` — the pair scan's shared bound matrix."""
-        if self._co_cache is None:
-            self._co_cache = self._cross_mag * self._overlap
-        return self._co_cache
-
-    @property
-    def _pair_cap(self) -> np.ndarray:
-        """Cross-term caps for the pair scan's O(K) skip, built on demand."""
-        if self._pair_cap_cache is None:
-            self._pair_cap_cache = pair_cross_caps(
-                self._overlap, self.h, cross_mag=self._cross_mag
-            )
-        return self._pair_cap_cache
-
-    # ---- gain machinery -------------------------------------------------------
-    def _all_gains(
-        self, residual: np.ndarray, bits: np.ndarray, frozen: np.ndarray
-    ) -> np.ndarray:
-        # Frozen columns can never be flipped, so their correlations are
-        # skipped outright rather than computed and overwritten with -inf.
-        gains = np.full(self.k, _NEG_INF)
-        free = np.flatnonzero(~frozen)
-        if free.size == 0:
-            return gains
-        delta = self.h[free] * (1.0 - 2.0 * bits[free].astype(float))
-        corr = self.d[:, free].T.astype(float) @ np.conj(residual)
-        gains[free] = 2.0 * np.real(delta * corr) - self._weights[free] * np.abs(delta) ** 2
-        return gains
-
-    def _update_gains(
-        self,
-        gains: np.ndarray,
-        affected: np.ndarray,
-        residual: np.ndarray,
-        bits: np.ndarray,
-        frozen: np.ndarray,
-    ) -> None:
-        """Recompute gains only for the affected, unfrozen tags (locality)."""
-        affected = affected[~frozen[affected]]
-        if affected.size == 0:
-            return
-        delta = self.h[affected] * (1.0 - 2.0 * bits[affected].astype(float))
-        corr = self.d[:, affected].T.astype(float) @ np.conj(residual)
-        gains[affected] = (
-            2.0 * np.real(delta * corr) - self._weights[affected] * np.abs(delta) ** 2
-        )
-
-    def _best_pair_flip(
-        self, gains: np.ndarray, bits: np.ndarray, frozen: np.ndarray
-    ) -> Optional[tuple]:
-        """Find a joint two-bit flip with positive gain, if any.
-
-        Returns the best such pair or ``None`` — the shared closed-form
-        scan (:func:`best_pair_flip`) fed with the decoder's incremental
-        gains and slot-overlap counts.
-        """
-        delta = self.h * (1.0 - 2.0 * bits.astype(float))
-        return best_pair_flip(
-            gains, delta, self._overlap, frozen,
-            cap=self._pair_cap, co=self._co,
-        )
-
-    # ---- decoding -------------------------------------------------------------
-    def decode(
-        self,
-        y: np.ndarray,
-        init: Optional[np.ndarray] = None,
-        frozen: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> DecodeOutcome:
-        """Decode one bit position.
-
-        Parameters
-        ----------
-        y:
-            ``(L,)`` received symbols for this position.
-        init:
-            Starting estimate; random bits when omitted (the paper's
-            initialisation — pass the previous estimate to warm-start).
-        frozen:
-            Boolean mask of bits that must not be flipped (CRC-passed
-            messages). Their *values* are taken from ``init``.
-        rng:
-            Required when ``init`` is omitted.
-        """
-        y = np.asarray(y, dtype=complex).ravel()
-        if y.size != self.n_slots:
-            raise ValueError(f"y has length {y.size}, expected {self.n_slots}")
-        if init is None:
-            if rng is None:
-                raise ValueError("rng is required for random initialisation")
-            if frozen is not None and np.any(frozen):
-                raise ValueError(
-                    "frozen bits need their values: pass init when frozen is set"
-                )
-            bits = (rng.random(self.k) < 0.5).astype(np.uint8)
-        else:
-            bits = np.asarray(init, dtype=np.uint8).copy().ravel()
-            if bits.size != self.k:
-                raise ValueError(f"init has length {bits.size}, expected {self.k}")
-        frozen_mask = (
-            np.zeros(self.k, dtype=bool)
-            if frozen is None
-            else np.asarray(frozen, dtype=bool).copy()
-        )
-        if frozen_mask.size != self.k:
-            raise ValueError("frozen mask length mismatch")
-
-        residual = y - self._signal @ bits.astype(float)
-        gains = self._all_gains(residual, bits, frozen_mask)
-
-        flips = 0
-        while flips < self.max_flips:
-            best = int(np.argmax(gains))
-            if not np.isfinite(gains[best]) or gains[best] <= _GAIN_TOL:
-                # Single flips exhausted. Near-degenerate channel pairs
-                # (h_i ≈ ±h_j) create two-bit local minima a single flip
-                # cannot leave — scan joint pair flips before giving up.
-                pair = self._best_pair_flip(gains, bits, frozen_mask)
-                if pair is None:
-                    break
-                i, j = pair
-                for idx in (i, j):
-                    delta = self.h[idx] * (1.0 - 2.0 * float(bits[idx]))
-                    residual[self._rows_of[idx]] -= delta
-                    bits[idx] ^= 1
-                flips += 1
-                affected = np.union1d(self._nofn[i], self._nofn[j])
-                affected = np.union1d(affected, np.array([i, j]))
-                self._update_gains(gains, affected, residual, bits, frozen_mask)
-                continue
-            # Flip `best`: residual changes only on its slots.
-            delta = self.h[best] * (1.0 - 2.0 * float(bits[best]))
-            rows = self._rows_of[best]
-            residual[rows] -= delta
-            bits[best] ^= 1
-            flips += 1
-            self._update_gains(gains, self._nofn[best], residual, bits, frozen_mask)
-            # A tag with no slots yet has an empty neighbourhood including
-            # itself — keep its own gain fresh regardless.
-            if best not in self._nofn[best]:
-                self._update_gains(
-                    gains, np.array([best]), residual, bits, frozen_mask
-                )
-
-        return DecodeOutcome(
-            bits=bits,
-            flips=flips,
-            converged=flips < self.max_flips,
-            residual_norm=float(np.linalg.norm(residual)),
-        )
-
-    def decode_best_of(
-        self,
-        y: np.ndarray,
-        restarts: int,
-        rng: np.random.Generator,
-        init: Optional[np.ndarray] = None,
-        frozen: Optional[np.ndarray] = None,
-    ) -> DecodeOutcome:
-        """Decode with ``restarts`` extra random initialisations, keep the best.
-
-        Bit flipping is a local search; a handful of restarts markedly
-        reduces the local-minimum rate when collisions are dense (good
-        channels, high transmit probability).
-        """
-        best = self.decode(y, init=init, frozen=frozen, rng=rng)
-        for _ in range(max(0, restarts)):
-            if best.residual_norm <= _RESIDUAL_EXACT:
-                break
-            trial_init = (rng.random(self.k) < 0.5).astype(np.uint8)
-            if init is not None:
-                # Random restart must not disturb CRC-frozen values, nor
-                # zero-weight nodes: a node with no slots yet has zero gain
-                # everywhere, so a restart would hand it unconstrained
-                # random bits whose only observable effect is to make an
-                # equal-norm trial adoption (a float-rounding tie) visible.
-                pinned = self._weights == 0
-                if frozen is not None:
-                    pinned = pinned | np.asarray(frozen, dtype=bool)
-                trial_init[pinned] = np.asarray(init, dtype=np.uint8)[pinned]
-            trial = self.decode(y, init=trial_init, frozen=frozen, rng=rng)
-            if trial.residual_norm < best.residual_norm:
-                best = trial
-        return best
-
-
-
-@dataclass
 class BatchedDecodeOutcome:
     """Result of one batched decode over M bit positions.
 
@@ -664,75 +412,39 @@ class PackedBitFlipDecoder:
     * **Gains update incrementally.** Flipping bit *i* of column *m*
       changes that column's correlation by ``conj(δ_i)·(Dᵀ d_i)`` — one
       column of the slot-overlap matrix — so a round costs an axpy over
-      the flipped columns; only the *initial* correlation (and the final
-      residual norms) cost a matmul per :meth:`decode` call.
+      the flipped columns; only a restart batch's *initial* correlation
+      (and the final residual norms) cost a matmul.
     * **The bit state lives in uint64 words.** The ``(K, M)`` estimate
       matrix is held packed (:func:`repro.coding.gf2.pack_rows`, 64
       positions per word) and flips are word XORs.
 
-    Flip decisions per column are those of :class:`BitFlipDecoder`, the
-    scalar reference — same gain formula, same tolerance, same pair-flip
-    escape (:func:`resolve_stalls` returns :func:`best_pair_flip`'s
-    pairs), same restart RNG draw order — so the decoded bits, flip counts
-    and converged flags equal running the per-position decoder M times
-    with a shared generator. Residual norms agree to float precision, not
-    bitwise: the correlations accumulate through incremental updates where
-    the scalar decoder re-derives them per flip. A decision can differ
-    only when a gain sits within rounding error of a tie or of the gain
-    tolerance — vanishingly rare with continuous channel draws, and pinned
-    by the hypothesis and golden-seed equivalence suites.
+    The kernel is bound to a :class:`~repro.core.decoder_state.
+    DecoderState` (:meth:`from_state`) and decodes its *peeled active*
+    problem: verified columns are already subtracted from the state's
+    symbols, so every bit the kernel sees may flip.
 
-    Parameters
-    ----------
-    d_matrix:
-        ``(L, K)`` binary collision matrix (reader-regenerated D).
-    channels:
-        ``(K,)`` complex channel estimates ``ĥ``.
-    max_flips:
-        Safety bound on flips per position per decode call.
+    Flip decisions per column are those of :class:`~repro.core.reference.
+    BitFlipDecoder`, the scalar reference — same gain formula, same
+    tolerance, same pair-flip escape (:func:`resolve_stalls` returns
+    :func:`best_pair_flip`'s pairs), same restart RNG draw order — so the
+    decoded bits, flip counts and converged flags equal running the
+    per-position decoder M times with a shared generator. Residual norms
+    agree to float precision, not bitwise: the correlations accumulate
+    through incremental updates where the scalar decoder re-derives them
+    per flip. A decision can differ only when a gain sits within rounding
+    error of a tie or of the gain tolerance — vanishingly rare with
+    continuous channel draws, and pinned by the hypothesis and
+    golden-seed equivalence suites.
     """
-
-    #: Bound :class:`~repro.core.decoder_state.DecoderState` when built via
-    #: :meth:`from_state`; ``None`` for from-scratch construction.
-    _state = None
-
-    def __init__(self, d_matrix: np.ndarray, channels: Sequence[complex], max_flips: int = 10_000):
-        self.d = np.atleast_2d(np.asarray(d_matrix, dtype=np.uint8))
-        self.h = np.asarray(channels, dtype=complex).ravel()
-        if self.d.shape[1] != self.h.size:
-            raise ValueError(
-                f"D has {self.d.shape[1]} columns but {self.h.size} channels given"
-            )
-        ensure_positive_int(max_flips, "max_flips")
-        self.max_flips = max_flips
-        self.n_slots, self.k = self.d.shape
-        self._signal = self.d.astype(float) * self.h[None, :]
-        self._d_f = self.d.astype(float)
-        self._dT = np.ascontiguousarray(self._d_f.T)
-        self._weights = self.d.sum(axis=0).astype(float)
-        self._hr = np.ascontiguousarray(self.h.real)
-        self._hi = np.ascontiguousarray(self.h.imag)
-        self._wh2 = self._weights * np.abs(self.h) ** 2
-        # Every decode reads the overlap in its first round and the caps at
-        # its first stall, so both are built here rather than on demand.
-        self._overlap = self._dT @ self._d_f
-        self._cross_mag = cross_magnitudes(self.h)
-        self._pair_cap = pair_cross_caps(self._overlap, self.h, cross_mag=self._cross_mag)
-        self._co_cache: Optional[np.ndarray] = None
 
     @classmethod
     def from_state(cls, state, max_flips: int = 10_000):
         """Bind a kernel to a persistent decoder state — no setup gemms.
 
-        Where :meth:`__init__` stacks and derives every operand (signal
-        matrix, float D, weights, the (K, K) overlap and the pair-scan
-        caps), this constructor points the kernel at the live views the
-        state already maintains: O(1) plus a transpose view. The kernel
-        then decodes the *peeled active* problem (``state.k_active``
-        columns, frozen contributions already subtracted from
-        ``state.y``), so no ``frozen`` mask is needed. Kernels built this
-        way additionally expose :meth:`decode_best_of_state`, which runs
-        the restart protocol directly on (and back into) the state.
+        The kernel points at the live views the state already maintains
+        (signal matrix, float D, weights, the (K, K) overlap and the
+        pair-scan caps): O(1) plus a transpose view. ``max_flips`` bounds
+        the flips per position per decode call.
         """
         ensure_positive_int(max_flips, "max_flips")
         self = cls.__new__(cls)
@@ -740,7 +452,6 @@ class PackedBitFlipDecoder:
         self._state = state
         self.d = state.d
         self.h = state.h
-        self.n_slots, self.k = self.d.shape
         self._signal = state.signal
         self._d_f = state.d_f
         # A transpose view: gemms accept either layout, and copying to
@@ -762,55 +473,39 @@ class PackedBitFlipDecoder:
 
         One K×K multiply per kernel instance, amortised over every wide
         pair scan of the decode call (each then pays a single row gather
-        plus two adds instead of two gathers and a multiply). Always
-        rebuilt locally — state-bound kernels derive it from the shared
-        overlap on first use, so it is exactly the elementwise product
-        the sparse verification stage compares against.
+        plus two adds instead of two gathers and a multiply). Derived
+        from the state's overlap on first use, so it is exactly the
+        elementwise product the sparse verification stage compares
+        against.
         """
         if self._co_cache is None:
             self._co_cache = self._cross_mag * self._overlap
         return self._co_cache
 
     # ---- decoding -------------------------------------------------------------
-    def decode(
-        self,
-        ys: np.ndarray,
-        init: np.ndarray,
-        frozen: Optional[np.ndarray] = None,
-    ) -> BatchedDecodeOutcome:
-        """Decode all M positions from a warm start.
+    def decode_best_of_state(self, restarts: int, rng: np.random.Generator) -> BatchedDecodeOutcome:
+        """Warm decode plus ``restarts`` random retries per position, on
+        the state.
 
-        Parameters
-        ----------
-        ys:
-            ``(L, M)`` received symbols — column *m* is position *m*'s.
-        init:
-            ``(K, M)`` starting estimates (the rateless loop's previous
-            round, or random draws for a restart batch). Copied, never
-            written.
-        frozen:
-            ``(K,)`` boolean mask of bits that must not flip in any
-            position (CRC-passed messages); values come from ``init``.
+        The warm decode runs in place on the state's bits, residual and
+        correlations, which already sit at the previous round's local
+        optimum plus the rank-(new rows) extensions: no stacking, no
+        initial residual or correlation gemm. Restarts follow
+        :meth:`_restart`; winning trials land in the state's own arrays,
+        keeping it warm for the next round.
         """
-        ys = np.asarray(ys, dtype=complex)
-        if ys.ndim != 2 or ys.shape[0] != self.n_slots:
-            raise ValueError(f"ys must be (L={self.n_slots}, M), got {ys.shape}")
-        m = ys.shape[1]
+        state = self._state
+        warm = self._solve(state.bits, state.residual, state.corr_re, state.corr_im)
+        return self._restart(warm, restarts, rng)
+
+    def _decode(self, ys: np.ndarray, init: np.ndarray) -> BatchedDecodeOutcome:
+        """Decode the ``(L, M')`` columns ``ys`` from scratch, starting at
+        ``init`` (copied): a restart batch's trials."""
         bits = np.array(init, dtype=np.uint8)
-        if bits.shape != (self.k, m):
-            raise ValueError(f"init must be (K={self.k}, {m}), got {bits.shape}")
-        frozen_mask = (
-            np.zeros(self.k, dtype=bool)
-            if frozen is None
-            else np.asarray(frozen, dtype=bool).copy()
-        )
-        if frozen_mask.size != self.k:
-            raise ValueError("frozen mask length mismatch")
         residual = ys - self._signal @ bits.astype(float)
         corr = self._dT @ np.conj(residual)
         return self._solve(
-            bits, residual, np.ascontiguousarray(corr.real),
-            np.ascontiguousarray(corr.imag), frozen_mask,
+            bits, residual, np.ascontiguousarray(corr.real), np.ascontiguousarray(corr.imag)
         )
 
     def _solve(
@@ -819,7 +514,6 @@ class PackedBitFlipDecoder:
         residual: np.ndarray,
         corr_re: np.ndarray,
         corr_im: np.ndarray,
-        frozen_mask: np.ndarray,
     ) -> BatchedDecodeOutcome:
         """Flip every column of ``bits`` to its local optimum, in place.
 
@@ -833,7 +527,7 @@ class PackedBitFlipDecoder:
         signs = 1.0 - 2.0 * bits.astype(float)
         flips = np.zeros(m, dtype=np.int64)
         active = np.ones(m, dtype=bool)
-        self._run_rounds(corr_re, corr_im, signs, packed, residual, frozen_mask, active, flips)
+        self._run_rounds(corr_re, corr_im, signs, packed, residual, active, flips)
         bits[...] = unpack_rows(packed, m)
         return BatchedDecodeOutcome(
             bits=bits,
@@ -845,67 +539,25 @@ class PackedBitFlipDecoder:
             corr_im=corr_im,
         )
 
-    def decode_best_of(
-        self,
-        ys: np.ndarray,
-        restarts: int,
-        rng: np.random.Generator,
-        init: np.ndarray,
-        frozen: Optional[np.ndarray] = None,
-    ) -> BatchedDecodeOutcome:
-        """Batched warm start plus ``restarts`` random retries per position.
-
-        Reproduces :meth:`BitFlipDecoder.decode_best_of` run position by
-        position with a shared ``rng`` (see :meth:`_restart`).
-        """
-        warm = self.decode(ys, init=init, frozen=frozen)
-        return self._restart(warm, ys, frozen, self.k, slice(None), restarts, rng)
-
-    def decode_best_of_state(self, restarts: int, rng: np.random.Generator) -> BatchedDecodeOutcome:
-        """The restart protocol of :meth:`decode_best_of`, on the state.
-
-        The warm decode runs in place on the state's bits, residual and
-        correlations, which already sit at the previous round's local
-        optimum plus the rank-(new rows) extensions: no stacking, no
-        initial residual or correlation gemm. Restart inits are drawn over
-        the *full* population (``state.k_full``) and cut to the active
-        set — a frozen node's draw is discarded here exactly as
-        :meth:`decode_best_of` overwrites it with the frozen value, so
-        both leave the generator in the same state. Winning trials land in
-        the state's own arrays, keeping it warm for the next round.
-        Requires a kernel built by :meth:`from_state`.
-        """
-        state = self._state
-        if state is None:
-            raise ValueError("decode_best_of_state requires a from_state kernel")
-        warm = self._solve(
-            state.bits, state.residual, state.corr_re, state.corr_im,
-            np.zeros(self.k, dtype=bool),
-        )
-        return self._restart(
-            warm, state.y, None, state.k_full, state.active_idx, restarts, rng
-        )
-
     def _restart(
         self,
         warm: BatchedDecodeOutcome,
-        ys: np.ndarray,
-        frozen: Optional[np.ndarray],
-        k_draw: int,
-        rows,
         restarts: int,
         rng: np.random.Generator,
     ) -> BatchedDecodeOutcome:
         """``restarts`` random retries per inexact position of ``warm``.
 
-        Each init is ``rng.random(k_draw) < 0.5`` cut to ``rows`` (a slice
-        or an index array), drawn position-major (all of position 0's
-        restart inits before position 1's), with frozen and zero-weight
-        bits pinned to their warm values: neither kind can flip (frozen
-        gains are −inf, zero-weight gains exactly 0), and randomizing them
-        would only make an equal-norm trial adoption visible. The common case draws every init up front
-        and decodes all trials as one batch; if any position *would* have
-        stopped early (an exact residual mid-restarts, essentially only on
+        Each init is ``rng.random(state.k_full) < 0.5`` — drawn over the
+        *full* population and cut to the active set, so a verified node's
+        draw is discarded exactly as the scalar reference overwrites it
+        with the verified value and both leave the generator in the same
+        state — drawn position-major (all of position 0's restart inits
+        before position 1's), with zero-weight bits pinned to their warm
+        values: their gains are exactly 0, so they cannot flip, and
+        randomizing them would only make an equal-norm trial adoption
+        visible. The common case draws every init up front and decodes
+        all trials as one batch; if any position *would* have stopped
+        early (an exact residual mid-restarts, essentially only on
         noiseless inputs), the generator is rewound and the trials are
         replayed one by one. A strictly smaller norm wins, so ties go to
         the earlier trial, and the winner is spliced into ``warm``'s own
@@ -915,9 +567,9 @@ class PackedBitFlipDecoder:
         need = np.flatnonzero(warm.residual_norms > _RESIDUAL_EXACT)
         if n_restarts == 0 or need.size == 0:
             return warm
+        state = self._state
+        ys, k_draw, rows = state.y, state.k_full, state.active_idx
         pinned = self._weights == 0
-        if frozen is not None:
-            pinned = pinned | np.asarray(frozen, dtype=bool)
 
         gen_state = rng.bit_generator.state
         draws = rng.random((need.size, n_restarts, k_draw)) < 0.5
@@ -926,7 +578,7 @@ class PackedBitFlipDecoder:
         ).astype(np.uint8)
         trial_cols = np.repeat(need, n_restarts)
         trial_init[pinned, :] = warm.bits[np.ix_(pinned, trial_cols)]
-        trials = self.decode(ys[:, trial_cols], init=trial_init, frozen=frozen)
+        trials = self._decode(ys[:, trial_cols], trial_init)
         trial_norms = trials.residual_norms.reshape(need.size, n_restarts)
 
         # Validate the optimistic draw: had any position reached an exact
@@ -943,9 +595,7 @@ class PackedBitFlipDecoder:
                         break
                     trial_init = (rng.random(k_draw) < 0.5)[rows].astype(np.uint8)
                     trial_init[pinned] = warm.bits[pinned, m]
-                    trial = self.decode(
-                        ys[:, m : m + 1], init=trial_init[:, None], frozen=frozen
-                    )
+                    trial = self._decode(ys[:, m : m + 1], trial_init[:, None])
                     if trial.residual_norms[0] < warm.residual_norms[m]:
                         warm.splice([m], trial, [0])
             return warm
@@ -966,7 +616,6 @@ class PackedBitFlipDecoder:
         signs: np.ndarray,
         packed: np.ndarray,
         residual: np.ndarray,
-        frozen_mask: np.ndarray,
         active: np.ndarray,
         flips: np.ndarray,
     ) -> None:
@@ -1004,10 +653,9 @@ class PackedBitFlipDecoder:
             np.multiply(2.0, gains, out=gains)
             np.multiply(signs, gains, out=gains)
             np.subtract(gains, wh2, out=gains)
-            gains[frozen_mask, :] = _NEG_INF
             best = np.argmax(gains, axis=0)
             best_gain = gains[best, col_idx]
-            flippable = active & np.isfinite(best_gain) & (best_gain > _GAIN_TOL)
+            flippable = active & (best_gain > _GAIN_TOL)
 
             fcols = np.flatnonzero(flippable)
             if fcols.size == 0:
@@ -1019,7 +667,7 @@ class PackedBitFlipDecoder:
                 stalled = np.flatnonzero(active)
                 self._escape_stalls(
                     gains[:, stalled], corr_re, corr_im, signs, packed, residual,
-                    frozen_mask, stalled, active, flips,
+                    stalled, active, flips,
                 )
             else:
                 fbits = best[fcols]
@@ -1056,7 +704,6 @@ class PackedBitFlipDecoder:
         signs: np.ndarray,
         packed: np.ndarray,
         residual: np.ndarray,
-        frozen_mask: np.ndarray,
         stalled: np.ndarray,
         active: np.ndarray,
         flips: np.ndarray,
@@ -1073,7 +720,8 @@ class PackedBitFlipDecoder:
         """
         delta = self.h[:, None] * signs[:, stalled]
         pairs = resolve_stalls(
-            gains, delta, frozen_mask, self._overlap, self._pair_cap, co=self._co
+            gains, delta, np.zeros(gains.shape[0], dtype=bool), self._overlap, self._pair_cap,
+            co=self._co,
         )
         hit = pairs[:, 0] >= 0
         active[stalled[~hit]] = False

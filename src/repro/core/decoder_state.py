@@ -35,7 +35,8 @@ by the same axpy expressions the packed kernel applies *within* one
 decode call, so across calls they match a from-scratch rebuild to float
 precision, not bitwise; decisions can differ only on exact float ties
 (vanishingly rare with continuous channel draws — the same boundary the
-packed kernel shares with the scalar decoder). The discrete session
+packed kernel shares with the scalar reference decoder,
+:class:`~repro.core.reference.BitFlipDecoder`). The discrete session
 outputs are pinned by the golden-seed, conformance, and hypothesis suites
 against :class:`~repro.core.reference.RebuildRatelessDecoder`.
 """

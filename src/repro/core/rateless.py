@@ -274,7 +274,8 @@ class RatelessDecoder:
         residual is poor), then CRC-checks whole messages and freezes the
         passers — replacing the former P independent per-position decodes.
         The kernel is :class:`~repro.core.bp_decoder.PackedBitFlipDecoder`,
-        bound to the persistent state.
+        bound to the persistent state; its flip decisions are those of the
+        scalar test oracle :class:`~repro.core.reference.BitFlipDecoder`.
         """
         if not self._n_rows:
             snapshot = DecodeProgress(slot=0, newly_decoded=0, total_decoded=0)

@@ -1,17 +1,25 @@
-"""Rebuild-per-call reference for the rateless reader — a test oracle.
+"""Test oracles for the decode path: the scalar decoder and the rebuild
+reader.
 
-:class:`RebuildRatelessDecoder` is :class:`~repro.core.rateless.
-RatelessDecoder` with its persistent :class:`~repro.core.decoder_state.
-DecoderState` taken out: every :meth:`try_decode` call re-stacks the
-full-width ``(L, K)`` problem from the stored rows, runs the kernel's
-full-width restart protocol with a ``frozen`` mask, and re-derives the
-verification residual, weights and slot overlaps with fresh gemms. It
-builds no state at all, so its timings are an honest rebuild baseline.
+* :class:`BitFlipDecoder` is the per-position reference decoder (paper
+  Alg. 1, one bit position at a time). The packed production kernel,
+  :class:`~repro.core.bp_decoder.PackedBitFlipDecoder`, must take its
+  flip decisions and its restart RNG draws.
+* :func:`decode_full_width` runs that kernel on a full-width ``(L, K)``
+  problem with a ``frozen`` mask, as the packed ≡ scalar suites and the
+  decoder benches call it.
+* :class:`RebuildRatelessDecoder` is :class:`~repro.core.rateless.
+  RatelessDecoder` with its persistent :class:`~repro.core.decoder_state.
+  DecoderState` taken out: every :meth:`try_decode` call re-stacks the
+  full-width problem from the stored rows, decodes it through
+  :func:`decode_full_width`, and re-derives the verification residual,
+  weights and slot overlaps with fresh gemms. It builds no state at all,
+  so its timings are an honest rebuild baseline.
 
-The equivalence suites and the session benchmark select it by patching
-the class name where the one data-phase stepper looks it up, in
-``repro.core.rateless`` — the static, silencing and mobile entry points
-and the multi-reader actors all step it::
+The equivalence suites and the session benchmark select the rebuild
+reader by patching the class name where the one data-phase stepper looks
+it up, in ``repro.core.rateless`` — the static, silencing and mobile
+entry points and the multi-reader actors all step it::
 
     monkeypatch.setattr("repro.core.rateless.RatelessDecoder",
                         RebuildRatelessDecoder)
@@ -21,13 +29,356 @@ No production module imports this one.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import List, Optional, Sequence
+
 import numpy as np
 
 from repro.coding.crc import crc_check_matrix
-from repro.core.bp_decoder import PackedBitFlipDecoder
+from repro.core.bp_decoder import (
+    _GAIN_TOL,
+    _NEG_INF,
+    _RESIDUAL_EXACT,
+    BatchedDecodeOutcome,
+    PackedBitFlipDecoder,
+    best_pair_flip,
+    cross_magnitudes,
+    pair_cross_caps,
+)
 from repro.core.rateless import RatelessDecoder
+from repro.utils.validation import ensure_positive_int
 
-__all__ = ["RebuildRatelessDecoder"]
+__all__ = ["BitFlipDecoder", "DecodeOutcome", "RebuildRatelessDecoder", "decode_full_width"]
+
+
+@dataclass
+class DecodeOutcome:
+    """Result of one bit-position decode.
+
+    Attributes
+    ----------
+    bits:
+        The decoded ``(K,)`` binary vector.
+    flips:
+        Number of flips performed.
+    converged:
+        False only if the flip-budget safety valve tripped.
+    residual_norm:
+        ``‖D(h∘b̂) − y‖₂`` at termination.
+    """
+
+    bits: np.ndarray
+    flips: int
+    converged: bool
+    residual_norm: float
+
+
+class BitFlipDecoder:
+    """Joint decoder for one bit position of all K nodes.
+
+    Parameters
+    ----------
+    d_matrix:
+        ``(L, K)`` binary collision matrix (reader-regenerated D).
+    channels:
+        ``(K,)`` complex channel estimates ``ĥ``.
+    max_flips:
+        Safety bound on flips per decode call.
+    """
+
+    def __init__(self, d_matrix: np.ndarray, channels: Sequence[complex], max_flips: int = 10_000):
+        self.d = np.atleast_2d(np.asarray(d_matrix, dtype=np.uint8))
+        self.h = np.asarray(channels, dtype=complex).ravel()
+        if self.d.shape[1] != self.h.size:
+            raise ValueError(
+                f"D has {self.d.shape[1]} columns but {self.h.size} channels given"
+            )
+        ensure_positive_int(max_flips, "max_flips")
+        self.max_flips = max_flips
+        self.n_slots, self.k = self.d.shape
+        # Signal matrix: S[j, i] = h_i if tag i transmitted in slot j.
+        self._signal = self.d.astype(float) * self.h[None, :]
+        self._weights = self.d.sum(axis=0).astype(float)
+        # Bipartite-graph adjacency: rows (slots) per tag, and
+        # neighbours-of-neighbours per tag (tags sharing at least one slot).
+        self._rows_of: List[np.ndarray] = [np.flatnonzero(self.d[:, i]) for i in range(self.k)]
+        # Pairwise slot-overlap counts |d_i ∩ d_j| — adjacency for the
+        # incremental gain updates and the closed-form pair-flip escape.
+        self._overlap = self.d.T.astype(int) @ self.d.astype(int)
+        shared = self._overlap > 0
+        self._nofn: List[np.ndarray] = [np.flatnonzero(shared[i]) for i in range(self.k)]
+        self._pair_cap_cache: Optional[np.ndarray] = None
+        self._cross_mag_cache: Optional[np.ndarray] = None
+        self._co_cache: Optional[np.ndarray] = None
+
+    @property
+    def _cross_mag(self) -> np.ndarray:
+        """Exact pair cross-term magnitudes, built on demand."""
+        if self._cross_mag_cache is None:
+            self._cross_mag_cache = cross_magnitudes(self.h)
+        return self._cross_mag_cache
+
+    @property
+    def _co(self) -> np.ndarray:
+        """``cross_mag * overlap`` — the pair scan's shared bound matrix."""
+        if self._co_cache is None:
+            self._co_cache = self._cross_mag * self._overlap
+        return self._co_cache
+
+    @property
+    def _pair_cap(self) -> np.ndarray:
+        """Cross-term caps for the pair scan's O(K) skip, built on demand."""
+        if self._pair_cap_cache is None:
+            self._pair_cap_cache = pair_cross_caps(
+                self._overlap, self.h, cross_mag=self._cross_mag
+            )
+        return self._pair_cap_cache
+
+    # ---- gain machinery -------------------------------------------------------
+    def _all_gains(
+        self, residual: np.ndarray, bits: np.ndarray, frozen: np.ndarray
+    ) -> np.ndarray:
+        # Frozen columns can never be flipped, so their correlations are
+        # skipped outright rather than computed and overwritten with -inf.
+        gains = np.full(self.k, _NEG_INF)
+        free = np.flatnonzero(~frozen)
+        if free.size == 0:
+            return gains
+        delta = self.h[free] * (1.0 - 2.0 * bits[free].astype(float))
+        corr = self.d[:, free].T.astype(float) @ np.conj(residual)
+        gains[free] = 2.0 * np.real(delta * corr) - self._weights[free] * np.abs(delta) ** 2
+        return gains
+
+    def _update_gains(
+        self,
+        gains: np.ndarray,
+        affected: np.ndarray,
+        residual: np.ndarray,
+        bits: np.ndarray,
+        frozen: np.ndarray,
+    ) -> None:
+        """Recompute gains only for the affected, unfrozen tags (locality)."""
+        affected = affected[~frozen[affected]]
+        if affected.size == 0:
+            return
+        delta = self.h[affected] * (1.0 - 2.0 * bits[affected].astype(float))
+        corr = self.d[:, affected].T.astype(float) @ np.conj(residual)
+        gains[affected] = (
+            2.0 * np.real(delta * corr) - self._weights[affected] * np.abs(delta) ** 2
+        )
+
+    def _best_pair_flip(
+        self, gains: np.ndarray, bits: np.ndarray, frozen: np.ndarray
+    ) -> Optional[tuple]:
+        """Find a joint two-bit flip with positive gain, if any.
+
+        Returns the best such pair or ``None`` — the shared closed-form
+        scan (:func:`best_pair_flip`) fed with the decoder's incremental
+        gains and slot-overlap counts.
+        """
+        delta = self.h * (1.0 - 2.0 * bits.astype(float))
+        return best_pair_flip(
+            gains, delta, self._overlap, frozen,
+            cap=self._pair_cap, co=self._co,
+        )
+
+    # ---- decoding -------------------------------------------------------------
+    def decode(
+        self,
+        y: np.ndarray,
+        init: Optional[np.ndarray] = None,
+        frozen: Optional[np.ndarray] = None,
+        rng: Optional[np.random.Generator] = None,
+    ) -> DecodeOutcome:
+        """Decode one bit position.
+
+        Parameters
+        ----------
+        y:
+            ``(L,)`` received symbols for this position.
+        init:
+            Starting estimate; random bits when omitted (the paper's
+            initialisation — pass the previous estimate to warm-start).
+        frozen:
+            Boolean mask of bits that must not be flipped (CRC-passed
+            messages). Their *values* are taken from ``init``.
+        rng:
+            Required when ``init`` is omitted.
+        """
+        y = np.asarray(y, dtype=complex).ravel()
+        if y.size != self.n_slots:
+            raise ValueError(f"y has length {y.size}, expected {self.n_slots}")
+        if init is None:
+            if rng is None:
+                raise ValueError("rng is required for random initialisation")
+            if frozen is not None and np.any(frozen):
+                raise ValueError(
+                    "frozen bits need their values: pass init when frozen is set"
+                )
+            bits = (rng.random(self.k) < 0.5).astype(np.uint8)
+        else:
+            bits = np.asarray(init, dtype=np.uint8).copy().ravel()
+            if bits.size != self.k:
+                raise ValueError(f"init has length {bits.size}, expected {self.k}")
+        frozen_mask = (
+            np.zeros(self.k, dtype=bool)
+            if frozen is None
+            else np.asarray(frozen, dtype=bool).copy()
+        )
+        if frozen_mask.size != self.k:
+            raise ValueError("frozen mask length mismatch")
+
+        residual = y - self._signal @ bits.astype(float)
+        gains = self._all_gains(residual, bits, frozen_mask)
+
+        flips = 0
+        while flips < self.max_flips:
+            best = int(np.argmax(gains))
+            if not np.isfinite(gains[best]) or gains[best] <= _GAIN_TOL:
+                # Single flips exhausted. Near-degenerate channel pairs
+                # (h_i ≈ ±h_j) create two-bit local minima a single flip
+                # cannot leave — scan joint pair flips before giving up.
+                pair = self._best_pair_flip(gains, bits, frozen_mask)
+                if pair is None:
+                    break
+                i, j = pair
+                for idx in (i, j):
+                    delta = self.h[idx] * (1.0 - 2.0 * float(bits[idx]))
+                    residual[self._rows_of[idx]] -= delta
+                    bits[idx] ^= 1
+                flips += 1
+                affected = np.union1d(self._nofn[i], self._nofn[j])
+                affected = np.union1d(affected, np.array([i, j]))
+                self._update_gains(gains, affected, residual, bits, frozen_mask)
+                continue
+            # Flip `best`: residual changes only on its slots.
+            delta = self.h[best] * (1.0 - 2.0 * float(bits[best]))
+            rows = self._rows_of[best]
+            residual[rows] -= delta
+            bits[best] ^= 1
+            flips += 1
+            self._update_gains(gains, self._nofn[best], residual, bits, frozen_mask)
+            # A tag with no slots yet has an empty neighbourhood including
+            # itself — keep its own gain fresh regardless.
+            if best not in self._nofn[best]:
+                self._update_gains(
+                    gains, np.array([best]), residual, bits, frozen_mask
+                )
+
+        return DecodeOutcome(
+            bits=bits,
+            flips=flips,
+            converged=flips < self.max_flips,
+            residual_norm=float(np.linalg.norm(residual)),
+        )
+
+    def decode_best_of(
+        self,
+        y: np.ndarray,
+        restarts: int,
+        rng: np.random.Generator,
+        init: Optional[np.ndarray] = None,
+        frozen: Optional[np.ndarray] = None,
+    ) -> DecodeOutcome:
+        """Decode with ``restarts`` extra random initialisations, keep the best.
+
+        Bit flipping is a local search; a handful of restarts markedly
+        reduces the local-minimum rate when collisions are dense (good
+        channels, high transmit probability).
+        """
+        best = self.decode(y, init=init, frozen=frozen, rng=rng)
+        for _ in range(max(0, restarts)):
+            if best.residual_norm <= _RESIDUAL_EXACT:
+                break
+            trial_init = (rng.random(self.k) < 0.5).astype(np.uint8)
+            if init is not None:
+                # Random restart must not disturb CRC-frozen values, nor
+                # zero-weight nodes: a node with no slots yet has zero gain
+                # everywhere, so a restart would hand it unconstrained
+                # random bits whose only observable effect is to make an
+                # equal-norm trial adoption (a float-rounding tie) visible.
+                pinned = self._weights == 0
+                if frozen is not None:
+                    pinned = pinned | np.asarray(frozen, dtype=bool)
+                trial_init[pinned] = np.asarray(init, dtype=np.uint8)[pinned]
+            trial = self.decode(y, init=trial_init, frozen=frozen, rng=rng)
+            if trial.residual_norm < best.residual_norm:
+                best = trial
+        return best
+
+
+def decode_full_width(
+    d: np.ndarray,
+    h: Sequence[complex],
+    ys: np.ndarray,
+    init: np.ndarray,
+    frozen: Optional[np.ndarray] = None,
+    restarts: int = 0,
+    rng: Optional[np.random.Generator] = None,
+    max_flips: int = 10_000,
+) -> BatchedDecodeOutcome:
+    """The packed kernel on a full-width problem with a ``frozen`` mask.
+
+    ``d`` is ``(L, K)``, ``h`` ``(K,)``, ``ys`` ``(L, M)`` and ``init``
+    ``(K, M)``; ``frozen`` is a ``(K,)`` mask of bits that must not flip,
+    their values taken from ``init``. The frozen columns are peeled from
+    scratch: their contributions are subtracted from ``ys`` and every
+    operand of the free columns is derived with fresh gemms into a
+    snapshot carrying the attribute names
+    :meth:`~repro.core.bp_decoder.PackedBitFlipDecoder.from_state` and
+    :meth:`~repro.core.bp_decoder.PackedBitFlipDecoder.decode_best_of_state`
+    read. No :class:`~repro.core.decoder_state.DecoderState` is built, so
+    the oracles stay independent of the incremental code they check.
+    ``restarts`` random retries per position follow the scalar
+    :meth:`BitFlipDecoder.decode_best_of` draw order (``rng`` is needed
+    only when ``restarts > 0``).
+
+    The outcome's ``bits`` are full-width, frozen rows holding their
+    ``init`` values; ``residual`` is the full-width residual (peeling
+    only moves the frozen contributions to the symbol side) and the
+    correlations cover the free rows.
+    """
+    d = np.atleast_2d(np.asarray(d, dtype=np.uint8))
+    h = np.asarray(h, dtype=complex).ravel()
+    if d.shape[1] != h.size:
+        raise ValueError(f"D has {d.shape[1]} columns but {h.size} channels given")
+    ys = np.asarray(ys, dtype=complex)
+    if ys.ndim != 2 or ys.shape[0] != d.shape[0]:
+        raise ValueError(f"ys must be (L={d.shape[0]}, M), got {ys.shape}")
+    init = np.asarray(init, dtype=np.uint8)
+    if init.shape != (h.size, ys.shape[1]):
+        raise ValueError(f"init must be (K={h.size}, {ys.shape[1]}), got {init.shape}")
+    frozen = np.zeros(h.size, dtype=bool) if frozen is None else np.asarray(frozen, dtype=bool)
+    if frozen.size != h.size:
+        raise ValueError("frozen mask length mismatch")
+
+    free = np.flatnonzero(~frozen)
+    d_f = d.astype(float)
+    y = ys - (d_f[:, frozen] * h[frozen]) @ init[frozen].astype(float)
+    hf = np.ascontiguousarray(h[free])
+    df = d_f[:, free]
+    signal = df * hf
+    bits = init[free]
+    residual = y - signal @ bits.astype(float)
+    corr = df.T @ np.conj(residual)
+    overlap = df.T @ df
+    cross_mag = cross_magnitudes(hf)
+    snapshot = SimpleNamespace(
+        d=d[:, free], h=hf, signal=signal, d_f=df, weights=df.sum(axis=0),
+        hr=np.ascontiguousarray(hf.real), hi=np.ascontiguousarray(hf.imag),
+        abs_h2=np.abs(hf) ** 2, overlap=overlap, cross_mag=cross_mag,
+        pair_cap=pair_cross_caps(overlap, hf, cross_mag=cross_mag),
+        bits=bits, residual=residual,
+        corr_re=np.ascontiguousarray(corr.real), corr_im=np.ascontiguousarray(corr.imag),
+        y=y, k_full=h.size, active_idx=free,
+    )
+    kernel = PackedBitFlipDecoder.from_state(snapshot, max_flips=max_flips)
+    out = kernel.decode_best_of_state(restarts, rng)
+    full = init.copy()
+    full[free] = out.bits
+    out.bits = full
+    return out
 
 
 class RebuildRatelessDecoder(RatelessDecoder):
@@ -43,14 +394,11 @@ class RebuildRatelessDecoder(RatelessDecoder):
     def _decode_fixpoint(self) -> None:
         d = self._row_buf[: self._n_rows]
         y = self._sym_buf[: self._n_rows]  # (L, P)
-        kernel = PackedBitFlipDecoder(d, self.h, max_flips=self.config.bp_max_flips)
         for _ in range(self.config.bp_verify_rounds):
-            outcome = kernel.decode_best_of(
-                y,
-                restarts=self.config.bp_restarts,
-                rng=self.rng,
-                init=self._estimates,
-                frozen=self._decoded,
+            outcome = decode_full_width(
+                d, self.h, y, self._estimates, self._decoded,
+                restarts=self.config.bp_restarts, rng=self.rng,
+                max_flips=self.config.bp_max_flips,
             )
             self._estimates = outcome.bits
             if self.crc is None:

@@ -366,11 +366,6 @@ class MultiReaderModel:
         if self.cadence_spread < 0:
             raise ValueError("cadence_spread must be >= 0")
 
-    @property
-    def cross_gain_amplitude(self) -> float:
-        """Amplitude factor the overlap leakage applies (from power dB)."""
-        return float(np.sqrt(db_to_power(self.cross_gain_db)))
-
 
 class ZoneTrajectory:
     """One realisation of zone membership over time for a tag population.

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bp_decoder import BitFlipDecoder, PackedBitFlipDecoder
+from repro.core.bp_decoder import PackedBitFlipDecoder
 from repro.core.decoder_state import DecoderState
+from repro.core.reference import BitFlipDecoder, decode_full_width
 
 
 def _random_instance(rng, k=8, n_slots=14, density=0.4, noise=0.01):
@@ -214,21 +215,22 @@ class TestBatchedDecoder:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            PackedBitFlipDecoder(np.ones((3, 4), dtype=np.uint8), np.ones(3))
+            decode_full_width(
+                np.ones((3, 4), dtype=np.uint8), np.ones(3),
+                np.zeros((3, 1), dtype=complex), np.zeros((4, 1), dtype=np.uint8),
+            )
 
     def test_ys_shape_validated(self):
-        dec = PackedBitFlipDecoder(np.ones((3, 2), dtype=np.uint8), np.ones(2))
+        d, h = np.ones((3, 2), dtype=np.uint8), np.ones(2)
         with pytest.raises(ValueError):
-            dec.decode(np.zeros((4, 5), dtype=complex), init=np.zeros((2, 5), dtype=np.uint8))
+            decode_full_width(d, h, np.zeros((4, 5), dtype=complex), np.zeros((2, 5), dtype=np.uint8))
         with pytest.raises(ValueError):
-            dec.decode(np.zeros((3, 5), dtype=complex), init=np.zeros((2, 4), dtype=np.uint8))
+            decode_full_width(d, h, np.zeros((3, 5), dtype=complex), np.zeros((2, 4), dtype=np.uint8))
 
     def test_recovers_truth_all_positions(self):
         rng = np.random.default_rng(20)
         d, h, truth, ys, init = _batch_instance(rng, noise=0.01)
-        out = PackedBitFlipDecoder(d, h).decode_best_of(
-            ys, restarts=6, rng=rng, init=init
-        )
+        out = decode_full_width(d, h, ys, init, restarts=6, rng=rng)
         assert np.array_equal(out.bits, truth)
         assert bool(out.converged.all())
 
@@ -248,10 +250,18 @@ class TestBatchedDecoder:
             expected[:, pos] = ref.decode_best_of(
                 ys[:, pos], restarts=4, rng=rng_ref, init=init[:, pos], frozen=frozen
             ).bits
-        out = PackedBitFlipDecoder(d, h).decode_best_of(
-            ys, restarts=4, rng=rng_bat, init=init, frozen=frozen
-        )
+        out = decode_full_width(d, h, ys, init, frozen, restarts=4, rng=rng_bat)
+        # The same instance with its frozen columns peeled from a
+        # persistent state, decoded by the state-bound kernel.
+        rng_state = np.random.default_rng(900 + seed)
+        state = DecoderState(h, init)
+        for row, symbols in zip(d, ys):
+            state.append_slot(row, symbols)
+        state.peel(np.flatnonzero(frozen))
+        bound = PackedBitFlipDecoder.from_state(state).decode_best_of_state(4, rng_state)
         assert np.array_equal(out.bits, expected)
+        assert np.array_equal(bound.bits, expected[state.active_idx])
+        assert rng_state.bit_generator.state == rng_ref.bit_generator.state
         assert rng_ref.random() == rng_bat.random()  # streams still in lockstep
 
     @pytest.mark.parametrize("case", range(len(_REPLAY_SEEDS)))
@@ -276,15 +286,15 @@ class TestBatchedDecoder:
 
         # The replay decodes one position per call; the batch never does.
         replayed = []
-        decode = PackedBitFlipDecoder.decode
+        decode = PackedBitFlipDecoder._decode
 
-        def spy(self, ys, init, frozen=None):
+        def spy(self, ys, init):
             replayed.append(np.shape(ys)[1] == 1)
-            return decode(self, ys, init, frozen)
+            return decode(self, ys, init)
 
-        monkeypatch.setattr(PackedBitFlipDecoder, "decode", spy)
-        out = PackedBitFlipDecoder(d, h).decode_best_of(
-            ys, restarts=6, rng=rng_bat, init=init, frozen=np.zeros(6, dtype=bool)
+        monkeypatch.setattr(PackedBitFlipDecoder, "_decode", spy)
+        out = decode_full_width(
+            d, h, ys, init, np.zeros(6, dtype=bool), restarts=6, rng=rng_bat
         )
         assert any(replayed)
         assert np.array_equal(out.bits, expected)
@@ -307,10 +317,9 @@ class TestBatchedDecoder:
         for seed in range(60):
             rng = np.random.default_rng(seed)
             d, h, _, ys, init = _batch_instance(rng, k=12, n_slots=10, noise=0.3)
-            dec = PackedBitFlipDecoder(d, h)
-            warm = dec.decode(ys, init=init)
-            out = dec.decode_best_of(
-                ys, restarts=4, rng=np.random.default_rng(900 + seed), init=init
+            warm = decode_full_width(d, h, ys, init)
+            out = decode_full_width(
+                d, h, ys, init, restarts=4, rng=np.random.default_rng(900 + seed)
             )
             won += not np.array_equal(out.bits, warm.bits)
             np.testing.assert_allclose(
@@ -331,9 +340,7 @@ class TestBatchedDecoder:
         )
         bits = np.array([1, 1, 0], dtype=np.uint8)
         ys = ((d * h) @ bits)[:, None]
-        out = PackedBitFlipDecoder(d, h).decode(
-            ys, init=np.zeros((3, 1), dtype=np.uint8)
-        )
+        out = decode_full_width(d, h, ys, np.zeros((3, 1), dtype=np.uint8))
         assert np.array_equal(out.bits[:, 0], bits)
 
     def test_frozen_bits_never_flip(self):
@@ -343,14 +350,14 @@ class TestBatchedDecoder:
         wrong[0, :] ^= 1
         frozen = np.zeros(10, dtype=bool)
         frozen[0] = True
-        out = PackedBitFlipDecoder(d, h).decode(ys, init=wrong, frozen=frozen)
+        out = decode_full_width(d, h, ys, wrong, frozen)
         assert np.array_equal(out.bits[0, :], wrong[0, :])
 
     def test_positions_freeze_independently(self):
         """One hard column must not stop easy columns from converging."""
         rng = np.random.default_rng(22)
         d, h, truth, ys, init = _batch_instance(rng, noise=0.01)
-        out = PackedBitFlipDecoder(d, h, max_flips=1).decode(ys, init=truth)
+        out = decode_full_width(d, h, ys, truth, max_flips=1)
         # warm-started at the truth every column stalls at zero flips
         assert np.array_equal(out.bits, truth)
         assert bool(out.converged.all())
@@ -358,14 +365,14 @@ class TestBatchedDecoder:
     def test_flip_budget_reported_per_position(self):
         rng = np.random.default_rng(23)
         d, h, _, ys, init = _batch_instance(rng)
-        out = PackedBitFlipDecoder(d, h, max_flips=1).decode(ys, init=init)
+        out = decode_full_width(d, h, ys, init, max_flips=1)
         assert out.flips.max() <= 1
         assert out.converged.shape == (8,)
 
     def test_empty_batch(self):
-        dec = PackedBitFlipDecoder(np.ones((3, 2), dtype=np.uint8), np.ones(2))
-        out = dec.decode(
-            np.zeros((3, 0), dtype=complex), init=np.zeros((2, 0), dtype=np.uint8)
+        out = decode_full_width(
+            np.ones((3, 2), dtype=np.uint8), np.ones(2),
+            np.zeros((3, 0), dtype=complex), np.zeros((2, 0), dtype=np.uint8),
         )
         assert out.bits.shape == (2, 0)
         assert out.flips.size == 0

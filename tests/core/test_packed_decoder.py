@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bp_decoder import BitFlipDecoder, PackedBitFlipDecoder, resolve_kernel
+from repro.core.bp_decoder import PackedBitFlipDecoder, resolve_kernel
 from repro.core.config import BuzzConfig
-from repro.core.reference import RebuildRatelessDecoder
+from repro.core.reference import BitFlipDecoder, RebuildRatelessDecoder, decode_full_width
 from repro.engine.schemes import get_scheme
 from repro.network.scenarios import default_uplink_scenario
 from repro.nodes.reader import ReaderFrontEnd
@@ -70,7 +70,7 @@ class TestPackedEquivalence:
     def test_decode_matches_scalar(self, seed):
         d, h, ys, init, frozen = _instance(seed)
         ref = _scalar(d, h, ys, init, frozen, max_flips=40)
-        got = PackedBitFlipDecoder(d, h, max_flips=40).decode(ys, init, frozen=frozen)
+        got = decode_full_width(d, h, ys, init, frozen, max_flips=40)
         _assert_matches_scalar(got, ref)
 
     @settings(max_examples=15, deadline=None)
@@ -83,9 +83,7 @@ class TestPackedEquivalence:
         ref_rng = np.random.default_rng(seed ^ 0x5A5A)
         got_rng = np.random.default_rng(seed ^ 0x5A5A)
         ref = _scalar(d, h, ys, init, frozen, max_flips=40, restarts=3, rng=ref_rng)
-        got = PackedBitFlipDecoder(d, h, max_flips=40).decode_best_of(
-            ys, restarts=3, rng=got_rng, init=init, frozen=frozen
-        )
+        got = decode_full_width(d, h, ys, init, frozen, restarts=3, rng=got_rng, max_flips=40)
         _assert_matches_scalar(got, ref, flips=False)
         # RNG lockstep: both consumed the generator identically.
         assert ref_rng.bit_generator.state == got_rng.bit_generator.state
@@ -99,12 +97,12 @@ class TestPackedEquivalence:
         ys = rng.normal(size=(slots, m)) + 1j * rng.normal(size=(slots, m))
         init = (rng.random((k, m)) < 0.5).astype(np.uint8)
         ref = _scalar(d, h, ys, init, None, max_flips=10_000)
-        got = PackedBitFlipDecoder(d, h).decode(ys, init)
+        got = decode_full_width(d, h, ys, init)
         _assert_matches_scalar(got, ref)
 
     def test_zero_positions(self):
         d, h, _, _, _ = _instance(3)
-        out = PackedBitFlipDecoder(d, h).decode(np.zeros((d.shape[0], 0)), np.zeros((d.shape[1], 0), dtype=np.uint8))
+        out = decode_full_width(d, h, np.zeros((d.shape[0], 0)), np.zeros((d.shape[1], 0), dtype=np.uint8))
         assert out.bits.shape == (d.shape[1], 0)
         assert out.residual_norms.size == 0
 
