@@ -46,6 +46,7 @@ cache formats (``--gc-format``).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -76,50 +77,30 @@ from repro.experiments import (
     headline,
     toy_example,
 )
-from repro.engine import available_backends, available_schemes
-from repro.engine.backends import backend_accepts
+from repro.engine import BACKENDS, available_schemes
+from repro.engine.backends import ProcessPoolBackend
 from repro.network.scenarios import SCENARIO_NAMES
 
-#: name → (module, full-size kwargs, --quick kwargs, supported CLI overrides)
+#: name → (module, full-size kwargs, --quick kwargs). A CLI override applies
+#: to an experiment exactly when its ``run`` takes a parameter of that name.
 _EXPERIMENTS = {
-    "toy": (toy_example, {}, {}, set()),
-    "fig2": (fig2_waveforms, {}, {}, set()),
-    "fig3": (fig3_constellation, {}, {"n_symbols": 500}, set()),
-    "fig7": (fig7_sync_offset, {}, {"trials": 20}, set()),
-    "fig8": (fig8_clock_drift, {}, {}, set()),
-    "fig9": (fig9_decoding_progress, {}, {}, set()),
-    "fig10": (
-        fig10_transfer_time,
-        {},
-        {"n_locations": 3, "n_traces": 1},
-        {"jobs", "schemes", "scenario", "cache_dir", "backend", "on_cell"},
-    ),
-    "fig11": (
-        fig11_message_errors,
-        {},
-        {"n_locations": 3, "n_traces": 1},
-        {"jobs", "schemes", "scenario", "cache_dir", "backend", "on_cell"},
-    ),
-    "fig12": (
-        fig12_challenging,
-        {},
-        {"n_locations": 3, "n_traces": 1},
-        {"jobs", "cache_dir", "backend", "on_cell"},
-    ),
-    "fig13": (
-        fig13_energy,
-        {},
-        {"n_locations": 3, "n_traces": 1},
-        {"jobs", "schemes", "scenario", "cache_dir", "backend", "on_cell"},
-    ),
-    "fig14": (fig14_identification, {}, {"n_locations": 4}, set()),
+    "toy": (toy_example, {}, {}),
+    "fig2": (fig2_waveforms, {}, {}),
+    "fig3": (fig3_constellation, {}, {"n_symbols": 500}),
+    "fig7": (fig7_sync_offset, {}, {"trials": 20}),
+    "fig8": (fig8_clock_drift, {}, {}),
+    "fig9": (fig9_decoding_progress, {}, {}),
+    "fig10": (fig10_transfer_time, {}, {"n_locations": 3, "n_traces": 1}),
+    "fig11": (fig11_message_errors, {}, {"n_locations": 3, "n_traces": 1}),
+    "fig12": (fig12_challenging, {}, {"n_locations": 3, "n_traces": 1}),
+    "fig13": (fig13_energy, {}, {"n_locations": 3, "n_traces": 1}),
+    "fig14": (fig14_identification, {}, {"n_locations": 4}),
     "fig15": (
         fig15_end_to_end,
         {},
         # Smoke mode: tiny K, two location seeds, one trace — the CI leg
         # that keeps the end-to-end path exercised on every push.
         {"tag_counts": (2, 4), "n_locations": 2, "n_traces": 1},
-        {"jobs", "schemes", "scenario", "cache_dir", "backend", "on_cell"},
     ),
     "fig16": (
         fig16_mobility,
@@ -133,7 +114,6 @@ _EXPERIMENTS = {
             "n_locations": 2,
             "n_traces": 1,
         },
-        {"jobs", "schemes", "cache_dir", "backend", "on_cell"},
     ),
     "fig17": (
         fig17_reader_density,
@@ -141,14 +121,8 @@ _EXPERIMENTS = {
         # Smoke mode: tiny K, single vs pair of readers — the CI leg that
         # keeps the multi-reader simulator exercised on every push.
         {"n_tags": 8, "reader_counts": (1, 2), "n_locations": 2, "n_traces": 1},
-        {"jobs", "schemes", "cache_dir", "backend", "on_cell"},
     ),
-    "headline": (
-        headline,
-        {},
-        {"n_locations": 3, "n_traces": 1},
-        {"jobs", "cache_dir", "backend", "on_cell"},
-    ),
+    "headline": (headline, {}, {"n_locations": 3, "n_traces": 1}),
 }
 
 
@@ -371,7 +345,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=available_backends(),
+        choices=BACKENDS,
         default=None,
         help="campaign executor backend (default: serial, or process-pool "
         "when --jobs > 1); cache-queue coordinates through --cache-dir so "
@@ -394,15 +368,12 @@ def main(argv=None) -> int:
     if args.backend is not None and args.cache_dir is None:
         from repro.engine.backends import resolve_backend
 
-        # requires_cache is the backend's own declaration — the registry,
-        # not this parser, knows which backends coordinate through a cache.
+        # requires_cache is the backend's own declaration — the backend,
+        # not this parser, knows whether it coordinates through a cache.
         if resolve_backend(args.backend).requires_cache:
             parser.error(f"--backend {args.backend} requires --cache-dir")
-    if (
-        args.backend is not None
-        and args.jobs != 1
-        and not backend_accepts(args.backend, "jobs")
-    ):
+    if args.backend not in (None, ProcessPoolBackend.name) and args.jobs != 1:
+        # Only the process pool is sized by --jobs.
         print(f"(note: --jobs ignored by --backend {args.backend})")
 
     progress = _CellProgress() if args.progress else None
@@ -427,8 +398,9 @@ def main(argv=None) -> int:
 
     names = args.experiments or list(_EXPERIMENTS)
     for name in names:
-        module, full_kwargs, quick_kwargs, supported = _EXPERIMENTS[name]
+        module, full_kwargs, quick_kwargs = _EXPERIMENTS[name]
         kwargs = dict(quick_kwargs if args.quick else full_kwargs)
+        supported = inspect.signature(module.run).parameters
         applied = {k: v for k, v in overrides.items() if k in supported}
         ignored = sorted(set(overrides) - set(applied))
         kwargs.update(applied)

@@ -8,23 +8,28 @@
   holding the paper's three schemes (``buzz``, ``tdma``, ``cdma``) plus
   the §8.2 ``silenced`` variant;
 * :mod:`repro.engine.campaign` — the declarative
-  :class:`~repro.engine.campaign.CampaignSpec` grid, its deterministic
-  cell evaluator, and :func:`~repro.engine.campaign.run_campaign`, the one
-  entry point every campaign figure calls;
+  :class:`~repro.engine.campaign.CampaignSpec` grid (locations × traces ×
+  schemes under one config; a config sweep is a list of specs), its
+  deterministic cell evaluator, and
+  :func:`~repro.engine.campaign.run_campaign`, the one entry point every
+  campaign figure calls;
 * :mod:`repro.engine.plan` — the pipeline's first stage: enumerate the
   grid, give every cell a content address, resolve cache hits into a
   :class:`~repro.engine.plan.CampaignPlan`;
-* :mod:`repro.engine.backends` — pluggable
-  :class:`~repro.engine.backends.ExecutorBackend` registry (``serial``,
-  chunked ``process-pool``, multi-host ``cache-queue``), every backend
-  bit-identical for the same root seed;
+* :mod:`repro.engine.backends` — the
+  :class:`~repro.engine.backends.ExecutorBackend` interface and its three
+  built-ins (``serial``, chunked ``process-pool``, multi-host
+  ``cache-queue``), named by :data:`~repro.engine.backends.BACKENDS` or
+  passed as configured instances, every backend bit-identical for the
+  same root seed;
 * :mod:`repro.engine.executors` — shared worker-process plumbing (the
   per-child bootstrap initializer and the chunked-dispatch sizing);
 * :mod:`repro.engine.queue` — the work queue's worker loop
   (``python -m repro worker``): claim cells by lease, execute, store;
-* :mod:`repro.engine.cache` — content-addressed per-cell result cache, so
-  re-running a campaign with ``cache_dir`` set only executes new cells —
-  and the lease/queue medium the distributed backend coordinates through;
+* :mod:`repro.engine.cache` — per-cell result cache addressed by each
+  cell's content key, so re-running a campaign with ``cache_dir`` set only
+  executes new cells — and the lease/queue medium the distributed backend
+  coordinates through;
 * :mod:`repro.engine.session` — the two complete sessions:
   :class:`~repro.engine.session.SessionPipeline`, Buzz's identify →
   data-segment loop on the *recovered* ids and *estimated* channels
@@ -36,13 +41,12 @@
 
 from repro.engine.cache import CampaignCache
 from repro.engine.backends import (
+    BACKENDS,
     CacheQueueBackend,
     ExecutionContext,
     ExecutorBackend,
     ProcessPoolBackend,
     SerialBackend,
-    available_backends,
-    register_backend,
     resolve_backend,
 )
 from repro.engine.campaign import (
@@ -73,6 +77,7 @@ from repro.engine.session import Gen2Session, SessionPipeline
 from repro.sim.scheme import MultiReaderScheme
 
 __all__ = [
+    "BACKENDS",
     "SCHEMES",
     "CacheQueueBackend",
     "CampaignCache",
@@ -94,11 +99,9 @@ __all__ = [
     "SilencedScheme",
     "TdmaScheme",
     "UplinkScheme",
-    "available_backends",
     "available_schemes",
     "get_scheme",
     "plan_campaign",
-    "register_backend",
     "register_scheme",
     "resolve_backend",
     "run_campaign",

@@ -1,4 +1,4 @@
-"""Pluggable executor backends: the second stage of plan → execute → stream.
+"""Executor backends: the second stage of plan → execute → stream.
 
 An :class:`ExecutorBackend` takes a resolved :class:`~repro.engine.plan.
 CampaignPlan` and runs its pending cells, emitting each finished cell to
@@ -7,9 +7,14 @@ caching, streaming callbacks and grid-order assembly. Backends differ
 only in *where* cells run; because every cell re-derives its randomness
 from ``(root_seed, keys)``, all backends are bit-identical for the same
 spec — the conformance suite (``tests/engine/test_backends.py``) pins
-byte-identical ``CampaignResult.to_json()`` across the registry.
+byte-identical ``CampaignResult.to_json()`` across the three built-ins
+and configured instances of them.
 
-Built-ins:
+``run_campaign(backend=...)`` takes one of the :data:`BACKENDS` names
+(the built-in with its defaults, and the process pool sized by ``jobs``)
+or a configured :class:`ExecutorBackend` instance — the way to set a
+pool's start method or chunk size, a queue's lease timing, or to run a
+backend of one's own. Built-ins:
 
 * ``serial`` — in-process loop in grid order (the reference);
 * ``process-pool`` — a ``ProcessPoolExecutor`` fan-out with *chunked*
@@ -23,9 +28,6 @@ Built-ins:
   processes — on this host or any host mounting the cache directory —
   join the same campaign; the coordinator polls the cache for cells
   others complete and reaps orphaned leases left by dead workers.
-
-New backends register with :func:`register_backend` and become available
-to ``run_campaign(backend=...)`` and ``python -m repro --backend ...``.
 """
 
 from __future__ import annotations
@@ -53,14 +55,12 @@ _JOB_HEARTBEAT_S = 30.0
 _LEASE_HEARTBEAT_CAP_S = 15.0
 
 __all__ = [
+    "BACKENDS",
     "ExecutionContext",
     "ExecutorBackend",
     "SerialBackend",
     "ProcessPoolBackend",
     "CacheQueueBackend",
-    "available_backends",
-    "backend_accepts",
-    "register_backend",
     "resolve_backend",
 ]
 
@@ -93,7 +93,7 @@ class ExecutionContext:
 class ExecutorBackend(abc.ABC):
     """Strategy interface: run a plan's pending cells, emit as they finish."""
 
-    #: Registry name (``run_campaign(backend=<name>)``).
+    #: Name in messages; a built-in's entry in :data:`BACKENDS`.
     name: ClassVar[str] = ""
     #: Whether the backend needs a shared cache directory to coordinate.
     requires_cache: ClassVar[bool] = False
@@ -285,65 +285,31 @@ class CacheQueueBackend(ExecutorBackend):
             cache.remove_job(job_id)
 
 
-#: name → zero-config factory; options are applied by :func:`resolve_backend`.
-_BACKENDS: Dict[str, Callable[..., ExecutorBackend]] = {}
+#: The built-in backends' names: ``run_campaign(backend=<name>)`` and the
+#: CLI's ``--backend`` choices.
+BACKENDS = (SerialBackend.name, ProcessPoolBackend.name, CacheQueueBackend.name)
 
 
-def register_backend(name: str, factory: Callable[..., ExecutorBackend]) -> None:
-    """Add a backend to the registry (``factory(**options) -> backend``)."""
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    _BACKENDS[name] = factory
-
-
-def available_backends() -> tuple:
-    """Registered backend names, registration order."""
-    return tuple(_BACKENDS)
-
-
-register_backend(SerialBackend.name, SerialBackend)
-register_backend(ProcessPoolBackend.name, ProcessPoolBackend)
-register_backend(CacheQueueBackend.name, CacheQueueBackend)
-
-#: Which resolve-time options each built-in factory understands.
-_BACKEND_OPTIONS = {
-    SerialBackend.name: (),
-    ProcessPoolBackend.name: ("jobs", "mp_context", "chunk_size"),
-    CacheQueueBackend.name: ("lease_timeout", "poll_interval", "heartbeat"),
-}
-
-
-def backend_accepts(name: str, option: str) -> bool:
-    """Whether a built-in backend's factory consumes a resolve-time option.
-
-    Lets callers (the CLI) tell the user when a flag like ``--jobs`` will
-    be ignored by their chosen backend instead of dropping it silently.
-    User-registered backends accept none of the generic options.
-    """
-    return option in _BACKEND_OPTIONS.get(name, ())
-
-
-def resolve_backend(backend, **options) -> ExecutorBackend:
+def resolve_backend(backend, jobs: int = 1) -> ExecutorBackend:
     """Turn ``run_campaign``'s ``backend=`` argument into a backend object.
 
     ``None`` keeps the historical default: serial for ``jobs == 1``, the
-    process pool otherwise. A string is looked up in the registry and
-    constructed with the subset of ``options`` its factory understands
-    (unknown backends list the registry in the error). An
+    process pool otherwise. A :data:`BACKENDS` name builds that built-in
+    with its defaults (the pool with ``jobs`` workers). An
     :class:`ExecutorBackend` instance passes through unchanged — the
     caller configured it directly.
     """
     if isinstance(backend, ExecutorBackend):
         return backend
     if backend is None:
-        backend = "serial" if options.get("jobs", 1) == 1 else "process-pool"
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; registered: "
-            f"{', '.join(available_backends())}"
-        )
-    # User-registered factories configure themselves (closure or instance);
-    # only the built-ins consume run_campaign's generic options.
-    accepted = _BACKEND_OPTIONS.get(backend, ())
-    kwargs = {k: options[k] for k in accepted if options.get(k) is not None}
-    return _BACKENDS[backend](**kwargs)
+        backend = SerialBackend.name if jobs == 1 else ProcessPoolBackend.name
+    if backend == SerialBackend.name:
+        return SerialBackend()
+    if backend == ProcessPoolBackend.name:
+        return ProcessPoolBackend(jobs=jobs)
+    if backend == CacheQueueBackend.name:
+        return CacheQueueBackend()
+    raise ValueError(
+        f"unknown backend {backend!r}; built-ins: {', '.join(BACKENDS)} "
+        f"(or pass an ExecutorBackend instance)"
+    )

@@ -116,7 +116,7 @@ _DEFAULT_ONLY_CONFIG_FIELDS = {"bp_verify_rounds": 4}
 
 
 def _config_token(config) -> dict:
-    """JSON-able identity of a config variant (defaults stripped, see above)."""
+    """JSON-able identity of a spec's config (defaults stripped, see above)."""
     token = dataclasses.asdict(config)
     for field, default in _DEFAULT_ONLY_CONFIG_FIELDS.items():
         if token.get(field) == default:
@@ -135,7 +135,7 @@ def spec_key_material(spec: "CampaignSpec") -> dict:
     return {
         "root_seed": spec.root_seed,
         "scenario": _scenario_token(spec.scenario),
-        "configs": [_config_token(config) for config in spec.configs],
+        "config": _config_token(spec.config),
         "max_slots": spec.max_slots,
     }
 
@@ -147,7 +147,7 @@ def cell_cache_key(
 
     Covers the root seed, the exact RNG stream keys the cell derives its
     randomness from (location stream + run stream), the scenario, the
-    config variant, and the slot bound — the full closure of
+    config, and the slot bound — the full closure of
     :func:`repro.engine.campaign.run_cell`. ``spec_material`` is an
     optional precomputed :func:`spec_key_material` (same spec!) that
     amortizes the spec-level serialisation across a grid; the resulting
@@ -160,10 +160,10 @@ def cell_cache_key(
         "format": _CACHE_FORMAT,
         "root_seed": shared["root_seed"],
         "location_keys": ["location", cell.location],
-        "run_keys": list(_cell_rng_keys(spec, cell)),
+        "run_keys": list(_cell_rng_keys(cell)),
         "scheme": cell.scheme,
         "scenario": shared["scenario"],
-        "config": shared["configs"][cell.variant],
+        "config": shared["config"],
         "max_slots": shared["max_slots"],
     }
     canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
@@ -189,10 +189,6 @@ class CampaignCache:
         return self.root / key[:2] / f"{key}.json"
 
     # ---- cell records ---------------------------------------------------------
-    def load(self, spec: "CampaignSpec", cell: "CampaignCell") -> Optional["SchemeRun"]:
-        """Return the cached run for this cell, or ``None`` on a miss."""
-        return self.load_key(cell_cache_key(spec, cell))
-
     def contains(self, key: str) -> bool:
         """Cheap existence probe (one ``stat``, no read/parse).
 
@@ -207,10 +203,11 @@ class CampaignCache:
         return self._path(key).exists()
 
     def load_key(self, key: str) -> Optional["SchemeRun"]:
-        """Like :meth:`load`, for a cell whose content address is known.
+        """Return the run stored under a cell's content address
+        (:func:`cell_cache_key`), or ``None`` on a miss.
 
-        The work-queue coordinator polls completed cells by key; computing
-        the address once at plan time keeps the poll loop hash-free.
+        Callers compute the address once at plan time, which keeps the
+        work-queue coordinator's poll loop hash-free.
         """
         from repro.engine.schemes import SchemeRun
 
@@ -225,12 +222,9 @@ class CampaignCache:
         except (KeyError, TypeError, ValueError):
             return None
 
-    def store(self, spec: "CampaignSpec", cell: "CampaignCell", run: "SchemeRun") -> None:
-        """Persist one cell's run atomically (temp file + rename)."""
-        self.store_key(cell_cache_key(spec, cell), run)
-
     def store_key(self, key: str, run: "SchemeRun") -> None:
-        """Like :meth:`store`, for a cell whose content address is known."""
+        """Persist one cell's run under its content address, atomically
+        (temp file + rename)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"format": _CACHE_FORMAT, "key": key, "run": run.to_dict()}

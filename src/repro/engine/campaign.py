@@ -2,12 +2,13 @@
 
 The paper's methodology (§9) is a grid: locations × traces × schemes, every
 scheme re-run on the same channel realisation. :class:`CampaignSpec`
-declares that grid (plus an optional config-sweep axis);
-:func:`run_campaign` evaluates it as a three-stage pipeline — *plan*
+declares that grid under one :class:`~repro.core.config.BuzzConfig`; a
+config sweep is a list of specs, one per setting. :func:`run_campaign`
+evaluates a spec as a three-stage pipeline — *plan*
 (:mod:`repro.engine.plan` addresses every cell and resolves cache hits),
-*execute* (a pluggable backend from :mod:`repro.engine.backends`: serial,
-chunked process pool, or the multi-host cache-queue), *stream* (cells are
-cached and reported through ``on_cell`` as they finish).
+*execute* (a backend from :mod:`repro.engine.backends`: serial, chunked
+process pool, or the multi-host cache-queue), *stream* (cells are cached
+and reported through ``on_cell`` as they finish).
 
 **Determinism.** Every cell re-derives all of its randomness from
 ``(root_seed, keys)`` through :class:`~repro.utils.rng.SeedSequenceFactory`:
@@ -23,10 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.config import BuzzConfig
 from repro.engine.schemes import (
@@ -63,7 +61,6 @@ class CampaignCell:
     location: int
     trace: int
     scheme: str
-    variant: int = 0
 
 
 @dataclass(frozen=True)
@@ -80,11 +77,11 @@ class CampaignSpec:
         Grid extent (paper: 10 × 5).
     schemes:
         Registry names to run back-to-back on each trace.
-    configs:
-        Config-sweep axis: one entry runs the classic grid, several entries
-        add an inner variant axis (e.g. a density or restart-count sweep).
+    config:
+        The decoder and protocol settings every cell runs under.
     max_slots:
-        Optional abort bound forwarded to slot-based schemes.
+        Optional abort bound forwarded to slot-based schemes: ``None`` or
+        a positive int.
     """
 
     scenario: "Scenario"
@@ -92,42 +89,40 @@ class CampaignSpec:
     n_locations: int = 10
     n_traces: int = 5
     schemes: Tuple[str, ...] = SCHEMES
-    configs: Tuple[BuzzConfig, ...] = field(default_factory=lambda: (BuzzConfig(),))
+    config: BuzzConfig = field(default_factory=BuzzConfig)
     max_slots: Optional[int] = None
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.n_locations, "n_locations")
         ensure_positive_int(self.n_traces, "n_traces")
+        if self.max_slots is not None:
+            ensure_positive_int(self.max_slots, "max_slots")
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "configs", tuple(self.configs))
         if not self.schemes:
             raise ValueError("spec needs at least one scheme")
-        if not self.configs:
-            raise ValueError("spec needs at least one config")
         for scheme in self.schemes:
             get_scheme(scheme)  # raises ValueError on unknown names
 
     @property
     def n_cells(self) -> int:
-        return self.n_locations * self.n_traces * len(self.schemes) * len(self.configs)
+        return self.n_locations * self.n_traces * len(self.schemes)
 
     def cells(self) -> Iterator[CampaignCell]:
         """Enumerate the grid in the canonical (pre-engine) record order."""
         for location in range(self.n_locations):
             for trace in range(self.n_traces):
                 for scheme in self.schemes:
-                    for variant in range(len(self.configs)):
-                        yield CampaignCell(location, trace, scheme, variant)
+                    yield CampaignCell(location, trace, scheme)
 
 
 @dataclass
 class CampaignResult:
     """All runs of a campaign, indexable by scheme.
 
-    ``by_scheme`` and every aggregate read a lazily built per-scheme
-    index instead of rescanning ``runs`` on each call; the index is
-    rebuilt transparently whenever ``runs`` has grown (the streaming
-    progress path appends to a live result between reads).
+    ``by_scheme`` reads a lazily built per-scheme index instead of
+    rescanning ``runs`` on each call; the index is rebuilt transparently
+    whenever ``runs`` has grown (the streaming progress path appends to
+    a live result between reads).
     """
 
     scenario_name: str
@@ -166,40 +161,6 @@ class CampaignResult:
             raise ValueError(f"unknown scheme {scheme!r}")
         return []
 
-    def _runs_for_aggregate(self, scheme: str) -> List[SchemeRun]:
-        """Runs for ``scheme``, refusing to aggregate over nothing.
-
-        A registered scheme with zero recorded runs would otherwise feed
-        ``np.mean``/``np.median`` an empty list — a silent ``nan`` plus a
-        RuntimeWarning instead of an actionable error.
-        """
-        runs = self.by_scheme(scheme)
-        if not runs:
-            raise ValueError(
-                f"no runs recorded for scheme {scheme!r} in this campaign "
-                f"(it was not in the spec's scheme set)"
-            )
-        return runs
-
-    def mean_duration_s(self, scheme: str) -> float:
-        runs = self._runs_for_aggregate(scheme)
-        return float(np.mean([r.duration_s for r in runs]))
-
-    def total_loss(self, scheme: str) -> int:
-        return int(sum(r.message_loss for r in self._runs_for_aggregate(scheme)))
-
-    def mean_loss_per_run(self, scheme: str) -> float:
-        runs = self._runs_for_aggregate(scheme)
-        return float(np.mean([r.message_loss for r in runs]))
-
-    def median_loss_fraction(self, scheme: str) -> float:
-        runs = self._runs_for_aggregate(scheme)
-        return float(np.median([r.message_loss / r.n_tags for r in runs]))
-
-    def mean_rate(self, scheme: str) -> float:
-        runs = self._runs_for_aggregate(scheme)
-        return float(np.mean([r.bits_per_symbol for r in runs]))
-
     # ---- persistence ----------------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -222,20 +183,11 @@ class CampaignResult:
     def from_json(cls, text: str) -> "CampaignResult":
         return cls.from_dict(json.loads(text))
 
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json(indent=2))
 
-    @classmethod
-    def load(cls, path) -> "CampaignResult":
-        return cls.from_json(Path(path).read_text())
-
-
-def _cell_rng_keys(spec: CampaignSpec, cell: CampaignCell) -> tuple:
-    """Per-cell stream keys; the single-config path keeps the pre-engine
-    derivation so existing root seeds reproduce their published numbers."""
-    if len(spec.configs) == 1:
-        return ("trace", cell.location, cell.trace, cell.scheme)
-    return ("trace", cell.location, cell.trace, cell.scheme, cell.variant)
+def _cell_rng_keys(cell: CampaignCell) -> tuple:
+    """Per-cell run-stream keys — the pre-engine derivation, so existing
+    root seeds reproduce their published numbers."""
+    return ("trace", cell.location, cell.trace, cell.scheme)
 
 
 def run_cell(
@@ -254,26 +206,24 @@ def run_cell(
     seeds = SeedSequenceFactory(spec.root_seed)
     population = spec.scenario.draw_population(seeds.stream("location", cell.location))
     front_end = ReaderFrontEnd(noise_std=population.noise_std)
-    run_rng = seeds.stream(*_cell_rng_keys(spec, cell))
+    run_rng = seeds.stream(*_cell_rng_keys(cell))
     scheme_obj = scheme if scheme is not None else get_scheme(cell.scheme)
     run = scheme_obj.run(
         population,
         front_end,
         run_rng,
-        config=spec.configs[cell.variant],
+        config=spec.config,
         max_slots=spec.max_slots,
     )
-    return replace(run, location=cell.location, trace=cell.trace, variant=cell.variant)
+    return replace(run, location=cell.location, trace=cell.trace)
 
 
 def run_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
-    mp_context: Optional[str] = None,
     cache_dir: Optional[str] = None,
     backend=None,
     on_cell: Optional[Callable[[CampaignCell, SchemeRun, bool], None]] = None,
-    chunk_size: Optional[int] = None,
 ) -> CampaignResult:
     """Execute a campaign spec and collect its records in grid order.
 
@@ -286,12 +236,15 @@ def run_campaign(
     not only once the last cell lands).
 
     ``backend`` selects the executor: ``None`` keeps the historical
-    default (serial for ``jobs == 1``, the chunked process pool
-    otherwise); a registry name (``"serial"``, ``"process-pool"``,
-    ``"cache-queue"``) or a configured
-    :class:`~repro.engine.backends.ExecutorBackend` instance overrides
-    it. Every backend produces bit-identical grid-order results for the
-    same spec; the ``cache-queue`` backend additionally lets external
+    default (serial for ``jobs == 1``, the chunked process pool of
+    ``jobs`` workers otherwise); one of
+    :data:`~repro.engine.backends.BACKENDS` (``"serial"``,
+    ``"process-pool"``, ``"cache-queue"``) picks a built-in with its
+    defaults; a configured :class:`~repro.engine.backends.ExecutorBackend`
+    instance runs as given — that is how a pool's start method or chunk
+    size, or a queue's lease timing, is set. Every backend produces
+    bit-identical grid-order results for the same spec; the
+    ``cache-queue`` backend additionally lets external
     ``python -m repro worker`` processes (any host sharing ``cache_dir``)
     claim cells while this call coordinates.
 
@@ -303,8 +256,7 @@ def run_campaign(
     directory: cells whose content address is already stored load from
     JSON instead of executing, and freshly executed cells are stored for
     the next run. A repeat invocation of the same spec therefore executes
-    zero cells and reproduces the identical result. ``chunk_size``
-    overrides the process pool's dispatch granularity.
+    zero cells and reproduces the identical result.
     """
     from repro.engine.backends import ExecutionContext, resolve_backend
     from repro.engine.cache import CampaignCache
@@ -317,9 +269,7 @@ def run_campaign(
     if on_cell is not None:
         for planned in plan.cached():
             on_cell(planned.cell, plan.results[planned.index], True)
-    backend_obj = resolve_backend(
-        backend, jobs=jobs, mp_context=mp_context, chunk_size=chunk_size
-    )
+    backend_obj = resolve_backend(backend, jobs=jobs)
     if backend_obj.requires_cache and cache is None:
         raise ValueError(
             f"backend {backend_obj.name!r} coordinates through the cell "

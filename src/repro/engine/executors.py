@@ -10,10 +10,7 @@ process-spawning backend needs:
   the ``spawn`` machinery ships the parent's ``sys.path`` in its
   preparation data, and the initializer additionally pins the source
   root into the child's ``sys.path`` and ``PYTHONPATH`` (the latter so
-  the child's own subprocesses inherit it). An earlier version exported
-  ``PYTHONPATH`` in the *parent* for the pool's lifetime; that mutation
-  raced when two campaigns ran concurrently in one process — a
-  first-class pattern now that the work queue exists — so it is gone.
+  the child's own subprocesses inherit it).
 * :func:`default_chunk_size` — the dispatch granularity heuristic that
   amortizes per-task pickling/IPC across a chunk of cells.
 """

@@ -52,10 +52,6 @@ class CampaignPlan:
     def n_cells(self) -> int:
         return len(self.cells)
 
-    @property
-    def n_done(self) -> int:
-        return sum(1 for r in self.results if r is not None)
-
     def cached(self) -> List[PlannedCell]:
         """Cells resolved at plan time, in grid order."""
         return [

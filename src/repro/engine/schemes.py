@@ -83,7 +83,7 @@ class SchemeRun:
         mobile field (0 when it never re-identified). ``None`` on static
         fields, sessions included, for single-phase schemes, and in
         pre-mobility records.
-    location / trace / variant:
+    location / trace:
         The grid cell, keyword-only; ``None`` means not placed in a grid.
     """
 
@@ -103,11 +103,15 @@ class SchemeRun:
     _: KW_ONLY
     location: Optional[int] = None
     trace: Optional[int] = None
-    variant: Optional[int] = None
 
     def to_dict(self) -> dict:
         """JSON-able record of a placed run; floats round-trip exactly
-        through ``repr``."""
+        through ``repr``.
+
+        ``"variant": 0`` is the record layout of the retired config-sweep
+        axis; it stays so stored records and their digests keep their
+        bytes.
+        """
         return {
             "scheme": self.scheme,
             "location": int(self.location),
@@ -119,7 +123,7 @@ class SchemeRun:
             "slots_used": int(self.slots_used),
             "transmissions": [int(t) for t in self.transmissions],
             "bit_errors": int(self.bit_errors),
-            "variant": int(self.variant),
+            "variant": 0,
             "identification_s": None
             if self.identification_s is None
             else float(self.identification_s),
@@ -137,8 +141,9 @@ class SchemeRun:
     def from_dict(cls, data: dict) -> "SchemeRun":
         """Inverse of :meth:`to_dict` (transmissions back to an int array).
 
-        Stage fields default to ``None`` and ``variant`` to 0 when absent,
-        so records persisted before those fields existed load unchanged.
+        Stage fields default to ``None`` when absent, so records
+        persisted before those fields existed load unchanged; ``variant``
+        is ignored.
         """
         identification_s = data.get("identification_s")
         data_s = data.get("data_s")
@@ -156,7 +161,6 @@ class SchemeRun:
             slots_used=int(data["slots_used"]),
             transmissions=np.asarray(data["transmissions"], dtype=int),
             bit_errors=int(data["bit_errors"]),
-            variant=int(data.get("variant", 0)),
             identification_s=None if identification_s is None else float(identification_s),
             data_s=None if data_s is None else float(data_s),
             retries=None if retries is None else int(retries),

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.experiments.common import format_table
 from repro.engine import CampaignSpec, run_campaign
 from repro.network.metrics import uplink_metrics_from_runs
@@ -74,7 +76,8 @@ def run(
         buzz_rate.append(per["buzz"].mean_rate_bits_per_symbol)
         tdma_rate.append(per["tdma"].mean_rate_bits_per_symbol)
         buzz_loss.append(per["buzz"].loss_fraction)
-        tdma_med.append(campaign.median_loss_fraction("tdma"))
+        tdma_runs = campaign.by_scheme("tdma")
+        tdma_med.append(float(np.median([r.message_loss / r.n_tags for r in tdma_runs])))
         cdma_loss.append(per["cdma"].loss_fraction)
     return ChallengingResult(
         bands=list(bands),

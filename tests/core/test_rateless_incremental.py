@@ -450,10 +450,10 @@ class TestBpVerifyRounds:
             return CampaignSpec(
                 scenario=default_uplink_scenario(4), root_seed=5,
                 n_locations=1, n_traces=1, schemes=("buzz",),
-                configs=(config,),
+                config=config,
             )
 
-        cell = CampaignCell(location=0, trace=0, scheme="buzz", variant=0)
+        cell = CampaignCell(location=0, trace=0, scheme="buzz")
         assert cell_cache_key(spec(BuzzConfig()), cell) != cell_cache_key(
             spec(BuzzConfig(bp_verify_rounds=2)), cell
         )

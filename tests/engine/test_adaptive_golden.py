@@ -102,7 +102,9 @@ class TestBackwardCompatPersistence:
     def test_pr3_era_json_loads_with_mobility_fields_none(self):
         """Satellite: a PR-3-era result (stage fields present, mobility
         fields absent) must load with the new fields defaulting to None."""
-        result = CampaignResult.load(FIXTURES / "pr3_campaign_result.json")
+        result = CampaignResult.from_json(
+            (FIXTURES / "pr3_campaign_result.json").read_text()
+        )
         assert result.scenario_name == "uplink-k4"
         assert len(result.runs) == 2
         for run in result.runs:

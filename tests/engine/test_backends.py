@@ -15,19 +15,17 @@ import time
 import pytest
 
 from repro.engine import (
+    BACKENDS,
     CacheQueueBackend,
     CampaignCache,
     CampaignSpec,
     ExecutorBackend,
     ProcessPoolBackend,
     SerialBackend,
-    available_backends,
     plan_campaign,
-    register_backend,
     resolve_backend,
     run_campaign,
 )
-from repro.engine import backends as backends_module
 from repro.engine import schemes as schemes_module
 from repro.engine.executors import default_chunk_size, pool_initializer
 from repro.engine.queue import pack_campaign, run_worker, unpack_campaign
@@ -91,7 +89,8 @@ def _execution_count(log_path):
 
 
 class TestBackendConformance:
-    """Every registered backend → byte-identical result JSON."""
+    """Every built-in backend, by name or as a configured instance →
+    byte-identical result JSON."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -99,11 +98,11 @@ class TestBackendConformance:
             pytest.param(dict(backend="serial"), id="serial"),
             pytest.param(dict(jobs=2), id="process-pool-default"),
             pytest.param(
-                dict(backend="process-pool", jobs=2, chunk_size=1),
+                dict(backend=ProcessPoolBackend(jobs=2, chunk_size=1)),
                 id="process-pool-per-cell",
             ),
             pytest.param(
-                dict(backend="process-pool", jobs=3, chunk_size=5),
+                dict(backend=ProcessPoolBackend(jobs=3, chunk_size=5)),
                 id="process-pool-chunked",
             ),
             pytest.param(dict(backend="cache-queue"), id="cache-queue"),
@@ -230,7 +229,9 @@ class TestChildBootstrap:
         monkeypatch.delenv("PYTHONPATH", raising=False)
         spec = _spec(n_locations=1, n_traces=1, schemes=("tdma",))
         serial = run_campaign(spec).to_json()
-        spawned = run_campaign(spec, jobs=2, mp_context="spawn").to_json()
+        spawned = run_campaign(
+            spec, backend=ProcessPoolBackend(jobs=2, mp_context="spawn")
+        ).to_json()
         assert spawned == serial
 
 
@@ -280,7 +281,7 @@ class TestPlan:
         assert plan.n_cells == spec.n_cells == len(plan.keys)
         assert len(set(plan.keys)) == plan.n_cells  # addresses are unique
         assert [p.cell for p in plan.pending()] == list(spec.cells())
-        assert plan.cached() == [] and plan.n_done == 0
+        assert plan.cached() == [] and not plan.is_complete()
 
     def test_plan_resolves_cache_hits(self, tmp_path):
         spec = _spec()
@@ -297,7 +298,12 @@ class TestPlan:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(available_backends()) >= {"serial", "process-pool", "cache-queue"}
+        """Each built-in name resolves to the backend of that name."""
+        assert BACKENDS == ("serial", "process-pool", "cache-queue")
+        for name in BACKENDS:
+            assert resolve_backend(name).name == name
+        pool = resolve_backend("process-pool", jobs=3)
+        assert isinstance(pool, ProcessPoolBackend) and pool.jobs == 3
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -325,10 +331,8 @@ class TestRegistry:
             CacheQueueBackend(lease_timeout=-1.0)
         with pytest.raises(ValueError):
             CacheQueueBackend(poll_interval=0.0)
-        with pytest.raises(ValueError):
-            register_backend("", SerialBackend)
 
-    def test_user_registered_backend(self, golden_json):
+    def test_user_backend_instance(self, golden_json):
         class ReversedSerialBackend(ExecutorBackend):
             """Runs pending cells in reverse order — the result must still
             assemble in grid order (cells are order-independent)."""
@@ -339,12 +343,8 @@ class TestRegistry:
                 for planned in reversed(ctx.plan.pending()):
                     ctx.emit(planned.index, ctx.run_pending(planned))
 
-        register_backend("reversed-serial", ReversedSerialBackend)
-        try:
-            result = run_campaign(_spec(), backend="reversed-serial")
-            assert result.to_json() == golden_json
-        finally:
-            backends_module._BACKENDS.pop("reversed-serial", None)
+        result = run_campaign(_spec(), backend=ReversedSerialBackend())
+        assert result.to_json() == golden_json
 
 
 class TestPoolPlumbing:

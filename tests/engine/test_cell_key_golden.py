@@ -48,7 +48,7 @@ def _spec(key: str) -> CampaignSpec:
         n_locations=2,
         n_traces=2,
         schemes=schemes,
-        configs=(config,),
+        config=config,
         max_slots=max_slots,
     )
 

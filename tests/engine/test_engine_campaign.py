@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import BuzzConfig
+from repro.engine.backends import ProcessPoolBackend
 from repro.engine.cache import CampaignCache, cell_cache_key
 from repro.engine.campaign import (
     CampaignCell,
@@ -22,6 +23,7 @@ from repro.engine.campaign import (
 )
 from repro.engine.schemes import TdmaScheme, register_scheme
 from repro.engine import schemes as schemes_module
+from repro.network.metrics import uplink_metrics_from_runs
 from repro.network.scenarios import default_uplink_scenario, error_prone_scenario
 
 #: (scheme, location, trace, duration_s, message_loss, slots_used,
@@ -83,9 +85,9 @@ class TestCampaignSpec:
         spec = _spec(schemes=("buzz", "tdma"))
         cells = list(spec.cells())
         assert len(cells) == spec.n_cells == 2 * 2 * 2
-        assert cells[0] == CampaignCell(0, 0, "buzz", 0)
-        assert cells[1] == CampaignCell(0, 0, "tdma", 0)
-        assert cells[2] == CampaignCell(0, 1, "buzz", 0)
+        assert cells[0] == CampaignCell(0, 0, "buzz")
+        assert cells[1] == CampaignCell(0, 0, "tdma")
+        assert cells[2] == CampaignCell(0, 1, "buzz")
 
     def test_unknown_scheme_rejected_at_spec_time(self):
         with pytest.raises(ValueError, match="unknown scheme"):
@@ -95,18 +97,30 @@ class TestCampaignSpec:
         with pytest.raises(ValueError):
             _spec(schemes=())
 
-    def test_empty_configs_rejected(self):
-        with pytest.raises(ValueError):
-            _spec(configs=())
+    @pytest.mark.parametrize(
+        "max_slots, error",
+        [(0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError)],
+    )
+    def test_bad_max_slots_rejected(self, max_slots, error):
+        """A slot bound that is not a positive int is refused when the spec
+        is built, not by one scheme in the middle of a campaign."""
+        with pytest.raises(error, match="max_slots"):
+            _spec(max_slots=max_slots)
 
-    def test_config_sweep_adds_variant_axis(self):
-        spec = _spec(
-            schemes=("tdma",),
-            configs=(BuzzConfig(), BuzzConfig(bp_restarts=0)),
-        )
-        assert spec.n_cells == 2 * 2 * 1 * 2
-        variants = [c.variant for c in spec.cells()]
-        assert variants[:2] == [0, 1]
+    def test_config_sweep_is_a_list_of_specs(self):
+        """A config sweep is one spec per setting: each runs the same grid
+        under its own config, and the restart setting reaches the decoder."""
+        specs = [
+            _spec(schemes=("buzz",), config=config)
+            for config in (BuzzConfig(), BuzzConfig(bp_restarts=0))
+        ]
+        assert [spec.n_cells for spec in specs] == [2 * 2, 2 * 2]
+        assert [list(spec.cells()) for spec in specs] == [list(specs[0].cells())] * 2
+        cell = CampaignCell(0, 0, "buzz")
+        assert cell_cache_key(specs[0], cell) != cell_cache_key(specs[1], cell)
+        assert [_record(run_cell(specs[0], c)) for c in specs[0].cells()] == [
+            r for r in GOLDEN_DEFAULT_K4 if r[0] == "buzz"
+        ]
 
 
 class TestGoldenReproduction:
@@ -141,7 +155,9 @@ class TestParallelExecution:
         """Spawn-safety: fresh interpreters re-derive identical cells."""
         spec = _spec(n_locations=1, n_traces=1)
         serial = run_campaign(spec, jobs=1)
-        spawned = run_campaign(spec, jobs=2, mp_context="spawn")
+        spawned = run_campaign(
+            spec, backend=ProcessPoolBackend(jobs=2, mp_context="spawn")
+        )
         assert [_record(r) for r in serial.runs] == [_record(r) for r in spawned.runs]
 
     def test_bad_jobs_rejected(self):
@@ -166,10 +182,14 @@ class TestCampaignResult:
     def test_aggregates_and_by_scheme(self):
         result = run_campaign(_spec())
         assert len(result.by_scheme("buzz")) == 4
-        assert result.mean_duration_s("tdma") > 0
-        assert result.total_loss("cdma") == 2
-        assert 0.0 <= result.median_loss_fraction("cdma") <= 1.0
-        assert result.mean_rate("buzz") == pytest.approx(
+        per = {
+            s: uplink_metrics_from_runs(s, result.by_scheme(s))
+            for s in ("buzz", "tdma", "cdma")
+        }
+        assert per["tdma"].mean_duration_ms > 0
+        assert per["cdma"].mean_undecoded * per["cdma"].n_runs == 2
+        assert per["cdma"].loss_fraction == 2 / 16
+        assert per["buzz"].mean_rate_bits_per_symbol == pytest.approx(
             np.mean([0.8, 1.0, 4 / 3, 4.0])
         )
 
@@ -201,15 +221,8 @@ class TestCampaignResult:
         numpy nan with a RuntimeWarning."""
         result = run_campaign(_spec(schemes=("tdma",)))
         assert result.by_scheme("cdma") == []  # membership query still fine
-        for aggregate in (
-            result.mean_duration_s,
-            result.total_loss,
-            result.mean_loss_per_run,
-            result.median_loss_fraction,
-            result.mean_rate,
-        ):
-            with pytest.raises(ValueError, match="no runs recorded"):
-                aggregate("cdma")
+        with pytest.raises(ValueError, match="no runs to aggregate"):
+            uplink_metrics_from_runs("cdma", result.by_scheme("cdma"))
 
     def test_json_round_trip_is_exact(self):
         result = run_campaign(_spec())
@@ -218,11 +231,12 @@ class TestCampaignResult:
         assert [_record(r) for r in restored.runs] == [_record(r) for r in result.runs]
 
     def test_save_load_round_trip(self, tmp_path):
+        """A result written to a file as indented JSON reads back exactly."""
         result = run_campaign(_spec())
         path = tmp_path / "campaign.json"
-        result.save(path)
-        restored = CampaignResult.load(path)
-        assert [_record(r) for r in restored.runs] == [_record(r) for r in result.runs]
+        path.write_text(result.to_json(indent=2))
+        restored = CampaignResult.from_json(path.read_text())
+        assert restored.to_json() == result.to_json()
 
 
 class _CountingTdmaScheme(TdmaScheme):
@@ -284,21 +298,20 @@ class TestResultCache:
         assert base != cell_cache_key(
             _spec(scenario=error_prone_scenario(4)), cell
         )
-        assert base != cell_cache_key(
-            _spec(configs=(BuzzConfig(bp_restarts=0),)), cell
-        )
+        assert base != cell_cache_key(_spec(config=BuzzConfig(bp_restarts=0)), cell)
         assert base != cell_cache_key(_spec(max_slots=9), cell)
 
     def test_corrupt_cache_file_is_a_miss(self, tmp_path):
         spec = _spec(schemes=("tdma",), n_locations=1, n_traces=1)
         cache = CampaignCache(tmp_path)
         cell = next(iter(spec.cells()))
-        path = cache._path(cell_cache_key(spec, cell))
+        key = cell_cache_key(spec, cell)
+        path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{not json")
-        assert cache.load(spec, cell) is None
+        assert cache.load_key(key) is None
         result = run_campaign(spec, cache_dir=str(tmp_path))  # repairs the entry
-        assert cache.load(spec, cell) is not None
+        assert cache.load_key(key) is not None
         assert _record(result.runs[0]) == _record(run_campaign(spec).runs[0])
 
 

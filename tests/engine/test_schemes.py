@@ -71,16 +71,15 @@ class TestSchemeAdapters:
             n_locations=2,
             n_traces=2,
             schemes=(name,),
-            configs=(BuzzConfig(), BuzzConfig(bp_restarts=0)),
+            config=BuzzConfig(bp_restarts=0),
         )
-        cell = CampaignCell(location=1, trace=1, scheme=name, variant=1)
+        cell = CampaignCell(location=1, trace=1, scheme=name)
         run = run_cell(spec, cell)
         assert isinstance(run, SchemeRun)
-        assert (run.scheme, run.location, run.trace, run.variant) == (
+        assert (run.scheme, run.location, run.trace) == (
             cell.scheme,
             cell.location,
             cell.trace,
-            cell.variant,
         )
         assert run.n_tags == 3
         assert run.duration_s > 0
@@ -95,7 +94,7 @@ class TestSchemeAdapters:
         run = TdmaScheme().run(
             population, front_end, np.random.default_rng(0), config=BuzzConfig()
         )
-        assert (run.location, run.trace, run.variant) == (None, None, None)
+        assert (run.location, run.trace) == (None, None)
 
     def test_tdma_slots_used_is_population_size(self):
         population, front_end = _location(n_tags=5, seed=8)

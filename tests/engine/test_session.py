@@ -277,7 +277,7 @@ class TestStageFieldPersistence:
         """Satellite: a PR-2-era record (no stage fields) must round-trip
         with the stage fields defaulting to None."""
         path = FIXTURES / "pr2_campaign_result.json"
-        result = CampaignResult.load(path)
+        result = CampaignResult.from_json(path.read_text())
         assert result.scenario_name == "uplink-k4"
         assert len(result.runs) == 3
         for run in result.runs:
@@ -287,7 +287,7 @@ class TestStageFieldPersistence:
         # The legacy payload fields survive untouched…
         assert result.runs[0].duration_s == 0.003189814814814815
         assert [int(t) for t in result.runs[0].transmissions] == [3, 4, 5, 4]
-        assert result.total_loss("cdma") == 1
+        assert sum(r.message_loss for r in result.by_scheme("cdma")) == 1
         # …and a re-serialisation round-trips the Nones explicitly.
         again = CampaignResult.from_json(result.to_json())
         assert [_record(r) for r in again.runs] == [_record(r) for r in result.runs]
@@ -312,10 +312,11 @@ class TestStageFieldPersistence:
         for key in ("identification_s", "data_s", "retries"):
             legacy.pop(key)
         cache = CampaignCache(tmp_path)
-        path = cache._path(cell_cache_key(spec, cell))
+        key = cell_cache_key(spec, cell)
+        path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps({"format": _CACHE_FORMAT, "run": legacy}))
-        loaded = cache.load(spec, cell)
+        loaded = cache.load_key(key)
         assert loaded is not None
         assert loaded.identification_s is None
         assert _record(loaded)[:4] == _record(fresh)[:4]
@@ -337,7 +338,8 @@ class TestStageFieldPersistence:
         cell = next(iter(spec.cells()))
         fresh = run_campaign(spec).runs[0]
         cache = CampaignCache(tmp_path)
-        path = cache._path(cell_cache_key(spec, cell))
+        key = cell_cache_key(spec, cell)
+        path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps({"format": 1, "run": fresh.to_dict()}))
-        assert cache.load(spec, cell) is None
+        assert cache.load_key(key) is None

@@ -53,9 +53,13 @@ class TestRunCampaign:
         campaign = run_campaign(
             CampaignSpec(default_uplink_scenario(4), n_locations=2, n_traces=1)
         )
-        assert campaign.mean_duration_s("tdma") > 0
-        assert campaign.total_loss("buzz") >= 0
-        assert 0 <= campaign.median_loss_fraction("cdma") <= 1
+        per = {
+            s: uplink_metrics_from_runs(s, campaign.by_scheme(s))
+            for s in ("buzz", "tdma", "cdma")
+        }
+        assert per["tdma"].mean_duration_ms > 0
+        assert per["buzz"].mean_undecoded >= 0
+        assert 0 <= per["cdma"].loss_fraction <= 1
 
     def test_metrics_builder(self):
         campaign = run_campaign(

@@ -118,6 +118,16 @@ class TestDistributedCli:
         with pytest.raises(SystemExit):
             main(["--quick", "fig10", "--backend", "carrier-pigeon"])
 
+    def test_inapplicable_flags_are_noted(self, capsys):
+        """A flag the experiment's ``run`` takes no parameter for is noted,
+        and ``--jobs`` is noted as ignored by every backend but the pool."""
+        assert main(["--quick", "fig2", "--jobs", "2", "--backend", "serial"]) == 0
+        out = capsys.readouterr().out
+        assert "(note: --jobs ignored by --backend serial)" in out
+        assert "(note: --backend, --jobs not applicable to fig2)" in out
+        assert main(["--quick", "fig2", "--jobs", "2", "--backend", "process-pool"]) == 0
+        assert "ignored by" not in capsys.readouterr().out
+
     def test_progress_flag_streams_cells(self, capsys):
         assert main(["--quick", "fig10", "--schemes", "tdma", "--progress"]) == 0
         captured = capsys.readouterr()
