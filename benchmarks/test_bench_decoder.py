@@ -115,8 +115,8 @@ def test_bench_packed_decode_kernel(benchmark):
     """Packed kernel ≡ per-position decoder at K = 500.
 
     The packed kernel keeps the correlation matrix incrementally updated
-    per flip (an axpy against the cached DᵀD overlap) and stores the
-    estimate matrix as uint64 words; the scalar decoder re-derives each
+    per flip (an axpy against the cached DᵀD overlap) and holds the
+    estimate matrix as a float sign matrix; the scalar decoder re-derives each
     affected gain from the residual. Bits and flip counts must match
     exactly, residual norms to float precision.
     """

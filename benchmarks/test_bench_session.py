@@ -18,10 +18,12 @@ properties are gated here:
 
 The workload is a fixed-length ``run_rateless_uplink`` session (2·K
 slots, SNR-band channels) — deterministic wall-clock shape at every K,
-with most tags decoding (and being peeled) along the way. It runs with
-``bp_restarts=0``: the restart protocol is identical shared work both
-ways (re-running flip rounds from perturbed starts), orthogonal to the
-rebuild-vs-incremental setup cost this gate isolates.
+with most tags decoding (and being peeled) along the way. The gated
+series runs with ``bp_restarts=0``: the restart protocol is identical
+shared work both ways (re-running flip rounds from perturbed starts),
+orthogonal to the rebuild-vs-incremental setup cost this gate isolates.
+The artifact also records the default ``bp_restarts=4`` config at the
+paper's scale, which is what a user waits on.
 """
 
 import json
@@ -61,7 +63,7 @@ def session_workload(k, seed=SEED):
     return pop, ReaderFrontEnd(noise_std=NOISE_STD)
 
 
-def run_session(pop, front_end, k, rebuild=False, seed=SEED):
+def run_session(pop, front_end, k, rebuild=False, seed=SEED, bp_restarts=BP_RESTARTS):
     """One timed session; returns (result, wall_seconds).
 
     ``rebuild`` runs it on the rebuild reference instead of the
@@ -72,7 +74,7 @@ def run_session(pop, front_end, k, rebuild=False, seed=SEED):
         start = time.perf_counter()
         result = run_rateless_uplink(
             pop.tags, front_end, np.random.default_rng(seed),
-            config=BuzzConfig(bp_restarts=BP_RESTARTS),
+            config=BuzzConfig(bp_restarts=bp_restarts),
             max_slots=SLOTS_PER_K * k,
         )
         elapsed = time.perf_counter() - start
@@ -109,13 +111,21 @@ def test_bench_session_incremental_identical_and_not_slower(benchmark):
 
 def test_session_artifact_records_3x_at_k500():
     """The committed BENCH_session.json must carry the acceptance numbers:
-    K = 500 present, byte-identical, and ≥ 3× incremental speedup."""
+    the ``bp_restarts=0`` K = 500 point present, every point
+    byte-identical, and ≥ 3× incremental speedup at K = 500.
+
+    ``v3`` entries carry their own ``bp_restarts``; a ``v1`` recording
+    has one workload-wide value."""
     assert _ARTIFACT.exists(), "run benchmarks/record_session_bench.py first"
     payload = json.loads(_ARTIFACT.read_text())
-    assert payload["schema"] == "bench-session/v1"
+    assert payload["schema"] in ("bench-session/v1", "bench-session/v3")
     series = payload["series"]
     assert all(entry["identical"] for entry in series)
-    k500 = [entry for entry in series if entry["k"] == 500]
+    restarts = payload["workload"].get("bp_restarts")
+    k500 = [
+        entry for entry in series
+        if entry["k"] == 500 and entry.get("bp_restarts", restarts) == 0
+    ]
     assert k500, "artifact is missing the K=500 acceptance point"
     entry = k500[0]
     speedup = entry["rebuild_seconds"] / entry["incremental_seconds"]

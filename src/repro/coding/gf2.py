@@ -1,15 +1,12 @@
 """Bit-packed GF(2) kernels: uint64 words, popcounts, packed CRC checks.
 
-Everything the rateless reader manipulates at the bit level — the (K, M)
-message-estimate matrix, the collision matrix D, and the GF(2) CRC
-superposition tables — is 0/1 valued, yet historically lived in uint8 (one
-byte per bit) or float64 (eight bytes per bit, to feed BLAS). This module
-provides the packed representation the native decode kernel builds on:
+The reader's CRC verification is GF(2) arithmetic over 0/1 message rows.
+This module provides the packed representation it runs on:
 
-* :func:`pack_rows` / :func:`unpack_rows` — pack the last axis of a 0/1
-  array into uint64 words, 64 bits per word, bit *m* of a row stored in
-  word ``m // 64`` at position ``m % 64``. Lengths that are not a multiple
-  of 64 pad with zero bits (the round-trip is exact).
+* :func:`pack_rows` — pack the last axis of a 0/1 array into uint64
+  words, 64 bits per word, bit *m* of a row stored in word ``m // 64`` at
+  position ``m % 64``. Lengths that are not a multiple of 64 pad with
+  zero bits.
 * :func:`popcount` — per-element population count. Uses
   ``np.bitwise_count`` when the installed numpy provides it (added in
   numpy 2.0); older numpys fall back to a byte-wise lookup table over a
@@ -37,7 +34,6 @@ __all__ = [
     "WORD_BITS",
     "packed_words",
     "pack_rows",
-    "unpack_rows",
     "popcount",
     "gf2_dot_packed",
     "crc_check_packed",
@@ -53,8 +49,6 @@ HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 #: Popcount of every byte value — the fallback table.
 _POP8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
-_SHIFTS = np.arange(WORD_BITS, dtype=np.uint64)
-
 _BYTE_SHIFTS = np.arange(8, dtype=np.uint64) * np.uint64(8)
 
 
@@ -65,46 +59,24 @@ def packed_words(n_bits: int) -> int:
     return (int(n_bits) + WORD_BITS - 1) // WORD_BITS
 
 
-def pack_rows(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack the last axis of a 0/1 array into uint64 words.
 
     ``(..., n)`` → ``(..., ceil(n/64))``; bit *m* lands in word ``m // 64``
-    at bit position ``m % 64``. Trailing pad bits are zero. ``out``, when
-    given, must be a uint64 array of the result shape and receives the
-    packed words in place (callers that re-pack the same estimate matrix
-    every decode round reuse one scratch buffer instead of allocating).
+    at bit position ``m % 64``. Trailing pad bits are zero.
     """
     bits = np.asarray(bits)
     if not (((bits == 0) | (bits == 1)).all()):
         raise ValueError("pack_rows expects a 0/1 array")
     n = bits.shape[-1]
     n_words = packed_words(n)
-    result_shape = bits.shape[:-1] + (n_words,)
     padded = np.zeros(bits.shape[:-1] + (n_words * WORD_BITS,), dtype=np.uint8)
     padded[..., :n] = bits
     # packbits does the bit-level work in C; the byte→word assembly below is
     # arithmetic (shifts), so the layout is byte-order independent.
     as_bytes = np.packbits(padded, axis=-1, bitorder="little")
     grouped = as_bytes.reshape(bits.shape[:-1] + (n_words, 8)).astype(np.uint64)
-    if out is None:
-        return np.bitwise_or.reduce(grouped << _BYTE_SHIFTS, axis=-1)
-    if out.shape != result_shape or out.dtype != np.uint64:
-        raise ValueError(
-            f"out must be uint64 of shape {result_shape}, got {out.dtype} {out.shape}"
-        )
-    return np.bitwise_or.reduce(grouped << _BYTE_SHIFTS, axis=-1, out=out)
-
-
-def unpack_rows(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_rows`: ``(..., W)`` words → ``(..., n_bits)`` uint8."""
-    words = np.asarray(words, dtype=np.uint64)
-    if packed_words(n_bits) > words.shape[-1]:
-        raise ValueError(
-            f"{n_bits} bits need {packed_words(n_bits)} words, got {words.shape[-1]}"
-        )
-    expanded = (words[..., :, None] >> _SHIFTS) & np.uint64(1)
-    flat = expanded.reshape(words.shape[:-1] + (words.shape[-1] * WORD_BITS,))
-    return flat[..., :n_bits].astype(np.uint8)
+    return np.bitwise_or.reduce(grouped << _BYTE_SHIFTS, axis=-1)
 
 
 def popcount(words: np.ndarray) -> np.ndarray:

@@ -36,7 +36,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.coding.gf2 import pack_rows, unpack_rows
 from repro.utils.validation import ensure_positive_int
 
 __all__ = [
@@ -398,25 +397,29 @@ class PackedBitFlipDecoder:
     The M per-position collision systems ``min_b ‖D·diag(h)·b − y_m‖²``
     share the same D, h, and bipartite graph — only the received column
     ``y_m`` and the bit column ``b_m`` differ. This kernel keeps the full
-    ``(K, M)`` bit state, the ``(L, M)`` residual matrix and the ``(K, M)``
-    correlations ``Dᵀ·conj(R)``, and every round flips the argmax bit of
-    every still-active position. Positions freeze independently: a column
+    ``(K, M)`` bit state as a float sign matrix, the ``(L, M)`` residual
+    matrix and the ``(K, M)`` correlations ``Dᵀ·conj(R)``, and every round
+    flips the argmax bit of every still-active position. ("Packed" names
+    the M positions packed side by side into one batch; no bit state is
+    held in machine words.) Positions freeze independently: a column
     whose gains are exhausted (and whose pair-flip escape finds nothing)
     drops out of later rounds. The per-round arithmetic rests on three
     observations:
 
     * **Bits are signs.** ``|δ_i|² = |h_i|²`` regardless of the bit, so the
-      per-round gains are a float sign matrix times precomputed per-tag
-      constants — no materialised complex ``delta`` / ``|delta|²``
-      temporaries.
+      per-round gains are a float sign matrix ``1 − 2·b`` times
+      precomputed per-tag constants — no materialised complex ``delta`` /
+      ``|delta|²`` temporaries. The sign matrix is the round loop's only
+      bit state: a flip negates one entry, and the 0/1 bits are read back
+      from it (``sign < 0``) once per solve.
     * **Gains update incrementally.** Flipping bit *i* of column *m*
       changes that column's correlation by ``conj(δ_i)·(Dᵀ d_i)`` — one
       column of the slot-overlap matrix — so a round costs an axpy over
-      the flipped columns; only a restart batch's *initial* correlation
+      the flipped columns; only the restart trials' *initial* correlation
       (and the final residual norms) cost a matmul.
-    * **The bit state lives in uint64 words.** The ``(K, M)`` estimate
-      matrix is held packed (:func:`repro.coding.gf2.pack_rows`, 64
-      positions per word) and flips are word XORs.
+    * **One round loop per decode.** The warm columns and every restart
+      trial are independent problems, so they are stacked side by side
+      and flipped by a single round loop (:meth:`decode_best_of_state`).
 
     The kernel is bound to a :class:`~repro.core.decoder_state.
     DecoderState` (:meth:`from_state`) and decodes its *peeled active*
@@ -485,22 +488,98 @@ class PackedBitFlipDecoder:
     # ---- decoding -------------------------------------------------------------
     def decode_best_of_state(self, restarts: int, rng: np.random.Generator) -> BatchedDecodeOutcome:
         """Warm decode plus ``restarts`` random retries per position, on
-        the state.
+        the state, as one round loop.
 
-        The warm decode runs in place on the state's bits, residual and
+        The warm columns start from the state's bits, residual and
         correlations, which already sit at the previous round's local
-        optimum plus the rank-(new rows) extensions: no stacking, no
-        initial residual or correlation gemm. Restarts follow
-        :meth:`_restart`; winning trials land in the state's own arrays,
-        keeping it warm for the next round.
+        optimum plus the rank-(new rows) extensions: no initial residual
+        or correlation gemm for them. Every restart init is drawn up front
+        (:meth:`_draw_trials`) and the trials are solved in the same
+        stacked batch as the warm columns; the warm columns are then
+        copied back into the state's arrays and each position's winning
+        trial is spliced in, keeping the state warm for the next round.
+
+        The batch assumes every position restarts all ``restarts`` times.
+        That holds unless a warm column is exact or a trial turns exact
+        before its last draw (essentially only on noiseless inputs); then
+        the generator is rewound and :meth:`_restart` replays the trials
+        one by one, as the scalar reference draws them.
         """
         state = self._state
-        warm = self._solve(state.bits, state.residual, state.corr_re, state.corr_im)
-        return self._restart(warm, restarts, rng)
+        n_restarts = max(0, restarts)
+        if n_restarts == 0:
+            return self._solve(state.bits, state.residual, state.corr_re, state.corr_im)
+        m = state.bits.shape[1]
+        gen_state = rng.bit_generator.state
+        trial_init, trial_residual, trial_corr = self._draw_trials(n_restarts, rng)
+        fused = self._solve(
+            np.concatenate([state.bits, trial_init], axis=1),
+            np.concatenate([state.residual, trial_residual], axis=1),
+            np.concatenate([state.corr_re, trial_corr.real], axis=1),
+            np.concatenate([state.corr_im, trial_corr.imag], axis=1),
+        )
+        state.bits[...] = fused.bits[:, :m]
+        state.residual[...] = fused.residual[:, :m]
+        state.corr_re[...] = fused.corr_re[:, :m]
+        state.corr_im[...] = fused.corr_im[:, :m]
+        warm = BatchedDecodeOutcome(
+            bits=state.bits,
+            flips=fused.flips[:m].copy(),
+            converged=fused.converged[:m].copy(),
+            residual_norms=fused.residual_norms[:m].copy(),
+            residual=state.residual,
+            corr_re=state.corr_re,
+            corr_im=state.corr_im,
+        )
+        trial_norms = fused.residual_norms[m:].reshape(m, n_restarts)
+
+        # Validate the batch: had a position been exact before its last
+        # draw, it would have drawn fewer inits and shifted every later
+        # position's draws.
+        running = np.minimum.accumulate(
+            np.column_stack([warm.residual_norms, trial_norms]), axis=1
+        )
+        if np.any(running[:, :-1] <= _RESIDUAL_EXACT):
+            rng.bit_generator.state = gen_state
+            return self._restart(warm, n_restarts, rng)
+
+        # First minimum per position: the earlier trial wins ties.
+        winner = np.argmin(trial_norms, axis=1)
+        won = np.flatnonzero(trial_norms[np.arange(m), winner] < warm.residual_norms)
+        warm.splice(won, fused, m + won * n_restarts + winner[won])
+        return warm
+
+    def _draw_trials(self, n_restarts: int, rng: np.random.Generator) -> tuple:
+        """Every position's ``n_restarts`` restart inits and their initial
+        residual and correlations.
+
+        Each init is ``rng.random(state.k_full) < 0.5`` — drawn over the
+        *full* population and cut to the active set, so a verified node's
+        draw is discarded exactly as the scalar reference overwrites it
+        with the verified value and both leave the generator in the same
+        state — drawn position-major (all of position 0's inits before
+        position 1's). Zero-weight bits are pinned to the state's bits:
+        their gains are exactly 0, so they cannot flip and their values
+        before the warm solve are their values after it, and randomizing
+        them would only make an equal-norm trial adoption visible.
+        Returns ``(init, residual, corr)``, column ``m·R + r`` being
+        position *m*'s trial *r*.
+        """
+        state = self._state
+        m, k_draw = state.bits.shape[1], state.k_full
+        draws = rng.random((m, n_restarts, k_draw)) < 0.5
+        init = (
+            draws.transpose(2, 0, 1).reshape(k_draw, m * n_restarts)[state.active_idx]
+        ).astype(np.uint8)
+        cols = np.repeat(np.arange(m), n_restarts)
+        pinned = self._weights == 0
+        init[pinned, :] = state.bits[np.ix_(pinned, cols)]
+        residual = state.y[:, cols] - self._signal @ init.astype(float)
+        return init, residual, self._dT @ np.conj(residual)
 
     def _decode(self, ys: np.ndarray, init: np.ndarray) -> BatchedDecodeOutcome:
         """Decode the ``(L, M')`` columns ``ys`` from scratch, starting at
-        ``init`` (copied): a restart batch's trials."""
+        ``init`` (copied): the replayed restart trials."""
         bits = np.array(init, dtype=np.uint8)
         residual = ys - self._signal @ bits.astype(float)
         corr = self._dT @ np.conj(residual)
@@ -518,17 +597,16 @@ class PackedBitFlipDecoder:
         """Flip every column of ``bits`` to its local optimum, in place.
 
         ``residual`` and the split correlations must match ``bits``; the
-        round loop keeps all four consistent, and the outcome is a view
-        over the same arrays. Signs and packed words are derived from the
-        bit matrix per call: both are O(K·M) reshufflings, not gemms.
+        round loop keeps them consistent, and the outcome is a view over
+        the same arrays. The round loop's only bit state is the float sign
+        matrix ``1 − 2·bits``; ``bits`` is written back from it at the end.
         """
         m = bits.shape[1]
-        packed = pack_rows(bits)
         signs = 1.0 - 2.0 * bits.astype(float)
         flips = np.zeros(m, dtype=np.int64)
         active = np.ones(m, dtype=bool)
-        self._run_rounds(corr_re, corr_im, signs, packed, residual, active, flips)
-        bits[...] = unpack_rows(packed, m)
+        self._run_rounds(corr_re, corr_im, signs, residual, active, flips)
+        bits[...] = signs < 0.0
         return BatchedDecodeOutcome(
             bits=bits,
             flips=flips,
@@ -542,70 +620,31 @@ class PackedBitFlipDecoder:
     def _restart(
         self,
         warm: BatchedDecodeOutcome,
-        restarts: int,
+        n_restarts: int,
         rng: np.random.Generator,
     ) -> BatchedDecodeOutcome:
-        """``restarts`` random retries per inexact position of ``warm``.
+        """Replay the restarts of every inexact position of ``warm`` one
+        trial at a time, as the scalar reference draws them.
 
-        Each init is ``rng.random(state.k_full) < 0.5`` — drawn over the
-        *full* population and cut to the active set, so a verified node's
-        draw is discarded exactly as the scalar reference overwrites it
-        with the verified value and both leave the generator in the same
-        state — drawn position-major (all of position 0's restart inits
-        before position 1's), with zero-weight bits pinned to their warm
-        values: their gains are exactly 0, so they cannot flip, and
-        randomizing them would only make an equal-norm trial adoption
-        visible. The common case draws every init up front and decodes
-        all trials as one batch; if any position *would* have stopped
-        early (an exact residual mid-restarts, essentially only on
-        noiseless inputs), the generator is rewound and the trials are
-        replayed one by one. A strictly smaller norm wins, so ties go to
-        the earlier trial, and the winner is spliced into ``warm``'s own
-        arrays — bits, residual, correlations, flips, converged, norm.
+        Positions are walked in order; each draws one init at a time
+        (cut and pinned as in :meth:`_draw_trials`) until it has drawn
+        ``n_restarts`` or its best residual is exact. A strictly smaller
+        norm wins, so ties go to the earlier trial, and the winner is
+        spliced into ``warm``'s own arrays — bits, residual, correlations,
+        flips, converged, norm.
         """
-        n_restarts = max(0, restarts)
-        need = np.flatnonzero(warm.residual_norms > _RESIDUAL_EXACT)
-        if n_restarts == 0 or need.size == 0:
-            return warm
         state = self._state
         ys, k_draw, rows = state.y, state.k_full, state.active_idx
         pinned = self._weights == 0
-
-        gen_state = rng.bit_generator.state
-        draws = rng.random((need.size, n_restarts, k_draw)) < 0.5
-        trial_init = (
-            draws.transpose(2, 0, 1).reshape(k_draw, need.size * n_restarts)[rows]
-        ).astype(np.uint8)
-        trial_cols = np.repeat(need, n_restarts)
-        trial_init[pinned, :] = warm.bits[np.ix_(pinned, trial_cols)]
-        trials = self._decode(ys[:, trial_cols], trial_init)
-        trial_norms = trials.residual_norms.reshape(need.size, n_restarts)
-
-        # Validate the optimistic draw: had any position reached an exact
-        # residual before its last trial, later draws would not have
-        # happened and every subsequent position's inits shift.
-        running = np.minimum.accumulate(
-            np.column_stack([warm.residual_norms[need], trial_norms]), axis=1
-        )
-        if np.any(running[:, 1:-1] <= _RESIDUAL_EXACT):
-            rng.bit_generator.state = gen_state
-            for m in need:
-                for _ in range(n_restarts):
-                    if warm.residual_norms[m] <= _RESIDUAL_EXACT:
-                        break
-                    trial_init = (rng.random(k_draw) < 0.5)[rows].astype(np.uint8)
-                    trial_init[pinned] = warm.bits[pinned, m]
-                    trial = self._decode(ys[:, m : m + 1], trial_init[:, None])
-                    if trial.residual_norms[0] < warm.residual_norms[m]:
-                        warm.splice([m], trial, [0])
-            return warm
-
-        # First minimum per position: the earlier trial wins ties.
-        winner = np.argmin(trial_norms, axis=1)
-        won = np.flatnonzero(
-            trial_norms[np.arange(need.size), winner] < warm.residual_norms[need]
-        )
-        warm.splice(need[won], trials, won * n_restarts + winner[won])
+        for m in np.flatnonzero(warm.residual_norms > _RESIDUAL_EXACT):
+            for _ in range(n_restarts):
+                if warm.residual_norms[m] <= _RESIDUAL_EXACT:
+                    break
+                trial_init = (rng.random(k_draw) < 0.5)[rows].astype(np.uint8)
+                trial_init[pinned] = warm.bits[pinned, m]
+                trial = self._decode(ys[:, m : m + 1], trial_init[:, None])
+                if trial.residual_norms[0] < warm.residual_norms[m]:
+                    warm.splice([m], trial, [0])
         return warm
 
     # ---- round loop -------------------------------------------------------------
@@ -614,14 +653,12 @@ class PackedBitFlipDecoder:
         corr_re: np.ndarray,
         corr_im: np.ndarray,
         signs: np.ndarray,
-        packed: np.ndarray,
         residual: np.ndarray,
         active: np.ndarray,
         flips: np.ndarray,
     ) -> None:
         """Flip every active column to its local optimum, in place."""
         overlap = self._overlap
-        one = np.uint64(1)
         k_dim, m_dim = signs.shape
         if k_dim == 0:
             # Fully-peeled problem: no bit can flip, every column retires.
@@ -666,7 +703,7 @@ class PackedBitFlipDecoder:
                 # the decision it would have taken then.
                 stalled = np.flatnonzero(active)
                 self._escape_stalls(
-                    gains[:, stalled], corr_re, corr_im, signs, packed, residual,
+                    gains[:, stalled], corr_re, corr_im, signs, residual,
                     stalled, active, flips,
                 )
             else:
@@ -687,13 +724,6 @@ class PackedBitFlipDecoder:
                     corr_im[:, fcols] += ov * fdim[None, :]
                     residual[:, fcols] -= self._d_f[:, fbits] * fdelta[None, :]
                 signs[fbits, fcols] = -s
-                # Word XOR per flip; ufunc.at because two columns of the
-                # same tag may share a word within one round.
-                np.bitwise_xor.at(
-                    packed,
-                    (fbits, fcols // 64),
-                    one << (fcols % 64).astype(np.uint64),
-                )
                 flips[fcols] += 1
 
     def _escape_stalls(
@@ -702,7 +732,6 @@ class PackedBitFlipDecoder:
         corr_re: np.ndarray,
         corr_im: np.ndarray,
         signs: np.ndarray,
-        packed: np.ndarray,
         residual: np.ndarray,
         stalled: np.ndarray,
         active: np.ndarray,
@@ -715,7 +744,7 @@ class PackedBitFlipDecoder:
         :func:`resolve_stalls` takes all the decisions in one batched pass
         against this kernel's overlap and cross-term caps. Each pair is then
         two single-bit flips in pair order — correlation axpy, masked
-        residual update, sign and word XOR — applied to all escaping
+        residual update, sign — applied to all escaping
         columns at once; every element sees the per-column expressions.
         """
         delta = self.h[:, None] * signs[:, stalled]
@@ -729,8 +758,6 @@ class PackedBitFlipDecoder:
         if cols.size == 0:
             return
         overlap = self._overlap
-        word = cols // 64
-        bit = np.uint64(1) << (cols % 64).astype(np.uint64)
         for idx in pairs.T:
             s = signs[idx, cols]
             ov = overlap[:, idx]
@@ -741,8 +768,6 @@ class PackedBitFlipDecoder:
                 self.d[:, idx].astype(bool), res - self.h[idx] * s, res
             )
             signs[idx, cols] = -s
-            # Columns of one word may flip the same tag: ufunc.at.
-            np.bitwise_xor.at(packed, (idx, word), bit)
         flips[cols] += 1
 
 

@@ -59,9 +59,12 @@ class DecoderState:
     """Live decode state shared between the rateless loop and its kernels.
 
     :meth:`~repro.core.bp_decoder.PackedBitFlipDecoder.decode_best_of_state`
-    solves in place on ``bits``, ``residual``, ``corr_re`` and ``corr_im``
-    and splices each restart winner straight into them, so the four stay
-    consistent with no copy-back step.
+    starts its warm columns from ``bits``, ``residual``, ``corr_re`` and
+    ``corr_im``. With restarts on, it stacks them beside the restart
+    trials, solves the stack in one round loop, copies the warm columns
+    back into these four arrays and splices each restart winner into
+    them; with restarts off it solves them in place. Either way the four
+    stay consistent.
 
     Parameters
     ----------

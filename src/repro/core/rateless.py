@@ -118,8 +118,9 @@ class RatelessDecoder:
       **and**
     * either the node participated in enough slots for independent evidence
       (≥ 2, or ≥ 3 for weak channels — such nodes churn through more
-      candidate patterns), or its single slot is *fully explained*: a
-      noise-consistent residual, every other participant frozen or passing
+      candidate patterns), or every one of its slots has a
+      noise-consistent residual and its *first* slot is *fully
+      explained*: every other participant of that slot frozen or passing
       CRC in the same round, and every received symbol of that slot
       decoding the node's bit with a clear margin — the nearest
       constellation point that flips this node's bit at least
@@ -128,6 +129,10 @@ class RatelessDecoder:
       both bits together barely moves the received symbol, the two messages
       take the *same* error pattern, and one CRC collision (2⁻⁵)
       false-passes both at once.
+
+    Every node below its weight requirement takes that second path, not
+    only weight-1 nodes: a weak-channel node of weight 2 is judged
+    explained and margin-safe on its first slot alone.
     """
 
     def __init__(
@@ -165,6 +170,8 @@ class RatelessDecoder:
         self._estimates = (self.rng.random((self.k, self.p)) < 0.5).astype(np.uint8)
         self._decoded = np.zeros(self.k, dtype=bool)
         self.progress: List[DecodeProgress] = []
+        # Per received row: the margin test's constellation and distances.
+        self._margin_tables: dict = {}
         self._state = self._new_state()
 
     def _new_state(self) -> DecoderState:
@@ -327,10 +334,12 @@ class RatelessDecoder:
         full-width rule in :class:`~repro.core.reference.
         RebuildRatelessDecoder`. Nodes frozen by this pass are peeled out
         of the state in one batch afterwards. A node with weight ≥ 2 (≥ 3
-        for weak channels) freezes on its CRC; a weight-1 node also needs
-        its single slot to have a noise-consistent residual, to be fully
-        explained by frozen or simultaneously-passing messages, and to
-        have an unambiguous constellation (:meth:`_node_margin_ok`).
+        for weak channels) freezes on its CRC; a node below that (weight
+        1, or a weak node of weight 2) also needs a noise-consistent
+        residual on all its slots, and its first slot ``rows[0]`` — only
+        that one — to be fully explained by frozen or
+        simultaneously-passing messages and to have an unambiguous
+        constellation (:meth:`_node_margin_ok`).
         """
         state = self._state
         if state.k_active == 0:
@@ -423,7 +432,12 @@ class RatelessDecoder:
         return mask
 
     def _node_margin_ok(self, node: int, row: int, participants: np.ndarray) -> bool:
-        """Empirical decoding-margin test for a weight-1 freeze.
+        """Empirical decoding-margin test for a freeze on one slot.
+
+        The rule calls it for every node below its weight requirement
+        (weight 1, or weight 2 on a weak channel), always on the node's
+        first slot ``rows[0]``: a weak weight-2 node is judged on that
+        slot alone, not on its second.
 
         For every message position, the received symbol of this slot must
         be at least ``2·noise_std`` closer to the decoded constellation
@@ -434,35 +448,57 @@ class RatelessDecoder:
         near-cancelling-pair failure (``h_i ≈ −h_j``) still yields a ~zero
         margin and is rejected. Rows too dense to enumerate (> 12
         participants) are conservatively rejected.
-        """
-        from repro.phy.constellation import collision_constellation
 
+        A row's participants, channels and symbols never change once
+        received, so its constellation and flip-distance table
+        (:meth:`_margin_table`) are built on the row's first test and
+        reused: a call costs O(participants · P).
+        """
         if participants.size == 0:
             return True
         if participants.size > 12:
             return False
-        constellation = collision_constellation(self.h[participants])
+        table = self._margin_tables.get(row)
+        if table is None:
+            table = self._margin_tables[row] = self._margin_table(row, participants)
+        points, alt_min = table
         position = int(np.flatnonzero(participants == node)[0])
-        labels_bit = constellation.labels[:, position]  # (2^n,)
-        symbols = self._sym_buf[row]  # (P,)
-        # Distance from each received symbol to every constellation point.
-        dist = np.abs(symbols[:, None] - constellation.points[None, :])  # (P, 2^n)
         # Index of the decoded point per position, from the current estimates.
         est = self._estimates[participants, :]  # (n, P)
         weights = 1 << np.arange(participants.size - 1, -1, -1)
         decoded_idx = (weights[:, None] * est).sum(axis=0)  # (P,)
-        d_keep = dist[np.arange(self.p), decoded_idx]
+        d_keep = np.abs(self._sym_buf[row] - points[decoded_idx])
         node_bits = self._estimates[node, :]  # (P,)
         margin = 2.0 * self.noise_std
         for group in (0, 1):
             pos_sel = np.flatnonzero(node_bits == group)
             if pos_sel.size == 0:
                 continue
-            alt_points = np.flatnonzero(labels_bit != group)
-            d_alt = dist[np.ix_(pos_sel, alt_points)].min(axis=1)
+            d_alt = alt_min[position, group, pos_sel]
             if not bool(np.all(d_alt - d_keep[pos_sel] > margin)):
                 return False
         return True
+
+    def _margin_table(self, row: int, participants: np.ndarray) -> tuple:
+        """``(points, alt_min)`` for one row: its collision constellation
+        points and, per participant *q*, label group *g* and message
+        position, the distance from the received symbol to the nearest
+        point whose label gives *q* the bit ``1 − g``.
+
+        ``collision_constellation`` is looked up in its module at call
+        time, so instrumentation that wraps it there sees every build.
+        """
+        from repro.phy.constellation import collision_constellation
+
+        constellation = collision_constellation(self.h[participants])
+        # Distance from each received symbol to every constellation point.
+        dist = np.abs(self._sym_buf[row][:, None] - constellation.points[None, :])  # (P, 2^n)
+        alt_min = np.empty((participants.size, 2, self.p))
+        for q in range(participants.size):
+            labels_bit = constellation.labels[:, q]
+            for group in (0, 1):
+                alt_min[q, group] = dist[:, labels_bit != group].min(axis=1)
+        return constellation.points, alt_min
 
 
 @dataclass

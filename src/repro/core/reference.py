@@ -13,8 +13,10 @@ reader.
   DecoderState` taken out: every :meth:`try_decode` call re-stacks the
   full-width problem from the stored rows, decodes it through
   :func:`decode_full_width`, and re-derives the verification residual,
-  weights and slot overlaps with fresh gemms. It builds no state at all,
-  so its timings are an honest rebuild baseline.
+  weights and slot overlaps with fresh gemms. It builds no decoder state,
+  so its timings are an honest rebuild baseline. (It shares the margin
+  test's per-row tables with the production reader: they depend only on
+  the received rows, not on how the problem is kept.)
 
 The equivalence suites and the session benchmark select the rebuild
 reader by patching the class name where the one data-phase stepper looks

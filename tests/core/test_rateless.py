@@ -16,6 +16,8 @@ from repro.network.scenarios import mobile_scenario
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import ChannelModel, ChannelTrajectory
+from repro.phy.constellation import collision_constellation
+from repro.utils.rng import SeedSequenceFactory
 
 GOOD = ChannelModel(mean_snr_db=24.0, near_far_db=8.0, noise_std=0.1)
 BAD = ChannelModel(mean_snr_db=10.0, near_far_db=6.0, noise_std=0.1)
@@ -186,6 +188,107 @@ def _entangled_mask_reference(decoder, d):
             if evidence < 16.0:
                 mask[i] = mask[j] = True
     return mask
+
+
+def _margin_from_scratch(decoder, node, row, participants):
+    """The margin test's original arithmetic, rebuilt on every call: the
+    row's constellation, the (P, 2^n) distance matrix, and per label
+    group the minimum over the flipping points of the selected rows."""
+    if participants.size == 0:
+        return True
+    if participants.size > 12:
+        return False
+    constellation = collision_constellation(decoder.h[participants])
+    position = int(np.flatnonzero(participants == node)[0])
+    labels_bit = constellation.labels[:, position]
+    symbols = decoder._sym_buf[row]
+    dist = np.abs(symbols[:, None] - constellation.points[None, :])
+    est = decoder._estimates[participants, :]
+    weights = 1 << np.arange(participants.size - 1, -1, -1)
+    decoded_idx = (weights[:, None] * est).sum(axis=0)
+    d_keep = dist[np.arange(decoder.p), decoded_idx]
+    node_bits = decoder._estimates[node, :]
+    margin = 2.0 * decoder.noise_std
+    for group in (0, 1):
+        pos_sel = np.flatnonzero(node_bits == group)
+        if pos_sel.size == 0:
+            continue
+        alt_points = np.flatnonzero(labels_bit != group)
+        d_alt = dist[np.ix_(pos_sel, alt_points)].min(axis=1)
+        if not bool(np.all(d_alt - d_keep[pos_sel] > margin)):
+            return False
+    return True
+
+
+class TestMarginTable:
+    """The margin test builds each row's table once and reuses it; every
+    verdict equals the from-scratch arithmetic."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls, builds = [], [0]
+        original = RatelessDecoder._node_margin_ok
+
+        def checked(self, node, row, participants):
+            verdict = original(self, node, row, participants)
+            assert verdict == _margin_from_scratch(self, node, row, participants)
+            calls.append((id(self), row, self._estimates[participants].tobytes(), verdict))
+            return verdict
+
+        def counted(*args, **kwargs):
+            builds[0] += 1
+            return collision_constellation(*args, **kwargs)
+
+        monkeypatch.setattr(RatelessDecoder, "_node_margin_ok", checked)
+        monkeypatch.setattr("repro.phy.constellation.collision_constellation", counted)
+        return calls, builds
+
+    def test_session_verdicts_match_and_one_build_per_row(self, monkeypatch):
+        from repro.engine.schemes import get_scheme
+        from repro.network.scenarios import default_uplink_scenario
+
+        calls, builds = self._spy(monkeypatch)
+        seeds = SeedSequenceFactory(1)
+        population = default_uplink_scenario(32).draw_population(seeds.stream("location", 0))
+        get_scheme("buzz").run(
+            population, ReaderFrontEnd(noise_std=population.noise_std),
+            seeds.stream("trace", 0, 0, "buzz"), config=BuzzConfig(),
+        )
+        snapshots = {}
+        for decoder, row, estimates, _ in calls:
+            snapshots.setdefault((decoder, row), set()).add(estimates)
+        # The session re-tests a row after its participants' estimates moved,
+        # and reaches both verdicts.
+        assert any(len(seen) > 1 for seen in snapshots.values())
+        assert {verdict for *_, verdict in calls} == {False, True}
+        assert 0 < builds[0] <= len(snapshots) < len(calls)
+
+    def test_verdicts_match_after_estimates_change(self, monkeypatch):
+        """Re-test every row of a finished session under perturbed
+        estimates: the cached tables give the from-scratch verdicts."""
+        calls, builds = self._spy(monkeypatch)
+        pop = _population(12, 3)
+        dec = RatelessDecoder(
+            [t.temp_id for t in pop.tags], pop.channels, pop.messages.shape[1],
+            BuzzConfig().data_density(12), noise_std=0.1,
+        )
+        rng = np.random.default_rng(9)
+        fe = ReaderFrontEnd(noise_std=0.1)
+        for slot in range(24):
+            row = dec.expected_row(slot)
+            dec.add_slot(fe.observe((pop.messages * row[:, None]).T, pop.channels, rng), slot)
+        truth = pop.messages.copy()
+        verdicts = set()
+        for trial in range(6):
+            flip = rng.random(truth.shape) < 0.1 * trial
+            dec._estimates = (truth ^ flip).astype(np.uint8)
+            for row in range(dec.slots_collected):
+                participants = np.flatnonzero(dec._row_buf[row])
+                for node in participants:
+                    verdicts.add(dec._node_margin_ok(int(node), row, participants))
+        assert verdicts == {False, True}
+        rows = {row for _, row, _, _ in calls}
+        assert 0 < builds[0] <= len(rows)
 
 
 class TestEntangledMaskVectorization:

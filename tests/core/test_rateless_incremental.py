@@ -1,6 +1,6 @@
 """Incremental decoder state ≡ rebuild, bit for bit.
 
-The rateless loop keeps a persistent :class:`DecoderState` (packed bits,
+The rateless loop keeps a persistent :class:`DecoderState` (bits,
 DᵀD overlaps, correlations, residuals) that grows by rank-(new rows)
 updates and shrinks by frozen-column peeling. These tests pin the load-
 bearing claim: every protocol-visible output of the incremental path —
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coding.gf2 import pack_rows, unpack_rows
 from repro.core.config import BuzzConfig
 from repro.core.decoder_state import DecoderState
 from repro.core.identification import ChannelEstimates
@@ -555,25 +554,3 @@ class TestPhyBlockEquivalence:
         assert np.array_equal(res.decoded_mask, dec.decoded_mask)
         assert np.array_equal(res.messages, dec.messages())
         assert res.slots_used == dec.slots_collected
-
-
-# ---------------------------------------------------------------------------
-# gf2.pack_rows out= (satellite)
-# ---------------------------------------------------------------------------
-class TestPackRowsOut:
-    def test_out_matches_fresh_allocation(self):
-        rng = np.random.default_rng(30)
-        bits = (rng.random((5, 70)) < 0.5).astype(np.uint8)
-        fresh = pack_rows(bits)
-        out = np.empty_like(fresh)
-        returned = pack_rows(bits, out=out)
-        assert returned is out
-        assert np.array_equal(out, fresh)
-        assert np.array_equal(unpack_rows(out, 70), bits)
-
-    def test_out_validation(self):
-        bits = np.zeros((2, 70), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            pack_rows(bits, out=np.zeros((2, 1), dtype=np.uint64))
-        with pytest.raises(ValueError):
-            pack_rows(bits, out=np.zeros((2, 2), dtype=np.int64))
