@@ -38,12 +38,12 @@ truth: losing a lease race after storing is harmless.
 **Heartbeat contract.** A lease's mtime is a *liveness signal*, not a
 birthdate: the holder must refresh it (:meth:`CampaignCache.touch_lease`)
 at a period well below every reaper's timeout while it executes the cell.
-:func:`repro.engine.queue.claim_and_execute` runs a background heartbeat
-thread for exactly this (``python -m repro worker --heartbeat`` sets the
-interval; the ``cache-queue`` coordinator derives one from its own
-``lease_timeout``), so a cell that takes arbitrarily longer than any
-reaper's timeout keeps its lease and executes exactly once. A lease that
-stops freshening is therefore presumed dead and reaped; reaping a *live*
+:func:`repro.engine.queue.claim_and_execute` registers the held lease with
+the process's background heartbeat thread for exactly this (``python -m
+repro worker --heartbeat`` sets the interval; the ``cache-queue``
+coordinator derives one from its own ``lease_timeout``), so a cell that
+takes arbitrarily longer than any reaper's timeout keeps its lease and
+executes exactly once. A lease that stops freshening is therefore presumed dead and reaped; reaping a *live*
 but non-heartbeating claimant's lease is still safe for correctness — the
 cell merely executes twice and the atomic store makes the duplicate a
 no-op — so the heartbeat is a work-deduplication guarantee, not a safety
@@ -226,12 +226,15 @@ class CampaignCache:
         """Persist one cell's run under its content address, atomically
         (temp file + rename)."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"format": _CACHE_FORMAT, "key": key, "run": run.to_dict()}
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        except FileNotFoundError:  # first record in this shard
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                handle.write(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -286,19 +289,24 @@ class CampaignCache:
         lease — or die and be reaped by :meth:`reap_leases`.
         """
         path = self._lease_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            try:
+                fd = os.open(path, flags)
+            except FileNotFoundError:  # first claim in this cache
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(path, flags)
         except FileExistsError:
             return False
         with os.fdopen(fd, "w") as handle:
-            json.dump(
-                {
-                    "pid": os.getpid(),
-                    "host": socket.gethostname(),
-                    "claimed_at": time.time(),
-                },
-                handle,
+            handle.write(
+                json.dumps(
+                    {
+                        "pid": os.getpid(),
+                        "host": socket.gethostname(),
+                        "claimed_at": time.time(),
+                    }
+                )
             )
         return True
 

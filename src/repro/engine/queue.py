@@ -23,6 +23,8 @@ cheaply instead of crashing the fleet.
 
 from __future__ import annotations
 
+import itertools
+import os
 import pickle
 import threading
 import time
@@ -71,6 +73,71 @@ def unpack_campaign(
         return None
 
 
+class _LeaseHeartbeat:
+    """One daemon thread that refreshes every lease this process holds.
+
+    Starting and joining a thread per claimed cell costs more than a
+    cheap cell itself, so claimants register the held lease here instead
+    (:meth:`hold`) and unregister it before releasing (:meth:`drop`). The
+    thread starts on first use and sleeps until the earliest lease is
+    due; a new lease wakes it only if it falls due before that, so a
+    claimant running many short cells never switches threads per cell.
+    Leases are touched under the registry lock, so once :meth:`drop`
+    returns the lease is never touched again.
+    """
+
+    def __init__(self) -> None:
+        self._reset()
+        if hasattr(os, "register_at_fork"):
+            # A forked child inherits neither the thread nor a usable lock.
+            os.register_at_fork(after_in_child=self._reset)
+
+    def _reset(self) -> None:
+        self._cond = threading.Condition()
+        self._held: Dict[int, list] = {}  # token -> [cache, key, period, due]
+        self._tokens = itertools.count()
+        self._thread: Optional[threading.Thread] = None
+        self._wake = float("inf")  # when the thread next looks at the leases
+
+    def hold(self, cache: CampaignCache, key: str, period: float) -> int:
+        with self._cond:
+            token = next(self._tokens)
+            due = time.monotonic() + period
+            self._held[token] = [cache, key, period, due]
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._loop, name="lease-heartbeat", daemon=True
+                )
+                self._thread.start()
+            elif due < self._wake:
+                self._cond.notify()
+            return token
+
+    def drop(self, token: int) -> None:
+        with self._cond:
+            self._held.pop(token, None)
+
+    def _loop(self) -> None:
+        cond = self._cond
+        with cond:
+            while True:
+                now = time.monotonic()
+                for entry in self._held.values():
+                    if entry[3] <= now:
+                        entry[0].touch_lease(entry[1])
+                        entry[3] = now + entry[2]
+                self._wake = min(
+                    (entry[3] for entry in self._held.values()), default=float("inf")
+                )
+                if self._wake == float("inf"):
+                    cond.wait()
+                else:
+                    cond.wait(max(self._wake - time.monotonic(), 0.0))
+
+
+_HEARTBEAT = _LeaseHeartbeat()
+
+
 def claim_and_execute(cache, spec, schemes, planned, heartbeat_s=None):
     """The work queue's core step, shared by coordinator and workers.
 
@@ -80,11 +147,12 @@ def claim_and_execute(cache, spec, schemes, planned, heartbeat_s=None):
     duplicate its work) → execute → store atomically → release.
 
     ``heartbeat_s`` enables the lease-heartbeat contract (see
-    :mod:`repro.engine.cache`): a daemon thread refreshes the held lease's
-    mtime every ``heartbeat_s`` seconds for as long as the cell executes,
-    so a reaper whose timeout is shorter than one cell's runtime no longer
-    takes a *live* worker's lease and re-issues the cell. ``None``/``0``
-    disables the heartbeat (the pre-heartbeat behaviour).
+    :mod:`repro.engine.cache`): the process's heartbeat thread refreshes
+    the held lease's mtime every ``heartbeat_s`` seconds for as long as
+    the cell executes, so a reaper whose timeout is shorter than one
+    cell's runtime no longer takes a *live* worker's lease and re-issues
+    the cell. ``None``/``0`` disables the heartbeat (the pre-heartbeat
+    behaviour).
 
     Returns ``None`` when the lease was not ours to take, else
     ``(run, executed)`` where ``executed`` is ``False`` if the re-check
@@ -95,19 +163,9 @@ def claim_and_execute(cache, spec, schemes, planned, heartbeat_s=None):
     """
     if not cache.claim(planned.key):
         return None  # in flight elsewhere
-    stop: Optional[threading.Event] = None
-    beater: Optional[threading.Thread] = None
+    token = None
     if heartbeat_s is not None and heartbeat_s > 0:
-        stop = threading.Event()
-
-        def _beat() -> None:
-            while not stop.wait(heartbeat_s):
-                cache.touch_lease(planned.key)
-
-        beater = threading.Thread(
-            target=_beat, name=f"lease-heartbeat-{planned.key[:8]}", daemon=True
-        )
-        beater.start()
+        token = _HEARTBEAT.hold(cache, planned.key, heartbeat_s)
     try:
         run = cache.load_key(planned.key)
         if run is not None:
@@ -116,9 +174,8 @@ def claim_and_execute(cache, spec, schemes, planned, heartbeat_s=None):
         cache.store_key(planned.key, run)
         return run, True
     finally:
-        if stop is not None:
-            stop.set()
-            beater.join()
+        if token is not None:
+            _HEARTBEAT.drop(token)
         cache.release(planned.key)
 
 

@@ -117,6 +117,30 @@ class TestLeaseHeartbeat:
         assert cache.leases() == []
         assert cache.load_key(planned.key) is not None
 
+    def test_heartbeats_share_one_thread(self, tmp_path, monkeypatch):
+        """Heartbeated cells register with one process-wide thread instead
+        of starting and joining a thread each."""
+        spec = _spec(n_traces=6)
+        cache = CampaignCache(tmp_path / "cache")
+        plan = plan_campaign(spec, cache)
+        schemes = {name: schemes_module.get_scheme(name) for name in spec.schemes}
+        claim_and_execute(cache, spec, schemes, plan.pending()[0], heartbeat_s=5.0)
+        started = []
+        real_start = threading.Thread.start
+
+        def _counting_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", _counting_start)
+        for planned in plan.pending()[1:]:
+            run, executed = claim_and_execute(
+                cache, spec, schemes, planned, heartbeat_s=5.0
+            )
+            assert executed is True
+        assert started == []
+        assert cache.leases() == []
+
     def test_heartbeat_refreshes_lease_mtime(self, tmp_path):
         cache = CampaignCache(tmp_path / "cache")
         assert cache.claim("somekey")
