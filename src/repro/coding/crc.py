@@ -128,16 +128,13 @@ def _crc_linear_table(n_payload_bits: int, spec: CrcSpec):
 def crc_check_matrix(messages: np.ndarray, spec: CrcSpec = CRC5_GEN2) -> np.ndarray:
     """Batched :func:`crc_check` over the rows of an ``(N, L)`` bit matrix.
 
-    The rows are packed into uint64 words and every CRC bit evaluates as
-    one GF(2) inner product against a cached packed superposition table —
-    ``popcount(message & table_row) & 1`` (see
-    :func:`repro.coding.gf2.crc_check_packed`) — replacing N bit-serial
-    register walks. CRC arithmetic is exact over the integers, so this is
+    A CRC is linear over GF(2), so every row's register is one integer
+    product against the cached superposition table,
+    ``((payload @ T) & 1) ^ C`` (see :func:`_crc_linear_table`), replacing
+    N bit-serial register walks. Integer arithmetic is exact, so this is
     bit-identical to calling :func:`crc_check` per row (property-tested),
     for any :class:`CrcSpec`.
     """
-    from repro.coding.gf2 import crc_check_packed, pack_rows
-
     bits = np.atleast_2d(np.asarray(messages))
     if bits.ndim != 2:
         raise ValueError("messages must be a 2-D bit matrix")
@@ -148,4 +145,8 @@ def crc_check_matrix(messages: np.ndarray, spec: CrcSpec = CRC5_GEN2) -> np.ndar
     n, length = bits.shape
     if length < spec.width:
         return np.zeros(n, dtype=bool)
-    return crc_check_packed(pack_rows(bits), length, spec)
+    n_payload = length - spec.width
+    table, zeros = _crc_linear_table(n_payload, spec)
+    payload = bits[:, :n_payload].astype(np.int64)
+    computed = ((payload @ table) & 1) ^ zeros
+    return np.all(computed == bits[:, n_payload:], axis=1)

@@ -51,8 +51,6 @@ __all__ = [
 _NEG_INF = -np.inf
 #: Gains below this are treated as zero — guards float jitter from cycling.
 _GAIN_TOL = 1e-9
-#: Residuals below this are "exact": restarts stop drawing new inits.
-_RESIDUAL_EXACT = 1e-9
 
 
 @lru_cache(maxsize=32)
@@ -243,7 +241,6 @@ _EXACT_BLOCK_ELEMS = 1 << 18
 def resolve_stalls(
     gains: np.ndarray,
     delta: np.ndarray,
-    frozen: np.ndarray,
     overlap: np.ndarray,
     cap: np.ndarray,
     co: Optional[np.ndarray] = None,
@@ -251,9 +248,11 @@ def resolve_stalls(
     """:func:`best_pair_flip` for S stalled columns in one batched pass.
 
     ``gains`` and ``delta`` are ``(K, S)``: column *s* holds one stalled
-    decode column's single-flip gains and flip deltas. Returns an
-    ``(S, 2)`` int array whose row *s* is the pair ``best_pair_flip``
-    returns for column *s*, or ``(-1, -1)`` where it returns ``None``.
+    decode column's single-flip gains and flip deltas. Every bit is free:
+    the packed kernel runs on a peeled problem, so there is no frozen
+    mask. Returns an ``(S, 2)`` int array whose row *s* is the pair
+    ``best_pair_flip`` returns for column *s* with nothing frozen, or
+    ``(-1, -1)`` where it returns ``None``.
 
     The candidate proof runs for every column at once, with
     ``best_pair_flip``'s own float expressions (top-two gains plus the
@@ -266,29 +265,21 @@ def resolve_stalls(
     ``best_pair_flip`` one by one, whose bound path is cheaper there;
     ``co`` is handed on as their bound (:func:`best_pair_flip`).
     """
-    s_dim = gains.shape[1]
+    k_dim, s_dim = gains.shape
     pairs = np.full((s_dim, 2), -1, dtype=np.int64)
-    if frozen.any():
-        free = np.flatnonzero(~frozen)
-        g = gains[free]
-        capf = cap[free]
-    else:
-        free = None
-        g = gains
-        capf = cap
-    n_free = g.shape[0]
-    if n_free < 2 or s_dim == 0:
+    if k_dim < 2 or s_dim == 0:
         return pairs
-    top = np.partition(g, n_free - 2, axis=0)
-    gexcl = np.repeat(top[n_free - 1:], n_free, axis=0)
-    gexcl[np.argmax(g, axis=0), np.arange(s_dim)] = top[n_free - 2]
-    is_cand = gexcl + (g + capf[:, None]) > 0.0
+    top = np.partition(gains, k_dim - 2, axis=0)
+    gexcl = np.repeat(top[k_dim - 1:], k_dim, axis=0)
+    gexcl[np.argmax(gains, axis=0), np.arange(s_dim)] = top[k_dim - 2]
+    is_cand = gexcl + (gains + cap[:, None]) > 0.0
     n_cand = np.count_nonzero(is_cand, axis=0)
 
-    bound = (n_cand > _EXACT_BLOCK_MAX_CAND) & (2 * n_cand > n_free)
+    bound = (n_cand > _EXACT_BLOCK_MAX_CAND) & (2 * n_cand > k_dim)
+    no_frozen = np.zeros(k_dim, dtype=bool)
     for s in np.flatnonzero(bound):
         pair = best_pair_flip(
-            gains[:, s], delta[:, s], overlap, frozen,
+            gains[:, s], delta[:, s], overlap, no_frozen,
             cap=cap, co=co,
         )
         if pair is not None:
@@ -313,11 +304,11 @@ def resolve_stalls(
             chunks.append(exact[start:stop])
             start = stop
     for chunk in chunks:
-        _exact_block_pairs(g, delta, free, is_cand, n_cand[chunk], chunk, overlap, pairs)
+        _exact_block_pairs(gains, delta, is_cand, n_cand[chunk], chunk, overlap, pairs)
     return pairs
 
 
-def _exact_block_pairs(g, delta, free, is_cand, n_cand, chunk, overlap, pairs):
+def _exact_block_pairs(gains, delta, is_cand, n_cand, chunk, overlap, pairs):
     """Fill ``pairs`` for the columns ``chunk`` from one stacked exact block.
 
     Per column, the candidates' pair gains are ``best_pair_flip``'s
@@ -328,11 +319,10 @@ def _exact_block_pairs(g, delta, free, is_cand, n_cand, chunk, overlap, pairs):
     width = int(n_cand.max())
     # Candidate positions, ascending (a stable sort puts them first).
     pos = np.argsort(~is_cand[:, chunk], axis=0, kind="stable")[:width].T
-    sub = pos if free is None else free[pos]
-    gc = g[pos, chunk[:, None]]
+    gc = gains[pos, chunk[:, None]]
     gc[np.arange(width) >= n_cand[:, None]] = _NEG_INF
-    dc = delta[sub, chunk[:, None]]
-    ov = overlap[sub[:, :, None], sub[:, None, :]]
+    dc = delta[pos, chunk[:, None]]
+    ov = overlap[pos[:, :, None], pos[:, None, :]]
     cross = 2.0 * np.real(np.conj(dc)[:, :, None] * dc[:, None, :])
     pair_gains = gc[:, :, None] + gc[:, None, :] - cross * ov
     tril_rows, tril_cols = _tril_indices(width)
@@ -341,8 +331,8 @@ def _exact_block_pairs(g, delta, free, is_cand, n_cand, chunk, overlap, pairs):
     arg = np.argmax(flat, axis=1)
     rows = np.flatnonzero(flat[np.arange(chunk.size), arg] > _GAIN_TOL)
     a, b = np.divmod(arg[rows], width)
-    pairs[chunk[rows], 0] = sub[rows, a]
-    pairs[chunk[rows], 1] = sub[rows, b]
+    pairs[chunk[rows], 0] = pos[rows, a]
+    pairs[chunk[rows], 1] = pos[rows, b]
 
 
 @dataclass
@@ -417,9 +407,11 @@ class PackedBitFlipDecoder:
       column of the slot-overlap matrix — so a round costs an axpy over
       the flipped columns; only the restart trials' *initial* correlation
       (and the final residual norms) cost a matmul.
-    * **One round loop per decode.** The warm columns and every restart
-      trial are independent problems, so they are stacked side by side
-      and flipped by a single round loop (:meth:`decode_best_of_state`).
+    * **One round loop per decode.** Every position draws exactly R
+      restart inits, so all of them can be drawn up front. The warm
+      columns and the M·R trials are independent problems, stacked side
+      by side and flipped by a single round loop
+      (:meth:`decode_best_of_state`).
 
     The kernel is bound to a :class:`~repro.core.decoder_state.
     DecoderState` (:meth:`from_state`) and decodes its *peeled active*
@@ -445,8 +437,8 @@ class PackedBitFlipDecoder:
         """Bind a kernel to a persistent decoder state — no setup gemms.
 
         The kernel points at the live views the state already maintains
-        (signal matrix, float D, weights, the (K, K) overlap and the
-        pair-scan caps): O(1) plus a transpose view. ``max_flips`` bounds
+        (float D, weights, the (K, K) overlap and the pair-scan caps):
+        O(1) plus a transpose view. ``max_flips`` bounds
         the flips per position per decode call.
         """
         ensure_positive_int(max_flips, "max_flips")
@@ -455,7 +447,6 @@ class PackedBitFlipDecoder:
         self._state = state
         self.d = state.d
         self.h = state.h
-        self._signal = state.signal
         self._d_f = state.d_f
         # A transpose view: gemms accept either layout, and copying to
         # C-order would re-pay an (L, K) pass per kernel construction.
@@ -493,24 +484,19 @@ class PackedBitFlipDecoder:
         The warm columns start from the state's bits, residual and
         correlations, which already sit at the previous round's local
         optimum plus the rank-(new rows) extensions: no initial residual
-        or correlation gemm for them. Every restart init is drawn up front
-        (:meth:`_draw_trials`) and the trials are solved in the same
-        stacked batch as the warm columns; the warm columns are then
-        copied back into the state's arrays and each position's winning
-        trial is spliced in, keeping the state warm for the next round.
-
-        The batch assumes every position restarts all ``restarts`` times.
-        That holds unless a warm column is exact or a trial turns exact
-        before its last draw (essentially only on noiseless inputs); then
-        the generator is rewound and :meth:`_restart` replays the trials
-        one by one, as the scalar reference draws them.
+        or correlation gemm for them. Every position draws exactly
+        ``restarts`` inits, all up front (:meth:`_draw_trials`), and the
+        trials are solved in the same stacked batch as the warm columns;
+        the warm columns are then copied back into the state's arrays and
+        each position's winning trial is spliced in, keeping the state
+        warm for the next round. A trial wins only with a strictly smaller
+        residual norm than the warm column and every earlier trial.
         """
         state = self._state
         n_restarts = max(0, restarts)
         if n_restarts == 0:
             return self._solve(state.bits, state.residual, state.corr_re, state.corr_im)
         m = state.bits.shape[1]
-        gen_state = rng.bit_generator.state
         trial_init, trial_residual, trial_corr = self._draw_trials(n_restarts, rng)
         fused = self._solve(
             np.concatenate([state.bits, trial_init], axis=1),
@@ -532,17 +518,6 @@ class PackedBitFlipDecoder:
             corr_im=state.corr_im,
         )
         trial_norms = fused.residual_norms[m:].reshape(m, n_restarts)
-
-        # Validate the batch: had a position been exact before its last
-        # draw, it would have drawn fewer inits and shifted every later
-        # position's draws.
-        running = np.minimum.accumulate(
-            np.column_stack([warm.residual_norms, trial_norms]), axis=1
-        )
-        if np.any(running[:, :-1] <= _RESIDUAL_EXACT):
-            rng.bit_generator.state = gen_state
-            return self._restart(warm, n_restarts, rng)
-
         # First minimum per position: the earlier trial wins ties.
         winner = np.argmin(trial_norms, axis=1)
         won = np.flatnonzero(trial_norms[np.arange(m), winner] < warm.residual_norms)
@@ -574,18 +549,8 @@ class PackedBitFlipDecoder:
         cols = np.repeat(np.arange(m), n_restarts)
         pinned = self._weights == 0
         init[pinned, :] = state.bits[np.ix_(pinned, cols)]
-        residual = state.y[:, cols] - self._signal @ init.astype(float)
+        residual = state.y[:, cols] - self._d_f @ (self.h[:, None] * init)
         return init, residual, self._dT @ np.conj(residual)
-
-    def _decode(self, ys: np.ndarray, init: np.ndarray) -> BatchedDecodeOutcome:
-        """Decode the ``(L, M')`` columns ``ys`` from scratch, starting at
-        ``init`` (copied): the replayed restart trials."""
-        bits = np.array(init, dtype=np.uint8)
-        residual = ys - self._signal @ bits.astype(float)
-        corr = self._dT @ np.conj(residual)
-        return self._solve(
-            bits, residual, np.ascontiguousarray(corr.real), np.ascontiguousarray(corr.imag)
-        )
 
     def _solve(
         self,
@@ -616,36 +581,6 @@ class PackedBitFlipDecoder:
             corr_re=corr_re,
             corr_im=corr_im,
         )
-
-    def _restart(
-        self,
-        warm: BatchedDecodeOutcome,
-        n_restarts: int,
-        rng: np.random.Generator,
-    ) -> BatchedDecodeOutcome:
-        """Replay the restarts of every inexact position of ``warm`` one
-        trial at a time, as the scalar reference draws them.
-
-        Positions are walked in order; each draws one init at a time
-        (cut and pinned as in :meth:`_draw_trials`) until it has drawn
-        ``n_restarts`` or its best residual is exact. A strictly smaller
-        norm wins, so ties go to the earlier trial, and the winner is
-        spliced into ``warm``'s own arrays — bits, residual, correlations,
-        flips, converged, norm.
-        """
-        state = self._state
-        ys, k_draw, rows = state.y, state.k_full, state.active_idx
-        pinned = self._weights == 0
-        for m in np.flatnonzero(warm.residual_norms > _RESIDUAL_EXACT):
-            for _ in range(n_restarts):
-                if warm.residual_norms[m] <= _RESIDUAL_EXACT:
-                    break
-                trial_init = (rng.random(k_draw) < 0.5)[rows].astype(np.uint8)
-                trial_init[pinned] = warm.bits[pinned, m]
-                trial = self._decode(ys[:, m : m + 1], trial_init[:, None])
-                if trial.residual_norms[0] < warm.residual_norms[m]:
-                    warm.splice([m], trial, [0])
-        return warm
 
     # ---- round loop -------------------------------------------------------------
     def _run_rounds(
@@ -748,10 +683,7 @@ class PackedBitFlipDecoder:
         columns at once; every element sees the per-column expressions.
         """
         delta = self.h[:, None] * signs[:, stalled]
-        pairs = resolve_stalls(
-            gains, delta, np.zeros(gains.shape[0], dtype=bool), self._overlap, self._pair_cap,
-            co=self._co,
-        )
+        pairs = resolve_stalls(gains, delta, self._overlap, self._pair_cap, co=self._co)
         hit = pairs[:, 0] >= 0
         active[stalled[~hit]] = False
         cols, pairs = stalled[hit], pairs[hit]

@@ -103,7 +103,7 @@ class DecoderState:
         ``(K_active, M)`` split Dᵀ·conj(residual) correlations — the
         packed kernel's warm-start state.
     n_rows:
-        Collected slots L; ``d``/``d_f``/``signal``/``y``/``residual``
+        Collected slots L; ``d``/``d_f``/``y``/``residual``
         are views of the first ``n_rows`` rows of the grown buffers.
     """
 
@@ -128,7 +128,6 @@ class DecoderState:
         cap = _INITIAL_CAPACITY
         self._d = np.zeros((cap, self.k_full), dtype=np.uint8)
         self._d_f = np.zeros((cap, self.k_full))
-        self._signal = np.zeros((cap, self.k_full), dtype=complex)
         self._y = np.zeros((cap, self.m), dtype=complex)
         self._residual = np.zeros((cap, self.m), dtype=complex)
 
@@ -158,11 +157,6 @@ class DecoderState:
         return self._d_f[: self.n_rows]
 
     @property
-    def signal(self) -> np.ndarray:
-        """``(L, K_active)`` complex ``D·diag(h)`` signal matrix."""
-        return self._signal[: self.n_rows]
-
-    @property
     def y(self) -> np.ndarray:
         """``(L, M)`` peeled symbols: received minus frozen contributions."""
         return self._y[: self.n_rows]
@@ -178,7 +172,7 @@ class DecoderState:
         if n_needed <= cap:
             return
         new_cap = max(int(n_needed), 2 * cap)
-        for name in ("_d", "_d_f", "_signal", "_y", "_residual"):
+        for name in ("_d", "_d_f", "_y", "_residual"):
             old = getattr(self, name)
             grown = np.zeros((new_cap,) + old.shape[1:], dtype=old.dtype)
             grown[: self.n_rows] = old[: self.n_rows]
@@ -208,9 +202,7 @@ class DecoderState:
         j = self.n_rows
         row = row_full[self.active_idx]
         self._d[j] = row
-        row_f = row.astype(float)
-        self._d_f[j] = row_f
-        self._signal[j] = row_f * self.h
+        self._d_f[j] = row
         self._y[j] = symbols
         nz = np.flatnonzero(row)
         # Rank-1 structure updates: weights, DᵀD outer product.
@@ -272,7 +264,7 @@ class DecoderState:
         self.corr_im = np.ascontiguousarray(self.corr_im[keep])
         k_new = self.active_idx.size
         cap = self._d.shape[0]
-        for name in ("_d", "_d_f", "_signal"):
+        for name in ("_d", "_d_f"):
             old = getattr(self, name)
             compact = np.zeros((cap, k_new), dtype=old.dtype)
             compact[:n] = old[:n][:, keep]

@@ -277,9 +277,10 @@ class RatelessDecoder:
 
         All P positions share D and ĥ, so one batched bit-flip call per
         round warm-starts every column from the previous estimate, flips
-        to per-column local optima (with random restarts while a column's
-        residual is poor), then CRC-checks whole messages and freezes the
-        passers — replacing the former P independent per-position decodes.
+        to per-column local optima (plus ``bp_restarts`` random restarts
+        per column, solved in the same batch), then CRC-checks whole
+        messages and freezes the passers — replacing the former P
+        independent per-position decodes.
         The kernel is :class:`~repro.core.bp_decoder.PackedBitFlipDecoder`,
         bound to the persistent state; its flip decisions are those of the
         scalar test oracle :class:`~repro.core.reference.BitFlipDecoder`.

@@ -41,7 +41,6 @@ from repro.coding.crc import crc_check_matrix
 from repro.core.bp_decoder import (
     _GAIN_TOL,
     _NEG_INF,
-    _RESIDUAL_EXACT,
     BatchedDecodeOutcome,
     PackedBitFlipDecoder,
     best_pair_flip,
@@ -287,12 +286,13 @@ class BitFlipDecoder:
 
         Bit flipping is a local search; a handful of restarts markedly
         reduces the local-minimum rate when collisions are dense (good
-        channels, high transmit probability).
+        channels, high transmit probability). Every call draws exactly
+        ``restarts`` inits, even once a residual is exact, so the packed
+        kernel can draw them all up front. A trial replaces the best so
+        far only with a strictly smaller residual norm.
         """
         best = self.decode(y, init=init, frozen=frozen, rng=rng)
         for _ in range(max(0, restarts)):
-            if best.residual_norm <= _RESIDUAL_EXACT:
-                break
             trial_init = (rng.random(self.k) < 0.5).astype(np.uint8)
             if init is not None:
                 # Random restart must not disturb CRC-frozen values, nor
@@ -360,14 +360,13 @@ def decode_full_width(
     y = ys - (d_f[:, frozen] * h[frozen]) @ init[frozen].astype(float)
     hf = np.ascontiguousarray(h[free])
     df = d_f[:, free]
-    signal = df * hf
     bits = init[free]
-    residual = y - signal @ bits.astype(float)
+    residual = y - (df * hf) @ bits.astype(float)
     corr = df.T @ np.conj(residual)
     overlap = df.T @ df
     cross_mag = cross_magnitudes(hf)
     snapshot = SimpleNamespace(
-        d=d[:, free], h=hf, signal=signal, d_f=df, weights=df.sum(axis=0),
+        d=d[:, free], h=hf, d_f=df, weights=df.sum(axis=0),
         hr=np.ascontiguousarray(hf.real), hi=np.ascontiguousarray(hf.imag),
         abs_h2=np.abs(hf) ** 2, overlap=overlap, cross_mag=cross_mag,
         pair_cap=pair_cross_caps(overlap, hf, cross_mag=cross_mag),

@@ -129,22 +129,25 @@ class TestDecode:
 
 
 class TestDecodeBestOf:
-    def test_exact_warm_start_skips_restarts(self):
-        """A warm start that already explains y exactly must not consume
-        the generator at all — the restart loop breaks before drawing."""
+    def test_exact_warm_start_still_draws_every_restart(self):
+        """A warm start that already explains y exactly keeps its bits and
+        its zero flips, and the decoder still draws all ``restarts`` (K,)
+        inits: no restart can beat an exact residual, and a fixed draw
+        count lets the packed kernel draw every init up front."""
         rng = np.random.default_rng(10)
         d, h, bits, y = _random_instance(rng, noise=0.0)
+        reference = np.random.default_rng(123)
+        reference.random(8 * 5)  # what five restarts consume
+        expected_next = reference.random()
         probe = np.random.default_rng(123)
-        before = probe.bit_generator.state["state"]["state"]
         outcome = BitFlipDecoder(d, h).decode_best_of(y, restarts=5, rng=probe, init=bits)
-        after = probe.bit_generator.state["state"]["state"]
+        assert outcome.residual_norm == 0.0
         assert np.array_equal(outcome.bits, bits)
         assert outcome.flips == 0
-        assert before == after
+        assert probe.random() == expected_next
 
     def test_restarts_consume_rng_when_residual_poor(self):
-        """With noise the residual never reaches the exact threshold, so
-        every restart draws one (K,) init from the shared generator."""
+        """Every restart draws one (K,) init from the shared generator."""
         rng = np.random.default_rng(11)
         d, h, bits, y = _random_instance(rng)
         reference = np.random.default_rng(55)
@@ -204,9 +207,9 @@ def _batch_instance(rng, k=10, n_slots=16, p=8, density=0.35, noise=0.1):
     return d, h, truth, ys, init
 
 
-#: Seeds of the noiseless instance below whose restarts reach the replay
-#: (9 of seeds 0–99 do).
-_REPLAY_SEEDS = (10, 16, 22, 30)
+#: Seeds of the noiseless instance below where some position's best
+#: residual turns exact before its last restart draw (9 of seeds 0–99 do).
+_EARLY_EXACT_SEEDS = (10, 16, 22, 30)
 
 
 class TestBatchedDecoder:
@@ -264,13 +267,12 @@ class TestBatchedDecoder:
         assert rng_state.bit_generator.state == rng_ref.bit_generator.state
         assert rng_ref.random() == rng_bat.random()  # streams still in lockstep
 
-    @pytest.mark.parametrize("case", range(len(_REPLAY_SEEDS)))
-    def test_golden_seed_equivalence_noiseless(self, case, monkeypatch):
-        """Noiseless inputs hit the exact-residual early stop mid-restarts,
-        so the optimistic batch is rewound and replayed trial by trial
-        (these seeds reach that replay); the from-scratch and state-bound
-        entry points must both still equal the per-position decoder."""
-        seed = _REPLAY_SEEDS[case]
+    @pytest.mark.parametrize("case", range(len(_EARLY_EXACT_SEEDS)))
+    def test_golden_seed_equivalence_noiseless(self, case):
+        """Noiseless inputs turn exact mid-restarts, and every position
+        still draws all its restarts; the from-scratch and state-bound
+        entry points must both equal the per-position decoder."""
+        seed = _EARLY_EXACT_SEEDS[case]
         rng = np.random.default_rng(100 + seed)
         d, h, _, ys, init = _batch_instance(rng, k=6, n_slots=6, p=8, noise=0.0)
         rng_ref, rng_bat, rng_state = (
@@ -283,29 +285,16 @@ class TestBatchedDecoder:
                 ys[:, pos], restarts=6, rng=rng_ref, init=init[:, pos],
                 frozen=np.zeros(6, dtype=bool),
             ).bits
-
-        # The replay decodes one position per call; the batch never does.
-        replayed = []
-        decode = PackedBitFlipDecoder._decode
-
-        def spy(self, ys, init):
-            replayed.append(np.shape(ys)[1] == 1)
-            return decode(self, ys, init)
-
-        monkeypatch.setattr(PackedBitFlipDecoder, "_decode", spy)
         out = decode_full_width(
             d, h, ys, init, np.zeros(6, dtype=bool), restarts=6, rng=rng_bat
         )
-        assert any(replayed)
         assert np.array_equal(out.bits, expected)
         assert rng_ref.bit_generator.state == rng_bat.bit_generator.state
 
         state = DecoderState(h, init)
         for row, symbols in zip(d, ys):
             state.append_slot(row, symbols)
-        replayed.clear()
         bound = PackedBitFlipDecoder.from_state(state).decode_best_of_state(6, rng_state)
-        assert any(replayed)
         assert np.array_equal(bound.bits, expected)
         assert rng_state.bit_generator.state == rng_bat.bit_generator.state
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bp_decoder import _RESIDUAL_EXACT, PackedBitFlipDecoder, resolve_kernel
+from repro.core.bp_decoder import PackedBitFlipDecoder, resolve_kernel
 from repro.core.config import BuzzConfig
 from repro.core.reference import BitFlipDecoder, RebuildRatelessDecoder, decode_full_width
 from repro.engine.schemes import get_scheme
@@ -120,9 +120,9 @@ def _noiseless(seed, k, slots, m, density):
 
 class TestFusedRestart:
     """``decode_best_of_state`` solves the warm columns and every restart
-    trial as one batch, and falls back to a one-by-one replay when a
-    position would have stopped drawing early. Each branch must match the
-    scalar ``decode_best_of`` in bits, flips and generator end state.
+    trial as one batch: every position draws exactly R inits, whatever
+    its residuals. It must match the scalar ``decode_best_of`` in bits,
+    flips and generator end state.
 
     Flips are comparable only where no two trials of a position reach the
     same bits: between such trials the winner is an ulp-level norm tie
@@ -132,13 +132,14 @@ class TestFusedRestart:
     R = 4
 
     def _decode(self, monkeypatch, d, h, ys, init, seed):
-        """Returns ``(packed, scalar, warm_exact, round_loops)``."""
-        calls = []
+        """Returns ``(packed, generator, round_loop_norms)``: one entry of
+        per-column final residual norms per round loop run."""
+        loops = []
         original = PackedBitFlipDecoder._run_rounds
 
         def counted(self, *args):
-            calls.append(args[0].shape[1])
-            return original(self, *args)
+            original(self, *args)
+            loops.append(np.linalg.norm(args[3], axis=0))
 
         monkeypatch.setattr(PackedBitFlipDecoder, "_run_rounds", counted)
         ref_rng = np.random.default_rng(seed)
@@ -153,47 +154,34 @@ class TestFusedRestart:
             got.residual_norms, [o.residual_norm for o in ref], rtol=1e-12, atol=1e-12
         )
         assert ref_rng.bit_generator.state == got_rng.bit_generator.state
-        warm = _scalar(d, h, ys, init, None, max_flips=10_000)
-        warm_exact = [o.residual_norm <= _RESIDUAL_EXACT for o in warm]
-        return got, ref, warm_exact, calls
+        return got, got_rng, loops
 
     def test_noisy_instance_takes_one_batch(self, monkeypatch):
         d, h, ys, init, frozen = _instance(17)
         assert frozen is None
-        _, _, warm_exact, calls = self._decode(monkeypatch, d, h, ys, init, seed=28)
-        assert not any(warm_exact)
+        _, _, loops = self._decode(monkeypatch, d, h, ys, init, seed=28)
         # One round loop over the warm columns and all M·R trials.
-        assert calls == [ys.shape[1] * (1 + self.R)]
+        assert [n.size for n in loops] == [ys.shape[1] * (1 + self.R)]
+        assert not np.any(loops[0] <= 1e-9)
 
-    def test_exact_warm_columns_replay(self, monkeypatch):
-        """Two noiseless columns start at the truth, so their warm solves
-        are exact and they draw no inits; two noisy columns never turn
-        exact and draw all theirs."""
-        d, h, ys0, _, truth = _noiseless(0, k=10, slots=10, m=2, density=0.4)
-        rng = np.random.default_rng(1)
-        noisy = ys0 + 0.3 * (rng.normal(size=ys0.shape) + 1j * rng.normal(size=ys0.shape))
-        ys = np.column_stack([ys0, noisy])
-        init = np.column_stack([truth, (rng.random(truth.shape) < 0.5).astype(np.uint8)])
-        got, _, warm_exact, calls = self._decode(monkeypatch, d, h, ys, init, seed=3)
-        assert warm_exact == [True, True, False, False]
-        assert not np.any(got.residual_norms[2:] <= _RESIDUAL_EXACT)
-        # The batch, then one single-column loop per replayed trial.
-        assert calls[0] == ys.shape[1] * (1 + self.R)
-        assert calls[1:] == [1] * (2 * self.R)
-
-    def test_trial_exact_before_last_draw_replays(self, monkeypatch):
-        """Position 0's second trial is exact, so it draws two inits, not
-        four; position 1 is noisy and draws all four, shifted by two."""
-        d, h, ys0, init0, _ = _noiseless(70, k=12, slots=12, m=1, density=0.4)
-        rng = np.random.default_rng(0)
-        noisy = ys0[:, 0] + 0.3 * (rng.normal(size=ys0.shape[0]) + 1j * rng.normal(size=ys0.shape[0]))
-        ys = np.column_stack([ys0[:, 0], noisy])
-        init = np.column_stack([init0[:, 0], (rng.random(d.shape[1]) < 0.5).astype(np.uint8)])
-        got, _, warm_exact, calls = self._decode(monkeypatch, d, h, ys, init, seed=70)
-        assert not any(warm_exact)
-        assert got.residual_norms[0] <= _RESIDUAL_EXACT
-        assert calls[0] == ys.shape[1] * (1 + self.R)
-        assert len(calls) - 1 == 2 + self.R
+    def test_noiseless_exact_columns_take_one_batch(self, monkeypatch):
+        """Columns 0 and 1 start at the truth, so their warm solves are
+        exact; position 2's warm solve is not, but one of its trials turns
+        exact before its last draw. Every position still draws all R
+        inits, in the one batch."""
+        d, h, ys, init, truth = _noiseless(14, k=12, slots=12, m=4, density=0.4)
+        init[:, :2] = truth[:, :2]
+        m, k = init.shape[1], d.shape[1]
+        got, got_rng, loops = self._decode(monkeypatch, d, h, ys, init, seed=14)
+        assert len(loops) == 1
+        warm, trials = loops[0][:m], loops[0][m:].reshape(m, self.R)
+        assert np.all(warm[:2] <= 1e-9)
+        assert warm[2] > 1e-9 and np.any(trials[2, :-1] <= 1e-9)
+        assert got.flips[:2].tolist() == [0, 0]
+        # Exactly M·R·k_full uniforms, whatever the residuals.
+        expected = np.random.default_rng(14)
+        expected.random(m * self.R * k)
+        assert got_rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestKernelContract:

@@ -4,6 +4,9 @@
 column of a decode round at once. Its oracle is the plain per-column
 :func:`~repro.core.bp_decoder.best_pair_flip` with no candidate caps —
 the full (free × free) scan with row-major first-maximum tie-breaking.
+Frozen bits reach the resolver as production hands them over: peeled
+out of the problem. The oracle scans the full problem under the frozen
+mask, and the resolver's pairs are mapped back through the free set.
 """
 
 import numpy as np
@@ -79,6 +82,19 @@ def _tied_maximum(gains, delta, overlap, frozen):
     return upper.size > 1 and np.count_nonzero(upper == upper.max()) > 1
 
 
+def _resolve_peeled(h, overlap, gains, delta, frozen, with_co=True):
+    """``resolve_stalls`` on the free-only problem, in full-problem indices."""
+    free = np.flatnonzero(~frozen)
+    hf, ovf = h[free], overlap[np.ix_(free, free)]
+    pairs = resolve_stalls(
+        gains[free], delta[free], ovf, pair_cross_caps(ovf, hf),
+        co=cross_magnitudes(hf) * ovf if with_co else None,
+    )
+    hit = pairs[:, 0] >= 0
+    pairs[hit] = free[pairs[hit]]
+    return pairs
+
+
 def _oracle(gains, delta, overlap, frozen):
     pairs = np.full((gains.shape[1], 2), -1, dtype=np.int64)
     for s in range(gains.shape[1]):
@@ -110,10 +126,7 @@ def test_resolver_matches_uncapped_scan_fuzz(bound_route_calls):
             0.08, 0.08, 0.14, 0.2, 0.2, 0.1, 0.1, 0.1,
         ]))
         h, overlap, gains, delta, frozen = _round(rng, k, integer)
-        got = resolve_stalls(
-            gains, delta, frozen, overlap, pair_cross_caps(overlap, h),
-            co=cross_magnitudes(h) * overlap,
-        )
+        got = _resolve_peeled(h, overlap, gains, delta, frozen)
         want = _oracle(gains, delta, overlap, frozen)
         np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
         hits = want[:, 0] >= 0
@@ -139,9 +152,7 @@ def test_resolver_chunks_stacked_blocks(monkeypatch):
     for trial in range(60):
         k = int(rng.integers(4, 40))
         h, overlap, gains, delta, frozen = _round(rng, k, integer=trial % 2 == 0)
-        got = resolve_stalls(
-            gains, delta, frozen, overlap, pair_cross_caps(overlap, h)
-        )
+        got = _resolve_peeled(h, overlap, gains, delta, frozen, with_co=False)
         np.testing.assert_array_equal(
             got, _oracle(gains, delta, overlap, frozen), err_msg=f"trial {trial}"
         )
@@ -150,15 +161,14 @@ def test_resolver_chunks_stacked_blocks(monkeypatch):
 def test_resolver_degenerate_inputs():
     rng = np.random.default_rng(3)
     h, overlap = _problem(rng, 6, integer=False)
-    cap = pair_cross_caps(overlap, h)
     delta = h[:, None] * np.ones((6, 3))
     gains = np.zeros((6, 3))
     for frozen in (np.ones(6, dtype=bool), np.arange(6) != 2):
-        pairs = resolve_stalls(gains, delta, frozen, overlap, cap)
+        pairs = _resolve_peeled(h, overlap, gains, delta, frozen)
         assert pairs.shape == (3, 2)
         assert (pairs == -1).all()
     empty = resolve_stalls(
         np.zeros((6, 0)), np.zeros((6, 0), dtype=complex),
-        np.zeros(6, dtype=bool), overlap, cap,
+        overlap, pair_cross_caps(overlap, h),
     )
     assert empty.shape == (0, 2)
