@@ -164,24 +164,37 @@ class TestFusedRestart:
         assert [n.size for n in loops] == [ys.shape[1] * (1 + self.R)]
         assert not np.any(loops[0] <= 1e-9)
 
-    def test_noiseless_exact_columns_take_one_batch(self, monkeypatch):
+    def _noiseless_batch(self, monkeypatch):
         """Columns 0 and 1 start at the truth, so their warm solves are
         exact; position 2's warm solve is not, but one of its trials turns
-        exact before its last draw. Every position still draws all R
-        inits, in the one batch."""
+        exact before its last draw. Returns ``(got, warm, trials)`` after
+        checking that every position drew all R inits, in one batch."""
         d, h, ys, init, truth = _noiseless(14, k=12, slots=12, m=4, density=0.4)
         init[:, :2] = truth[:, :2]
         m, k = init.shape[1], d.shape[1]
         got, got_rng, loops = self._decode(monkeypatch, d, h, ys, init, seed=14)
         assert len(loops) == 1
-        warm, trials = loops[0][:m], loops[0][m:].reshape(m, self.R)
-        assert np.all(warm[:2] <= 1e-9)
-        assert warm[2] > 1e-9 and np.any(trials[2, :-1] <= 1e-9)
-        assert got.flips[:2].tolist() == [0, 0]
         # Exactly M·R·k_full uniforms, whatever the residuals.
         expected = np.random.default_rng(14)
         expected.random(m * self.R * k)
         assert got_rng.bit_generator.state == expected.bit_generator.state
+        return got, loops[0][:m], loops[0][m:].reshape(m, self.R)
+
+    def test_exact_warm_columns_replay(self, monkeypatch):
+        """Exact warm columns are no longer replayed one by one: they keep
+        their warm bits with no flips and still draw all R inits."""
+        got, warm, _ = self._noiseless_batch(monkeypatch)
+        assert np.all(warm[:2] <= 1e-9)
+        assert got.flips[:2].tolist() == [0, 0]
+        assert np.all(got.residual_norms[:2] <= 1e-9)
+
+    def test_trial_exact_before_last_draw_replays(self, monkeypatch):
+        """A trial that turns exact before the last draw no longer stops
+        its position drawing: the position's later trials run in the same
+        batch and it ends exact."""
+        got, warm, trials = self._noiseless_batch(monkeypatch)
+        assert warm[2] > 1e-9 and np.any(trials[2, :-1] <= 1e-9)
+        assert got.residual_norms[2] <= 1e-9
 
 
 class TestKernelContract:
