@@ -1,8 +1,10 @@
 """Ablation: Stage-3 sparse-recovery solver (paper's LP vs greedy family).
 
-The paper uses an interior-point L1 solver; faster greedy solvers exist
-([5] in the paper). This bench compares success rate and wall time of the
-four solvers on identification-shaped problems.
+The paper's solver family is L1 minimisation; here it is one M-row LP
+solved by HiGHS's dual simplex with presolve off (see
+``repro.sensing.basis_pursuit``). Faster greedy solvers exist ([5] in the
+paper). This bench compares success rate and wall time of the four solvers
+on identification-shaped problems.
 """
 
 import time

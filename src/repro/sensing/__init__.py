@@ -7,8 +7,9 @@ temporary ids and their channels) from ``M ≈ K·log a`` collision symbols
 * :mod:`repro.sensing.matrices` — the Bernoulli model of the sparse
   binary sensing matrix (the tags' transmit patterns *are* the matrix);
 * :mod:`repro.sensing.basis_pursuit` — the paper's solver family: L1
-  minimization as a linear program on an interior-point backend, both
-  noiseless (basis pursuit) and noise-tolerant (BPDN);
+  minimization as one M-row linear program (the noise band is a bounded
+  slack per measurement) solved by HiGHS's dual simplex, both noiseless
+  (basis pursuit) and noise-tolerant (BPDN);
 * :mod:`repro.sensing.greedy` — OMP / CoSaMP / IHT greedy alternatives used
   in the solver ablation;
 * :mod:`repro.sensing.recovery` — a solver-agnostic front end returning the

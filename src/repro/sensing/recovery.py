@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.sensing.basis_pursuit import basis_pursuit_complex
+from repro.sensing.basis_pursuit import RecoveryError, basis_pursuit_complex
 from repro.sensing.greedy import cosamp, iht, omp
 
 __all__ = ["RecoveryResult", "recover_sparse", "support_from_estimate"]
@@ -100,8 +100,9 @@ def recover_sparse(
         Expected number of non-zeros (the reader's K̂); greedy solvers use
         it as their target, basis pursuit only for support capping.
     method:
-        ``"bp"`` (interior-point LP, the paper's choice), ``"omp"``,
-        ``"cosamp"`` or ``"iht"``.
+        ``"bp"`` (L1 minimisation as one M-row LP solved by HiGHS's dual
+        simplex, the paper's solver family), ``"omp"``, ``"cosamp"`` or
+        ``"iht"``.
     noise_std:
         Std of the complex measurement noise; sets the BPDN tolerance and
         the support threshold.
@@ -117,12 +118,10 @@ def recover_sparse(
         max_support = 2 * sparsity
 
     if method == "bp":
-        from repro.sensing.basis_pursuit import RecoveryError
-
         eps = 2.0 * noise_std / np.sqrt(2.0) if noise_std > 0 else 0.0
         # With more measurements than candidate columns the ∞-norm band can
         # be infeasible for an unlucky noise draw — widen it geometrically.
-        for attempt in range(4):
+        for _ in range(4):
             try:
                 estimate = basis_pursuit_complex(a, yv, eps=eps)
                 break

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.sensing.basis_pursuit import basis_pursuit, basis_pursuit_complex
+from repro.phy.noise import awgn
+from repro.sensing.basis_pursuit import RecoveryError, basis_pursuit, basis_pursuit_complex
 from repro.sensing.matrices import bernoulli_matrix
+from repro.sensing.recovery import support_from_estimate
 
 
 def _sparse_problem(rng, m=40, n=100, k=4, complex_values=False):
@@ -20,6 +22,92 @@ def _sparse_problem(rng, m=40, n=100, k=4, complex_values=False):
     else:
         z[support] = rng.standard_normal(k) + np.sign(rng.standard_normal(k)) * 0.5
     return a, z, support
+
+
+def _two_sided_oracle(a, y, eps):
+    """Reference L1 solve: the band ``|Az − y| ≤ ε`` as 2M inequality rows
+    over ``[A, −A]`` (the equality form when ε = 0), HiGHS with presolve."""
+    from scipy.optimize import linprog
+
+    n = a.shape[1]
+    stacked = np.hstack([a, -a])
+    if eps == 0.0:
+        result = linprog(
+            np.ones(2 * n), A_eq=stacked, b_eq=y,
+            bounds=[(0, None)] * (2 * n), method="highs",
+        )
+    else:
+        result = linprog(
+            np.ones(2 * n),
+            A_ub=np.vstack([stacked, -stacked]),
+            b_ub=np.concatenate([y + eps, -(y - eps)]),
+            bounds=[(0, None)] * (2 * n),
+            method="highs",
+        )
+    assert result.success, result.message
+    return result.x[:n] - result.x[n:]
+
+
+def _identification_instance(seed, sigma):
+    """Bernoulli(0.5) patterns and K ≤ 12 complex tags, shaped like the
+    LPs identification solves: M in [58, 193], N/M in [1.1, 3.5]."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(58, 194))
+    n = int(round(m * rng.uniform(1.1, 3.5)))
+    k = int(rng.integers(1, 13))
+    a = bernoulli_matrix(m, n, 0.5, rng).astype(float)
+    z = np.zeros(n, dtype=complex)
+    support = rng.choice(n, size=k, replace=False)
+    z[support] = rng.uniform(0.5, 2.0, k) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+    return a, a @ z + awgn(m, sigma, rng)
+
+
+class TestAgainstTwoSidedOracle:
+    """The M-row slack LP against the 2M-row two-sided form it replaced.
+
+    Identification reads only the support the LP estimate selects, so the
+    two forms must select the same support. The optimal L1 value must
+    agree too; the minimiser need not, because on some instances the LP
+    has several optimal vertices and the two forms land on different ones.
+    """
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_support_and_optimum(self, seed):
+        sigma = 0.1
+        eps = 2.0 * sigma / np.sqrt(2.0)
+        a, y = _identification_instance(seed, sigma)
+        estimate = basis_pursuit_complex(a, y, eps=eps)
+        reference = _two_sided_oracle(a, y.real, eps) + 1j * _two_sided_oracle(a, y.imag, eps)
+        assert np.array_equal(
+            support_from_estimate(estimate, noise_std=sigma),
+            support_from_estimate(reference, noise_std=sigma),
+        )
+        for part in (np.real, np.imag):
+            assert abs(np.abs(part(estimate)).sum() - np.abs(part(reference)).sum()) < 1e-9
+            assert np.max(np.abs(a @ part(estimate) - part(y))) <= eps + 1e-9
+
+    def test_noiseless_matches_oracle(self):
+        rng = np.random.default_rng(41)
+        a = bernoulli_matrix(80, 200, 0.5, rng).astype(float)
+        z = np.zeros(200, dtype=complex)
+        z[rng.choice(200, size=6, replace=False)] = rng.uniform(0.5, 2.0, 6) * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, 6)
+        )
+        y = a @ z
+        estimate = basis_pursuit_complex(a, y)
+        reference = _two_sided_oracle(a, y.real, 0.0) + 1j * _two_sided_oracle(a, y.imag, 0.0)
+        assert np.max(np.abs(estimate - reference)) < 1e-9
+        assert np.allclose(estimate, z, atol=1e-6)
+
+
+class TestInfeasibleBand:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tight_band_with_more_rows_than_columns_raises(self, seed):
+        rng = np.random.default_rng(seed)
+        a = bernoulli_matrix(60, 30, 0.5, rng).astype(float)
+        y = a @ rng.standard_normal(30) + 0.1 * rng.standard_normal(60)
+        with pytest.raises(RecoveryError, match="infeasible"):
+            basis_pursuit(a, y, eps=0.01)
 
 
 class TestBasisPursuitReal:

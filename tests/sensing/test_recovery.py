@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.phy.noise import awgn
+from repro.sensing import recovery
 from repro.sensing.matrices import bernoulli_matrix
 from repro.sensing.recovery import recover_sparse, support_from_estimate
 
@@ -82,6 +83,35 @@ class TestRecoverSparseBp:
         y = a @ z + awgn(60, 0.08, rng)
         result = recover_sparse(a, y, sparsity=3, method="bp", noise_std=0.08)
         assert 60 in result.support.tolist()
+
+    def test_infeasible_band_widens_until_solvable(self, monkeypatch):
+        """With M ≫ N and an understated noise level, the ∞-norm band is
+        infeasible on all four attempts of the widening loop; the loop's
+        ``else`` solve, on a band 4× the last attempt's, succeeds and
+        recovery returns a result."""
+        rng = np.random.default_rng(0)
+        a = bernoulli_matrix(150, 12, 0.5, rng).astype(float)
+        z = np.zeros(12, dtype=complex)
+        truth = rng.choice(12, size=3, replace=False)
+        z[truth] = rng.uniform(0.5, 2.0, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+        y = a @ z + awgn(150, 0.1, rng)
+        calls = []
+        solve = recovery.basis_pursuit_complex
+
+        def spy(matrix, yv, eps):
+            calls.append([eps, False])
+            estimate = solve(matrix, yv, eps)
+            calls[-1][1] = True
+            return estimate
+
+        monkeypatch.setattr(recovery, "basis_pursuit_complex", spy)
+        result = recover_sparse(a, y, sparsity=3, method="bp", noise_std=0.01)
+        first = 2.0 * 0.01 / np.sqrt(2.0)
+        assert [eps for eps, _ in calls] == pytest.approx(
+            [first, 2 * first, 4 * first, 8 * first, 32 * first]
+        )
+        assert [solved for _, solved in calls] == [False, False, False, False, True]
+        assert set(truth.tolist()) <= set(result.support.tolist())
 
     def test_spurious_entries_pruned(self):
         """Backward elimination should reject support entries that explain
