@@ -100,7 +100,11 @@ class ExecutorBackend(abc.ABC):
 
     @abc.abstractmethod
     def execute(self, ctx: ExecutionContext) -> None:
-        """Run every pending cell of ``ctx.plan``, emitting each result."""
+        """Run every pending cell of ``ctx.plan``, emitting each result.
+
+        :func:`~repro.engine.campaign.run_campaign` calls this only for
+        a plan with at least one pending cell.
+        """
 
 
 class SerialBackend(ExecutorBackend):
@@ -153,8 +157,6 @@ class ProcessPoolBackend(ExecutorBackend):
 
     def execute(self, ctx: ExecutionContext) -> None:
         pending = ctx.plan.pending()
-        if not pending:
-            return
         jobs = min(self.jobs, len(pending))
         size = (
             self.chunk_size
@@ -238,8 +240,6 @@ class CacheQueueBackend(ExecutorBackend):
         if cache is None:
             raise ValueError("cache-queue backend requires a cache_dir")
         remaining = {planned.index: planned for planned in ctx.plan.pending()}
-        if not remaining:
-            return
         job_id = uuid.uuid4().hex
         cache.publish_job(job_id, pack_campaign(ctx.spec, ctx.schemes))
         last_heartbeat = time.monotonic()

@@ -71,7 +71,6 @@ itself changes.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -80,6 +79,8 @@ import tempfile
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+
+from repro.utils.plain import plain_data
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.engine.campaign import CampaignCell, CampaignSpec
@@ -104,7 +105,7 @@ def _scenario_token(scenario) -> dict:
     token = getattr(scenario, "cache_token", None)
     if callable(token):
         return token()
-    return dataclasses.asdict(scenario)
+    return plain_data(scenario)
 
 
 #: Config fields dropped from the key token while they hold their default
@@ -117,7 +118,7 @@ _DEFAULT_ONLY_CONFIG_FIELDS = {"bp_verify_rounds": 4}
 
 def _config_token(config) -> dict:
     """JSON-able identity of a spec's config (defaults stripped, see above)."""
-    token = dataclasses.asdict(config)
+    token = plain_data(config)
     for field, default in _DEFAULT_ONLY_CONFIG_FIELDS.items():
         if token.get(field) == default:
             del token[field]
@@ -127,10 +128,10 @@ def _config_token(config) -> dict:
 def spec_key_material(spec: "CampaignSpec") -> dict:
     """The cell-key inputs shared by every cell of one spec.
 
-    Serialising the scenario and config dataclasses dominates the cost of
-    a cell key; the planner addresses whole grids at once, so it computes
-    this once per spec and hands it to :func:`cell_cache_key` for each
-    cell instead of re-deriving it thousands of times.
+    The scenario and config tokens are the same for every cell, so the
+    planner computes them once per spec and hands them to
+    :func:`cell_cache_key` for each cell of the grid. Nothing is memoised
+    across calls: each plan serialises its spec afresh.
     """
     return {
         "root_seed": spec.root_seed,
@@ -182,8 +183,9 @@ class CampaignCache:
     """
 
     def __init__(self, root) -> None:
+        os.makedirs(root, exist_ok=True)
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self._root = os.fspath(root)  # load_key joins strings, not Paths
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -207,12 +209,15 @@ class CampaignCache:
         (:func:`cell_cache_key`), or ``None`` on a miss.
 
         Callers compute the address once at plan time, which keeps the
-        work-queue coordinator's poll loop hash-free.
+        work-queue coordinator's poll loop hash-free. The record is read
+        as bytes and parsed as UTF-8 JSON; a file that cannot be read or
+        decoded, has another format or holds a malformed run is a miss.
         """
         from repro.engine.schemes import SchemeRun
 
         try:
-            payload = json.loads(self._path(key).read_text())
+            with open(os.path.join(self._root, key[:2], key + ".json"), "rb") as handle:
+                payload = json.loads(handle.read())
         except (OSError, ValueError):
             return None
         if not isinstance(payload, dict) or payload.get("format") != _CACHE_FORMAT:
@@ -235,7 +240,11 @@ class CampaignCache:
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(json.dumps(payload))
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except IsADirectoryError:  # an empty directory squats on the name
+                os.rmdir(path)
+                os.replace(tmp, path)
         except BaseException:
             try:
                 os.unlink(tmp)

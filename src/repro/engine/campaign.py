@@ -256,7 +256,9 @@ def run_campaign(
     directory: cells whose content address is already stored load from
     JSON instead of executing, and freshly executed cells are stored for
     the next run. A repeat invocation of the same spec therefore executes
-    zero cells and reproduces the identical result.
+    zero cells and reproduces the identical result: a plan the cache
+    completes returns without consulting the scheme registry or the
+    backend's ``execute``.
     """
     from repro.engine.backends import ExecutionContext, resolve_backend
     from repro.engine.cache import CampaignCache
@@ -275,6 +277,8 @@ def run_campaign(
             f"backend {backend_obj.name!r} coordinates through the cell "
             f"cache; pass cache_dir="
         )
+    if plan.is_complete():
+        return plan.to_result()
     # Resolve the schemes in *this* process and ship the objects with the
     # task — a spawned worker's registry only holds the built-ins.
     schemes = {name: get_scheme(name) for name in spec.schemes}

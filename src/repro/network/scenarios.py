@@ -43,6 +43,7 @@ from repro.phy.channel import (
     MultiReaderModel,
     channels_for_snr_band,
 )
+from repro.utils.plain import plain_data
 from repro.utils.validation import ensure_positive_int
 
 __all__ = [
@@ -123,15 +124,11 @@ class Scenario:
         of the token only when set, so every static single-reader scenario
         keeps the cache key it had before those axes existed.
         """
-        from dataclasses import asdict
-
-        token = asdict(self)
-        if token.get("snr_band_db") is not None:
-            token["snr_band_db"] = list(token["snr_band_db"])
-        if token.get("mobility") is None:
-            token.pop("mobility", None)
-        if token.get("readers") is None:
-            token.pop("readers", None)
+        token = plain_data(self)
+        if token["mobility"] is None:
+            del token["mobility"]
+        if token["readers"] is None:
+            del token["readers"]
         return token
 
     def draw_population(self, rng: np.random.Generator, with_energy: bool = False,

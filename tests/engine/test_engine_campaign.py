@@ -7,6 +7,7 @@ parallel.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -313,6 +314,72 @@ class TestResultCache:
         result = run_campaign(spec, cache_dir=str(tmp_path))  # repairs the entry
         assert cache.load_key(key) is not None
         assert _record(result.runs[0]) == _record(run_campaign(spec).runs[0])
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["invalid-utf8", "empty", "directory", "other-format", "run-missing-field"],
+    )
+    def test_damaged_record_is_a_miss_and_repaired(self, tmp_path, damage):
+        spec = _spec(schemes=("tdma",), n_locations=1, n_traces=1)
+        cache = CampaignCache(tmp_path)
+        key = cell_cache_key(spec, next(iter(spec.cells())))
+        run_campaign(spec, cache_dir=str(tmp_path))
+        path = cache._path(key)
+        good = path.read_bytes()
+        payload = json.loads(good)
+        path.unlink()
+        if damage == "invalid-utf8":
+            path.write_bytes(b'{"format": 3, "run": "\xff\xfe"}')
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "directory":
+            path.mkdir()
+        elif damage == "other-format":
+            path.write_text(json.dumps(dict(payload, format=payload["format"] + 1)))
+        else:
+            del payload["run"]["slots_used"]
+            path.write_text(json.dumps(payload))
+        assert cache.load_key(key) is None
+        result = run_campaign(spec, cache_dir=str(tmp_path))
+        assert path.read_bytes() == good
+        assert _record(result.runs[0]) == _record(run_campaign(spec).runs[0])
+
+
+class TestCompletePlan:
+    """A spec the cache fully answers returns from the plan alone."""
+
+    class _NoExecute(ProcessPoolBackend):
+        def execute(self, ctx):
+            raise AssertionError("a complete plan has nothing to execute")
+
+    def test_complete_plan_skips_the_backend(self, tmp_path):
+        spec = _spec()
+        cold = run_campaign(spec, cache_dir=str(tmp_path))
+        warm = run_campaign(spec, cache_dir=str(tmp_path), backend=self._NoExecute())
+        assert warm.to_json() == cold.to_json()
+
+    def test_cached_on_cell_calls_in_grid_order(self, tmp_path):
+        spec = _spec()
+        cold = run_campaign(spec, cache_dir=str(tmp_path))
+        events = []
+        run_campaign(
+            spec,
+            cache_dir=str(tmp_path),
+            on_cell=lambda cell, run, cached: events.append((cell, _record(run), cached)),
+        )
+        assert events == [
+            (cell, _record(run), True) for cell, run in zip(spec.cells(), cold.runs)
+        ]
+
+    def test_arguments_still_checked(self, tmp_path):
+        spec = _spec()
+        run_campaign(spec, cache_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="jobs"):
+            run_campaign(spec, jobs=0, cache_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_campaign(spec, cache_dir=str(tmp_path), backend="nope")
+        with pytest.raises(ValueError, match="cache"):
+            run_campaign(spec, backend="cache-queue")
 
 
 class TestSilencedInGrid:
