@@ -16,7 +16,7 @@ from repro.core import BuzzSystem
 from repro.nodes import ReaderFrontEnd, make_population
 from repro.phy.channel import ChannelModel
 from repro.utils.bits import bits_from_int, bits_to_int
-from repro.coding.crc import CRC5_GEN2, crc_append
+from repro.coding.crc import crc_append
 
 N_SENSORS = 12
 EPOCHS = 5
@@ -26,7 +26,7 @@ TEMP_BITS = 10  # 0.1 °C resolution over 0..102.3 °C
 def encode_reading(temp_c: float) -> np.ndarray:
     """Sensor-side encoding: 10-bit fixed-point temperature + CRC-5."""
     value = int(round(max(0.0, min(102.3, temp_c)) * 10))
-    return crc_append(bits_from_int(value, TEMP_BITS), CRC5_GEN2)
+    return crc_append(bits_from_int(value, TEMP_BITS))
 
 
 def decode_reading(message: np.ndarray) -> float:

@@ -28,17 +28,17 @@ period against each code and thresholds coherently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.coding.crc import CRC5_GEN2, CrcSpec, crc_check
+from repro.coding.crc import crc_check
 from repro.coding.walsh import walsh_code_length, walsh_codes
-from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import BackscatterTag
 from repro.phy.noise import awgn
-from repro.phy.sync import MOO_RFID_SYNC, SyncProfile
+from repro.phy.sync import MOO_RFID_SYNC
 
 __all__ = ["CdmaResult", "run_cdma_uplink"]
 
@@ -72,18 +72,15 @@ def run_cdma_uplink(
     tags: Sequence[BackscatterTag],
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
-    crc: Optional[CrcSpec] = CRC5_GEN2,
-    timing: LinkTiming = GEN2_DEFAULT_TIMING,
-    sync_profile: SyncProfile = MOO_RFID_SYNC,
-    chip_rate_bps: Optional[float] = None,
 ) -> CdmaResult:
     """Simulate one chip-level synchronous CDMA round.
 
-    The chip rate defaults to the uplink symbol rate (80 k chips/s — the
-    paper gives CDMA "the same symbol rate as Buzz"). Per-tag initial sync
-    offsets are drawn from ``sync_profile`` and applied as fractional-chip
-    leakage; the reader runs a standard coherent correlator per bit with
-    known channels.
+    The chip rate is the uplink symbol rate (80 k chips/s — the paper
+    gives CDMA "the same symbol rate as Buzz"). Per-tag initial sync
+    offsets are drawn from the measured Moo profile and applied as
+    fractional-chip leakage; the reader runs a standard coherent
+    correlator per bit with known channels. A message is delivered iff
+    its CRC-5 verifies.
     """
     k = len(tags)
     if k == 0:
@@ -94,11 +91,10 @@ def run_cdma_uplink(
 
     n = walsh_code_length(k)
     codes = walsh_codes(n)[:k]  # (K, N) rows of ±1
-    chip_rate = chip_rate_bps if chip_rate_bps is not None else timing.uplink_rate_bps
-    chip_s = 1.0 / chip_rate
+    chip_s = 1.0 / GEN2_DEFAULT_TIMING.uplink_rate_bps
 
     # Fractional-chip misalignment per tag from the measured offsets.
-    offsets_s = sync_profile.sample(k, rng)
+    offsets_s = MOO_RFID_SYNC.sample(k, rng)
     eps = np.clip(offsets_s / chip_s, 0.0, 0.49)
 
     # On-air chip streams: reflect the code for a 1-bit, silence for a 0-bit.
@@ -132,12 +128,10 @@ def run_cdma_uplink(
     bit_errors = 0
     for i in range(k):
         bit_errors += int(np.count_nonzero(estimates[i] != messages[i]))
-        decoded_mask[i] = crc_check(estimates[i], crc) if crc is not None else bool(
-            np.array_equal(estimates[i], messages[i])
-        )
+        decoded_mask[i] = crc_check(estimates[i])
 
     switch_counts = np.count_nonzero(np.diff(chips, axis=1) != 0, axis=1) + 1
-    duration = n_bits * n * chip_s + timing.query_duration_s()
+    duration = n_bits * n * chip_s + GEN2_DEFAULT_TIMING.query_duration_s()
     return CdmaResult(
         decoded_mask=decoded_mask,
         messages=estimates,

@@ -12,13 +12,13 @@ loop exists to add redundancy; §1's "ineffective bit rate adaptation").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.coding.crc import CRC5_GEN2, CrcSpec, crc_check
+from repro.coding.crc import crc_check
 from repro.coding.miller import miller_basis, miller_encode, miller_switch_count
-from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import BackscatterTag
 from repro.phy.noise import awgn
@@ -55,8 +55,6 @@ def run_tdma_uplink(
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
     miller_m: int = 4,
-    crc: Optional[CrcSpec] = CRC5_GEN2,
-    timing: LinkTiming = GEN2_DEFAULT_TIMING,
 ) -> TdmaResult:
     """Simulate one TDMA round at the waveform level.
 
@@ -93,12 +91,10 @@ def run_tdma_uplink(
             bits[b] = 1 if c1 > c0 else 0
         estimates[i] = bits
         bit_errors += int(np.count_nonzero(bits != messages[i]))
-        decoded_mask[i] = crc_check(bits, crc) if crc is not None else bool(
-            np.array_equal(bits, messages[i])
-        )
+        decoded_mask[i] = crc_check(bits)
 
-    symbol_s = 1.0 / timing.uplink_rate_bps
-    duration = k * n_bits * symbol_s + timing.query_duration_s()
+    symbol_s = 1.0 / GEN2_DEFAULT_TIMING.uplink_rate_bps
+    duration = k * n_bits * symbol_s + GEN2_DEFAULT_TIMING.query_duration_s()
     return TdmaResult(
         decoded_mask=decoded_mask,
         messages=estimates,

@@ -445,9 +445,8 @@ class PackedBitFlipDecoder:
         self = cls.__new__(cls)
         self.max_flips = max_flips
         self._state = state
-        self.d = state.d
         self.h = state.h
-        self._d_f = state.d_f
+        self._d_f = state.d
         # A transpose view: gemms accept either layout, and copying to
         # C-order would re-pay an (L, K) pass per kernel construction.
         self._dT = self._d_f.T
@@ -697,7 +696,7 @@ class PackedBitFlipDecoder:
             corr_im[:, cols] -= ov * (-(self._hi[idx] * s))
             res = residual[:, cols]
             residual[:, cols] = np.where(
-                self.d[:, idx].astype(bool), res - self.h[idx] * s, res
+                self._d_f[:, idx] != 0.0, res - self.h[idx] * s, res
             )
             signs[idx, cols] = -s
         flips[cols] += 1

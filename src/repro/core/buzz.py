@@ -13,16 +13,14 @@ the oracle-view :func:`~repro.core.rateless.run_rateless_uplink`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.coding.crc import CRC5_GEN2, CrcSpec
 from repro.core.config import BuzzConfig
 from repro.core.identification import IdentificationResult, identify
 from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import RatelessRunResult, run_rateless_uplink
-from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import BackscatterTag
 
@@ -53,22 +51,16 @@ class BuzzSystem:
         Receive chain (noise floor + energy detector).
     config:
         Protocol parameters (paper defaults).
-    timing:
-        Air-interface timing for duration accounting.
-    crc:
-        Message CRC used by the rateless phase.
     """
 
     front_end: ReaderFrontEnd
     config: BuzzConfig = BuzzConfig()
-    timing: LinkTiming = GEN2_DEFAULT_TIMING
-    crc: Optional[CrcSpec] = CRC5_GEN2
 
     def run_identification(
         self, tags: Sequence[BackscatterTag], rng: np.random.Generator
     ) -> IdentificationResult:
         """Stage 1–3 identification only (Fig. 14's subject)."""
-        return identify(tags, self.front_end, rng, self.config, self.timing)
+        return identify(tags, self.front_end, rng, self.config)
 
     def run_data_phase(
         self, tags: Sequence[BackscatterTag], rng: np.random.Generator
@@ -76,10 +68,7 @@ class BuzzSystem:
         """Rateless uplink only (periodic-network mode, §4b): the tags'
         temporary ids are assigned statically, so the reader's view is
         the oracle one."""
-        return run_rateless_uplink(
-            tags, self.front_end, rng,
-            crc=self.crc, config=self.config, timing=self.timing,
-        )
+        return run_rateless_uplink(tags, self.front_end, rng, config=self.config)
 
     def run(self, tags: Sequence[BackscatterTag], rng: np.random.Generator) -> BuzzRunResult:
         """Full event-driven interaction: identify, then transfer data.
@@ -107,9 +96,7 @@ class BuzzSystem:
             start_s=0.0,
             k_hat=k_hat,
             config=self.config,
-            timing=self.timing,
             max_slots=self.config.max_data_slots(k_hat),
-            crc=self.crc,
         )
         return BuzzRunResult(
             identification=ident,

@@ -103,8 +103,8 @@ class DecoderState:
         ``(K_active, M)`` split Dᵀ·conj(residual) correlations — the
         packed kernel's warm-start state.
     n_rows:
-        Collected slots L; ``d``/``d_f``/``y``/``residual``
-        are views of the first ``n_rows`` rows of the grown buffers.
+        Collected slots L; ``d``/``y``/``residual`` are views of the
+        first ``n_rows`` rows of the grown buffers.
     """
 
     def __init__(self, channels: Sequence[complex], bits_init: np.ndarray):
@@ -126,8 +126,7 @@ class DecoderState:
         self.corr_im = np.zeros((self.k_full, self.m))
         self.n_rows = 0
         cap = _INITIAL_CAPACITY
-        self._d = np.zeros((cap, self.k_full), dtype=np.uint8)
-        self._d_f = np.zeros((cap, self.k_full))
+        self._d = np.zeros((cap, self.k_full))
         self._y = np.zeros((cap, self.m), dtype=complex)
         self._residual = np.zeros((cap, self.m), dtype=complex)
 
@@ -148,13 +147,9 @@ class DecoderState:
 
     @property
     def d(self) -> np.ndarray:
-        """``(L, K_active)`` uint8 collision matrix (active columns)."""
+        """``(L, K_active)`` 0/1 collision matrix (active columns), held
+        as float — the kernels' gemm operand."""
         return self._d[: self.n_rows]
-
-    @property
-    def d_f(self) -> np.ndarray:
-        """``d`` as float — the kernels' gemm operand."""
-        return self._d_f[: self.n_rows]
 
     @property
     def y(self) -> np.ndarray:
@@ -172,7 +167,7 @@ class DecoderState:
         if n_needed <= cap:
             return
         new_cap = max(int(n_needed), 2 * cap)
-        for name in ("_d", "_d_f", "_y", "_residual"):
+        for name in ("_d", "_y", "_residual"):
             old = getattr(self, name)
             grown = np.zeros((new_cap,) + old.shape[1:], dtype=old.dtype)
             grown[: self.n_rows] = old[: self.n_rows]
@@ -202,7 +197,6 @@ class DecoderState:
         j = self.n_rows
         row = row_full[self.active_idx]
         self._d[j] = row
-        self._d_f[j] = row
         self._y[j] = symbols
         nz = np.flatnonzero(row)
         # Rank-1 structure updates: weights, DᵀD outer product.
@@ -263,9 +257,6 @@ class DecoderState:
         self.corr_re = np.ascontiguousarray(self.corr_re[keep])
         self.corr_im = np.ascontiguousarray(self.corr_im[keep])
         k_new = self.active_idx.size
-        cap = self._d.shape[0]
-        for name in ("_d", "_d_f"):
-            old = getattr(self, name)
-            compact = np.zeros((cap, k_new), dtype=old.dtype)
-            compact[:n] = old[:n][:, keep]
-            setattr(self, name, compact)
+        compact = np.zeros((self._d.shape[0], k_new))
+        compact[:n] = self._d[:n][:, keep]
+        self._d = compact

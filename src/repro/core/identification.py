@@ -30,7 +30,7 @@ from repro.coding.prng import slot_decision_matrix, transmit_pattern_matrix
 from repro.core.bucketing import BucketingResult, run_bucketing
 from repro.core.config import BuzzConfig
 from repro.core.kestimate import KEstimateResult, estimate_k
-from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import SALT_CSPATTERN, BackscatterTag
 from repro.sensing.recovery import recover_sparse
@@ -140,13 +140,6 @@ class IdentificationResult:
         """The reusable (ids, estimated channels) view for the data phase."""
         return ChannelEstimates(ids=self.recovered_ids, values=self.channel_estimates)
 
-    def channel_for(self, temp_id: int) -> complex:
-        """Estimated channel of a recovered temporary id."""
-        idx = np.flatnonzero(self.recovered_ids == temp_id)
-        if idx.size == 0:
-            raise KeyError(f"id {temp_id} was not recovered")
-        return complex(self.channel_estimates[idx[0]])
-
 
 def cs_transmit_matrix(tags: Sequence[BackscatterTag], n_slots: int) -> np.ndarray:
     """``(M, K)`` Stage-3 schedule: each active tag sends its pattern bits.
@@ -173,7 +166,6 @@ def identify(
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
     config: BuzzConfig = BuzzConfig(),
-    timing: LinkTiming = GEN2_DEFAULT_TIMING,
     max_attempts: int = 3,
 ) -> IdentificationResult:
     """Run the three-stage protocol, restarting on temporary-id collisions.
@@ -246,7 +238,10 @@ def identify(
             recovered = recovered[order]
             estimates = estimates[order]
 
-        duration = total_slots * timing.uplink_symbol_s() + timing.query_duration_s()
+        duration = (
+            total_slots * GEN2_DEFAULT_TIMING.uplink_symbol_s()
+            + GEN2_DEFAULT_TIMING.query_duration_s()
+        )
         exact = bool(
             not duplicates
             and recovered.size == len(tags)

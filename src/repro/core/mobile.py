@@ -29,12 +29,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.coding.crc import CRC5_GEN2, CrcSpec
 from repro.coding.prng import slot_decision_matrix  # noqa: F401 -- bound by perfbench's tracer
 from repro.core.config import BuzzConfig
 from repro.core.identification import ChannelEstimates
 from repro.core.rateless import RatelessRunResult, _ReaderView, _run_data_phase
-from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import BackscatterTag
 from repro.phy.channel import ChannelTrajectory
@@ -68,12 +67,10 @@ def run_mobile_data_segment(
     start_s: float,
     k_hat: int,
     config: BuzzConfig = BuzzConfig(),
-    timing: LinkTiming = GEN2_DEFAULT_TIMING,
     max_slots: int,
     stall_limit: Optional[int] = None,
     silencing: bool = False,
     id_space: Optional[int] = None,
-    crc: Optional[CrcSpec] = CRC5_GEN2,
 ) -> RatelessRunResult:
     """Run one data-phase segment over the population.
 
@@ -116,7 +113,7 @@ def run_mobile_data_segment(
             decoded_mask=np.zeros(k, dtype=bool),
             messages=np.zeros((k, messages.shape[1]), dtype=np.uint8),
             slots_used=0,
-            duration_s=timing.query_duration_s(),
+            duration_s=GEN2_DEFAULT_TIMING.query_duration_s(),
             transmissions=np.zeros(k, dtype=int),
             progress=[],
             bit_errors=int(np.count_nonzero(messages)),
@@ -149,8 +146,6 @@ def run_mobile_data_segment(
         density=config.data_density(max(1, k_hat)),
         limit=int(max_slots),
         config=config,
-        crc=crc,
-        timing=timing,
         id_space=id_space if id_space is not None else 10 * k * k,
         trajectory=trajectory,
         participants=participants,

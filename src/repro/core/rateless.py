@@ -41,12 +41,12 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.coding.crc import CRC5_GEN2, CrcSpec, crc_check_matrix
+from repro.coding.crc import crc_check_matrix
 from repro.coding.prng import slot_decision_matrix
 from repro.core.bp_decoder import PackedBitFlipDecoder
 from repro.core.config import BuzzConfig
 from repro.core.decoder_state import DecoderState
-from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import SALT_DATA, BackscatterTag
 from repro.phy.channel import ChannelTrajectory
@@ -83,12 +83,9 @@ class RatelessDecoder:
     channels:
         Channel estimates ``ĥ`` per node (also from identification).
     n_positions:
-        Message length P in bits (including any CRC).
+        Message length P in bits, CRC-5 included.
     density:
         The transmit probability ``p`` the reader broadcast.
-    crc:
-        CRC spec used to verify messages; ``None`` disables freezing (the
-        decoder then only reports its best estimate).
     noise_std:
         Complex noise std of the link — gates message verification (below).
 
@@ -141,7 +138,6 @@ class RatelessDecoder:
         channels: Sequence[complex],
         n_positions: int,
         density: float,
-        crc: Optional[CrcSpec] = CRC5_GEN2,
         config: BuzzConfig = BuzzConfig(),
         rng: Optional[np.random.Generator] = None,
         noise_std: float = 0.0,
@@ -153,7 +149,6 @@ class RatelessDecoder:
         self.k = len(self.seeds)
         self.p = n_positions
         self.density = float(density)
-        self.crc = crc
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.noise_std = float(noise_std)
@@ -316,8 +311,6 @@ class RatelessDecoder:
             )
             kernel.decode_best_of_state(restarts=self.config.bp_restarts, rng=self.rng)
             self._estimates[state.active_idx] = state.bits
-            if self.crc is None:
-                break
             frozen_before_pass = int(self._decoded.sum())
             self._verify_and_freeze_state()
             if int(self._decoded.sum()) == frozen_before_pass or self.all_decoded:
@@ -354,7 +347,7 @@ class RatelessDecoder:
         passes = np.zeros(self.k, dtype=bool)
         cand = weights > 0  # every active node is unfrozen by construction
         if cand.any():
-            passes[act[cand]] = crc_check_matrix(self._estimates[act[cand]], self.crc)
+            passes[act[cand]] = crc_check_matrix(self._estimates[act[cand]])
 
         entangled = self._entangled_mask_state()
 
@@ -364,7 +357,7 @@ class RatelessDecoder:
             if not passes[node] or entangled[pos]:
                 continue
             # Weak nodes churn through more candidate bit patterns before
-            # converging (each a fresh 2^-crc CRC-collision lottery), so they
+            # converging (each a fresh 2⁻⁵ CRC-collision lottery), so they
             # must accumulate one more independent observation.
             required = 2 if abs(self.h[node]) >= 5.0 * self.noise_std else 3
             if weights[pos] >= required:
@@ -564,7 +557,7 @@ class RatelessRunResult:
         return self.decoded_mask.size / self.slots_used
 
 
-def ack_duration_s(id_space: int, timing: LinkTiming = GEN2_DEFAULT_TIMING) -> float:
+def ack_duration_s(id_space: int) -> float:
     """Time for one silencing ACK: echo of a temporary id plus framing.
 
     The id needs ``ceil(log2(id_space))`` bits; the ACK adds a 2-bit
@@ -572,7 +565,7 @@ def ack_duration_s(id_space: int, timing: LinkTiming = GEN2_DEFAULT_TIMING) -> f
     each side.
     """
     id_bits = max(1, math.ceil(math.log2(max(2, id_space))))
-    return timing.downlink_s(id_bits + 2) + 2 * timing.t1_s
+    return GEN2_DEFAULT_TIMING.downlink_s(id_bits + 2) + 2 * GEN2_DEFAULT_TIMING.t1_s
 
 
 class _ReaderView(NamedTuple):
@@ -629,14 +622,13 @@ class _DataPhase:
         density: float,
         *,
         config: BuzzConfig,
-        crc: Optional[CrcSpec],
         noise_std: float,
         rng: np.random.Generator,
         ack_s: Optional[float] = None,
         stall_limit: Optional[int] = None,
     ):
         self.decoder = RatelessDecoder(
-            seeds, channels, n_positions, density, crc, config,
+            seeds, channels, n_positions, density, config,
             np.random.default_rng(rng.integers(0, 2**63)), noise_std,
         )
         self.ack_s, self.stall_limit = ack_s, stall_limit
@@ -683,8 +675,6 @@ def _run_data_phase(
     density: float,
     limit: int,
     config: BuzzConfig,
-    crc: Optional[CrcSpec],
-    timing: LinkTiming,
     id_space: int,
     trajectory: Optional[ChannelTrajectory] = None,
     participants: Optional[np.ndarray] = None,
@@ -711,13 +701,13 @@ def _run_data_phase(
     """
     k, n_positions = messages.shape
     phase = _DataPhase(
-        view.seeds, view.h, n_positions, density, config=config, crc=crc,
+        view.seeds, view.h, n_positions, density, config=config,
         noise_std=front_end.noise_std, rng=rng, stall_limit=stall_limit,
-        ack_s=ack_duration_s(id_space, timing) if silencing else None,
+        ack_s=ack_duration_s(id_space) if silencing else None,
     )
     decoder = phase.decoder
     block_receive = trajectory is None and not silencing
-    symbol_s = 1.0 / timing.uplink_rate_bps
+    symbol_s = 1.0 / GEN2_DEFAULT_TIMING.uplink_rate_bps
     slot_s = n_positions * symbol_s
     block_size = max(1, min(limit, RatelessDecoder.ROW_BLOCK))
     matched = view.mapping >= 0
@@ -774,7 +764,7 @@ def _run_data_phase(
         decoded_mask=decoded,
         messages=estimates,
         slots_used=slots,
-        duration_s=airtime + timing.query_duration_s() + phase.ack_overhead_s,
+        duration_s=airtime + GEN2_DEFAULT_TIMING.query_duration_s() + phase.ack_overhead_s,
         transmissions=transmissions,
         progress=decoder.progress,
         bit_errors=int(np.count_nonzero(estimates != messages)),
@@ -788,9 +778,7 @@ def _run_oracle(
     tags: Sequence[BackscatterTag],
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
-    crc: Optional[CrcSpec],
     config: BuzzConfig,
-    timing: LinkTiming,
     max_slots: Optional[int],
     silencing: bool = False,
 ) -> RatelessRunResult:
@@ -822,8 +810,6 @@ def _run_oracle(
         density=config.data_density(k),
         limit=max_slots if max_slots is not None else config.max_data_slots(k),
         config=config,
-        crc=crc,
-        timing=timing,
         id_space=10 * k * k,
         silencing=silencing,
     )
@@ -833,9 +819,7 @@ def run_rateless_uplink(
     tags: Sequence[BackscatterTag],
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
-    crc: Optional[CrcSpec] = CRC5_GEN2,
     config: BuzzConfig = BuzzConfig(),
-    timing: LinkTiming = GEN2_DEFAULT_TIMING,
     max_slots: Optional[int] = None,
 ) -> RatelessRunResult:
     """Run the full data-transmission phase over the simulated PHY, with
@@ -848,4 +832,4 @@ def run_rateless_uplink(
     A data phase over the ids and channel estimates an identification
     *recovered* is :func:`repro.core.mobile.run_mobile_data_segment`.
     """
-    return _run_oracle(tags, front_end, rng, crc, config, timing, max_slots)
+    return _run_oracle(tags, front_end, rng, config, max_slots)

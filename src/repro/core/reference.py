@@ -366,7 +366,7 @@ def decode_full_width(
     overlap = df.T @ df
     cross_mag = cross_magnitudes(hf)
     snapshot = SimpleNamespace(
-        d=d[:, free], h=hf, d_f=df, weights=df.sum(axis=0),
+        d=df, h=hf, weights=df.sum(axis=0),
         hr=np.ascontiguousarray(hf.real), hi=np.ascontiguousarray(hf.imag),
         abs_h2=np.abs(hf) ** 2, overlap=overlap, cross_mag=cross_mag,
         pair_cap=pair_cross_caps(overlap, hf, cross_mag=cross_mag),
@@ -402,8 +402,6 @@ class RebuildRatelessDecoder(RatelessDecoder):
                 max_flips=self.config.bp_max_flips,
             )
             self._estimates = outcome.bits
-            if self.crc is None:
-                break
             frozen_before_pass = int(self._decoded.sum())
             self._verify_and_freeze(d, y)
             if int(self._decoded.sum()) == frozen_before_pass or self.all_decoded:
@@ -420,7 +418,7 @@ class RebuildRatelessDecoder(RatelessDecoder):
         passes = np.zeros(self.k, dtype=bool)
         candidates = ~self._decoded & (weights > 0)
         if candidates.any():
-            passes[candidates] = crc_check_matrix(self._estimates[candidates], self.crc)
+            passes[candidates] = crc_check_matrix(self._estimates[candidates])
 
         entangled = self._entangled_mask(d)
 

@@ -29,11 +29,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.coding.crc import CRC5_GEN2, CrcSpec
 from repro.coding.prng import slot_decision_matrix  # noqa: F401 -- bound by perfbench's tracer
 from repro.core.config import BuzzConfig
 from repro.core.rateless import RatelessRunResult, _run_oracle, ack_duration_s
-from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import BackscatterTag
 
@@ -44,9 +42,7 @@ def run_rateless_with_silencing(
     tags: Sequence[BackscatterTag],
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
-    crc: Optional[CrcSpec] = CRC5_GEN2,
     config: BuzzConfig = BuzzConfig(),
-    timing: LinkTiming = GEN2_DEFAULT_TIMING,
     max_slots: Optional[int] = None,
 ) -> RatelessRunResult:
     """Rateless uplink where verified tags are ACKed and go silent.
@@ -63,6 +59,4 @@ def run_rateless_with_silencing(
     ``silenced-adaptive`` session — is :func:`repro.core.mobile.
     run_mobile_data_segment` with ``silencing=True``.
     """
-    return _run_oracle(
-        tags, front_end, rng, crc, config, timing, max_slots, silencing=True
-    )
+    return _run_oracle(tags, front_end, rng, config, max_slots, silencing=True)

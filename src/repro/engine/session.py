@@ -73,7 +73,7 @@ class SessionPipeline:
     mobile field and consumes the cell generator strictly phase by phase,
     so campaigns over it keep the engine's serial ≡ parallel bit-identity
     and per-cell cacheability. Airtime is priced off the Gen-2 default
-    timing, the model the data-phase drivers use.
+    timing, the model every phase of the stack uses.
     """
 
     def __init__(
@@ -136,7 +136,6 @@ class SessionPipeline:
         channel estimates, empty collision matrix) instead of mutating one
         built against the stale view.
         """
-        timing = GEN2_DEFAULT_TIMING
         tags = population.tags
         k = len(population)
         messages = population.messages
@@ -173,8 +172,8 @@ class SessionPipeline:
                 if present_idx.size == 0:
                     # The reader triggers into an empty field: no reply, no
                     # candidates, no data phase — the empty-view short-circuit.
-                    ident_parts.append(timing.query_duration_s())
-                    now += timing.query_duration_s()
+                    ident_parts.append(GEN2_DEFAULT_TIMING.query_duration_s())
+                    now += GEN2_DEFAULT_TIMING.query_duration_s()
                     break
                 if trajectory is not None:
                     # Identification observes the field as it stands now: the
@@ -185,11 +184,7 @@ class SessionPipeline:
                     for i in present_idx:
                         tags[i].channel = complex(snapshot[i])
                 ident = identify(
-                    [tags[i] for i in present_idx],
-                    front_end,
-                    rng,
-                    config=config,
-                    timing=GEN2_DEFAULT_TIMING,
+                    [tags[i] for i in present_idx], front_end, rng, config=config
                 )
                 ident_parts.append(ident.duration_s)
                 now += ident.duration_s
@@ -232,7 +227,6 @@ class SessionPipeline:
                     start_s=now,
                     k_hat=k_hat,
                     config=config,
-                    timing=timing,
                     max_slots=budget,
                     stall_limit=stall_limit,
                     silencing=self.silencing,

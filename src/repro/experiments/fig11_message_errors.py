@@ -18,19 +18,12 @@ from repro.experiments.common import format_table
 from repro.engine import SCHEMES, CampaignSpec, run_campaign
 from repro.network.metrics import UplinkMetrics, uplink_metrics_from_runs
 from repro.network.scenarios import (
-    Scenario,
     ScenarioLike,
     error_prone_scenario,
     resolve_scenario_factory,
 )
 
-__all__ = ["MessageErrorResult", "run", "render", "error_scenario"]
-
-
-def error_scenario(n_tags: int) -> Scenario:
-    """Fig. 11's channel class (now shared via
-    :func:`repro.network.scenarios.error_prone_scenario`)."""
-    return error_prone_scenario(n_tags)
+__all__ = ["MessageErrorResult", "run", "render"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,7 @@ def run(
     on_cell=None,
 ) -> MessageErrorResult:
     """Run the Fig. 11 campaign across K."""
-    factory = resolve_scenario_factory(scenario, error_scenario)
+    factory = resolve_scenario_factory(scenario, error_prone_scenario)
     metrics: Dict[int, Dict[str, UplinkMetrics]] = {}
     for k in tag_counts:
         spec = CampaignSpec(

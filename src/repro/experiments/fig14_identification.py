@@ -109,9 +109,7 @@ def run(
             # One generator per location: the protocols share it
             # back-to-back (the paper's "without changing the environment").
             rng = seeds.stream("run", k, location)
-            ident = identify(
-                pop.tags, front_end, rng, config=config, timing=GEN2_DEFAULT_TIMING
-            )
+            ident = identify(pop.tags, front_end, rng, config=config)
             buzz_times.append(ident.duration_s * 1e3)
             fsa = run_fsa_inventory(FsaConfig(n_tags=len(pop)), rng)
             fsa_times.append(fsa.total_time_s * 1e3)

@@ -20,13 +20,13 @@ at both tags and neither is resolved, surfacing as extra rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
 
 from repro.gen2.qalgorithm import QAlgorithm
-from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming, SlotOutcome
+from repro.gen2.timing import GEN2_DEFAULT_TIMING, SlotOutcome
 from repro.utils.validation import ensure_positive_int
 
 __all__ = ["FsaConfig", "FsaResult", "run_fsa_inventory"]
@@ -49,9 +49,7 @@ class FsaConfig:
     ack_bits:
         ACK command length. The Gen-2 ACK echoes the temporary id, so
         FSA-with-K̂ shortens it along with ``id_bits``; ``None`` uses the
-        timing model's default (18 bits for an RN16 echo).
-    timing:
-        Air-interface timing model.
+        Gen-2 default (18 bits for an RN16 echo).
     max_slots:
         Safety valve against pathological Q trajectories.
     """
@@ -60,7 +58,6 @@ class FsaConfig:
     initial_q: Optional[float] = None
     id_bits: int = 16
     ack_bits: Optional[int] = None
-    timing: LinkTiming = GEN2_DEFAULT_TIMING
     max_slots: int = 100_000
 
     def __post_init__(self) -> None:
@@ -95,12 +92,11 @@ def run_fsa_inventory(config: FsaConfig, rng: np.random.Generator) -> FsaResult:
     """Simulate one complete Gen-2 inventory until all tags are identified.
 
     Tags re-draw their slot (and temporary id) every round, per the
-    standard. Returns timing built from the :class:`LinkTiming` model.
+    standard. Airtime is priced off the Gen-2 timing model,
+    :data:`~repro.gen2.timing.GEN2_DEFAULT_TIMING`.
     """
-    timing = config.timing
+    timing = GEN2_DEFAULT_TIMING
     if config.ack_bits is not None:
-        from dataclasses import replace
-
         timing = replace(timing, ack_bits=config.ack_bits)
     q_algo = QAlgorithm(initial_q=config.initial_q if config.initial_q is not None else 4.0)
 

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.coding.crc import CRC5_GEN2, CrcSpec, crc_append
+from repro.coding.crc import crc_append
 from repro.nodes.energy import CapacitorEnergyModel
 from repro.nodes.tag import BackscatterTag, TagKind
 from repro.phy.channel import ChannelModel, MobilityModel, MultiReaderModel
@@ -85,7 +85,6 @@ def make_population(
     rng: np.random.Generator,
     channel_model: Optional[ChannelModel] = None,
     message_bits: int = 32,
-    crc: Optional[CrcSpec] = CRC5_GEN2,
     id_space_bits: int = 20,
     kind: TagKind = TagKind.MOO,
     with_energy: bool = False,
@@ -99,10 +98,9 @@ def make_population(
     Parameters
     ----------
     message_bits:
-        Payload length before the CRC (the paper's uplink experiments use
-        32-bit messages + CRC-5; Fig. 9 uses 96-bit messages).
-    crc:
-        CRC appended to every message; ``None`` sends raw payloads.
+        Payload length before the CRC-5 every message carries (the
+        paper's uplink experiments use 32-bit messages + CRC-5; Fig. 9
+        uses 96-bit messages).
     id_space_bits:
         Width of the *global* id space the tags are drawn from (distinct
         ids guaranteed).
@@ -135,7 +133,7 @@ def make_population(
     tags: List[BackscatterTag] = []
     for i in range(n_tags):
         payload = random_bits(message_bits, rng)
-        message = crc_append(payload, crc) if crc is not None else payload
+        message = crc_append(payload)
         tags.append(
             BackscatterTag(
                 global_id=int(global_ids[i]),

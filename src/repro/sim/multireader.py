@@ -51,11 +51,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.coding.crc import CRC5_GEN2, CrcSpec
 from repro.coding.prng import slot_decision_matrix
 from repro.core.config import BuzzConfig
 from repro.core.rateless import _air_slot, _DataPhase
-from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.population import TagPopulation
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import SALT_DATA
@@ -115,8 +114,6 @@ class _Simulation:
     front_end: ReaderFrontEnd
     rng: np.random.Generator
     config: BuzzConfig
-    timing: LinkTiming
-    crc: Optional[CrcSpec]
     model: MultiReaderModel
     zones: ZoneTrajectory
     messages: np.ndarray
@@ -207,7 +204,7 @@ class _ReaderActor:
         now = sched.now
         home = sim.zones.home_at(now)
         members = np.flatnonzero((home == self.index) & ~sim.delivered)
-        query_s = sim.timing.query_duration_s()
+        query_s = GEN2_DEFAULT_TIMING.query_duration_s()
         if members.size == 0:
             # Nobody answered the query: idle one period and re-poll. The
             # query airtime is real but the field may already be drained
@@ -226,7 +223,7 @@ class _ReaderActor:
         ]
         self.phase = _DataPhase(
             self.seeds, sim.channels[members], sim.messages.shape[1],
-            sim.config.data_density(k_hat), config=sim.config, crc=sim.crc,
+            sim.config.data_density(k_hat), config=sim.config,
             noise_std=sim.front_end.noise_std, rng=sim.rng,
         )
         self.slot_index = 0
@@ -347,10 +344,8 @@ def simulate_multi_reader(
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
     config: BuzzConfig = BuzzConfig(),
-    timing: LinkTiming = GEN2_DEFAULT_TIMING,
     max_slots: Optional[int] = None,
     model: Optional[MultiReaderModel] = None,
-    crc: Optional[CrcSpec] = CRC5_GEN2,
 ) -> MultiReaderOutcome:
     """Run R concurrent readers over one population until drained.
 
@@ -368,7 +363,7 @@ def simulate_multi_reader(
     if model is None:
         model = population.readers if population.readers is not None else MultiReaderModel()
     messages = population.messages
-    slot_s = messages.shape[1] / timing.uplink_rate_bps
+    slot_s = messages.shape[1] / GEN2_DEFAULT_TIMING.uplink_rate_bps
     budget = int(max_slots) if max_slots is not None else config.max_data_slots(k)
     if budget <= 0:
         raise ValueError("slot budget must be positive")
@@ -376,7 +371,7 @@ def simulate_multi_reader(
     # Generous horizon: enough for every budgeted slot plus per-session
     # query overheads to run *sequentially*; concurrent readers finish
     # well inside it. Queries past it simply see no further handoffs.
-    horizon = (timing.query_duration_s() + max_period) * (
+    horizon = (GEN2_DEFAULT_TIMING.query_duration_s() + max_period) * (
         budget + 4 * model.n_readers + 4
     )
     zones = ZoneTrajectory(k, model, rng, horizon_s=horizon)
@@ -385,8 +380,6 @@ def simulate_multi_reader(
         front_end=front_end,
         rng=rng,
         config=config,
-        timing=timing,
-        crc=crc,
         model=model,
         zones=zones,
         messages=messages,
@@ -400,7 +393,7 @@ def simulate_multi_reader(
         # Staggered first queries decorrelate the initial slot phases.
         sched.at(r * slot_s / model.n_readers, _ReaderActor(r, sim).start_session)
     sched.run()
-    duration = sim.makespan if sim.makespan > 0.0 else timing.query_duration_s()
+    duration = sim.makespan if sim.makespan > 0.0 else GEN2_DEFAULT_TIMING.query_duration_s()
     return MultiReaderOutcome(
         delivered=sim.delivered,
         messages=sim.recovered,

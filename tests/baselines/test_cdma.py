@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.cdma import run_cdma_uplink
 from repro.baselines.tdma import run_tdma_uplink
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import ChannelModel
@@ -38,6 +39,14 @@ class TestCdma:
         d12 = run_cdma_uplink(_population(12, 1).tags, fe, np.random.default_rng(1)).duration_s
         d16 = run_cdma_uplink(_population(16, 2).tags, fe, np.random.default_rng(2)).duration_s
         assert d12 == pytest.approx(d16)
+
+    def test_duration_is_gen2_airtime(self):
+        """P bits of N chips each at the Gen-2 uplink rate, plus the Query."""
+        pop = _population(12, 3)
+        result = run_cdma_uplink(pop.tags, ReaderFrontEnd(noise_std=0.1), np.random.default_rng(3))
+        p_bits, n = pop.messages.shape[1], result.spreading_factor
+        chip_s = 1.0 / GEN2_DEFAULT_TIMING.uplink_rate_bps
+        assert result.duration_s == p_bits * n * chip_s + GEN2_DEFAULT_TIMING.query_duration_s()
 
     def test_rate_at_most_one(self):
         fe = ReaderFrontEnd(noise_std=0.1)

@@ -6,6 +6,7 @@ import pytest
 from repro.coding.prng import transmit_pattern_matrix
 from repro.core.config import BuzzConfig
 from repro.core.identification import candidate_matrix, cs_transmit_matrix, identify
+from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import SALT_CSPATTERN
@@ -52,7 +53,7 @@ class TestIdentify:
         if not result.exact:
             pytest.skip("identification inexact on this draw")
         for tag in pop.tags:
-            estimate = result.channel_for(int(tag.temp_id))
+            estimate = result.estimates.channel_for(int(tag.temp_id))
             assert abs(estimate - tag.channel) < 0.15
 
     def test_slots_scale_with_k_not_n(self):
@@ -67,6 +68,15 @@ class TestIdentify:
             slots[k] = np.mean(counts)
         assert slots[16] > slots[4]
         assert slots[16] < 12 * slots[4]  # sub-quadratic growth
+
+    def test_duration_is_gen2_airtime(self):
+        """One uplink symbol per identification slot, plus the Query."""
+        pop, fe = _setup(8, 61)
+        result = identify(pop.tags, fe, np.random.default_rng(61))
+        assert result.duration_s == (
+            result.slots_used * GEN2_DEFAULT_TIMING.uplink_symbol_s()
+            + GEN2_DEFAULT_TIMING.query_duration_s()
+        )
 
     def test_duration_much_shorter_than_fsa(self):
         from repro.gen2 import FsaConfig, run_fsa_inventory
@@ -97,7 +107,7 @@ class TestIdentify:
         pop, fe = _setup(4, 90)
         result = identify(pop.tags, fe, np.random.default_rng(90))
         with pytest.raises(KeyError):
-            result.channel_for(10**9)
+            result.estimates.channel_for(10**9)
 
     def test_transmissions_account_every_stage(self):
         """Per-tag counts: ≥ 1 bucket reflection per attempt, plus Stage-1
@@ -116,12 +126,10 @@ class TestChannelEstimates:
         est = result.estimates
         assert len(est) == result.recovered_ids.size
         assert est.seeds() == [int(i) for i in result.recovered_ids]
-        for temp_id in est.seeds():
-            assert est.channel_for(temp_id) == result.channel_for(temp_id)
+        for temp_id, channel in zip(est.seeds(), result.channel_estimates):
+            assert est.channel_for(temp_id) == channel
             assert temp_id in est
         assert 10**9 not in est
-        with pytest.raises(KeyError):
-            est.channel_for(10**9)
 
     def test_length_mismatch_rejected(self):
         from repro.core.identification import ChannelEstimates

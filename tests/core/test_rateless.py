@@ -137,6 +137,17 @@ class TestRunRatelessUplink:
         expected = result.slots_used * p_bits * symbol_s
         assert result.duration_s == pytest.approx(expected, abs=1.5e-3)
 
+    def test_duration_is_gen2_airtime(self):
+        """L slots of P symbols at the Gen-2 uplink rate, plus the Query."""
+        pop = _population(6, 12)
+        result = run_rateless_uplink(pop.tags, ReaderFrontEnd(noise_std=0.1),
+                                     np.random.default_rng(12))
+        symbol_s = 1.0 / GEN2_DEFAULT_TIMING.uplink_rate_bps
+        assert result.duration_s == (
+            result.slots_used * pop.messages.shape[1] * symbol_s
+            + GEN2_DEFAULT_TIMING.query_duration_s()
+        )
+
     def test_channel_estimate_error_tolerated(self):
         """Decoding with slightly wrong ĥ (as identification provides) must
         still deliver all messages on good channels."""

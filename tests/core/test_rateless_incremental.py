@@ -171,9 +171,9 @@ class TestDecoderState:
 
     def test_append_slot_residual_and_corr_match_recompute(self):
         state, rows, symbols, h, bits = self._random_state(1)
-        res_exact = state.y - state.d_f @ (state.h[:, None] * state.bits)
+        res_exact = state.y - state.d @ (state.h[:, None] * state.bits)
         np.testing.assert_allclose(state.residual, res_exact, atol=1e-12)
-        corr = state.d_f.T @ np.conj(state.residual)
+        corr = state.d.T @ np.conj(state.residual)
         np.testing.assert_allclose(state.corr_re, corr.real, atol=1e-12)
         np.testing.assert_allclose(state.corr_im, corr.imag, atol=1e-12)
 
@@ -202,7 +202,7 @@ class TestDecoderState:
         assert np.array_equal(state.weights, weights_before[kept])
         assert np.array_equal(state.overlap, overlap_before[np.ix_(kept, kept)])
         # The peeled problem still closes: residual == y − D·diag(h)·bits.
-        res_exact = state.y - state.d_f @ (state.h[:, None] * state.bits)
+        res_exact = state.y - state.d @ (state.h[:, None] * state.bits)
         np.testing.assert_allclose(state.residual, res_exact, atol=1e-12)
 
     def test_append_after_peel_slices_active_columns(self):

@@ -134,7 +134,7 @@ class TestSilencedDecoderView:
         assert not result.decoded_mask.any()
         assert result.ack_overhead_s == 0
 
-        def recover_nobody(tags, front_end, rng, config, timing):
+        def recover_nobody(tags, front_end, rng, config):
             return SimpleNamespace(
                 duration_s=0.0,
                 attempts=1,

@@ -20,10 +20,6 @@ class TestMakePopulation:
             assert tag.message.size == 37
             assert crc_check(tag.message, CRC5_GEN2)
 
-    def test_crc_none_gives_raw_payload(self):
-        pop = make_population(4, np.random.default_rng(2), message_bits=32, crc=None)
-        assert pop.tags[0].message.size == 32
-
     def test_global_ids_distinct(self):
         pop = make_population(64, np.random.default_rng(3))
         assert len(set(pop.global_ids)) == 64
