@@ -10,9 +10,18 @@ evaluation.
 
 Entry points:
 
+* ``python -m repro`` — the CLI (``repro.__main__``): figures by name, plus
+  the ``worker`` and ``cache`` subcommands;
+* :func:`repro.engine.run_campaign` over a :class:`repro.engine.CampaignSpec`
+  — every campaign figure's one entry point;
+* the single-system tour:
+
 >>> from repro.core import BuzzSystem
 >>> from repro.network.scenarios import default_uplink_scenario
 >>> from repro.nodes import ReaderFrontEnd
+
+The packages import their submodules only when a name is first used, so
+building a campaign spec loads no decoder.
 
 See README.md for a tour, its "Architecture" section for the design and
 its "Performance" section for the measured results.

@@ -46,6 +46,7 @@ cache formats (``--gc-format``).
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import json
 import os
@@ -60,50 +61,38 @@ from pathlib import Path
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-from repro.experiments import (
-    fig2_waveforms,
-    fig3_constellation,
-    fig7_sync_offset,
-    fig8_clock_drift,
-    fig9_decoding_progress,
-    fig10_transfer_time,
-    fig11_message_errors,
-    fig12_challenging,
-    fig13_energy,
-    fig14_identification,
-    fig15_end_to_end,
-    fig16_mobility,
-    fig17_reader_density,
-    headline,
-    toy_example,
-)
-from repro.engine import BACKENDS, available_schemes
-from repro.engine.backends import ProcessPoolBackend
+from repro.engine.registry import available_schemes
 from repro.network.scenarios import SCENARIO_NAMES
 
-#: name → (module, full-size kwargs, --quick kwargs). A CLI override applies
-#: to an experiment exactly when its ``run`` takes a parameter of that name.
+#: The built-in backend names of :data:`repro.engine.backends.BACKENDS`,
+#: for the parser: that module loads only when a campaign runs.
+_BACKENDS = ("serial", "process-pool", "cache-queue")
+
+#: name → (module under ``repro.experiments``, full-size kwargs, --quick
+#: kwargs). Only the experiments a run names are imported. A CLI override
+#: applies to an experiment exactly when its ``run`` takes a parameter of
+#: that name.
 _EXPERIMENTS = {
-    "toy": (toy_example, {}, {}),
-    "fig2": (fig2_waveforms, {}, {}),
-    "fig3": (fig3_constellation, {}, {"n_symbols": 500}),
-    "fig7": (fig7_sync_offset, {}, {"trials": 20}),
-    "fig8": (fig8_clock_drift, {}, {}),
-    "fig9": (fig9_decoding_progress, {}, {}),
-    "fig10": (fig10_transfer_time, {}, {"n_locations": 3, "n_traces": 1}),
-    "fig11": (fig11_message_errors, {}, {"n_locations": 3, "n_traces": 1}),
-    "fig12": (fig12_challenging, {}, {"n_locations": 3, "n_traces": 1}),
-    "fig13": (fig13_energy, {}, {"n_locations": 3, "n_traces": 1}),
-    "fig14": (fig14_identification, {}, {"n_locations": 4}),
+    "toy": ("toy_example", {}, {}),
+    "fig2": ("fig2_waveforms", {}, {}),
+    "fig3": ("fig3_constellation", {}, {"n_symbols": 500}),
+    "fig7": ("fig7_sync_offset", {}, {"trials": 20}),
+    "fig8": ("fig8_clock_drift", {}, {}),
+    "fig9": ("fig9_decoding_progress", {}, {}),
+    "fig10": ("fig10_transfer_time", {}, {"n_locations": 3, "n_traces": 1}),
+    "fig11": ("fig11_message_errors", {}, {"n_locations": 3, "n_traces": 1}),
+    "fig12": ("fig12_challenging", {}, {"n_locations": 3, "n_traces": 1}),
+    "fig13": ("fig13_energy", {}, {"n_locations": 3, "n_traces": 1}),
+    "fig14": ("fig14_identification", {}, {"n_locations": 4}),
     "fig15": (
-        fig15_end_to_end,
+        "fig15_end_to_end",
         {},
         # Smoke mode: tiny K, two location seeds, one trace — the CI leg
         # that keeps the end-to-end path exercised on every push.
         {"tag_counts": (2, 4), "n_locations": 2, "n_traces": 1},
     ),
     "fig16": (
-        fig16_mobility,
+        "fig16_mobility",
         {},
         # Smoke mode: one nonzero drift point, tiny grid — the CI leg that
         # keeps the mobile session path exercised on every push.
@@ -116,13 +105,13 @@ _EXPERIMENTS = {
         },
     ),
     "fig17": (
-        fig17_reader_density,
+        "fig17_reader_density",
         {},
         # Smoke mode: tiny K, single vs pair of readers — the CI leg that
         # keeps the multi-reader simulator exercised on every push.
         {"n_tags": 8, "reader_counts": (1, 2), "n_locations": 2, "n_traces": 1},
     ),
-    "headline": (headline, {}, {"n_locations": 3, "n_traces": 1}),
+    "headline": ("headline", {}, {"n_locations": 3, "n_traces": 1}),
 }
 
 
@@ -345,7 +334,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=BACKENDS,
+        choices=_BACKENDS,
         default=None,
         help="campaign executor backend (default: serial, or process-pool "
         "when --jobs > 1); cache-queue coordinates through --cache-dir so "
@@ -372,7 +361,7 @@ def main(argv=None) -> int:
         # not this parser, knows whether it coordinates through a cache.
         if resolve_backend(args.backend).requires_cache:
             parser.error(f"--backend {args.backend} requires --cache-dir")
-    if args.backend not in (None, ProcessPoolBackend.name) and args.jobs != 1:
+    if args.backend not in (None, "process-pool") and args.jobs != 1:
         # Only the process pool is sized by --jobs.
         print(f"(note: --jobs ignored by --backend {args.backend})")
 
@@ -398,7 +387,8 @@ def main(argv=None) -> int:
 
     names = args.experiments or list(_EXPERIMENTS)
     for name in names:
-        module, full_kwargs, quick_kwargs = _EXPERIMENTS[name]
+        module_name, full_kwargs, quick_kwargs = _EXPERIMENTS[name]
+        module = importlib.import_module(f"repro.experiments.{module_name}")
         kwargs = dict(quick_kwargs if args.quick else full_kwargs)
         supported = inspect.signature(module.run).parameters
         applied = {k: v for k, v in overrides.items() if k in supported}

@@ -11,7 +11,12 @@
   effect destroys CDMA in backscatter (the paper's 100 % loss case).
 """
 
-from repro.baselines.cdma import CdmaResult, run_cdma_uplink
-from repro.baselines.tdma import TdmaResult, run_tdma_uplink
+from repro.utils.lazy import lazy_exports
 
-__all__ = ["CdmaResult", "TdmaResult", "run_cdma_uplink", "run_tdma_uplink"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.cdma": ("CdmaResult", "run_cdma_uplink"),
+        "repro.baselines.tdma": ("TdmaResult", "run_tdma_uplink"),
+    },
+)

@@ -15,36 +15,26 @@ Contents:
   the sensing matrix A and collision matrix D.
 """
 
-from repro.coding.crc import (
-    CRC5_GEN2,
-    CRC16_GEN2,
-    CrcSpec,
-    crc_append,
-    crc_check,
-    crc_compute,
-)
-from repro.coding.miller import (
-    miller_basis,
-    miller_decode,
-    miller_encode,
-    miller_switch_count,
-)
-from repro.coding.prng import slot_decision, transmit_pattern_matrix
-from repro.coding.walsh import walsh_code_length, walsh_codes
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CRC16_GEN2",
-    "CRC5_GEN2",
-    "CrcSpec",
-    "crc_append",
-    "crc_check",
-    "crc_compute",
-    "miller_basis",
-    "miller_decode",
-    "miller_encode",
-    "miller_switch_count",
-    "slot_decision",
-    "transmit_pattern_matrix",
-    "walsh_code_length",
-    "walsh_codes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.coding.crc": (
+            "CRC5_GEN2",
+            "CRC16_GEN2",
+            "CrcSpec",
+            "crc_append",
+            "crc_check",
+            "crc_compute",
+        ),
+        "repro.coding.miller": (
+            "miller_basis",
+            "miller_decode",
+            "miller_encode",
+            "miller_switch_count",
+        ),
+        "repro.coding.prng": ("slot_decision", "transmit_pattern_matrix"),
+        "repro.coding.walsh": ("walsh_code_length", "walsh_codes"),
+    },
+)

@@ -11,33 +11,22 @@
   reader); no production module imports it.
 """
 
-from repro.core.bucketing import BucketingResult, candidate_ids, run_bucketing
-from repro.core.buzz import BuzzRunResult, BuzzSystem
-from repro.core.config import BuzzConfig
-from repro.core.identification import IdentificationResult, identify
-from repro.core.kestimate import KEstimateResult, estimate_k
-from repro.core.rateless import (
-    DecodeProgress,
-    RatelessDecoder,
-    RatelessRunResult,
-    run_rateless_uplink,
-)
-from repro.core.silencing import run_rateless_with_silencing
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BucketingResult",
-    "BuzzConfig",
-    "BuzzRunResult",
-    "BuzzSystem",
-    "DecodeProgress",
-    "IdentificationResult",
-    "KEstimateResult",
-    "RatelessDecoder",
-    "RatelessRunResult",
-    "candidate_ids",
-    "estimate_k",
-    "identify",
-    "run_bucketing",
-    "run_rateless_uplink",
-    "run_rateless_with_silencing",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.bucketing": ("BucketingResult", "candidate_ids", "run_bucketing"),
+        "repro.core.buzz": ("BuzzRunResult", "BuzzSystem"),
+        "repro.core.config": ("BuzzConfig",),
+        "repro.core.identification": ("IdentificationResult", "identify"),
+        "repro.core.kestimate": ("KEstimateResult", "estimate_k"),
+        "repro.core.rateless": (
+            "DecodeProgress",
+            "RatelessDecoder",
+            "RatelessRunResult",
+            "run_rateless_uplink",
+        ),
+        "repro.core.silencing": ("run_rateless_with_silencing",),
+    },
+)

@@ -2,11 +2,13 @@
 
 ``repro.engine`` decouples *what* a campaign compares from *how* it runs:
 
-* :mod:`repro.engine.schemes` — the :class:`~repro.engine.schemes.
-  UplinkScheme` protocol, the :class:`~repro.engine.schemes.SchemeRun`
-  record every scheme returns and every campaign stores, and a registry
-  holding the paper's three schemes (``buzz``, ``tdma``, ``cdma``) plus
-  the §8.2 ``silenced`` variant;
+* :mod:`repro.engine.registry` — the :class:`~repro.engine.registry.
+  UplinkScheme` protocol, the :class:`~repro.engine.registry.SchemeRun`
+  record every scheme returns and every campaign stores, and the scheme
+  registry: a static table of the built-in names, each resolved from its
+  defining module on first use;
+* :mod:`repro.engine.schemes` — the paper's three schemes (``buzz``,
+  ``tdma``, ``cdma``) plus the §8.2 ``silenced`` variant;
 * :mod:`repro.engine.campaign` — the declarative
   :class:`~repro.engine.campaign.CampaignSpec` grid (locations × traces ×
   schemes under one config; a config sweep is a list of specs), its
@@ -37,74 +39,50 @@
   ``silenced-adaptive`` that re-identify mid-session when a mobile data
   phase stalls), and :class:`~repro.engine.session.Gen2Session`, the
   FSA → TDMA baseline (``gen2-tdma-e2e``).
+
+The package names below load their module on first access, so declaring
+and planning a campaign imports no decoder, baseline or simulator.
 """
 
-from repro.engine.cache import CampaignCache
-from repro.engine.backends import (
-    BACKENDS,
-    CacheQueueBackend,
-    ExecutionContext,
-    ExecutorBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from repro.engine.campaign import (
-    SCHEMES,
-    CampaignCell,
-    CampaignResult,
-    CampaignSpec,
-    run_campaign,
-    run_cell,
-)
-from repro.engine.plan import CampaignPlan, PlannedCell, plan_campaign
-from repro.engine.queue import run_worker
-from repro.engine.schemes import (
-    CdmaScheme,
-    RatelessScheme,
-    SchemeRun,
-    SilencedScheme,
-    TdmaScheme,
-    UplinkScheme,
-    available_schemes,
-    get_scheme,
-    register_scheme,
-)
-from repro.engine.session import Gen2Session, SessionPipeline
+from repro.utils.lazy import lazy_exports
 
-# Importing the sim scheme module registers the ``multi-reader`` family
-# (same side-effect pattern as the session schemes above).
-from repro.sim.scheme import MultiReaderScheme
-
-__all__ = [
-    "BACKENDS",
-    "SCHEMES",
-    "CacheQueueBackend",
-    "CampaignCache",
-    "CampaignCell",
-    "CampaignPlan",
-    "CampaignResult",
-    "CampaignSpec",
-    "CdmaScheme",
-    "ExecutionContext",
-    "ExecutorBackend",
-    "Gen2Session",
-    "MultiReaderScheme",
-    "PlannedCell",
-    "ProcessPoolBackend",
-    "RatelessScheme",
-    "SchemeRun",
-    "SerialBackend",
-    "SessionPipeline",
-    "SilencedScheme",
-    "TdmaScheme",
-    "UplinkScheme",
-    "available_schemes",
-    "get_scheme",
-    "plan_campaign",
-    "register_scheme",
-    "resolve_backend",
-    "run_campaign",
-    "run_cell",
-    "run_worker",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.engine.backends": (
+            "BACKENDS",
+            "CacheQueueBackend",
+            "ExecutionContext",
+            "ExecutorBackend",
+            "ProcessPoolBackend",
+            "SerialBackend",
+            "resolve_backend",
+        ),
+        "repro.engine.cache": ("CampaignCache",),
+        "repro.engine.campaign": (
+            "SCHEMES",
+            "CampaignCell",
+            "CampaignResult",
+            "CampaignSpec",
+            "run_campaign",
+            "run_cell",
+        ),
+        "repro.engine.plan": ("CampaignPlan", "PlannedCell", "plan_campaign"),
+        "repro.engine.queue": ("run_worker",),
+        "repro.engine.registry": (
+            "SchemeRun",
+            "UplinkScheme",
+            "available_schemes",
+            "get_scheme",
+            "register_scheme",
+        ),
+        "repro.engine.schemes": (
+            "CdmaScheme",
+            "RatelessScheme",
+            "SilencedScheme",
+            "TdmaScheme",
+        ),
+        "repro.engine.session": ("Gen2Session", "SessionPipeline"),
+        "repro.sim.scheme": ("MultiReaderScheme",),
+    },
+)

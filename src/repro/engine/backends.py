@@ -44,7 +44,7 @@ from repro.engine.cache import CampaignCache
 from repro.engine.campaign import CampaignSpec, SchemeRun, run_cell
 from repro.engine.executors import _src_root, default_chunk_size, pool_initializer
 from repro.engine.plan import CampaignPlan, PlannedCell
-from repro.engine.schemes import UplinkScheme
+from repro.engine.registry import UplinkScheme
 
 #: How often a live coordinator freshens its published envelope's mtime —
 #: far below any sane ``cache --prune-jobs --max-age`` (default 3600 s).

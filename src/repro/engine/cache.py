@@ -4,7 +4,7 @@ medium the multi-host work queue coordinates through.
 A campaign cell is a pure function of ``(root_seed, cell RNG keys,
 scenario, config, max_slots)`` — the determinism contract
 :mod:`repro.engine.campaign` already guarantees for executor parity. That
-makes its :class:`~repro.engine.schemes.SchemeRun` cacheable by content
+makes its :class:`~repro.engine.registry.SchemeRun` cacheable by content
 address: hash the inputs, store the record as JSON, and a re-run of the
 same spec (or any spec sharing cells with it) loads instead of executing.
 
@@ -78,15 +78,16 @@ import socket
 import tempfile
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.engine.campaign import _cell_rng_keys
+from repro.engine.registry import SchemeRun
 from repro.utils.plain import plain_data
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.campaign import CampaignCell, CampaignSpec
-    from repro.engine.schemes import SchemeRun
 
-__all__ = ["CampaignCache", "cell_cache_key", "spec_key_material"]
+__all__ = ["CampaignCache", "cell_cache_key", "spec_cell_keys"]
 
 #: Bump when the key material or record layout changes incompatibly.
 #: 2: session records carry data_transmissions/reidentifications, which
@@ -125,50 +126,65 @@ def _config_token(config) -> dict:
     return token
 
 
-def spec_key_material(spec: "CampaignSpec") -> dict:
-    """The cell-key inputs shared by every cell of one spec.
-
-    The scenario and config tokens are the same for every cell, so the
-    planner computes them once per spec and hands them to
-    :func:`cell_cache_key` for each cell of the grid. Nothing is memoised
-    across calls: each plan serialises its spec afresh.
-    """
-    return {
-        "root_seed": spec.root_seed,
-        "scenario": _scenario_token(spec.scenario),
-        "config": _config_token(spec.config),
-        "max_slots": spec.max_slots,
-    }
+#: The encoder of every key's canonical JSON (``json.dumps`` with these
+#: settings, built once).
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: Stands in for a cell's own values in a spec's key template; no scenario
+#: or config token holds it.
+_CELL = "\x00cell\x00"
 
 
-def cell_cache_key(
-    spec: "CampaignSpec", cell: "CampaignCell", spec_material: Optional[dict] = None
-) -> str:
-    """Content address of one cell: sha256 over every input it consumes.
+def _encode_keys(keys) -> str:
+    """``_ENCODE(list(keys))`` for a cell's stream keys, without building
+    an encoder per call: strings and plain ints are written directly."""
+    return "[" + ",".join(
+        int.__repr__(k) if type(k) is int else _ENCODE(k) for k in keys
+    ) + "]"
 
-    Covers the root seed, the exact RNG stream keys the cell derives its
-    randomness from (location stream + run stream), the scenario, the
+
+def spec_cell_keys(spec: "CampaignSpec") -> Callable[["CampaignCell"], str]:
+    """The content-address function of one spec's cells (see
+    :func:`cell_cache_key`).
+
+    A key hashes the canonical JSON (sorted keys) of its material: the
+    root seed, the exact RNG stream keys the cell derives its randomness
+    from (location stream + run stream), the scheme, the scenario, the
     config, and the slot bound — the full closure of
-    :func:`repro.engine.campaign.run_cell`. ``spec_material`` is an
-    optional precomputed :func:`spec_key_material` (same spec!) that
-    amortizes the spec-level serialisation across a grid; the resulting
-    key is byte-identical either way.
+    :func:`repro.engine.campaign.run_cell`. Only the stream keys and the
+    scheme differ between the cells of a spec, so the material is encoded
+    once with a placeholder in their three places, and each cell's JSON
+    is that template with its own values spliced in: the bytes of one
+    ``json.dumps`` of the cell's whole material. Nothing is memoised
+    across calls: each plan encodes its spec afresh.
     """
-    from repro.engine.campaign import _cell_rng_keys
+    template = _ENCODE(
+        {
+            "format": _CACHE_FORMAT,
+            "root_seed": spec.root_seed,
+            "location_keys": _CELL,
+            "run_keys": _CELL,
+            "scheme": _CELL,
+            "scenario": _scenario_token(spec.scenario),
+            "config": _config_token(spec.config),
+            "max_slots": spec.max_slots,
+        }
+    )
+    head, middle, tail, end = template.split(_ENCODE(_CELL))
 
-    shared = spec_material if spec_material is not None else spec_key_material(spec)
-    material = {
-        "format": _CACHE_FORMAT,
-        "root_seed": shared["root_seed"],
-        "location_keys": ["location", cell.location],
-        "run_keys": list(_cell_rng_keys(cell)),
-        "scheme": cell.scheme,
-        "scenario": shared["scenario"],
-        "config": shared["config"],
-        "max_slots": shared["max_slots"],
-    }
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    def key(cell: "CampaignCell") -> str:
+        canonical = (
+            f"{head}{_encode_keys(('location', cell.location))}{middle}"
+            f"{_encode_keys(_cell_rng_keys(cell))}{tail}{_ENCODE(cell.scheme)}{end}"
+        )
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    return key
+
+
+def cell_cache_key(spec: "CampaignSpec", cell: "CampaignCell") -> str:
+    """Content address of one cell: sha256 over every input it consumes
+    (see :func:`spec_cell_keys`, which addresses a whole grid)."""
+    return spec_cell_keys(spec)(cell)
 
 
 class CampaignCache:
@@ -213,8 +229,6 @@ class CampaignCache:
         as bytes and parsed as UTF-8 JSON; a file that cannot be read or
         decoded, has another format or holds a malformed run is a miss.
         """
-        from repro.engine.schemes import SchemeRun
-
         try:
             with open(os.path.join(self._root, key[:2], key + ".json"), "rb") as handle:
                 payload = json.loads(handle.read())

@@ -27,10 +27,11 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import BuzzConfig
-from repro.engine.schemes import (
+from repro.engine.registry import (
     SchemeRun,
     UplinkScheme,
     available_schemes,
+    check_scheme,
     get_scheme,
 )
 from repro.nodes.reader import ReaderFrontEnd
@@ -101,7 +102,7 @@ class CampaignSpec:
         if not self.schemes:
             raise ValueError("spec needs at least one scheme")
         for scheme in self.schemes:
-            get_scheme(scheme)  # raises ValueError on unknown names
+            check_scheme(scheme)  # raises ValueError on unknown names
 
     @property
     def n_cells(self) -> int:

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.engine.cache import CampaignCache, cell_cache_key, spec_key_material
+from repro.engine.cache import CampaignCache, spec_cell_keys
 from repro.engine.campaign import CampaignCell, CampaignResult, CampaignSpec
-from repro.engine.schemes import SchemeRun
+from repro.engine.registry import SchemeRun
 
 __all__ = ["PlannedCell", "CampaignPlan", "plan_campaign"]
 
@@ -95,8 +95,8 @@ def plan_campaign(
     ``cache-queue`` backend's leases and the conformance tests key on.
     """
     cells = list(spec.cells())
-    shared = spec_key_material(spec)
-    keys = [cell_cache_key(spec, cell, spec_material=shared) for cell in cells]
+    address = spec_cell_keys(spec)
+    keys = [address(cell) for cell in cells]
     results: List[Optional[SchemeRun]] = [None] * len(cells)
     if cache is not None:
         for i, key in enumerate(keys):

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.engine.cache import CampaignCache
 from repro.engine.campaign import CampaignSpec, run_cell
 from repro.engine.plan import plan_campaign
-from repro.engine.schemes import UplinkScheme
+from repro.engine.registry import UplinkScheme
 
 __all__ = ["pack_campaign", "unpack_campaign", "claim_and_execute", "run_worker"]
 

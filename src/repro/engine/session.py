@@ -6,7 +6,7 @@ complex channels by compressive sensing (§5), and only then runs the
 rateless data phase (§6) on what it recovered. The engine's single-phase
 schemes deliberately start from oracle tag knowledge (the §9 setup);
 this module closes the loop with the two sessions the repo runs, each a
-registry-compatible :class:`~repro.engine.schemes.UplinkScheme`:
+registry-compatible :class:`~repro.engine.registry.UplinkScheme`:
 
 * :class:`SessionPipeline` — Buzz's identify → data-segment loop,
   registered as ``buzz-e2e`` (rateless data phase on the recovered ids
@@ -18,7 +18,7 @@ registry-compatible :class:`~repro.engine.schemes.UplinkScheme`:
 * :class:`Gen2Session` — ``gen2-tdma-e2e``: today's RFID session (FSA
   inventory → TDMA transfer) as the baseline.
 
-Both fill the :class:`~repro.engine.schemes.SchemeRun` stage fields:
+Both fill the :class:`~repro.engine.registry.SchemeRun` stage fields:
 ``duration_s`` is exactly ``identification_s + data_s`` and
 ``transmissions`` sums each tag's reflections over both phases for the
 energy model. A static field is the loop with no trajectory. On *mobile*
@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.config import BuzzConfig
 from repro.core.identification import identify
 from repro.core.mobile import run_mobile_data_segment
-from repro.engine.schemes import SchemeRun, get_scheme, register_scheme
+from repro.engine.registry import SchemeRun, get_scheme
 from repro.gen2.fsa import FsaConfig, run_fsa_inventory
 from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.population import TagPopulation
@@ -322,17 +322,17 @@ class Gen2Session:
 
 
 # ---- the end-to-end variants every campaign can sweep -------------------------
-register_scheme(SessionPipeline("buzz-e2e"))
-register_scheme(SessionPipeline("silenced-e2e", silencing=True))
-register_scheme(Gen2Session("gen2-tdma-e2e"))
-register_scheme(
-    SessionPipeline("buzz-adaptive", stall_slots_factor=2.0, max_reidentifications=2)
-)
-register_scheme(
+#: The instances :func:`~repro.engine.registry.get_scheme` registers when
+#: one of their names is first asked for.
+BUILTIN_SCHEMES = (
+    SessionPipeline("buzz-e2e"),
+    SessionPipeline("silenced-e2e", silencing=True),
+    Gen2Session("gen2-tdma-e2e"),
+    SessionPipeline("buzz-adaptive", stall_slots_factor=2.0, max_reidentifications=2),
     SessionPipeline(
         "silenced-adaptive",
         silencing=True,
         stall_slots_factor=2.0,
         max_reidentifications=2,
-    )
+    ),
 )

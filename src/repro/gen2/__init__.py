@@ -14,16 +14,13 @@ implements that substrate:
   with Buzz's Stage-1 estimate K̂ ("FSA with known K").
 """
 
-from repro.gen2.fsa import FsaConfig, FsaResult, run_fsa_inventory
-from repro.gen2.qalgorithm import QAlgorithm
-from repro.gen2.timing import GEN2_DEFAULT_TIMING, LinkTiming, SlotOutcome
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "FsaConfig",
-    "FsaResult",
-    "GEN2_DEFAULT_TIMING",
-    "LinkTiming",
-    "QAlgorithm",
-    "SlotOutcome",
-    "run_fsa_inventory",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.gen2.fsa": ("FsaConfig", "FsaResult", "run_fsa_inventory"),
+        "repro.gen2.qalgorithm": ("QAlgorithm",),
+        "repro.gen2.timing": ("GEN2_DEFAULT_TIMING", "LinkTiming", "SlotOutcome"),
+    },
+)

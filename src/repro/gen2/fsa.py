@@ -111,8 +111,10 @@ def run_fsa_inventory(config: FsaConfig, rng: np.random.Generator) -> FsaResult:
         rounds += 1
         frame = q_algo.frame_size
         # Each remaining tag picks a slot and a temporary id for this round.
+        # The ids decide nothing here (a collision resolves nobody either
+        # way), but their draw stays so the generator stream is unchanged.
         slot_choice = rng.integers(0, frame, size=remaining)
-        temp_ids = rng.integers(0, id_space, size=remaining)
+        rng.integers(0, id_space, size=remaining)
         counts = np.bincount(slot_choice, minlength=frame)
 
         round_resolved = 0
@@ -132,14 +134,10 @@ def run_fsa_inventory(config: FsaConfig, rng: np.random.Generator) -> FsaResult:
                 successes += 1
                 round_resolved += 1
             else:
-                # >1 tags replied. If they happen to share a temporary id the
-                # reader cannot even tell it was a collision of distinct tags,
-                # but either way nobody is resolved this slot.
-                in_slot = np.flatnonzero(slot_choice == slot_index)
-                unique_ids = np.unique(temp_ids[in_slot])
+                # >1 tags replied: nobody is resolved this slot, whether or
+                # not their temporary ids happen to coincide.
                 outcome = SlotOutcome.COLLISION
                 collisions += 1
-                del unique_ids  # indistinguishability already implies no resolution
             total_time += timing.slot_duration_s(outcome, config.id_bits)
             q_algo.update(outcome)
             q_trace.append(q_algo.q)

@@ -9,21 +9,18 @@ scheme on the *same* channel realisation; :mod:`repro.network.metrics`
 aggregates the per-scheme metrics the figures plot.
 """
 
-from repro.network.metrics import UplinkMetrics, uplink_metrics_from_runs
-from repro.network.scenarios import (
-    CHALLENGING_SNR_BANDS,
-    Scenario,
-    challenging_scenario,
-    default_uplink_scenario,
-    shopping_cart_scenario,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CHALLENGING_SNR_BANDS",
-    "Scenario",
-    "UplinkMetrics",
-    "challenging_scenario",
-    "default_uplink_scenario",
-    "shopping_cart_scenario",
-    "uplink_metrics_from_runs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.network.metrics": ("UplinkMetrics", "uplink_metrics_from_runs"),
+        "repro.network.scenarios": (
+            "CHALLENGING_SNR_BANDS",
+            "Scenario",
+            "challenging_scenario",
+            "default_uplink_scenario",
+            "shopping_cart_scenario",
+        ),
+    },
+)

@@ -7,24 +7,19 @@ turns per-slot transmit decisions into noisy received symbols and makes
 occupied/empty calls; populations bundle a deployment draw.
 """
 
-from repro.nodes.energy import (
-    CapacitorEnergyModel,
-    EnergyProfile,
-    MOO_ENERGY_PROFILE,
-    TransmissionCost,
-)
-from repro.nodes.population import TagPopulation, make_population
-from repro.nodes.reader import ReaderFrontEnd
-from repro.nodes.tag import BackscatterTag, TagKind
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BackscatterTag",
-    "CapacitorEnergyModel",
-    "EnergyProfile",
-    "MOO_ENERGY_PROFILE",
-    "ReaderFrontEnd",
-    "TagKind",
-    "TagPopulation",
-    "TransmissionCost",
-    "make_population",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.nodes.energy": (
+            "CapacitorEnergyModel",
+            "EnergyProfile",
+            "MOO_ENERGY_PROFILE",
+            "TransmissionCost",
+        ),
+        "repro.nodes.population": ("TagPopulation", "make_population"),
+        "repro.nodes.reader": ("ReaderFrontEnd",),
+        "repro.nodes.tag": ("BackscatterTag", "TagKind"),
+    },
+)

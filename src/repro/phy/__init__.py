@@ -15,48 +15,33 @@ This package implements that model at two resolutions:
   used by the microbenchmarks (Figs. 2, 3, 8) and the synchronization study.
 """
 
-from repro.phy.channel import ChannelModel, SingleTapChannel
-from repro.phy.constellation import (
-    Constellation,
-    collision_constellation,
-    min_distance,
-    nearest_point,
-)
-from repro.phy.noise import awgn, snr_db as measure_snr_db
-from repro.phy.signal import (
-    CW_LEVEL,
-    collision_trace,
-    ook_waveform,
-    received_symbols,
-    slot_energies,
-    tag_baseband,
-)
-from repro.phy.sync import (
-    ClockModel,
-    SyncProfile,
-    COMMERCIAL_RFID_SYNC,
-    MOO_RFID_SYNC,
-    misalignment_fraction,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "COMMERCIAL_RFID_SYNC",
-    "CW_LEVEL",
-    "ChannelModel",
-    "ClockModel",
-    "Constellation",
-    "MOO_RFID_SYNC",
-    "SingleTapChannel",
-    "SyncProfile",
-    "awgn",
-    "collision_constellation",
-    "collision_trace",
-    "measure_snr_db",
-    "min_distance",
-    "misalignment_fraction",
-    "nearest_point",
-    "ook_waveform",
-    "received_symbols",
-    "slot_energies",
-    "tag_baseband",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.phy.channel": ("ChannelModel", "SingleTapChannel"),
+        "repro.phy.constellation": (
+            "Constellation",
+            "collision_constellation",
+            "min_distance",
+            "nearest_point",
+        ),
+        "repro.phy.noise": ("awgn", "snr_db as measure_snr_db"),
+        "repro.phy.signal": (
+            "CW_LEVEL",
+            "collision_trace",
+            "ook_waveform",
+            "received_symbols",
+            "slot_energies",
+            "tag_baseband",
+        ),
+        "repro.phy.sync": (
+            "ClockModel",
+            "SyncProfile",
+            "COMMERCIAL_RFID_SYNC",
+            "MOO_RFID_SYNC",
+            "misalignment_fraction",
+        ),
+    },
+)

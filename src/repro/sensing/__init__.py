@@ -16,6 +16,10 @@ temporary ids and their channels) from ``M ≈ K·log a`` collision symbols
   recovered vector, its support and diagnostics.
 """
 
+# Eager, unlike the other packages: ``basis_pursuit`` names both a submodule
+# and a function, and a lazily filled name would turn into the module
+# whenever the submodule loads. Nothing that declares a campaign imports
+# this package.
 from repro.sensing.basis_pursuit import basis_pursuit, basis_pursuit_complex
 from repro.sensing.greedy import cosamp, iht, omp
 from repro.sensing.matrices import bernoulli_matrix

@@ -14,20 +14,19 @@ sessions free-run against each other. This package provides:
   sessions at their own cadence over a shared, mobile, zone-partitioned
   tag field;
 * :mod:`repro.sim.scheme` — the ``multi-reader`` :class:`~repro.engine.
-  schemes.UplinkScheme` family, which rolls the simulation up into the
-  standard :class:`~repro.engine.schemes.SchemeRun` so campaigns,
+  registry.UplinkScheme` family, which rolls the simulation up into the
+  standard :class:`~repro.engine.registry.SchemeRun` so campaigns,
   caching and every executor backend work unchanged.
 """
 
-from repro.sim.interference import resolve_slot
-from repro.sim.multireader import MultiReaderOutcome, simulate_multi_reader
-from repro.sim.scheduler import EventScheduler
-from repro.sim.scheme import MultiReaderScheme
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "EventScheduler",
-    "MultiReaderOutcome",
-    "MultiReaderScheme",
-    "resolve_slot",
-    "simulate_multi_reader",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.interference": ("resolve_slot",),
+        "repro.sim.multireader": ("MultiReaderOutcome", "simulate_multi_reader"),
+        "repro.sim.scheduler": ("EventScheduler",),
+        "repro.sim.scheme": ("MultiReaderScheme",),
+    },
+)

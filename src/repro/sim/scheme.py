@@ -1,9 +1,9 @@
 """The ``multi-reader`` uplink-scheme family.
 
 Wraps :func:`~repro.sim.multireader.simulate_multi_reader` in the
-:class:`~repro.engine.schemes.UplinkScheme` contract so multi-reader runs
+:class:`~repro.engine.registry.UplinkScheme` contract so multi-reader runs
 flow through the campaign engine unchanged — same grids, same caching,
-same executor backends, same :class:`~repro.engine.schemes.SchemeRun`
+same executor backends, same :class:`~repro.engine.registry.SchemeRun`
 rows next to the single-reader schemes.
 
 ``multi-reader`` honours the collision mode the scenario's
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import BuzzConfig
-from repro.engine.schemes import SchemeRun, register_scheme
+from repro.engine.registry import SchemeRun
 from repro.nodes.population import TagPopulation
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import COLLISION_MODES, MultiReaderModel
@@ -88,7 +88,10 @@ class MultiReaderScheme:
         )
 
 
-register_scheme(MultiReaderScheme())
-for _mode in COLLISION_MODES:
-    register_scheme(MultiReaderScheme(name=f"multi-reader-{_mode}", collision_mode=_mode))
-del _mode
+#: The instances :func:`~repro.engine.registry.get_scheme` registers when
+#: one of their names is first asked for.
+BUILTIN_SCHEMES = (
+    MultiReaderScheme(),
+    *(MultiReaderScheme(name=f"multi-reader-{mode}", collision_mode=mode)
+      for mode in COLLISION_MODES),
+)

@@ -5,20 +5,26 @@ The scenario and config tokens are serialised by
 byte-identical only while the two give the same JSON. The reference
 tokens below are the ``asdict`` forms with the same ``None`` and
 default-dropping rules, so every scenario added to ``SCENARIO_NAMES``
-is checked here too.
+is checked here too. A key splices the once-per-spec encodings of those
+tokens into each cell's JSON; the last tests check it against one
+``json.dumps`` of the whole material.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from repro.core.config import BuzzConfig
 from repro.engine.cache import (
+    _CACHE_FORMAT,
     _DEFAULT_ONLY_CONFIG_FIELDS,
     _config_token,
     _scenario_token,
+    cell_cache_key,
 )
+from repro.engine.campaign import CampaignSpec
 from repro.network.scenarios import (
     CHALLENGING_SNR_BANDS,
     SCENARIO_NAMES,
@@ -97,3 +103,48 @@ def test_plain_data_nesting():
         "missing": None,
     }
     assert _json(plain_data(obj)) == _json(dataclasses.asdict(obj))
+
+
+def _reference_key(spec, cell) -> str:
+    material = {
+        "format": _CACHE_FORMAT,
+        "root_seed": spec.root_seed,
+        "location_keys": ["location", cell.location],
+        "run_keys": ["trace", cell.location, cell.trace, cell.scheme],
+        "scheme": cell.scheme,
+        "scenario": _scenario_token(spec.scenario),
+        "config": _config_token(spec.config),
+        "max_slots": spec.max_slots,
+    }
+    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_spliced_key_equals_one_dump_of_the_material(name):
+    spec = CampaignSpec(
+        scenario=scenario_by_name(name, 6),
+        root_seed=2**31 + 5,
+        n_locations=3,
+        n_traces=2,
+        schemes=("buzz", "gen2-tdma-e2e", "multi-reader"),
+    )
+    for cell in spec.cells():
+        assert cell_cache_key(spec, cell) == _reference_key(spec, cell)
+
+
+@pytest.mark.parametrize(
+    "config, max_slots",
+    [(BuzzConfig(bp_verify_rounds=2), None), (BuzzConfig(bp_restarts=0, c=12), 9)],
+)
+def test_spliced_key_covers_config_and_slot_bound(config, max_slots):
+    spec = CampaignSpec(
+        scenario=challenging_scenario(CHALLENGING_SNR_BANDS[0]),
+        root_seed=0,
+        n_locations=2,
+        n_traces=1,
+        config=config,
+        max_slots=max_slots,
+    )
+    for cell in spec.cells():
+        assert cell_cache_key(spec, cell) == _reference_key(spec, cell)

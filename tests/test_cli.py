@@ -25,6 +25,12 @@ class TestCli:
         }
         assert set(_EXPERIMENTS) == expected
 
+    def test_backend_choices_are_the_engine_backends(self):
+        from repro.__main__ import _BACKENDS
+        from repro.engine import BACKENDS
+
+        assert _BACKENDS == BACKENDS
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
