@@ -21,11 +21,18 @@ delta ``δ_i = h_i(1 − 2b̂_i)``,
 
 where ``w_i`` is tag *i*'s column weight.
 
+When single flips stall, a joint two-bit flip may still gain (near-
+degenerate channel pairs, ``h_i ≈ ±h_j``, make two-bit local minima).
+:func:`resolve_stalls` takes that escape for every stalled column of a
+round at once; the round's bounds come from one :func:`pair_bounds` call,
+and :func:`best_pair_flip` is its route for wide candidate sets.
+
 :class:`PackedBitFlipDecoder` is the one production kernel: the rateless
 reader binds it to its persistent decoder state and decodes all message
-positions at once. The scalar per-position decoder it is pinned to, and
-a full-width front end with a ``frozen`` mask, are test oracles in
-:mod:`repro.core.reference`.
+positions at once. The scalar per-position decoder it is pinned to, its
+full (free × free) pair scan, and a full-width front end with a
+``frozen`` mask are test oracles in :mod:`repro.core.reference`; they
+share no pair-scan code with the kernel.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from repro.utils.validation import ensure_positive_int
 __all__ = [
     "best_pair_flip",
     "resolve_stalls",
-    "pair_cross_caps",
+    "pair_bounds",
     "cross_magnitudes",
     "BatchedDecodeOutcome",
     "PackedBitFlipDecoder",
@@ -55,7 +62,7 @@ _GAIN_TOL = 1e-9
 
 @lru_cache(maxsize=32)
 def _tril_indices(n: int) -> tuple:
-    """Cached ``np.tril_indices(n)`` — the pair scans call it per stall."""
+    """Cached ``np.tril_indices(n)`` — the exact pair blocks use it per stall."""
     return np.tril_indices(n)
 
 
@@ -73,166 +80,81 @@ def cross_magnitudes(h: np.ndarray) -> np.ndarray:
     return 2.0 * np.abs(np.real(np.conj(h)[:, None] * h[None, :]))
 
 
-def pair_cross_caps(
-    overlap: np.ndarray,
-    h: np.ndarray,
-    cross_mag: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-node cap on the pair-flip cross term:
-    ``max_j 2|Re(conj(h_i)·h_j)|·ov_ij``.
+def pair_bounds(cross_mag: np.ndarray, overlap: np.ndarray) -> tuple:
+    """``(co, cap)``: the pair scan's per-pair and per-node cross-term bounds.
 
-    The cross-term magnitude is *exact* whatever the current estimates
-    are (:func:`cross_magnitudes` — the bit signs cancel under the
-    absolute value), so the caps depend only on the channels and the
-    slot-overlap counts, and can be computed once per problem (or
-    maintained incrementally; overlap counts only grow) and reused at
-    every stall. Pass ``cross_mag`` to reuse an already-computed
-    magnitude matrix. See :func:`best_pair_flip` for how the caps prove
-    a scan fruitless in O(K).
+    ``co = cross_mag · overlap`` bounds pair *(i, j)*'s cross term
+    ``2·Re(conj(δ_i)·δ_j)·ov_ij`` exactly up to sign alignment
+    (:func:`cross_magnitudes`), so it depends only on the channels and the
+    slot overlaps, not on the current estimates; its diagonal is zeroed.
+    ``cap`` holds its row maxima, ``max_{j≠i} co_ij``. A decode round
+    builds both once and reuses them at every stall: see
+    :func:`resolve_stalls` for how the caps prove a scan fruitless in
+    O(K), and :func:`best_pair_flip` for the per-pair bound.
     """
-    h = np.asarray(h).ravel()
-    if h.size == 0:
-        return np.zeros(0)
-    c = (cross_magnitudes(h) if cross_mag is None else cross_mag) * overlap
-    np.fill_diagonal(c, 0.0)
-    return c.max(axis=1)
+    co = cross_mag * overlap
+    np.fill_diagonal(co, 0.0)
+    return co, co.max(axis=1, initial=0.0)
 
 
 def best_pair_flip(
     gains: np.ndarray,
     delta: np.ndarray,
     overlap: np.ndarray,
-    frozen: np.ndarray,
-    cap: Optional[np.ndarray] = None,
-    co: Optional[np.ndarray] = None,
+    cand: np.ndarray,
+    co: np.ndarray,
 ) -> Optional[tuple]:
-    """Best positive-gain joint two-bit flip, closed form, or ``None``.
+    """Best positive-gain joint two-bit flip of one stalled column, or
+    ``None``: the route :func:`resolve_stalls` takes for a column with a
+    wide candidate set.
 
     Flipping *i* and *j* together changes the error by
-    ``G_i + G_j − 2·Re(conj(δ_i)·δ_j)·|d_i ∩ d_j|`` — the cross term lives
-    only on shared slots — so the whole pair matrix comes from the
-    single-flip gains already in hand plus the slot-overlap counts; no
-    per-pair residual correlations. Selection: pairs ``i < j`` over
-    unfrozen bits in row-major order, first strict maximum above the gain
-    tolerance. The scalar reference decoder
-    (:class:`repro.core.reference.BitFlipDecoder`) calls it directly and
-    the packed kernel through :func:`resolve_stalls`, which returns the
-    same pairs, so both take identical escape decisions at a stall.
-
-    ``cap``, when given, is :func:`pair_cross_caps` for this problem and
-    restricts the scan to a candidate set in O(K): a pair's gain is at
-    most ``G_i + G_j + 2|Re(conj(h_i)h_j)|·ov_ij ≤ G_i + G_j + cap_i``
-    (and the same with ``cap_j``), so *both* endpoints of any pair
-    clearing the (positive) gain tolerance must satisfy
-    ``max_{l≠x} G_l + G_x + cap_x > 0``. The scan then runs exact gains
-    on (candidates × candidates) rather than (free × free), and returns
-    the same answer bit for bit: per-pair gains are elementwise float
-    expressions (identical either way, and symmetric in the pair order),
-    excluded pairs provably sit at or below zero, and exact-tie
-    selection reproduces the full scan's first-maximum row-major order.
-    The caps swing the cost precisely where it matters — every
-    *converged* column pays one final fruitless scan as its
-    stall-termination proof, and that proof now costs O(K) (candidate
-    set smaller than a pair) instead of O(K²). Quadratic in the
-    candidate count otherwise — narrow blocks take the exact complex
-    gain matrix directly, wide blocks run a real-arithmetic per-pair
-    bound first and evaluate exact gains only for the survivors; both
-    select identically. The bound is ``co``, the elementwise product
-    ``cross_magnitudes(h) * overlap`` (exact up to sign alignment):
-    callers scanning many columns against one problem pay that K×K
-    multiply once and each wide block then costs a single row gather
-    plus two adds. Without ``co`` a wide block derives it from
-    ``delta``. Only invoked when single flips have stalled.
+    ``G_i + G_j − 2·Re(conj(δ_i)·δ_j)·|d_i ∩ d_j|``: the cross term lives
+    only on shared slots. ``cand`` is the column's candidate set,
+    ascending, which the resolver has already proved holds both endpoints
+    of every positive pair. The route bounds every (cand × all bits) pair
+    by ``G_i + G_j + co_ij`` (:func:`pair_bounds`) in real arithmetic and
+    evaluates exact gains only for the pairs whose bound is positive.
+    Whole rows of ``co`` are gathered, because at this width a contiguous
+    row gather beats a 2-D ``np.ix_`` gather; the extra columns are
+    harmless, since a pair with an endpoint outside ``cand`` has gain ≤ 0
+    and can neither win nor tie. Selection is the full scan's: the first
+    strict maximum above the gain tolerance over pairs ``i < j`` in
+    row-major order.
     """
-    free = np.flatnonzero(~frozen)
-    if free.size < 2:
+    gc = gains[cand]
+    bound = co[cand]
+    bound += gains[None, :]
+    bound[np.arange(cand.size), cand] = _NEG_INF
+    # Row maxima prove most stalls fruitless in one reduction pass, and
+    # narrow the survivor walk to the rows that can still hold a positive
+    # pair: float addition is monotone, so a row whose maximum plus its
+    # own gain is ≤ 0 has no positive element — the compare + nonzero
+    # below see only the live rows and the survivor set is unchanged.
+    alive = np.flatnonzero(bound.max(axis=1) + gc > 0.0)
+    if alive.size == 0:
         return None
-    g = gains[free]
-    dlt = delta[free]
-    if cap is not None:
-        capf = cap[free]
-        top2, top1 = np.partition(g, g.size - 2)[-2:]
-        gexcl = np.full(g.size, top1)
-        gexcl[int(np.argmax(g))] = top2
-        cand = np.flatnonzero(gexcl + (g + capf) > 0.0)
-        if cand.size < 2:
-            return None
-        gc = g[cand]
-        dc = dlt[cand]
-        sub = cand if free.size == overlap.shape[0] else free[cand]
-        if 2 * cand.size <= g.size:
-            # Narrow block: exact gains on (cand × cand) — elementwise
-            # the same float expressions as the full matrix, so values
-            # (and therefore the maximum and its ties) are bit-identical
-            # to the full scan below.
-            ov = overlap[np.ix_(sub, sub)]
-            cross = 2.0 * np.real(np.conj(dc)[:, None] * dc[None, :])
-            pair_gains = gc[:, None] + gc[None, :] - cross * ov
-            np.fill_diagonal(pair_gains, _NEG_INF)
-            best = pair_gains.max()
-            if not best > _GAIN_TOL:
-                return None
-            rows, cols = np.nonzero(pair_gains == best)
-            ii = cand[rows]
-            jj = cand[cols]
-        else:
-            # Wide block: real-arithmetic per-pair bound over
-            # (cand × free) — contiguous row gathers, which at this size
-            # beat a 2-D ``np.ix_`` gather even though they keep the
-            # non-candidate columns — then exact complex gains just for
-            # the pairs that pass. The bound is exact up to sign
-            # alignment. Extra columns are harmless: a pair with an
-            # endpoint outside ``cand`` provably has gain ≤ 0, so it can
-            # neither win nor tie the strict maximum.
-            full_free = free.size == overlap.shape[0]
-            if co is None:
-                co = cross_magnitudes(delta) * overlap
-            bound = co[sub] if full_free else co[sub][:, free]
-            bound += g[None, :]
-            bound[np.arange(cand.size), cand] = _NEG_INF
-            # Row maxima prove most stalls fruitless in one reduction
-            # pass, and narrow the survivor walk to the rows that can
-            # still hold a positive pair: float addition is monotone, so
-            # a row whose maximum plus its own gain is ≤ 0 has no
-            # positive element — the compare + nonzero below see only
-            # the live rows and the survivor set is unchanged.
-            alive = np.flatnonzero(bound.max(axis=1) + gc > 0.0)
-            if alive.size == 0:
-                return None
-            bound = bound[alive]
-            bound += gc[alive, None]
-            brows, bcols = np.nonzero(bound > 0.0)
-            if brows.size == 0:
-                return None
-            arows = alive[brows]
-            ii = cand[arows]
-            jj = bcols
-            cross = 2.0 * np.real(np.conj(dlt[ii]) * dlt[jj])
-            ov_pairs = overlap[sub[arows], bcols if full_free else free[bcols]]
-            pair_gains = g[ii] + g[jj] - cross * ov_pairs
-            best = pair_gains.max()
-            if not best > _GAIN_TOL:
-                return None
-            tied = np.flatnonzero(pair_gains == best)
-            ii = ii[tied]
-            jj = jj[tied]
-        i = np.minimum(ii, jj)
-        j = np.maximum(ii, jj)
-        sel = int(np.lexsort((j, i))[0])
-        return int(free[i[sel]]), int(free[j[sel]])
-    cross = 2.0 * np.real(np.conj(dlt)[:, None] * dlt[None, :])
-    pair_gains = g[:, None] + g[None, :] - cross * overlap[np.ix_(free, free)]
-    pair_gains[_tril_indices(free.size)] = _NEG_INF
-    flat = int(np.argmax(pair_gains))
-    i, j = divmod(flat, free.size)
-    if not pair_gains[i, j] > _GAIN_TOL:
+    bound = bound[alive]
+    bound += gc[alive, None]
+    brows, jj = np.nonzero(bound > 0.0)
+    if brows.size == 0:
         return None
-    return int(free[i]), int(free[j])
+    ii = cand[alive[brows]]
+    cross = 2.0 * np.real(np.conj(delta[ii]) * delta[jj])
+    pair_gains = gains[ii] + gains[jj] - cross * overlap[ii, jj]
+    best = pair_gains.max()
+    if not best > _GAIN_TOL:
+        return None
+    tied = np.flatnonzero(pair_gains == best)
+    i = np.minimum(ii[tied], jj[tied])
+    j = np.maximum(ii[tied], jj[tied])
+    sel = int(np.lexsort((j, i))[0])
+    return int(i[sel]), int(j[sel])
 
 
 #: Above this many candidates, a column whose candidates are more than half
-#: its free bits keeps :func:`best_pair_flip`'s real-arithmetic bound path:
-#: an exact (c × c) block is then dearer than the bound's (c × free) pass.
+#: its bits goes to :func:`best_pair_flip`'s real-arithmetic bound route:
+#: an exact (c × c) block is then dearer than the bound's (c × K) pass.
 _EXACT_BLOCK_MAX_CAND = 48
 #: Element cap on one stacked ``(columns, c, c)`` exact pair-gain block.
 _EXACT_BLOCK_ELEMS = 1 << 18
@@ -243,27 +165,36 @@ def resolve_stalls(
     delta: np.ndarray,
     overlap: np.ndarray,
     cap: np.ndarray,
-    co: Optional[np.ndarray] = None,
+    co: np.ndarray,
 ) -> np.ndarray:
-    """:func:`best_pair_flip` for S stalled columns in one batched pass.
+    """The pair-flip escape for S stalled columns in one batched pass.
 
     ``gains`` and ``delta`` are ``(K, S)``: column *s* holds one stalled
     decode column's single-flip gains and flip deltas. Every bit is free:
     the packed kernel runs on a peeled problem, so there is no frozen
-    mask. Returns an ``(S, 2)`` int array whose row *s* is the pair
-    ``best_pair_flip`` returns for column *s* with nothing frozen, or
-    ``(-1, -1)`` where it returns ``None``.
+    mask. ``(co, cap)`` are the round's :func:`pair_bounds`. Returns an
+    ``(S, 2)`` int array whose row *s* is column *s*'s best positive-gain
+    pair ``i < j`` — the first strict maximum above the gain tolerance in
+    row-major order, as the full (K × K) scan
+    (:func:`repro.core.reference.full_pair_scan`) picks it — or
+    ``(-1, -1)`` where no pair gains.
 
-    The candidate proof runs for every column at once, with
-    ``best_pair_flip``'s own float expressions (top-two gains plus the
-    per-bit caps); columns left with fewer than two candidates retire.
-    The survivors' exact (cand × cand) pair-gain blocks are stacked into
-    padded ``(columns, c, c)`` tensors, each column's maximum taken over
-    the upper triangle in ascending candidate order: the scan's row-major
-    first maximum, so every decision is bit-identical. Columns whose
-    candidates are both many and more than half the free bits go to
-    ``best_pair_flip`` one by one, whose bound path is cheaper there;
-    ``co`` is handed on as their bound (:func:`best_pair_flip`).
+    **Candidates.** A pair's gain is at most ``G_i + G_j + cap_i`` (and
+    the same with ``cap_j``), so both endpoints of any pair clearing the
+    (positive) gain tolerance satisfy ``max_{l≠x} G_l + G_x + cap_x > 0``.
+    The proof runs for every column at once, from the top-two gains and
+    the caps; columns left with fewer than two candidates retire. This is
+    what makes a *converged* column's last, fruitless scan — every column
+    pays one as its stall-termination proof — O(K) instead of O(K²).
+
+    **Exact blocks.** The survivors' exact (cand × cand) pair-gain blocks
+    are stacked into padded ``(columns, c, c)`` tensors, each column's
+    maximum taken over the upper triangle in ascending candidate order:
+    per-pair gains are the full scan's elementwise float expressions
+    (symmetric in the pair order) and excluded pairs provably sit at or
+    below zero, so every decision is bit-identical. Columns whose
+    candidates are both many and more than half the bits go to
+    :func:`best_pair_flip` one by one, whose bound route is cheaper there.
     """
     k_dim, s_dim = gains.shape
     pairs = np.full((s_dim, 2), -1, dtype=np.int64)
@@ -276,11 +207,9 @@ def resolve_stalls(
     n_cand = np.count_nonzero(is_cand, axis=0)
 
     bound = (n_cand > _EXACT_BLOCK_MAX_CAND) & (2 * n_cand > k_dim)
-    no_frozen = np.zeros(k_dim, dtype=bool)
     for s in np.flatnonzero(bound):
         pair = best_pair_flip(
-            gains[:, s], delta[:, s], overlap, no_frozen,
-            cap=cap, co=co,
+            gains[:, s], delta[:, s], overlap, np.flatnonzero(is_cand[:, s]), co
         )
         if pair is not None:
             pairs[s] = pair
@@ -311,8 +240,8 @@ def resolve_stalls(
 def _exact_block_pairs(gains, delta, is_cand, n_cand, chunk, overlap, pairs):
     """Fill ``pairs`` for the columns ``chunk`` from one stacked exact block.
 
-    Per column, the candidates' pair gains are ``best_pair_flip``'s
-    narrow-block float expressions; padding past a column's candidate
+    Per column, the candidates' pair gains are the full scan's float
+    expressions; padding past a column's candidate
     count is ``-inf``, and so is the diagonal and below, so the flat
     argmax is the first maximum of the upper triangle in row-major order.
     """
@@ -420,8 +349,8 @@ class PackedBitFlipDecoder:
 
     Flip decisions per column are those of :class:`~repro.core.reference.
     BitFlipDecoder`, the scalar reference — same gain formula, same
-    tolerance, same pair-flip escape (:func:`resolve_stalls` returns
-    :func:`best_pair_flip`'s pairs), same restart RNG draw order — so the
+    tolerance, same pair-flip escape (:func:`resolve_stalls` returns the
+    full pair scan's pairs), same restart RNG draw order — so the
     decoded bits, flip counts and converged flags equal running the
     per-position decoder M times with a shared generator. Residual norms
     agree to float precision, not bitwise: the correlations accumulate
@@ -437,7 +366,7 @@ class PackedBitFlipDecoder:
         """Bind a kernel to a persistent decoder state — no setup gemms.
 
         The kernel points at the live views the state already maintains
-        (float D, weights, the (K, K) overlap and the pair-scan caps):
+        (float D, weights, the (K, K) overlap and cross-term magnitudes):
         O(1) plus a transpose view. ``max_flips`` bounds
         the flips per position per decode call.
         """
@@ -456,24 +385,8 @@ class PackedBitFlipDecoder:
         self._wh2 = state.weights * state.abs_h2
         self._overlap = state.overlap
         self._cross_mag = state.cross_mag
-        self._pair_cap = state.pair_cap
-        self._co_cache = None
+        self._bounds = None
         return self
-
-    @property
-    def _co(self) -> np.ndarray:
-        """``cross_mag * overlap`` — the pair scan's shared bound matrix.
-
-        One K×K multiply per kernel instance, amortised over every wide
-        pair scan of the decode call (each then pays a single row gather
-        plus two adds instead of two gathers and a multiply). Derived
-        from the state's overlap on first use, so it is exactly the
-        elementwise product the sparse verification stage compares
-        against.
-        """
-        if self._co_cache is None:
-            self._co_cache = self._cross_mag * self._overlap
-        return self._co_cache
 
     # ---- decoding -------------------------------------------------------------
     def decode_best_of_state(self, restarts: int, rng: np.random.Generator) -> BatchedDecodeOutcome:
@@ -676,13 +589,18 @@ class PackedBitFlipDecoder:
         every other column's pair flip.
 
         :func:`resolve_stalls` takes all the decisions in one batched pass
-        against this kernel's overlap and cross-term caps. Each pair is then
-        two single-bit flips in pair order — correlation axpy, masked
-        residual update, sign — applied to all escaping
-        columns at once; every element sees the per-column expressions.
+        against this kernel's overlap and :func:`pair_bounds`, which are
+        built at the instance's first stall and reused at every later one
+        (an instance decodes one fixed problem). Each pair is then two
+        single-bit flips in pair order — correlation axpy, masked residual
+        update, sign — applied to all escaping columns at once; every
+        element sees the per-column expressions.
         """
         delta = self.h[:, None] * signs[:, stalled]
-        pairs = resolve_stalls(gains, delta, self._overlap, self._pair_cap, co=self._co)
+        if self._bounds is None:
+            self._bounds = pair_bounds(self._cross_mag, self._overlap)
+        co, cap = self._bounds
+        pairs = resolve_stalls(gains, delta, self._overlap, cap, co)
         hit = pairs[:, 0] >= 0
         active[stalled[~hit]] = False
         cols, pairs = stalled[hit], pairs[hit]

@@ -23,6 +23,10 @@ session that is O(L²·K²) aggregate work where O(L·K²) suffices.
   the bits side of the residual to the symbol side — the residual matrix
   itself is untouched, exactly, and stays warm.
 
+The pair scan's cross-term bounds are not kept here: each decode round
+derives them from ``cross_mag`` and ``overlap`` in one pass
+(:func:`~repro.core.bp_decoder.pair_bounds`).
+
 Active-set arrays are indexed by *position* in the compacted set;
 ``active_idx`` maps a position back to its original node index. It is
 kept ascending, so argmax tie-breaks inside the kernels (first maximum)
@@ -47,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.bp_decoder import cross_magnitudes, pair_cross_caps
+from repro.core.bp_decoder import cross_magnitudes
 
 __all__ = ["DecoderState"]
 
@@ -88,15 +92,10 @@ class DecoderState:
     cross_mag:
         ``(K_active, K_active)`` exact pair cross-term magnitudes
         ``2|Re(conj(h_i)·h_j)|`` (:func:`~repro.core.bp_decoder.
-        cross_magnitudes`) — static per channel vector, compacted with
-        it on :meth:`peel`.
-    pair_cap:
-        ``(K_active,)`` cross-term caps
-        ``max_j 2|Re(conj(h_i)·h_j)|·ov_ij`` for the pair scan's O(K)
-        skip (:func:`~repro.core.bp_decoder.best_pair_flip`); maintained
-        alongside the overlap — grown blockwise in :meth:`append_slot`,
-        recomputed on :meth:`peel` — and always equal to a from-scratch
-        :func:`~repro.core.bp_decoder.pair_cross_caps`.
+        cross_magnitudes`) — static per channel vector, recomputed with
+        it on :meth:`peel`. A kernel derives its pair-scan bounds from it
+        and ``overlap`` at its first stall
+        (:func:`~repro.core.bp_decoder.pair_bounds`).
     bits:
         ``(K_active, M)`` uint8 — the canonical estimates for active nodes.
     corr_re / corr_im:
@@ -120,7 +119,6 @@ class DecoderState:
         self._set_channels(h_full.copy())
         self.weights = np.zeros(self.k_full)
         self.overlap = np.zeros((self.k_full, self.k_full))
-        self.pair_cap = np.zeros(self.k_full)
         self.bits = np.ascontiguousarray(bits.copy())
         self.corr_re = np.zeros((self.k_full, self.m))
         self.corr_im = np.zeros((self.k_full, self.m))
@@ -137,7 +135,7 @@ class DecoderState:
         self.abs_h = np.abs(self.h)
         self.abs_h2 = self.abs_h**2
         # Static per channel vector: exact pair cross-term magnitudes
-        # for the pair scan's candidate filter (kernels bind it by view).
+        # for the pair scan's bounds (kernels bind it by view).
         self.cross_mag = cross_magnitudes(self.h)
 
     # ---- views ----------------------------------------------------------------
@@ -202,15 +200,6 @@ class DecoderState:
         # Rank-1 structure updates: weights, DᵀD outer product.
         self.weights[nz] += 1.0
         self.overlap[np.ix_(nz, nz)] += 1.0
-        if nz.size >= 2:
-            # Overlap entries only grow, and this slot grew exactly the
-            # (nz × nz) block — folding its cross-term caps in by max
-            # keeps pair_cap equal to pair_cross_caps(overlap, h)
-            # computed from scratch, product for product.
-            block = np.ix_(nz, nz)
-            cross = self.cross_mag[block] * self.overlap[block]
-            np.fill_diagonal(cross, 0.0)
-            self.pair_cap[nz] = np.maximum(self.pair_cap[nz], cross.max(axis=1))
         # New residual row under the current estimates, and its axpy into
         # the correlations (corr_i gains d[j,i]·conj(r_j), i.e. only nz).
         if nz.size:
@@ -248,11 +237,6 @@ class DecoderState:
         self._set_channels(self.h[keep])
         self.weights = self.weights[keep]
         self.overlap = np.ascontiguousarray(self.overlap[np.ix_(keep, keep)])
-        # Recompute (not slice) the cross-term caps: a peeled column may
-        # have been some survivor's best partner, and a stale cap would
-        # stop the pair scan's O(K) skip from ever firing for it.
-        # (_set_channels above already compacted h and cross_mag.)
-        self.pair_cap = pair_cross_caps(self.overlap, self.h, cross_mag=self.cross_mag)
         self.bits = np.ascontiguousarray(self.bits[keep])
         self.corr_re = np.ascontiguousarray(self.corr_re[keep])
         self.corr_im = np.ascontiguousarray(self.corr_im[keep])

@@ -5,6 +5,10 @@ reader.
   Alg. 1, one bit position at a time). The packed production kernel,
   :class:`~repro.core.bp_decoder.PackedBitFlipDecoder`, must take its
   flip decisions and its restart RNG draws.
+* :func:`full_pair_scan` is its pair-flip escape: the plain (free × free)
+  scan under a ``frozen`` mask, with no candidate caps or bounds. The
+  kernel's batched resolver (:func:`~repro.core.bp_decoder.
+  resolve_stalls`) must pick its pairs; the two share no scan code.
 * :func:`decode_full_width` runs that kernel on a full-width ``(L, K)``
   problem with a ``frozen`` mask, as the packed ≡ scalar suites and the
   decoder benches call it.
@@ -43,14 +47,48 @@ from repro.core.bp_decoder import (
     _NEG_INF,
     BatchedDecodeOutcome,
     PackedBitFlipDecoder,
-    best_pair_flip,
     cross_magnitudes,
-    pair_cross_caps,
 )
 from repro.core.rateless import RatelessDecoder
 from repro.utils.validation import ensure_positive_int
 
-__all__ = ["BitFlipDecoder", "DecodeOutcome", "RebuildRatelessDecoder", "decode_full_width"]
+__all__ = [
+    "BitFlipDecoder",
+    "DecodeOutcome",
+    "RebuildRatelessDecoder",
+    "decode_full_width",
+    "full_pair_scan",
+]
+
+
+def full_pair_scan(
+    gains: np.ndarray,
+    delta: np.ndarray,
+    overlap: np.ndarray,
+    frozen: np.ndarray,
+) -> Optional[tuple]:
+    """Best positive-gain joint two-bit flip over the unfrozen bits, or
+    ``None``.
+
+    Flipping *i* and *j* together changes the error by
+    ``G_i + G_j − 2·Re(conj(δ_i)·δ_j)·|d_i ∩ d_j|`` — the cross term lives
+    only on shared slots — so the whole pair matrix comes from the
+    single-flip gains plus the slot-overlap counts. Every pair ``i < j``
+    of unfrozen bits is evaluated; the first strict maximum in row-major
+    order wins if it clears the gain tolerance.
+    """
+    free = np.flatnonzero(~frozen)
+    if free.size < 2:
+        return None
+    g = gains[free]
+    dlt = delta[free]
+    cross = 2.0 * np.real(np.conj(dlt)[:, None] * dlt[None, :])
+    pair_gains = g[:, None] + g[None, :] - cross * overlap[np.ix_(free, free)]
+    pair_gains[np.tril_indices(free.size)] = _NEG_INF
+    i, j = divmod(int(np.argmax(pair_gains)), free.size)
+    if not pair_gains[i, j] > _GAIN_TOL:
+        return None
+    return int(free[i]), int(free[j])
 
 
 @dataclass
@@ -109,32 +147,6 @@ class BitFlipDecoder:
         self._overlap = self.d.T.astype(int) @ self.d.astype(int)
         shared = self._overlap > 0
         self._nofn: List[np.ndarray] = [np.flatnonzero(shared[i]) for i in range(self.k)]
-        self._pair_cap_cache: Optional[np.ndarray] = None
-        self._cross_mag_cache: Optional[np.ndarray] = None
-        self._co_cache: Optional[np.ndarray] = None
-
-    @property
-    def _cross_mag(self) -> np.ndarray:
-        """Exact pair cross-term magnitudes, built on demand."""
-        if self._cross_mag_cache is None:
-            self._cross_mag_cache = cross_magnitudes(self.h)
-        return self._cross_mag_cache
-
-    @property
-    def _co(self) -> np.ndarray:
-        """``cross_mag * overlap`` — the pair scan's shared bound matrix."""
-        if self._co_cache is None:
-            self._co_cache = self._cross_mag * self._overlap
-        return self._co_cache
-
-    @property
-    def _pair_cap(self) -> np.ndarray:
-        """Cross-term caps for the pair scan's O(K) skip, built on demand."""
-        if self._pair_cap_cache is None:
-            self._pair_cap_cache = pair_cross_caps(
-                self._overlap, self.h, cross_mag=self._cross_mag
-            )
-        return self._pair_cap_cache
 
     # ---- gain machinery -------------------------------------------------------
     def _all_gains(
@@ -167,21 +179,6 @@ class BitFlipDecoder:
         corr = self.d[:, affected].T.astype(float) @ np.conj(residual)
         gains[affected] = (
             2.0 * np.real(delta * corr) - self._weights[affected] * np.abs(delta) ** 2
-        )
-
-    def _best_pair_flip(
-        self, gains: np.ndarray, bits: np.ndarray, frozen: np.ndarray
-    ) -> Optional[tuple]:
-        """Find a joint two-bit flip with positive gain, if any.
-
-        Returns the best such pair or ``None`` — the shared closed-form
-        scan (:func:`best_pair_flip`) fed with the decoder's incremental
-        gains and slot-overlap counts.
-        """
-        delta = self.h * (1.0 - 2.0 * bits.astype(float))
-        return best_pair_flip(
-            gains, delta, self._overlap, frozen,
-            cap=self._pair_cap, co=self._co,
         )
 
     # ---- decoding -------------------------------------------------------------
@@ -240,7 +237,8 @@ class BitFlipDecoder:
                 # Single flips exhausted. Near-degenerate channel pairs
                 # (h_i ≈ ±h_j) create two-bit local minima a single flip
                 # cannot leave — scan joint pair flips before giving up.
-                pair = self._best_pair_flip(gains, bits, frozen_mask)
+                signed_h = self.h * (1.0 - 2.0 * bits.astype(float))
+                pair = full_pair_scan(gains, signed_h, self._overlap, frozen_mask)
                 if pair is None:
                     break
                 i, j = pair
@@ -363,13 +361,10 @@ def decode_full_width(
     bits = init[free]
     residual = y - (df * hf) @ bits.astype(float)
     corr = df.T @ np.conj(residual)
-    overlap = df.T @ df
-    cross_mag = cross_magnitudes(hf)
     snapshot = SimpleNamespace(
         d=df, h=hf, weights=df.sum(axis=0),
         hr=np.ascontiguousarray(hf.real), hi=np.ascontiguousarray(hf.imag),
-        abs_h2=np.abs(hf) ** 2, overlap=overlap, cross_mag=cross_mag,
-        pair_cap=pair_cross_caps(overlap, hf, cross_mag=cross_mag),
+        abs_h2=np.abs(hf) ** 2, overlap=df.T @ df, cross_mag=cross_magnitudes(hf),
         bits=bits, residual=residual,
         corr_re=np.ascontiguousarray(corr.real), corr_im=np.ascontiguousarray(corr.imag),
         y=y, k_full=h.size, active_idx=free,

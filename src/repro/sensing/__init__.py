@@ -16,23 +16,17 @@ temporary ids and their channels) from ``M ≈ K·log a`` collision symbols
   recovered vector, its support and diagnostics.
 """
 
-# Eager, unlike the other packages: ``basis_pursuit`` names both a submodule
-# and a function, and a lazily filled name would turn into the module
-# whenever the submodule loads. Nothing that declares a campaign imports
-# this package.
-from repro.sensing.basis_pursuit import basis_pursuit, basis_pursuit_complex
-from repro.sensing.greedy import cosamp, iht, omp
-from repro.sensing.matrices import bernoulli_matrix
-from repro.sensing.recovery import RecoveryResult, recover_sparse, support_from_estimate
+# The solver function ``basis_pursuit`` is not re-exported: it would shadow
+# the submodule of the same name, so ``import repro.sensing.basis_pursuit``
+# would bind the function. Import it from its module.
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "RecoveryResult",
-    "basis_pursuit",
-    "basis_pursuit_complex",
-    "bernoulli_matrix",
-    "cosamp",
-    "iht",
-    "omp",
-    "recover_sparse",
-    "support_from_estimate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sensing.basis_pursuit": ("basis_pursuit_complex",),
+        "repro.sensing.greedy": ("cosamp", "iht", "omp"),
+        "repro.sensing.matrices": ("bernoulli_matrix",),
+        "repro.sensing.recovery": ("RecoveryResult", "recover_sparse", "support_from_estimate"),
+    },
+)

@@ -390,7 +390,8 @@ class TestIncrementalGains:
 
 
 class TestPairFlipCandidateFilter:
-    """The cap-restricted pair scan must equal the full scan, bit for bit."""
+    """The capped, batched resolver on the peeled problem must pick the
+    full scan's pair, bit for bit, ties and frozen masks included."""
 
     @staticmethod
     def _scan_instance(rng, k, ties=False):
@@ -414,12 +415,22 @@ class TestPairFlipCandidateFilter:
         gains[frozen] = -np.inf
         return gains, delta, overlap, frozen
 
-    def test_capped_scan_equals_full_scan_fuzz(self):
-        from repro.core.bp_decoder import (
-            best_pair_flip,
-            cross_magnitudes,
-            pair_cross_caps,
+    @staticmethod
+    def _resolve(gains, delta, overlap, frozen):
+        """``resolve_stalls`` on the peeled one-column problem, as a
+        full-problem pair or ``None``."""
+        from repro.core.bp_decoder import cross_magnitudes, pair_bounds, resolve_stalls
+
+        free = np.flatnonzero(~frozen)
+        ovf = overlap[np.ix_(free, free)]
+        co, cap = pair_bounds(cross_magnitudes(delta[free]), ovf)
+        (i, j), = resolve_stalls(
+            gains[free, None], delta[free, None], ovf, cap, co
         )
+        return None if i < 0 else (int(free[i]), int(free[j]))
+
+    def test_capped_scan_equals_full_scan_fuzz(self):
+        from repro.core.reference import full_pair_scan
 
         rng = np.random.default_rng(42)
         outcomes = {None: 0, "pair": 0}
@@ -428,28 +439,22 @@ class TestPairFlipCandidateFilter:
             gains, delta, overlap, frozen = self._scan_instance(
                 rng, k, ties=bool(trial % 3 == 0)
             )
-            cap = pair_cross_caps(overlap, delta)
-            full = best_pair_flip(gains, delta, overlap, frozen)
-            capped = best_pair_flip(gains, delta, overlap, frozen, cap=cap)
+            full = full_pair_scan(gains, delta, overlap, frozen)
+            capped = self._resolve(gains, delta, overlap, frozen)
             assert capped == full, f"trial {trial}: {capped} != {full}"
-            with_co = best_pair_flip(
-                gains, delta, overlap, frozen,
-                cap=cap, co=cross_magnitudes(delta) * overlap,
-            )
-            assert with_co == full, f"trial {trial}: {with_co} != {full}"
             outcomes["pair" if full else None] += 1
         # The fuzz must exercise both branches to mean anything.
         assert outcomes[None] > 20
         assert outcomes["pair"] > 20
 
     def test_capped_scan_all_frozen_and_tiny(self):
-        from repro.core.bp_decoder import best_pair_flip, pair_cross_caps
+        from repro.core.reference import full_pair_scan
 
         rng = np.random.default_rng(0)
         gains, delta, overlap, frozen = self._scan_instance(rng, 5)
-        cap = pair_cross_caps(overlap, delta)
         all_frozen = np.ones(5, dtype=bool)
-        assert best_pair_flip(gains, delta, overlap, all_frozen, cap=cap) is None
         one_free = all_frozen.copy()
         one_free[2] = False
-        assert best_pair_flip(gains, delta, overlap, one_free, cap=cap) is None
+        for mask in (all_frozen, one_free):
+            assert full_pair_scan(gains, delta, overlap, mask) is None
+            assert self._resolve(gains, delta, overlap, mask) is None

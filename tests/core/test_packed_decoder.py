@@ -15,8 +15,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import bp_decoder
 from repro.core.bp_decoder import PackedBitFlipDecoder, resolve_kernel
 from repro.core.config import BuzzConfig
 from repro.core.reference import BitFlipDecoder, RebuildRatelessDecoder, decode_full_width
@@ -105,6 +107,38 @@ class TestPackedEquivalence:
         out = decode_full_width(d, h, np.zeros((d.shape[0], 0)), np.zeros((d.shape[1], 0), dtype=np.uint8))
         assert out.bits.shape == (d.shape[1], 0)
         assert out.residual_norms.size == 0
+
+
+class TestBoundRouteAgainstScalar:
+    """An early-session instance — K = 120 tags, only 0.2·K rows at the
+    data density, random init — stalls with many candidates per column,
+    so the stall resolver takes its per-column bound route
+    (``best_pair_flip``) inside a real decode. The scalar decoder's full
+    pair scan shares no code with that route and must agree with every
+    decision."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bound_route_decode_matches_scalar(self, monkeypatch, seed):
+        calls = []
+        best_pair_flip = bp_decoder.best_pair_flip
+
+        def counted(*args):
+            calls.append(args[0].size)
+            return best_pair_flip(*args)
+
+        monkeypatch.setattr(bp_decoder, "best_pair_flip", counted)
+        rng = np.random.default_rng(seed)
+        k, m = 120, 8
+        slots = k // 5
+        d = (rng.random((slots, k)) < BuzzConfig().data_density(k)).astype(np.uint8)
+        h = rng.normal(size=k) + 1j * rng.normal(size=k)
+        truth = (rng.random((k, m)) < 0.5).astype(np.uint8)
+        noise = rng.normal(size=(slots, m)) + 1j * rng.normal(size=(slots, m))
+        ys = (d * h) @ truth.astype(float) + 0.1 * noise
+        init = (rng.random((k, m)) < 0.5).astype(np.uint8)
+        got = decode_full_width(d, h, ys, init)
+        _assert_matches_scalar(got, _scalar(d, h, ys, init, None, max_flips=10_000))
+        assert calls, "the decode never took the bound route"
 
 
 def _noiseless(seed, k, slots, m, density):

@@ -223,35 +223,6 @@ class TestDecoderState:
         with pytest.raises(ValueError):
             DecoderState(np.ones(3, dtype=complex), np.zeros((2, 5), dtype=np.uint8))
 
-    def test_pair_cap_matches_recompute_after_appends_and_peel(self):
-        """The incrementally folded pair_cap equals pair_cross_caps
-        recomputed from scratch — after every append and after a peel."""
-        from repro.core.bp_decoder import pair_cross_caps
-
-        rng = np.random.default_rng(6)
-        k, m = 9, 13
-        h = rng.normal(size=k) + 1j * rng.normal(size=k)
-        bits = (rng.random((k, m)) < 0.5).astype(np.uint8)
-        state = DecoderState(h, bits)
-        for _ in range(60):
-            row = (rng.random(k) < 0.3).astype(np.uint8)
-            sym = rng.normal(size=m) + 1j * rng.normal(size=m)
-            state.append_slot(row, sym)
-            np.testing.assert_array_equal(
-                state.pair_cap, pair_cross_caps(state.overlap, state.h)
-            )
-        state.peel(np.array([1, 4], dtype=np.int64))
-        np.testing.assert_array_equal(
-            state.pair_cap, pair_cross_caps(state.overlap, state.h)
-        )
-        for _ in range(20):
-            row = (rng.random(k) < 0.3).astype(np.uint8)
-            sym = rng.normal(size=m) + 1j * rng.normal(size=m)
-            state.append_slot(row, sym)
-            np.testing.assert_array_equal(
-                state.pair_cap, pair_cross_caps(state.overlap, state.h)
-            )
-
 
 # ---------------------------------------------------------------------------
 # Incremental ≡ rebuild, end to end

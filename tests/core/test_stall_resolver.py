@@ -1,24 +1,21 @@
-"""The batched stall resolver must pick the uncapped pair scan's pair.
+"""The batched stall resolver must pick the full pair scan's pair.
 
 :func:`repro.core.bp_decoder.resolve_stalls` decides every stalled
-column of a decode round at once. Its oracle is the plain per-column
-:func:`~repro.core.bp_decoder.best_pair_flip` with no candidate caps —
-the full (free × free) scan with row-major first-maximum tie-breaking.
-Frozen bits reach the resolver as production hands them over: peeled
-out of the problem. The oracle scans the full problem under the frozen
-mask, and the resolver's pairs are mapped back through the free set.
+column of a decode round at once. Its oracle is the scalar decoder's
+:func:`~repro.core.reference.full_pair_scan`: the plain per-column
+(free × free) scan with row-major first-maximum tie-breaking, which shares
+no code with the resolver. Frozen bits reach the resolver as production
+hands them over: peeled out of the problem. The oracle scans the full
+problem under the frozen mask, and the resolver's pairs are mapped back
+through the free set.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import bp_decoder
-from repro.core.bp_decoder import (
-    best_pair_flip,
-    cross_magnitudes,
-    pair_cross_caps,
-    resolve_stalls,
-)
+from repro.core.bp_decoder import cross_magnitudes, pair_bounds, resolve_stalls
+from repro.core.reference import full_pair_scan
 
 
 def _problem(rng, k, integer):
@@ -82,14 +79,12 @@ def _tied_maximum(gains, delta, overlap, frozen):
     return upper.size > 1 and np.count_nonzero(upper == upper.max()) > 1
 
 
-def _resolve_peeled(h, overlap, gains, delta, frozen, with_co=True):
+def _resolve_peeled(h, overlap, gains, delta, frozen):
     """``resolve_stalls`` on the free-only problem, in full-problem indices."""
     free = np.flatnonzero(~frozen)
-    hf, ovf = h[free], overlap[np.ix_(free, free)]
-    pairs = resolve_stalls(
-        gains[free], delta[free], ovf, pair_cross_caps(ovf, hf),
-        co=cross_magnitudes(hf) * ovf if with_co else None,
-    )
+    ovf = overlap[np.ix_(free, free)]
+    co, cap = pair_bounds(cross_magnitudes(h[free]), ovf)
+    pairs = resolve_stalls(gains[free], delta[free], ovf, cap, co)
     hit = pairs[:, 0] >= 0
     pairs[hit] = free[pairs[hit]]
     return pairs
@@ -98,7 +93,7 @@ def _resolve_peeled(h, overlap, gains, delta, frozen, with_co=True):
 def _oracle(gains, delta, overlap, frozen):
     pairs = np.full((gains.shape[1], 2), -1, dtype=np.int64)
     for s in range(gains.shape[1]):
-        pair = best_pair_flip(gains[:, s], delta[:, s], overlap, frozen)
+        pair = full_pair_scan(gains[:, s], delta[:, s], overlap, frozen)
         if pair is not None:
             pairs[s] = pair
     return pairs
@@ -106,8 +101,9 @@ def _oracle(gains, delta, overlap, frozen):
 
 @pytest.fixture
 def bound_route_calls(monkeypatch):
-    """Count the columns the resolver hands to the per-column bound path."""
+    """Count the columns the resolver hands to the per-column bound route."""
     calls = []
+    best_pair_flip = bp_decoder.best_pair_flip
 
     def counted(*args, **kwargs):
         calls.append(args[0].size)
@@ -141,7 +137,7 @@ def test_resolver_matches_uncapped_scan_fuzz(bound_route_calls):
     assert seen["none"] > 100
     assert seen["all_fruitless"] > 30
     assert seen["ties"] > 20
-    # Wide, many-candidate columns took the per-column bound path.
+    # Wide, many-candidate columns took the per-column bound route.
     assert len(bound_route_calls) > 20
 
 
@@ -152,7 +148,7 @@ def test_resolver_chunks_stacked_blocks(monkeypatch):
     for trial in range(60):
         k = int(rng.integers(4, 40))
         h, overlap, gains, delta, frozen = _round(rng, k, integer=trial % 2 == 0)
-        got = _resolve_peeled(h, overlap, gains, delta, frozen, with_co=False)
+        got = _resolve_peeled(h, overlap, gains, delta, frozen)
         np.testing.assert_array_equal(
             got, _oracle(gains, delta, overlap, frozen), err_msg=f"trial {trial}"
         )
@@ -167,8 +163,8 @@ def test_resolver_degenerate_inputs():
         pairs = _resolve_peeled(h, overlap, gains, delta, frozen)
         assert pairs.shape == (3, 2)
         assert (pairs == -1).all()
+    co, cap = pair_bounds(cross_magnitudes(h), overlap)
     empty = resolve_stalls(
-        np.zeros((6, 0)), np.zeros((6, 0), dtype=complex),
-        overlap, pair_cross_caps(overlap, h),
+        np.zeros((6, 0)), np.zeros((6, 0), dtype=complex), overlap, cap, co
     )
     assert empty.shape == (0, 2)

@@ -101,3 +101,20 @@ def test_building_and_planning_a_spec_loads_no_decoder():
     assert unknown == (
         "unknown scheme 'aloha'; registered: " + ", ".join(sorted(BUILTIN_SCHEMES))
     )
+
+
+_SENSING_SUBMODULE = """
+import sys, types
+sys.path.insert(0, sys.argv[1])
+import repro.sensing.basis_pursuit as bp
+print(isinstance(bp, types.ModuleType), callable(bp.basis_pursuit))
+from repro.sensing import basis_pursuit_complex, recover_sparse
+import repro.sensing
+print(repro.sensing.basis_pursuit is bp, basis_pursuit_complex is bp.basis_pursuit_complex)
+"""
+
+
+def test_sensing_submodule_is_not_shadowed_by_its_function():
+    # The package re-exports no name of its own submodules, so the
+    # submodule import binds the module, before and after lazy loads.
+    assert _run(_SENSING_SUBMODULE).split() == ["True"] * 4
