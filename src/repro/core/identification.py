@@ -22,7 +22,7 @@ RFID systems".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "ChannelEstimates",
     "IdentificationResult",
     "identify",
+    "MAX_ATTEMPTS",
     "cs_transmit_matrix",
     "candidate_matrix",
 ]
@@ -161,14 +162,19 @@ def candidate_matrix(candidates: Sequence[int], n_slots: int) -> np.ndarray:
     return transmit_pattern_matrix(list(candidates), n_slots, p=0.5, salt=SALT_CSPATTERN)
 
 
+#: Protocol runs :func:`identify` makes before it returns a result that
+#: still holds a temporary-id collision.
+MAX_ATTEMPTS = 3
+
+
 def identify(
     tags: Sequence[BackscatterTag],
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
     config: BuzzConfig = BuzzConfig(),
-    max_attempts: int = 3,
 ) -> IdentificationResult:
-    """Run the three-stage protocol, restarting on temporary-id collisions.
+    """Run the three-stage protocol, restarting on temporary-id collisions
+    (at most :data:`MAX_ATTEMPTS` runs).
 
     ``tags`` are the K active nodes (inactive nodes never transmit and cost
     nothing — the whole point of the design). The reader never uses
@@ -176,13 +182,9 @@ def identify(
     """
     channels = np.array([t.channel for t in tags], dtype=complex)
     total_slots = 0
-    attempts = 0
     tx_counts = np.zeros(len(tags), dtype=int)
-    last_result: Optional[IdentificationResult] = None
 
-    while attempts < max_attempts:
-        attempts += 1
-
+    for attempts in range(1, MAX_ATTEMPTS + 1):
         # ---- Stage 1: estimate K ---------------------------------------------
         # The attempt number doubles as the session nonce the reader
         # broadcasts, so a restart draws fresh Stage-1 coins.
@@ -247,7 +249,7 @@ def identify(
             and recovered.size == len(tags)
             and np.array_equal(recovered, true_ids)
         )
-        last_result = IdentificationResult(
+        outcome = IdentificationResult(
             recovered_ids=recovered,
             channel_estimates=estimates,
             k_estimate=kest,
@@ -260,9 +262,7 @@ def identify(
             exact=exact,
             transmissions=tx_counts.copy(),
         )
-        if not duplicates:
-            return last_result
-        # Temporary-id collision: the paper's reader starts the protocol over.
-
-    assert last_result is not None
-    return last_result
+        # On a temporary-id collision the paper's reader starts the
+        # protocol over, until its attempts run out.
+        if not duplicates or attempts == MAX_ATTEMPTS:
+            return outcome

@@ -15,10 +15,10 @@ works from the (by now possibly stale) channel estimates — exactly the
 mismatch mobility creates in a real deployment.
 
 On top sits the **stall monitor**, the adaptive session's trigger: the
-reader tracks slots since the last newly verified message and, past a
-configurable limit, stops the segment and reports it ``stalled`` so the
-pipeline can re-run identification and splice fresh estimates into a new
-segment. With the monitor disabled a segment runs to the same termination
+segment's :class:`~repro.core.rateless.RatelessDecoder` counts slots
+since its last newly verified message and, past a configurable limit,
+reports itself ``stalled``; the segment stops and the pipeline can re-run
+identification and splice fresh estimates into a new segment. With the monitor disabled a segment runs to the same termination
 conditions as a static field, which is what makes an adaptive session
 with the monitor off bit-identical to a plain end-to-end session.
 """

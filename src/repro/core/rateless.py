@@ -11,13 +11,13 @@ every node stops. The realised aggregate rate is ``K/L`` bits per symbol —
 above 1 when channels are good (fewer slots than senders), below 1 when
 they are bad.
 
-:class:`RatelessDecoder` is the reader half (consumes symbols, never looks
-at true messages). :class:`_DataPhase` is the reader's decode policy
-around it, stepped one collected slot at a time: a decode per slot, ACK
-pricing, stall monitor, newly verified columns. Every reader steps it.
-One air-side loop, :func:`_run_data_phase`, drives it from a live tag
-population through the PHY for the single-reader entry points, which
-only resolve their arguments. Each reader view has one entry point:
+:class:`RatelessDecoder` is the reader (consumes symbols, never looks
+at true messages), stepped one collected slot at a time by
+:meth:`~RatelessDecoder.ingest`: a decode per slot, ACK pricing, stall
+monitor, newly verified columns. One air-side loop,
+:func:`_run_data_phase`, drives it from a live tag population through the
+PHY for the single-reader entry points, which only resolve their
+arguments. Each reader view has one entry point:
 
 * the **oracle view** (the tags' own ids and channels, paper §9's
   evaluation setting): :func:`run_rateless_uplink` and, with §8.2 ACK
@@ -28,9 +28,9 @@ only resolve their arguments. Each reader view has one entry point:
   drifting, churning field.
 
 All return a :class:`RatelessRunResult`. The multi-reader actors of
-:mod:`repro.sim.multireader` step the stepper from their slot events. It
-looks the decoder class up here at call time — the single patch point for
-the rebuild reference, reaching every entry point.
+:mod:`repro.sim.multireader` step a decoder from their slot events. Both
+loops look the decoder class up in this module at call time — the single
+patch point for the rebuild reference, reaching every entry point.
 """
 
 from __future__ import annotations
@@ -88,6 +88,16 @@ class RatelessDecoder:
         The transmit probability ``p`` the reader broadcast.
     noise_std:
         Complex noise std of the link — gates message verification (below).
+    ack_s:
+        One silencing ACK's airtime (§8.2), ``None`` without silencing.
+    stall_limit:
+        Collected slots without a newly verified message after which the
+        decoder reports itself ``stalled`` (``None`` disables the monitor).
+
+    A caller keeps the air side and hands each collected slot to
+    :meth:`ingest` under the D row it regenerated with
+    :meth:`expected_rows`; it reads ``done``, ``acked``,
+    ``ack_overhead_s`` and ``stalled`` back.
 
     The decoder keeps a persistent :class:`~repro.core.decoder_state.
     DecoderState` across decode calls: a rank-(new rows) extension per
@@ -141,6 +151,8 @@ class RatelessDecoder:
         config: BuzzConfig = BuzzConfig(),
         rng: Optional[np.random.Generator] = None,
         noise_std: float = 0.0,
+        ack_s: Optional[float] = None,
+        stall_limit: Optional[int] = None,
     ):
         self.seeds = [int(s) for s in seeds]
         self.h = np.asarray(channels, dtype=complex).ravel()
@@ -168,6 +180,11 @@ class RatelessDecoder:
         # Per received row: the margin test's constellation and distances.
         self._margin_tables: dict = {}
         self._state = self._new_state()
+        self.ack_s, self.stall_limit = ack_s, stall_limit
+        self.acked = np.zeros(self.k, dtype=bool)  # columns silenced by an ACK
+        self.ack_overhead_s = 0.0
+        self.stalled = False
+        self._idle_slots = 0  # ingested since the last newly verified message
 
     def _new_state(self) -> DecoderState:
         """The persistent decode state, built over the initial estimates."""
@@ -187,16 +204,18 @@ class RatelessDecoder:
     def all_decoded(self) -> bool:
         return bool(self._decoded.all())
 
+    @property
+    def done(self) -> bool:
+        """Every column verified, or the stall monitor gave up."""
+        return self.stalled or self.all_decoded
+
     def messages(self) -> np.ndarray:
         """Current ``(K, P)`` message estimates."""
         return self._estimates.copy()
 
-    def expected_row(self, slot: int) -> np.ndarray:
-        """Regenerate the D row for ``slot`` from the seeds (Eq. 7's D)."""
-        return self.expected_rows([slot])[0]
-
     def expected_rows(self, slots: Sequence[int]) -> np.ndarray:
-        """Regenerate a ``(len(slots), K)`` block of D rows in one pass.
+        """Regenerate a ``(len(slots), K)`` block of D rows (Eq. 7's D)
+        from the seeds in one pass — nothing about a row is signalled.
 
         One vectorized :func:`~repro.coding.prng.slot_decision_matrix` call
         replaces ``len(slots) × K`` scalar PRNG evaluations — the reader's
@@ -205,29 +224,45 @@ class RatelessDecoder:
         return slot_decision_matrix(self.seeds, slots, self.density, salt=SALT_DATA)
 
     # ---- decoding --------------------------------------------------------------
-    def add_slot(
-        self,
-        symbols: np.ndarray,
-        slot: Optional[int] = None,
-        row: Optional[np.ndarray] = None,
-    ) -> None:
-        """Ingest one slot's received symbols (length P).
+    def ingest(self, symbols: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Collect and decode one slot (the paper's "decode as you go")
+        under the reader's regenerated ``row``; return the columns that
+        newly verified.
 
-        ``slot`` defaults to the next index; the reader regenerates the
-        corresponding D row itself — nothing about the row is signalled.
-        ``row`` overrides that regeneration with reader-side knowledge of a
-        modified schedule (e.g. the silencing variant masks out ACKed tags,
-        whom the reader knows will stay quiet).
+        The reader knows exactly whom it ACKed (nobody without silencing),
+        so it masks them out of its own row — reader-side knowledge, not
+        signalling. With ``ack_s`` set, each newly verified column costs
+        one ACK and is silenced from the next slot on. The stall monitor
+        counts ingests that verify nothing new; it never trips once every
+        column is decoded.
+        """
+        before = self.decoded_mask
+        self.add_slot(symbols, row * (~self.acked).astype(np.uint8))
+        self.try_decode()
+        fresh = np.flatnonzero(self._decoded & ~before)
+        if self.ack_s is not None:
+            self.ack_overhead_s += fresh.size * self.ack_s
+            self.acked = self.decoded_mask
+        self._idle_slots = 0 if fresh.size else self._idle_slots + 1
+        if self.stall_limit is not None and not self.all_decoded:
+            self.stalled = self._idle_slots >= self.stall_limit
+        return fresh
+
+    def add_slot(self, symbols: np.ndarray, row: np.ndarray) -> None:
+        """Store one slot's received symbols (length P) under its D row,
+        without decoding.
+
+        ``row`` is the reader's regenerated row (:meth:`expected_rows`),
+        possibly masked with reader-side knowledge of a modified schedule
+        (the silencing variant masks out ACKed tags, whom the reader knows
+        will stay quiet).
         """
         symbols = np.asarray(symbols, dtype=complex).ravel()
         if symbols.size != self.p:
             raise ValueError(f"expected {self.p} symbols per slot, got {symbols.size}")
-        if row is None:
-            row = self.expected_row(self.slots_collected if slot is None else int(slot))
-        else:
-            row = np.asarray(row, dtype=np.uint8).ravel()
-            if row.size != self.k:
-                raise ValueError(f"expected a D row of length {self.k}, got {row.size}")
+        row = np.asarray(row, dtype=np.uint8).ravel()
+        if row.size != self.k:
+            raise ValueError(f"expected a D row of length {self.k}, got {row.size}")
         self._ensure_capacity(self._n_rows + 1)
         j = self._n_rows
         self._row_buf[j] = row  # assignment copies — the buffer is append-only
@@ -598,72 +633,6 @@ def _air_slot(
     return air_row, front_end.observe(tx_per_position, channels, rng)
 
 
-class _DataPhase:
-    """The reader side of one data phase, stepped one collected slot at a
-    time — the decode policy every driver shares.
-
-    It builds the one :class:`RatelessDecoder` (looked up here at call
-    time, the rebuild oracle's patch point) and, per :meth:`ingest`ed
-    slot, masks the ACKed columns out of the reader's row, decodes (the
-    paper's "decode as you go"), prices the ACKs of what newly verified
-    and runs the stall monitor.
-    ``ack_s`` is one silencing ACK's airtime, ``None`` without silencing;
-    ``stall_limit`` bounds the collected slots without a newly verified
-    message (``None`` disables the monitor). The drivers keep the air side
-    and read ``done``, ``acked``, ``ack_overhead_s``, ``stalled`` and
-    ``decoder``.
-    """
-
-    def __init__(
-        self,
-        seeds: Sequence[int],
-        channels: np.ndarray,
-        n_positions: int,
-        density: float,
-        *,
-        config: BuzzConfig,
-        noise_std: float,
-        rng: np.random.Generator,
-        ack_s: Optional[float] = None,
-        stall_limit: Optional[int] = None,
-    ):
-        self.decoder = RatelessDecoder(
-            seeds, channels, n_positions, density, config,
-            np.random.default_rng(rng.integers(0, 2**63)), noise_std,
-        )
-        self.ack_s, self.stall_limit = ack_s, stall_limit
-        self.acked = self._verified = np.zeros(len(seeds), dtype=bool)
-        self.ack_overhead_s = 0.0
-        self.stalled = False
-        self._idle_slots = 0  # collected since the last newly verified message
-
-    @property
-    def done(self) -> bool:
-        return self.stalled or self.decoder.all_decoded
-
-    def ingest(self, symbols: np.ndarray, slot: int, row: np.ndarray) -> np.ndarray:
-        """Collect and decode one slot under the reader's regenerated
-        ``row``; return the view columns that newly verified.
-
-        The reader knows exactly whom it ACKed (nobody without silencing),
-        so it masks them out of its own row — reader-side knowledge, not
-        signalling.
-        """
-        decoder = self.decoder
-        decoder.add_slot(symbols, slot, row=row * (~self.acked).astype(np.uint8))
-        decoder.try_decode()
-        mask = decoder.decoded_mask
-        fresh = np.flatnonzero(mask & ~self._verified)
-        self._verified = mask
-        if self.ack_s is not None:
-            self.ack_overhead_s += fresh.size * self.ack_s
-            self.acked = self._verified
-        self._idle_slots = 0 if fresh.size else self._idle_slots + 1
-        if self.stall_limit is not None and not decoder.all_decoded:
-            self.stalled = self._idle_slots >= self.stall_limit
-        return fresh
-
-
 def _run_data_phase(
     messages: np.ndarray,
     channels: Optional[np.ndarray],
@@ -683,12 +652,12 @@ def _run_data_phase(
     stall_limit: Optional[int] = None,
 ) -> RatelessRunResult:
     """The air side of the data phase every single-reader entry point runs
-    (module docstring); the reader side is a :class:`_DataPhase`.
+    (module docstring); the reader side is a :class:`RatelessDecoder`.
 
     Per slot: the tags on the air are the participants that are in the
-    field now and not silenced; the reader receives and the phase ingests
-    the slot. ``channels`` is the static field; a ``trajectory`` replaces
-    it with the channels and presence at each slot's airtime,
+    field now and not silenced; the reader receives and the decoder
+    ingests the slot. ``channels`` is the static field; a ``trajectory``
+    replaces it with the channels and presence at each slot's airtime,
     ``start_s`` on.
 
     Receive path: a static field without silencing has fixed rows and
@@ -700,12 +669,12 @@ def _run_data_phase(
     the block's earlier slots.
     """
     k, n_positions = messages.shape
-    phase = _DataPhase(
-        view.seeds, view.h, n_positions, density, config=config,
-        noise_std=front_end.noise_std, rng=rng, stall_limit=stall_limit,
+    decoder = RatelessDecoder(
+        view.seeds, view.h, n_positions, density, config,
+        np.random.default_rng(rng.integers(0, 2**63)), front_end.noise_std,
         ack_s=ack_duration_s(id_space) if silencing else None,
+        stall_limit=stall_limit,
     )
-    decoder = phase.decoder
     block_receive = trajectory is None and not silencing
     symbol_s = 1.0 / GEN2_DEFAULT_TIMING.uplink_rate_bps
     slot_s = n_positions * symbol_s
@@ -715,7 +684,7 @@ def _run_data_phase(
 
     transmissions = np.zeros(k, dtype=int)
     slot = 0
-    while slot < limit and not phase.done:
+    while slot < limit and not decoder.done:
         # The tags' coins are a pure function of (temp_id, slot), drawn for
         # a block at once; the reader regenerates its own D for the block.
         block = range(slot, min(slot + block_size, limit))
@@ -736,19 +705,19 @@ def _run_data_phase(
                 row, symbols = tag_rows[offset], block_symbols[offset]
             else:
                 # A tag falls silent when its own temporary id is echoed.
-                on_air = ~(matched & phase.acked[view.mapping])
+                on_air = ~(matched & decoder.acked[view.mapping])
                 if trajectory is not None:
                     # Airtime so far, measured at this slot's start.
-                    now = start_s + slot * slot_s + phase.ack_overhead_s
+                    now = start_s + slot * slot_s + decoder.ack_overhead_s
                     on_air &= participants & trajectory.active_at(now)
                     channels_now = trajectory.channels_at(now)
                 row, symbols = _air_slot(
                     tag_rows[offset], on_air, messages, channels_now, front_end, rng
                 )
             transmissions += row
-            phase.ingest(symbols, slot, reader_rows[offset])
+            decoder.ingest(symbols, reader_rows[offset])
             slot += 1
-            if phase.done:
+            if decoder.done:
                 break
 
     # Project the per-view outcome back onto the tags.
@@ -764,13 +733,13 @@ def _run_data_phase(
         decoded_mask=decoded,
         messages=estimates,
         slots_used=slots,
-        duration_s=airtime + GEN2_DEFAULT_TIMING.query_duration_s() + phase.ack_overhead_s,
+        duration_s=airtime + GEN2_DEFAULT_TIMING.query_duration_s() + decoder.ack_overhead_s,
         transmissions=transmissions,
         progress=decoder.progress,
         bit_errors=int(np.count_nonzero(estimates != messages)),
         in_view=matched.copy(),
-        ack_overhead_s=phase.ack_overhead_s,
-        stalled=phase.stalled,
+        ack_overhead_s=decoder.ack_overhead_s,
+        stalled=decoder.stalled,
     )
 
 

@@ -23,9 +23,9 @@ reader.
   the received rows, not on how the problem is kept.)
 
 The equivalence suites and the session benchmark select the rebuild
-reader by patching the class name where the one data-phase stepper looks
-it up, in ``repro.core.rateless`` — the static, silencing and mobile
-entry points and the multi-reader actors all step it::
+reader by patching the class name where every data-phase loop looks it
+up at call time, in ``repro.core.rateless`` — the static, silencing and
+mobile entry points and the multi-reader actors all build it there::
 
     monkeypatch.setattr("repro.core.rateless.RatelessDecoder",
                         RebuildRatelessDecoder)

@@ -131,8 +131,7 @@ class Scenario:
             del token["readers"]
         return token
 
-    def draw_population(self, rng: np.random.Generator, with_energy: bool = False,
-                        initial_voltage_v: float = 3.0) -> TagPopulation:
+    def draw_population(self, rng: np.random.Generator) -> TagPopulation:
         """Draw one location: channels + fresh messages for every tag."""
         channels = None
         if self.snr_band_db is not None:
@@ -148,8 +147,6 @@ class Scenario:
             rng,
             channel_model=self.channel_model,
             message_bits=self.message_bits,
-            with_energy=with_energy,
-            initial_voltage_v=initial_voltage_v,
             channels=channels,
             mobility=self.mobility,
             readers=self.readers,

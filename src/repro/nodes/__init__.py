@@ -2,9 +2,10 @@
 
 These are the simulation stand-ins for the paper's hardware (§7): UMass Moo
 computational RFIDs, Alien Squiggle commercial tags, and the USRP reader.
-Tags hold identity, message, channel and energy state; the reader front end
-turns per-slot transmit decisions into noisy received symbols and makes
-occupied/empty calls; populations bundle a deployment draw.
+Tags hold identity, message, channel and clock; the energy model prices
+their transmission records; the reader front end turns per-slot transmit
+decisions into noisy received symbols and makes occupied/empty calls;
+populations bundle a deployment draw.
 """
 
 from repro.utils.lazy import lazy_exports
@@ -13,13 +14,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.nodes.energy": (
-            "CapacitorEnergyModel",
             "EnergyProfile",
             "MOO_ENERGY_PROFILE",
             "TransmissionCost",
         ),
         "repro.nodes.population": ("TagPopulation", "make_population"),
         "repro.nodes.reader": ("ReaderFrontEnd",),
-        "repro.nodes.tag": ("BackscatterTag", "TagKind"),
+        "repro.nodes.tag": ("BackscatterTag",),
     },
 )

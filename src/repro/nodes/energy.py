@@ -18,13 +18,11 @@ current from the storage capacitor, so power — and per-query energy — rises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.utils.validation import ensure_positive
 
-__all__ = ["EnergyProfile", "MOO_ENERGY_PROFILE", "TransmissionCost", "CapacitorEnergyModel"]
+__all__ = ["EnergyProfile", "MOO_ENERGY_PROFILE", "TransmissionCost"]
 
 
 @dataclass(frozen=True)
@@ -78,50 +76,3 @@ class EnergyProfile:
 #: Constants calibrated to the Moo (MSP430 @ ~4 mW active) so that the
 #: Fig. 13 reproduction lands in the paper's µJ-per-query range.
 MOO_ENERGY_PROFILE = EnergyProfile()
-
-
-@dataclass
-class CapacitorEnergyModel:
-    """Storage-capacitor bookkeeping: ``E = ½CV²``.
-
-    The paper attaches a 0.1 F capacitor so thousands of queries can be
-    measured as one voltage drop; :meth:`consume` mirrors that by debiting
-    energy and letting the voltage sag accordingly.
-    """
-
-    capacitance_f: float = 0.1
-    initial_voltage_v: float = 3.0
-    _consumed_j: float = field(init=False, default=0.0)
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.capacitance_f, "capacitance_f")
-        ensure_positive(self.initial_voltage_v, "initial_voltage_v")
-
-    @property
-    def stored_j(self) -> float:
-        """Energy currently stored."""
-        return 0.5 * self.capacitance_f * self.voltage_v**2
-
-    @property
-    def voltage_v(self) -> float:
-        """Current capacitor voltage after all consumption so far."""
-        initial = 0.5 * self.capacitance_f * self.initial_voltage_v**2
-        remaining = max(0.0, initial - self._consumed_j)
-        return float(np.sqrt(2.0 * remaining / self.capacitance_f))
-
-    @property
-    def consumed_j(self) -> float:
-        """Total energy debited, ``½C(V0² − Vf²)``."""
-        return self._consumed_j
-
-    def consume(self, energy_j: float) -> None:
-        """Debit ``energy_j``; raises if the capacitor would be exhausted."""
-        if energy_j < 0:
-            raise ValueError("energy_j must be >= 0")
-        if self._consumed_j + energy_j > 0.5 * self.capacitance_f * self.initial_voltage_v**2:
-            raise RuntimeError("capacitor exhausted — tag died mid-experiment")
-        self._consumed_j += energy_j
-
-    def reset(self) -> None:
-        """Recharge to the initial voltage."""
-        self._consumed_j = 0.0

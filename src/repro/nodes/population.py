@@ -1,8 +1,7 @@
 """Tag populations: a deployment draw bundled for the protocol layers.
 
 ``make_population`` draws K tags with channels from a
-:class:`~repro.phy.channel.ChannelModel`, random messages (CRC appended),
-per-tag clock models and optional capacitor energy state — everything the
+:class:`~repro.phy.channel.ChannelModel`, random messages (CRC appended) and per-tag clock models — everything the
 end-to-end experiments need for one "location" in the paper's methodology
 (§9 runs 10 locations × 5 traces per scheme).
 """
@@ -15,8 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.coding.crc import crc_append
-from repro.nodes.energy import CapacitorEnergyModel
-from repro.nodes.tag import BackscatterTag, TagKind
+from repro.nodes.tag import BackscatterTag
 from repro.phy.channel import ChannelModel, MobilityModel, MultiReaderModel
 from repro.phy.sync import ClockModel
 from repro.utils.bits import random_bits
@@ -86,9 +84,6 @@ def make_population(
     channel_model: Optional[ChannelModel] = None,
     message_bits: int = 32,
     id_space_bits: int = 20,
-    kind: TagKind = TagKind.MOO,
-    with_energy: bool = False,
-    initial_voltage_v: float = 3.0,
     channels: Optional[Sequence[complex]] = None,
     mobility: Optional[MobilityModel] = None,
     readers: Optional[MultiReaderModel] = None,
@@ -139,11 +134,7 @@ def make_population(
                 global_id=int(global_ids[i]),
                 channel=complex(drawn[i]),
                 message=message,
-                kind=kind,
                 clock=clocks[i],
-                energy=CapacitorEnergyModel(initial_voltage_v=initial_voltage_v)
-                if with_energy
-                else None,
             )
         )
     return TagPopulation(

@@ -2,7 +2,7 @@
 
 A :class:`BackscatterTag` carries everything the protocols need on the tag
 side: its global id, the temporary id it drew for this interaction, its
-message, single-tap channel, clock, and energy state. Crucially, every
+message, single-tap channel and clock. Crucially, every
 "random" decision a tag makes is a *deterministic* function of its seed and
 the slot index (via :func:`repro.coding.prng.slot_decision`), which is what
 allows the reader to replay those decisions during decoding — the linchpin
@@ -15,19 +15,16 @@ all derive from the same temporary id.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.coding.prng import slot_decision
-from repro.nodes.energy import CapacitorEnergyModel, EnergyProfile, MOO_ENERGY_PROFILE
 from repro.phy.sync import ClockModel
 from repro.utils.bits import as_bits
 
 __all__ = [
-    "TagKind",
     "BackscatterTag",
     "bucket_hash",
     "bucket_hash_array",
@@ -46,13 +43,6 @@ SALT_CSPATTERN = 303
 SALT_DATA = 404
 
 
-class TagKind(enum.Enum):
-    """Tag family — sets the synchronization profile used in microbenchmarks."""
-
-    MOO = "moo"
-    COMMERCIAL = "commercial"
-
-
 @dataclass
 class BackscatterTag:
     """One backscatter node.
@@ -68,18 +58,15 @@ class BackscatterTag:
         Payload bits (CRC already appended by the caller if desired).
     channel:
         Complex single-tap channel coefficient toward the reader.
-    kind, clock, energy, profile:
-        Hardware modelling state.
+    clock:
+        The tag's oscillator (fractional frequency error).
     """
 
     global_id: int
     channel: complex
     message: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
     temp_id: Optional[int] = None
-    kind: TagKind = TagKind.MOO
     clock: Optional[ClockModel] = None
-    energy: Optional[CapacitorEnergyModel] = None
-    profile: EnergyProfile = MOO_ENERGY_PROFILE
 
     def __post_init__(self) -> None:
         if self.global_id < 0:
@@ -130,25 +117,6 @@ class BackscatterTag:
         if self.temp_id is None:
             raise RuntimeError("tag has no temporary id yet")
         return bool(slot_decision(self.temp_id, slot, p, salt=SALT_DATA))
-
-    # ---- energy --------------------------------------------------------------
-    def spend(self, on_air_s: float, impedance_switches: int, voltage: Optional[float] = None) -> float:
-        """Debit one transmission's energy; returns joules spent.
-
-        If the tag has no capacitor model the cost is still computed (for
-        aggregate statistics) but nothing is debited.
-        """
-        from repro.nodes.energy import TransmissionCost
-
-        v = voltage if voltage is not None else (
-            self.energy.voltage_v if self.energy is not None else self.profile.v_nominal
-        )
-        joules = self.profile.energy_j(
-            TransmissionCost(on_air_s=on_air_s, impedance_switches=impedance_switches), v
-        )
-        if self.energy is not None:
-            self.energy.consume(joules)
-        return joules
 
 
 def bucket_hash(temp_id: int, n_buckets: int) -> int:

@@ -20,7 +20,7 @@ from repro.utils.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.phy.channel": ("ChannelModel", "SingleTapChannel"),
+        "repro.phy.channel": ("ChannelModel",),
         "repro.phy.constellation": (
             "Constellation",
             "collision_constellation",

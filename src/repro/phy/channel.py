@@ -9,7 +9,6 @@ distances therefore present very different amplitudes at the reader — the
 :class:`ChannelModel` is the experiment-facing sampler: it draws a vector of
 per-tag coefficients from a distance distribution plus Rician small-scale
 fading, and reports the implied per-tag SNRs for a given noise floor.
-:class:`SingleTapChannel` is the tiny value object the decoders consume.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.utils.units import db_to_power, power_to_db
 from repro.utils.validation import ensure_positive, ensure_positive_int
 
 __all__ = [
-    "SingleTapChannel",
     "ChannelModel",
     "MobilityModel",
     "ChannelTrajectory",
@@ -43,38 +41,6 @@ __all__ = [
 #:   discarded, the foreign energy lands in the received symbols as extra
 #:   noise (FADR mode 2).
 COLLISION_MODES: Tuple[str, ...] = ("naive", "capture", "interference")
-
-
-@dataclass(frozen=True)
-class SingleTapChannel:
-    """One tag's channel: a single complex coefficient.
-
-    Attributes
-    ----------
-    h:
-        Complex channel coefficient multiplying the tag's ON-OFF bit.
-    """
-
-    h: complex
-
-    @property
-    def magnitude(self) -> float:
-        """|h| — the received amplitude of the tag's reflection."""
-        return abs(self.h)
-
-    @property
-    def phase(self) -> float:
-        """Phase of ``h`` in radians."""
-        return float(np.angle(self.h))
-
-    def snr_db(self, noise_std: float) -> float:
-        """Per-tag SNR in dB against complex noise of std ``noise_std``."""
-        ensure_positive(noise_std, "noise_std")
-        return float(power_to_db(self.magnitude**2 / noise_std**2))
-
-    def apply(self, bits: np.ndarray) -> np.ndarray:
-        """Return ``h · bits`` as a complex array (noiseless contribution)."""
-        return self.h * np.asarray(bits, dtype=float)
 
 
 @dataclass

@@ -3,9 +3,12 @@
 The single-reader data-phase loop in :mod:`repro.core.rateless` advances
 one slot counter; here R readers free-run, each at its own cadence, each
 inventorying its own zone and stepping its own data phase (the
-single-reader loop's reader side, :class:`~repro.core.rateless.
-_DataPhase`: a decode per kept slot, verification, newly verified
-columns) over the tags currently homed there. The pieces:
+single-reader loop's reader, a :class:`~repro.core.rateless.
+RatelessDecoder` fed by :meth:`~repro.core.rateless.RatelessDecoder.
+ingest`: a decode per kept slot, verification, newly verified columns)
+over the tags currently homed there. The decoder class is looked up in
+:mod:`repro.core.rateless` at call time, so the rebuild reference's patch
+point reaches these readers too. The pieces:
 
 * **Zone membership** comes from a :class:`~repro.phy.channel.
   ZoneTrajectory` realised once per run — homes, overlap flags and Poisson
@@ -53,7 +56,8 @@ import numpy as np
 
 from repro.coding.prng import slot_decision_matrix
 from repro.core.config import BuzzConfig
-from repro.core.rateless import _air_slot, _DataPhase
+from repro.core import rateless
+from repro.core.rateless import _air_slot
 from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.population import TagPopulation
 from repro.nodes.reader import ReaderFrontEnd
@@ -175,8 +179,8 @@ class _ReaderActor:
 
     The actor is a small state machine driven entirely by scheduler
     callbacks; between events its state is the open session (members,
-    data phase, slot index) or nothing. It owns the air side; the
-    session's :class:`~repro.core.rateless._DataPhase` owns decoding.
+    decoder, slot index) or nothing. It owns the air side; the session's
+    :class:`~repro.core.rateless.RatelessDecoder` owns decoding.
     """
 
     def __init__(self, index: int, sim: _Simulation):
@@ -192,7 +196,7 @@ class _ReaderActor:
     def _clear_session(self) -> None:
         self.members = np.zeros(0, dtype=int)
         self.seeds: List[int] = []
-        self.phase: Optional[_DataPhase] = None
+        self.decoder: Optional[rateless.RatelessDecoder] = None
         self.slot_index = 0
 
     # ---- session lifecycle -----------------------------------------------------
@@ -221,10 +225,10 @@ class _ReaderActor:
         self.seeds = [
             int(s) for s in sim.rng.choice(sim.id_space, size=k_hat, replace=False)
         ]
-        self.phase = _DataPhase(
+        self.decoder = rateless.RatelessDecoder(
             self.seeds, sim.channels[members], sim.messages.shape[1],
-            sim.config.data_density(k_hat), config=sim.config,
-            noise_std=sim.front_end.noise_std, rng=sim.rng,
+            sim.config.data_density(k_hat), sim.config,
+            np.random.default_rng(sim.rng.integers(0, 2**63)), sim.front_end.noise_std,
         )
         self.slot_index = 0
         self.session_limit = sim.config.max_data_slots(k_hat)
@@ -237,13 +241,13 @@ class _ReaderActor:
     def _deliver(self, fresh: np.ndarray) -> None:
         """Hand the session's newly verified columns to the field."""
         if fresh.size:
-            estimates = self.phase.decoder.messages()
+            estimates = self.decoder.messages()
             for local in fresh:
                 self.sim.deliver(int(self.members[local]), estimates[local])
 
     def _session_exhausted(self, now_s: float) -> bool:
         """True when no undecoded member is still worth slots."""
-        pending = self.members[~self.phase.decoder.decoded_mask]
+        pending = self.members[~self.decoder.decoded_mask]
         if pending.size == 0:
             return True
         still_mine = self.sim.zones.home_at(now_s)[pending] == self.index
@@ -268,7 +272,7 @@ class _ReaderActor:
         # Tag-side coin draw for this slot — the same pure function of
         # (temp id, slot index) the decoder will regenerate.
         row = slot_decision_matrix(
-            self.seeds, range(j, j + 1), float(self.phase.decoder.density), salt=SALT_DATA
+            self.seeds, range(j, j + 1), float(self.decoder.density), salt=SALT_DATA
         )[0]
         # Only members inside this reader's coverage are lit by its carrier
         # and reflect: a member that drifted out mid-session stays silent,
@@ -300,12 +304,12 @@ class _ReaderActor:
         sim.post(TransmissionRecord(self.index, t0, t1, power_at))
 
         signal_power = float(gains.sum())
-        self._pending = (j, row, t0, t1, symbols, signal_power)
+        self._pending = (row, t0, t1, symbols, signal_power)
         sched.at(t1, self.slot_end)
 
     def slot_end(self, sched: EventScheduler) -> None:
         sim = self.sim
-        j, row, t0, t1, symbols, signal_power = self._pending
+        row, t0, t1, symbols, signal_power = self._pending
         foreign = sim.interference_at(self.index, t0, t1)
         verdict = resolve_slot(
             sim.model.collision_mode, signal_power, foreign, self.capture_margin
@@ -321,13 +325,13 @@ class _ReaderActor:
                     + 1j * sim.rng.standard_normal(symbols.size)
                 )
             # The coin row equals the one the decoder would regenerate.
-            self._deliver(self.phase.ingest(symbols, j, row))
+            self._deliver(self.decoder.ingest(symbols, row))
         # Every open receive window ends at or after now and spans one slot
         # airtime, so records ending earlier than now − slot_s are inert.
         sim.prune_records(t1 - sim.slot_s)
 
         if (
-            self.phase.done
+            self.decoder.done
             or self.slot_index >= self.session_limit
             or sim.budget <= 0
             or self._session_exhausted(t1)

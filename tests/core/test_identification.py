@@ -5,7 +5,12 @@ import pytest
 
 from repro.coding.prng import transmit_pattern_matrix
 from repro.core.config import BuzzConfig
-from repro.core.identification import candidate_matrix, cs_transmit_matrix, identify
+from repro.core.identification import (
+    MAX_ATTEMPTS,
+    candidate_matrix,
+    cs_transmit_matrix,
+    identify,
+)
 from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
@@ -92,10 +97,20 @@ class TestIdentify:
         must restart (attempts > 1) rather than return duplicates silently."""
         pop, fe = _setup(8, 70)
         cfg = BuzzConfig(c=1, a_factor=0.1)  # id space ≈ K
-        result = identify(pop.tags, fe, np.random.default_rng(70), cfg, max_attempts=3)
+        result = identify(pop.tags, fe, np.random.default_rng(70), cfg)
         assert result.attempts >= 1
         if result.duplicate_ids:
-            assert result.attempts == 3  # exhausted retries
+            assert result.attempts == MAX_ATTEMPTS  # exhausted retries
+
+    def test_exhausted_retries_return_the_last_attempt(self):
+        """An id space of 2·K̂ makes a collision near-certain on every run:
+        after its last attempt the protocol still returns that attempt's
+        result, duplicates flagged."""
+        pop, fe = _setup(16, 71)
+        cfg = BuzzConfig(c=1, a_factor=0.01)
+        result = identify(pop.tags, fe, np.random.default_rng(71), cfg)
+        assert result.duplicate_ids and not result.exact
+        assert result.attempts == MAX_ATTEMPTS
 
     def test_recovered_ids_sorted_and_matched(self):
         pop, fe = _setup(8, 80)

@@ -52,13 +52,13 @@ class TestRatelessDecoder:
         dec = RatelessDecoder([t.temp_id for t in pop.tags], pop.channels, 29, p)
         for slot in range(20):
             tag_row = np.array([1 if t.data_transmits(slot, p) else 0 for t in pop.tags])
-            assert np.array_equal(dec.expected_row(slot), tag_row)
+            assert np.array_equal(dec.expected_rows([slot])[0], tag_row)
 
     def test_add_slot_validates_length(self):
         pop = _population(2, 1)
         dec = RatelessDecoder([1, 2], pop.channels, 10, 0.5)
         with pytest.raises(ValueError):
-            dec.add_slot(np.zeros(5, dtype=complex))
+            dec.add_slot(np.zeros(5, dtype=complex), np.ones(2, dtype=np.uint8))
 
     def test_decode_before_slots_is_empty_progress(self):
         dec = RatelessDecoder([1, 2], np.ones(2, dtype=complex), 10, 0.5)
@@ -68,6 +68,126 @@ class TestRatelessDecoder:
     def test_seed_channel_length_mismatch(self):
         with pytest.raises(ValueError):
             RatelessDecoder([1, 2, 3], np.ones(2, dtype=complex), 10, 0.5)
+
+
+class _Scripted(RatelessDecoder):
+    """A decoder whose decode step verifies the columns scripted for each
+    ingest and nothing else, so the ingest policy is seen on its own."""
+
+    def __init__(self, script, k=3, **kwargs):
+        super().__init__(list(range(k)), np.ones(k, dtype=complex), 4, 0.5, **kwargs)
+        self._script = iter(script)
+
+    def _decode_fixpoint(self):
+        self._decoded[list(next(self._script))] = True
+
+
+def _ingest_all(dec, n):
+    """Ingest ``n`` all-ones rows; per ingest, return the newly verified
+    columns and the ``stalled`` flag and ACK overhead after it."""
+    out = []
+    for _ in range(n):
+        fresh = dec.ingest(np.zeros(dec.p, dtype=complex), np.ones(dec.k, dtype=np.uint8))
+        out.append((fresh.tolist(), dec.stalled, dec.ack_overhead_s))
+    return out
+
+
+class TestIngestPolicy:
+    """The reader's per-slot policy: stall monitor and ACK masking."""
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 5])
+    def test_stall_trips_after_exactly_limit_idle_ingests(self, limit):
+        dec = _Scripted([[]] * limit, stall_limit=limit)
+        steps = _ingest_all(dec, limit)
+        assert [stalled for _, stalled, _ in steps] == [False] * (limit - 1) + [True]
+        assert dec.done and not dec.all_decoded
+
+    def test_without_stall_limit_idle_ingests_never_stall(self):
+        dec = _Scripted([[]] * 20)
+        assert not any(stalled for _, stalled, _ in _ingest_all(dec, 20))
+        assert not dec.done
+
+    def test_idle_count_resets_when_a_column_verifies(self):
+        script = [[], [], [0], [], [], [1], [], [], []]
+        dec = _Scripted(script, stall_limit=3)
+        steps = _ingest_all(dec, len(script))
+        assert [fresh for fresh, _, _ in steps] == script
+        assert [stalled for _, stalled, _ in steps] == [False] * 8 + [True]
+
+    def test_never_stalls_once_every_column_is_decoded(self):
+        dec = _Scripted([[0, 1, 2], [], [], [], []], stall_limit=2)
+        assert not any(stalled for _, stalled, _ in _ingest_all(dec, 5))
+        assert dec.done and dec.all_decoded
+
+    def test_acked_columns_are_masked_and_priced(self):
+        dec = _Scripted([[0], [], [1, 2], []], ack_s=0.25)
+        steps = _ingest_all(dec, 4)
+        assert [overhead for *_, overhead in steps] == [0.25, 0.25, 0.75, 0.75]
+        assert dec._row_buf[:4].tolist() == [[1, 1, 1], [0, 1, 1], [0, 1, 1], [0, 0, 0]]
+        assert dec.acked.all()
+
+    def test_without_ack_nothing_is_acked_or_masked(self):
+        dec = _Scripted([[0], [1], [], [2]])
+        for _ in range(4):
+            _ingest_all(dec, 1)
+            assert not dec.acked.any()
+        assert dec._row_buf[:4].all()
+        assert dec.ack_overhead_s == 0.0 and dec.all_decoded
+
+    def test_ingest_leaves_the_callers_row_untouched(self):
+        dec = _Scripted([[0], []], ack_s=0.25)
+        row = np.ones(3, dtype=np.uint8)
+        for _ in range(2):
+            dec.ingest(np.zeros(dec.p, dtype=complex), row)
+        assert row.tolist() == [1, 1, 1]
+        assert dec._row_buf[1].tolist() == [0, 1, 1]
+
+    def test_real_decode_stalls_on_a_phantom_column(self):
+        """A view column no tag answers never verifies: with the monitor
+        on, the reader gives up ``stall_limit`` ingests after the last real
+        column verified."""
+        pop = _population(5, 6)
+        p = BuzzConfig().data_density(6)
+        seeds = [t.temp_id for t in pop.tags] + [max(pop.temp_ids) + 1]
+        channels = np.append(pop.channels, 1.0 + 0.5j)
+        dec = RatelessDecoder(seeds, channels, pop.messages.shape[1], p,
+                              noise_std=0.1, stall_limit=4)
+        fe, rng = ReaderFrontEnd(noise_std=0.1), np.random.default_rng(5)
+        last_fresh = None
+        for slot in range(200):
+            row = dec.expected_rows([slot])[0]
+            tx = (pop.messages * row[:5, None]).T
+            if dec.ingest(fe.observe(tx, pop.channels, rng), row).size:
+                last_fresh = slot
+            if dec.done:
+                break
+        assert dec.stalled and dec.decoded_mask.tolist() == [True] * 5 + [False]
+        assert slot - last_fresh == 4
+
+    def test_add_slot_validates_row_length(self):
+        dec = _Scripted([])
+        with pytest.raises(ValueError):
+            dec.add_slot(np.zeros(dec.p, dtype=complex), np.ones(2, dtype=np.uint8))
+
+    def test_real_decode_acks_what_verifies(self):
+        """With the real decoder, the ACKed set is the verified set and
+        each verified column is priced once."""
+        pop = _population(6, 3)
+        p = BuzzConfig().data_density(6)
+        dec = RatelessDecoder([t.temp_id for t in pop.tags], pop.channels,
+                              pop.messages.shape[1], p, noise_std=0.1, ack_s=0.5)
+        fe, rng = ReaderFrontEnd(noise_std=0.1), np.random.default_rng(4)
+        total = 0
+        for slot in range(40):
+            row = dec.expected_rows([slot])[0]
+            tx = (pop.messages * (row * ~dec.acked)[:, None]).T
+            fresh = dec.ingest(fe.observe(tx, pop.channels, rng), row)
+            total += fresh.size
+            assert np.array_equal(dec.acked, dec.decoded_mask)
+            assert dec.ack_overhead_s == 0.5 * total
+            if dec.done:
+                break
+        assert dec.all_decoded and total == 6
 
 
 class TestRunRatelessUplink:
@@ -286,8 +406,8 @@ class TestMarginTable:
         rng = np.random.default_rng(9)
         fe = ReaderFrontEnd(noise_std=0.1)
         for slot in range(24):
-            row = dec.expected_row(slot)
-            dec.add_slot(fe.observe((pop.messages * row[:, None]).T, pop.channels, rng), slot)
+            row = dec.expected_rows([slot])[0]
+            dec.add_slot(fe.observe((pop.messages * row[:, None]).T, pop.channels, rng), row)
         truth = pop.messages.copy()
         verdicts = set()
         for trial in range(6):

@@ -277,7 +277,7 @@ class TestIncrementalEquivalence:
         assert a._state is not None and b._state is None
         phy = np.random.default_rng(dec_seed ^ 0x5DEECE66D)
         for slot in range(n_slots):
-            row = a.expected_row(slot)
+            row = a.expected_rows([slot])[0]
             override = rng.random() < 0.3
             if override:
                 # Reader-known silencing: decoded tags stay quiet.
@@ -285,12 +285,8 @@ class TestIncrementalEquivalence:
             symbols = received_symbols(
                 (messages * row[:, None]).T, channels, noise_std=noise, rng=phy
             )
-            if override:
-                a.add_slot(symbols, slot, row=row)
-                b.add_slot(symbols, slot, row=row)
-            else:
-                a.add_slot(symbols, slot)
-                b.add_slot(symbols, slot)
+            a.add_slot(symbols, row)
+            b.add_slot(symbols, row)
             if (slot + 1) % decode_every == 0:
                 pa, pb = a.try_decode(), b.try_decode()
                 assert pa == pb
@@ -342,22 +338,22 @@ class TestIncrementalEquivalence:
             phy = np.random.default_rng(100)
             slot = 0
             while not dec.all_decoded and slot < 200:
-                row = dec.expected_row(slot)
+                row = dec.expected_rows([slot])[0]
                 symbols = received_symbols(
                     (pop.messages * row[:, None]).T, pop.channels,
                     noise_std=0.05, rng=phy,
                 )
-                dec.add_slot(symbols, slot)
+                dec.add_slot(symbols, row)
                 slot += 1
                 dec.try_decode()
             assert dec.all_decoded
             for extra in range(slot, slot + 5):
-                row = dec.expected_row(extra)
+                row = dec.expected_rows([extra])[0]
                 symbols = received_symbols(
                     (pop.messages * row[:, None]).T, pop.channels,
                     noise_std=0.05, rng=phy,
                 )
-                dec.add_slot(symbols, extra)
+                dec.add_slot(symbols, row)
                 dec.try_decode()
             return dec
 
@@ -385,10 +381,10 @@ class TestRowMutationSafety:
         pop = _population(4, 11)
         dec = self._decoder(pop)
         ctl = self._decoder(pop)
-        row = dec.expected_row(0).copy()
+        row = dec.expected_rows([0])[0].copy()
         symbols = np.ones(pop.messages.shape[1], dtype=complex)
-        dec.add_slot(symbols, 0, row=row)
-        ctl.add_slot(symbols, 0, row=row.copy())
+        dec.add_slot(symbols, row=row)
+        ctl.add_slot(symbols, row=row.copy())
         row[:] = 1 - row  # caller scribbles over its array afterwards
         assert np.array_equal(dec._row_buf[:1], ctl._row_buf[:1])
         assert dec.try_decode() == ctl.try_decode()
@@ -516,7 +512,7 @@ class TestPhyBlockEquivalence:
             rows = dec.expected_rows(block)
             symbols = fe.observe_block(rows, pop.messages, pop.channels, rng)
             for off in range(rows.shape[0]):
-                dec.add_slot(symbols[off], slot)
+                dec.add_slot(symbols[off], rows[off])
                 slot += 1
                 dec.try_decode()
                 if dec.all_decoded:

@@ -136,7 +136,7 @@ class TestPhantomColumns:
             )
             tx = (messages * row[:, None]).T
             symbols = fe.observe(tx, pop.channels, rng)
-            decoder.add_slot(symbols, slot)
+            decoder.add_slot(symbols, decoder.expected_rows([slot])[0])
             decoder.try_decode()
             assert not decoder.decoded_mask[phantom_idx].any(), (
                 f"phantom column verified at slot {slot}"

@@ -56,7 +56,8 @@ def _run_with_death(k, death_slot, seed, max_slots=60):
             actual[dead] = 0  # the tag is dead on the air
         tx = (messages * actual[:, None]).T
         symbols = fe.observe(tx, pop.channels, rng)
-        decoder.add_slot(symbols, slot)  # reader regenerates the *intended* row
+        # The reader regenerates the *intended* row.
+        decoder.add_slot(symbols, decoder.expected_rows([slot])[0])
         decoder.try_decode()
         alive_decoded = decoder.decoded_mask.copy()
         alive_decoded[dead] = True

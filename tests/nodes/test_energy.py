@@ -3,7 +3,6 @@
 import pytest
 
 from repro.nodes.energy import (
-    CapacitorEnergyModel,
     EnergyProfile,
     MOO_ENERGY_PROFILE,
     TransmissionCost,
@@ -36,50 +35,3 @@ class TestEnergyProfile:
     def test_invalid_profile_rejected(self):
         with pytest.raises(ValueError):
             EnergyProfile(p_active_w=0.0)
-
-
-class TestCapacitorModel:
-    def test_initial_state(self):
-        cap = CapacitorEnergyModel(capacitance_f=0.1, initial_voltage_v=3.0)
-        assert cap.voltage_v == pytest.approx(3.0)
-        assert cap.stored_j == pytest.approx(0.45)
-        assert cap.consumed_j == 0.0
-
-    def test_paper_formula(self):
-        """E = ½C(V0² − Vf²) — the paper's Eq. 10 measurement."""
-        cap = CapacitorEnergyModel(capacitance_f=0.1, initial_voltage_v=3.0)
-        cap.consume(0.1)
-        v_f = cap.voltage_v
-        assert 0.5 * 0.1 * (3.0**2 - v_f**2) == pytest.approx(0.1)
-
-    def test_voltage_decreases_monotonically(self):
-        cap = CapacitorEnergyModel()
-        previous = cap.voltage_v
-        for _ in range(5):
-            cap.consume(1e-3)
-            assert cap.voltage_v < previous
-            previous = cap.voltage_v
-
-    def test_exhaustion_raises(self):
-        cap = CapacitorEnergyModel(capacitance_f=1e-6, initial_voltage_v=1.0)
-        with pytest.raises(RuntimeError):
-            cap.consume(1.0)
-
-    def test_negative_consumption_rejected(self):
-        with pytest.raises(ValueError):
-            CapacitorEnergyModel().consume(-1.0)
-
-    def test_reset_recharges(self):
-        cap = CapacitorEnergyModel()
-        cap.consume(0.01)
-        cap.reset()
-        assert cap.voltage_v == pytest.approx(cap.initial_voltage_v)
-
-    def test_accumulation_over_many_queries(self):
-        """The paper's 8800-query drain: accumulated energy equals the sum
-        of per-query debits."""
-        cap = CapacitorEnergyModel(initial_voltage_v=5.0)
-        per_query = 2e-6
-        for _ in range(1000):
-            cap.consume(per_query)
-        assert cap.consumed_j == pytest.approx(1000 * per_query)

@@ -33,12 +33,6 @@ class TestMakePopulation:
         with pytest.raises(ValueError):
             make_population(3, np.random.default_rng(5), channels=np.ones(2))
 
-    def test_energy_models_attached(self):
-        pop = make_population(3, np.random.default_rng(6), with_energy=True, initial_voltage_v=4.0)
-        for tag in pop.tags:
-            assert tag.energy is not None
-            assert tag.energy.voltage_v == pytest.approx(4.0)
-
     def test_temp_ids_raise_until_drawn(self):
         pop = make_population(2, np.random.default_rng(7))
         with pytest.raises(RuntimeError):

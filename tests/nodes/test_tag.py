@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.coding.prng import slot_decision
-from repro.nodes.energy import CapacitorEnergyModel
 from repro.nodes.tag import (
     SALT_DATA,
     BackscatterTag,
-    TagKind,
     bucket_hash,
 )
 
@@ -27,9 +25,6 @@ class TestTagBasics:
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):
             _tag(global_id=-1)
-
-    def test_default_kind(self):
-        assert _tag().kind is TagKind.MOO
 
 
 class TestPhaseDecisions:
@@ -110,16 +105,3 @@ class TestBucketHash:
 
         with pytest.raises(ValueError):
             bucket_hash_array(np.arange(4), 0)
-
-
-class TestEnergyIntegration:
-    def test_spend_debits_capacitor(self):
-        tag = _tag(energy=CapacitorEnergyModel(initial_voltage_v=3.0))
-        before = tag.energy.voltage_v
-        spent = tag.spend(on_air_s=1e-3, impedance_switches=50)
-        assert spent > 0
-        assert tag.energy.voltage_v < before
-
-    def test_spend_without_capacitor_still_prices(self):
-        tag = _tag()
-        assert tag.spend(on_air_s=1e-3, impedance_switches=50) > 0

@@ -7,25 +7,8 @@ from repro.phy.channel import (
     ChannelModel,
     ChannelTrajectory,
     MobilityModel,
-    SingleTapChannel,
     channels_for_snr_band,
 )
-
-
-class TestSingleTapChannel:
-    def test_magnitude_and_phase(self):
-        ch = SingleTapChannel(h=3.0 + 4.0j)
-        assert ch.magnitude == pytest.approx(5.0)
-        assert ch.phase == pytest.approx(np.arctan2(4, 3))
-
-    def test_snr(self):
-        ch = SingleTapChannel(h=1.0 + 0j)
-        assert ch.snr_db(0.1) == pytest.approx(20.0)
-
-    def test_apply_scales_bits(self):
-        ch = SingleTapChannel(h=2.0j)
-        out = ch.apply(np.array([0, 1, 1]))
-        assert np.allclose(out, [0, 2j, 2j])
 
 
 class TestChannelModel:

@@ -270,7 +270,7 @@ class TestTransmissionAccounting:
                 return  # the session ended instead of running a slot
             covered = actor.sim.zones.coverage_at(t0)[actor.index, members]
             heads = slot_decision_matrix(
-                actor.seeds, range(j, j + 1), float(actor.phase.decoder.density), salt=SALT_DATA
+                actor.seeds, range(j, j + 1), float(actor.decoder.density), salt=SALT_DATA
             )[0].astype(bool)
             tally["covered"][members[covered]] += 1
             tally["heads"][members[heads]] += 1
