@@ -52,7 +52,6 @@ class CdmaResult:
     duration_s: float
     spreading_factor: int
     transmissions: np.ndarray
-    switch_counts: np.ndarray
     bit_errors: int
 
     @property
@@ -130,7 +129,6 @@ def run_cdma_uplink(
         bit_errors += int(np.count_nonzero(estimates[i] != messages[i]))
         decoded_mask[i] = crc_check(estimates[i])
 
-    switch_counts = np.count_nonzero(np.diff(chips, axis=1) != 0, axis=1) + 1
     duration = n_bits * n * chip_s + GEN2_DEFAULT_TIMING.query_duration_s()
     return CdmaResult(
         decoded_mask=decoded_mask,
@@ -138,6 +136,5 @@ def run_cdma_uplink(
         duration_s=duration,
         spreading_factor=n,
         transmissions=np.ones(k, dtype=int),
-        switch_counts=switch_counts.astype(int),
         bit_errors=bit_errors,
     )

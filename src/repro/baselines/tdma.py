@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.coding.crc import crc_check
-from repro.coding.miller import miller_basis, miller_encode, miller_switch_count
+from repro.coding.miller import miller_basis, miller_encode
 from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import BackscatterTag
@@ -34,7 +34,6 @@ class TdmaResult:
     messages: np.ndarray
     duration_s: float
     transmissions: np.ndarray
-    switch_counts: np.ndarray
     bit_errors: int
 
     @property
@@ -74,13 +73,11 @@ def run_tdma_uplink(
 
     decoded_mask = np.zeros(k, dtype=bool)
     estimates = np.zeros_like(messages)
-    switch_counts = np.zeros(k, dtype=int)
     basis0, basis1 = miller_basis(miller_m)
     bit_errors = 0
 
     for i, tag in enumerate(tags):
         wave = miller_encode(messages[i], miller_m)  # ±1 chips
-        switch_counts[i] = miller_switch_count(messages[i], miller_m)
         received = tag.channel * wave + awgn(wave.shape, front_end.noise_std, rng)
         # Coherent matched filter per bit: project on h·basis, pick larger.
         bits = np.empty(n_bits, dtype=np.uint8)
@@ -100,6 +97,5 @@ def run_tdma_uplink(
         messages=estimates,
         duration_s=duration,
         transmissions=np.ones(k, dtype=int),
-        switch_counts=switch_counts,
         bit_errors=bit_errors,
     )

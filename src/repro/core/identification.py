@@ -132,7 +132,6 @@ class IdentificationResult:
     duration_s: float
     duplicate_ids: bool
     attempts: int
-    true_ids: np.ndarray
     exact: bool
     transmissions: np.ndarray
 
@@ -231,7 +230,6 @@ def identify(
                 a_prime,
                 symbols,
                 sparsity=k_for_cs,
-                method=config.cs_method,
                 noise_std=front_end.noise_std,
             )
             recovered = bucketing.candidates[result.support]
@@ -258,7 +256,6 @@ def identify(
             duration_s=duration,
             duplicate_ids=duplicates,
             attempts=attempts,
-            true_ids=true_ids,
             exact=exact,
             transmissions=tx_counts.copy(),
         )

@@ -36,6 +36,12 @@ from repro.nodes.tag import SALT_KEST, BackscatterTag
 
 __all__ = ["KEstimateResult", "estimate_k", "kest_transmit_matrix"]
 
+#: Stage-1 termination threshold on a step's empty-slot fraction (paper:
+#: 0.75).
+EMPTY_THRESHOLD = 0.75
+#: Safety bound on Stage-1 steps (log K + O(1) expected).
+MAX_KEST_STEPS = 24
+
 
 @dataclass(frozen=True)
 class KEstimateResult:
@@ -95,7 +101,7 @@ def estimate_k(
     empty_fractions: List[float] = []
     transmissions = np.zeros(len(tags), dtype=int)
 
-    for step in range(1, config.max_kest_steps + 1):
+    for step in range(1, MAX_KEST_STEPS + 1):
         matrix = kest_transmit_matrix(tags, step, s, session)
         transmissions += matrix.sum(axis=0, dtype=int)
         if len(tags) == 0:
@@ -104,7 +110,7 @@ def estimate_k(
             symbols = front_end.observe(matrix, channels, rng)
         e_j = front_end.empty_fraction(symbols)
         empty_fractions.append(e_j)
-        if e_j >= config.empty_threshold:
+        if e_j >= EMPTY_THRESHOLD:
             k_hat = _ml_estimate(empty_fractions, s)
             return KEstimateResult(
                 k_hat=k_hat,
@@ -118,8 +124,8 @@ def estimate_k(
     # ML fit over everything observed (the paper restarts in this case).
     return KEstimateResult(
         k_hat=_ml_estimate(empty_fractions, s),
-        steps_used=config.max_kest_steps,
-        slots_used=s * config.max_kest_steps,
+        steps_used=MAX_KEST_STEPS,
+        slots_used=s * MAX_KEST_STEPS,
         empty_fractions=empty_fractions,
         transmissions=transmissions,
     )

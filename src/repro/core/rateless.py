@@ -59,6 +59,12 @@ __all__ = [
     "run_rateless_uplink",
 ]
 
+#: Bound on the BP + CRC-verify fixpoint rounds per
+#: :meth:`RatelessDecoder.try_decode` call. The loop exits early the
+#: moment a verify pass freezes nothing new, so the bound only matters on
+#: long ripple chains.
+BP_VERIFY_ROUNDS = 4
+
 
 @dataclass(frozen=True)
 class DecodeProgress:
@@ -340,10 +346,8 @@ class RatelessDecoder:
         arrays under the previous kernel's views.
         """
         state = self._state
-        for _ in range(self.config.bp_verify_rounds):
-            kernel = PackedBitFlipDecoder.from_state(
-                state, max_flips=self.config.bp_max_flips
-            )
+        for _ in range(BP_VERIFY_ROUNDS):
+            kernel = PackedBitFlipDecoder.from_state(state)
             kernel.decode_best_of_state(restarts=self.config.bp_restarts, rng=self.rng)
             self._estimates[state.active_idx] = state.bits
             frozen_before_pass = int(self._decoded.sum())

@@ -49,7 +49,7 @@ from repro.core.bp_decoder import (
     PackedBitFlipDecoder,
     cross_magnitudes,
 )
-from repro.core.rateless import RatelessDecoder
+from repro.core.rateless import BP_VERIFY_ROUNDS, RatelessDecoder
 from repro.utils.validation import ensure_positive_int
 
 __all__ = [
@@ -390,11 +390,10 @@ class RebuildRatelessDecoder(RatelessDecoder):
     def _decode_fixpoint(self) -> None:
         d = self._row_buf[: self._n_rows]
         y = self._sym_buf[: self._n_rows]  # (L, P)
-        for _ in range(self.config.bp_verify_rounds):
+        for _ in range(BP_VERIFY_ROUNDS):
             outcome = decode_full_width(
                 d, self.h, y, self._estimates, self._decoded,
                 restarts=self.config.bp_restarts, rng=self.rng,
-                max_flips=self.config.bp_max_flips,
             )
             self._estimates = outcome.bits
             frozen_before_pass = int(self._decoded.sum())

@@ -95,7 +95,9 @@ __all__ = ["CampaignCache", "cell_cache_key", "spec_cell_keys"]
 #: would silently mix two pricing models in one figure.
 #: 3: the config and scenario key material each lost a field (the decode
 #: cadence and the channel model's path-loss exponent).
-_CACHE_FORMAT = 3
+#: 4: the config key material keeps only the three settable fields; the
+#: paper's fixed parameters became constants.
+_CACHE_FORMAT = 4
 
 _LEASE_DIR = "leases"
 _QUEUE_DIR = "queue"
@@ -109,21 +111,9 @@ def _scenario_token(scenario) -> dict:
     return plain_data(scenario)
 
 
-#: Config fields dropped from the key token while they hold their default
-#: value. Fields added to ``BuzzConfig`` after a cache format has shipped
-#: would otherwise shift every existing key on upgrade even though the
-#: simulation they address is unchanged; stripping the default keeps old
-#: keys stable while still distinguishing any non-default setting.
-_DEFAULT_ONLY_CONFIG_FIELDS = {"bp_verify_rounds": 4}
-
-
 def _config_token(config) -> dict:
-    """JSON-able identity of a spec's config (defaults stripped, see above)."""
-    token = plain_data(config)
-    for field, default in _DEFAULT_ONLY_CONFIG_FIELDS.items():
-        if token.get(field) == default:
-            del token[field]
-    return token
+    """JSON-able identity of a spec's config: every field."""
+    return plain_data(config)
 
 
 #: The encoder of every key's canonical JSON (``json.dumps`` with these

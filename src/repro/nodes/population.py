@@ -22,6 +22,10 @@ from repro.utils.validation import ensure_positive_int
 
 __all__ = ["TagPopulation", "make_population"]
 
+#: Width of the *global* id space tags are drawn from (distinct ids
+#: guaranteed).
+ID_SPACE_BITS = 20
+
 
 @dataclass
 class TagPopulation:
@@ -83,7 +87,6 @@ def make_population(
     rng: np.random.Generator,
     channel_model: Optional[ChannelModel] = None,
     message_bits: int = 32,
-    id_space_bits: int = 20,
     channels: Optional[Sequence[complex]] = None,
     mobility: Optional[MobilityModel] = None,
     readers: Optional[MultiReaderModel] = None,
@@ -96,9 +99,6 @@ def make_population(
         Payload length before the CRC-5 every message carries (the
         paper's uplink experiments use 32-bit messages + CRC-5; Fig. 9
         uses 96-bit messages).
-    id_space_bits:
-        Width of the *global* id space the tags are drawn from (distinct
-        ids guaranteed).
     channels:
         Explicit channel coefficients override the channel-model draw —
         used by SNR-band sweeps (Fig. 12).
@@ -119,7 +119,7 @@ def make_population(
             raise ValueError("channels length must equal n_tags")
 
     # Distinct global ids from a large space.
-    space = 1 << id_space_bits
+    space = 1 << ID_SPACE_BITS
     if n_tags > space:
         raise ValueError("id space too small for population")
     global_ids = rng.choice(space, size=n_tags, replace=False)

@@ -7,10 +7,9 @@ received symbols, and making the energy-detection calls (occupied/empty)
 that Stages 1 and 2 rely on.
 
 The occupancy threshold is set from the known noise floor: a slot is
-"occupied" when its power exceeds ``occupancy_sigma²`` times the mean noise
-power. With the paper's SNRs (≥ ~4 dB per tag) this detector is essentially
-error-free, but the threshold is explicit so challenging-channel sweeps can
-exercise detector mistakes.
+"occupied" when its power exceeds :data:`OCCUPANCY_SIGMA` times the mean
+noise power. With the paper's SNRs (≥ ~4 dB per tag) this detector is
+essentially error-free; challenging-channel sweeps exercise its mistakes.
 """
 
 from __future__ import annotations
@@ -26,6 +25,13 @@ from repro.utils.validation import ensure_positive
 
 __all__ = ["ReaderFrontEnd"]
 
+#: Occupied/empty power threshold in units of noise power. 4 trades a
+#: ~e⁻⁴ ≈ 1.8 % false-occupied rate per empty slot for reliable detection
+#: of tags only ~6 dB above the noise floor — missing a weak tag's bucket
+#: would eliminate it outright, while a false-occupied bucket merely admits
+#: ``a`` spurious candidates that Stage 3 rejects.
+OCCUPANCY_SIGMA = 4.0
+
 
 @dataclass
 class ReaderFrontEnd:
@@ -35,21 +41,12 @@ class ReaderFrontEnd:
     ----------
     noise_std:
         Std of the complex AWGN per received symbol (``E[|n|²] = noise_std²``).
-    occupancy_sigma:
-        Occupied/empty power threshold in units of noise power. The default
-        of 4 trades a ~e⁻⁴ ≈ 1.8 % false-occupied rate per empty slot for
-        reliable detection of tags only ~6 dB above the noise floor —
-        missing a weak tag's bucket would eliminate it outright, while a
-        false-occupied bucket merely admits ``a`` spurious candidates that
-        Stage 3 rejects.
     """
 
     noise_std: float = 0.1
-    occupancy_sigma: float = 4.0
 
     def __post_init__(self) -> None:
         ensure_positive(self.noise_std, "noise_std")
-        ensure_positive(self.occupancy_sigma, "occupancy_sigma")
 
     def observe(
         self,
@@ -96,7 +93,7 @@ class ReaderFrontEnd:
 
     def occupied(self, symbols: np.ndarray) -> np.ndarray:
         """Boolean occupied/empty call per slot by energy detection."""
-        threshold = self.occupancy_sigma * self.noise_std**2
+        threshold = OCCUPANCY_SIGMA * self.noise_std**2
         return slot_energies(symbols) > threshold
 
     def empty_fraction(self, symbols: np.ndarray) -> float:

@@ -33,6 +33,11 @@ __all__ = [
     "misalignment_fraction",
 ]
 
+#: Population mean |drift| and its spread (see
+#: :meth:`ClockModel.sample_population`).
+_MEAN_ABS_PPM = 250.0
+_STD_PPM = 80.0
+
 
 @dataclass(frozen=True)
 class SyncProfile:
@@ -103,15 +108,10 @@ class ClockModel:
         return times * ppm * 1e-6
 
     @staticmethod
-    def sample_population(
-        n_tags: int,
-        rng: np.random.Generator,
-        mean_abs_ppm: float = 250.0,
-        std_ppm: float = 80.0,
-    ) -> "list[ClockModel]":
+    def sample_population(n_tags: int, rng: np.random.Generator) -> "list[ClockModel]":
         """Draw per-tag drift models.
 
-        Defaults reproduce the paper's Fig. 8 observation: at 80 kbps two
+        The draw reproduces the paper's Fig. 8 observation: at 80 kbps two
         uncorrected tags misalign by ~50 % of a symbol (6.25 µs) after 2 ms,
         i.e. a relative drift of ~3000 ppm between the two worst-case tag
         clocks is possible on the Moo's low-cost oscillator; we use a
@@ -119,7 +119,7 @@ class ClockModel:
         *pairwise* spread covers the measured range.
         """
         ensure_positive_int(n_tags, "n_tags")
-        magnitudes = np.abs(rng.normal(mean_abs_ppm, std_ppm, size=n_tags))
+        magnitudes = np.abs(rng.normal(_MEAN_ABS_PPM, _STD_PPM, size=n_tags))
         signs = rng.choice([-1.0, 1.0], size=n_tags)
         return [ClockModel(drift_ppm=float(m * s)) for m, s in zip(magnitudes, signs)]
 

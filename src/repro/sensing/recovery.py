@@ -18,6 +18,8 @@ from repro.sensing.greedy import cosamp, iht, omp
 __all__ = ["RecoveryResult", "recover_sparse", "support_from_estimate"]
 
 _METHODS = ("bp", "omp", "cosamp", "iht")
+#: An active entry's magnitude is at least this share of the largest one.
+_RELATIVE_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class RecoveryResult:
 def support_from_estimate(
     estimate: np.ndarray,
     noise_std: float = 0.0,
-    relative_floor: float = 0.05,
     max_support: Optional[int] = None,
 ) -> np.ndarray:
     """Pick the active set from a dense estimate.
@@ -62,7 +63,7 @@ def support_from_estimate(
     An entry is active when its magnitude clears both an absolute noise
     floor (``4·noise_std/√2`` per complex sample — conservative against
     estimation noise leaking into empty coordinates) and a relative floor
-    (``relative_floor`` × the largest magnitude, which adapts to the overall
+    (:data:`_RELATIVE_FLOOR` × the largest magnitude, which adapts to the overall
     signal scale). ``max_support`` optionally caps the set at the largest
     entries — used when K is known.
     """
@@ -72,7 +73,7 @@ def support_from_estimate(
     peak = float(mags.max())
     if peak == 0.0:
         return np.zeros(0, dtype=int)
-    threshold = max(relative_floor * peak, 4.0 * noise_std / np.sqrt(2.0))
+    threshold = max(_RELATIVE_FLOOR * peak, 4.0 * noise_std / np.sqrt(2.0))
     support = np.flatnonzero(mags >= threshold)
     if max_support is not None and support.size > max_support:
         order = np.argsort(mags[support])[::-1]

@@ -64,13 +64,6 @@ class TestTdma:
             errors[m] = total
         assert errors[8] < errors[2]
 
-    def test_switch_counts_reflect_miller(self):
-        pop = _population(2, 4)
-        fe = ReaderFrontEnd(noise_std=0.1)
-        result = run_tdma_uplink(pop.tags, fe, np.random.default_rng(4))
-        bits = pop.tags[0].message.size
-        assert result.switch_counts[0] > 6 * bits  # ≈ 8 switches/bit
-
     def test_empty_population_rejected(self):
         fe = ReaderFrontEnd(noise_std=0.1)
         with pytest.raises(ValueError):

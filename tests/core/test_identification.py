@@ -25,6 +25,12 @@ def _setup(k, seed):
     return pop, ReaderFrontEnd(noise_std=0.1)
 
 
+def _shrink_id_space(monkeypatch):
+    """Draw temporary ids from ``2·K̂`` values, so collisions are near
+    certain."""
+    monkeypatch.setattr(BuzzConfig, "temp_id_space", lambda self, k_hat: 2 * max(1, k_hat))
+
+
 class TestMatrices:
     def test_cs_matrix_matches_reader_regeneration(self):
         pop, _ = _setup(5, 0)
@@ -92,23 +98,23 @@ class TestIdentify:
         fsa = run_fsa_inventory(FsaConfig(n_tags=16), rng)
         assert fsa.total_time_s / buzz.duration_s > 3.0
 
-    def test_restart_on_duplicate_ids(self):
+    def test_restart_on_duplicate_ids(self, monkeypatch):
         """Force a tiny id space so duplicates are certain; the protocol
         must restart (attempts > 1) rather than return duplicates silently."""
         pop, fe = _setup(8, 70)
-        cfg = BuzzConfig(c=1, a_factor=0.1)  # id space ≈ K
-        result = identify(pop.tags, fe, np.random.default_rng(70), cfg)
+        _shrink_id_space(monkeypatch)
+        result = identify(pop.tags, fe, np.random.default_rng(70))
         assert result.attempts >= 1
         if result.duplicate_ids:
             assert result.attempts == MAX_ATTEMPTS  # exhausted retries
 
-    def test_exhausted_retries_return_the_last_attempt(self):
+    def test_exhausted_retries_return_the_last_attempt(self, monkeypatch):
         """An id space of 2·K̂ makes a collision near-certain on every run:
         after its last attempt the protocol still returns that attempt's
         result, duplicates flagged."""
         pop, fe = _setup(16, 71)
-        cfg = BuzzConfig(c=1, a_factor=0.01)
-        result = identify(pop.tags, fe, np.random.default_rng(71), cfg)
+        _shrink_id_space(monkeypatch)
+        result = identify(pop.tags, fe, np.random.default_rng(71))
         assert result.duplicate_ids and not result.exact
         assert result.attempts == MAX_ATTEMPTS
 

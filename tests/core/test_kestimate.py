@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import BuzzConfig
-from repro.core.kestimate import estimate_k, kest_transmit_matrix
+from repro.core.kestimate import EMPTY_THRESHOLD, estimate_k, kest_transmit_matrix
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import ChannelModel
@@ -81,7 +81,7 @@ class TestEstimateK:
         tags, fe = _setup(8, 5)
         cfg = BuzzConfig()
         result = estimate_k(tags, fe, np.random.default_rng(1), cfg)
-        assert result.empty_fractions[-1] >= cfg.empty_threshold
+        assert result.empty_fractions[-1] >= EMPTY_THRESHOLD
 
     def test_empty_population(self):
         _, fe = _setup(1, 6)

@@ -392,49 +392,6 @@ class TestRowMutationSafety:
 
 
 # ---------------------------------------------------------------------------
-# BuzzConfig.bp_verify_rounds (satellite: promoted fixpoint bound)
-# ---------------------------------------------------------------------------
-class TestBpVerifyRounds:
-    def test_default_and_validation(self):
-        assert BuzzConfig().bp_verify_rounds == 4
-        with pytest.raises(ValueError):
-            BuzzConfig(bp_verify_rounds=0)
-
-    def test_default_leaves_cache_keys_unchanged(self):
-        """Cache keys must not shift for specs that never set the field —
-        the default is stripped from the key token."""
-        from repro.engine.cache import _config_token, cell_cache_key
-        from repro.engine.campaign import CampaignCell, CampaignSpec
-        from repro.network.scenarios import default_uplink_scenario
-
-        token = _config_token(BuzzConfig())
-        assert "bp_verify_rounds" not in token
-        token2 = _config_token(BuzzConfig(bp_verify_rounds=2))
-        assert token2["bp_verify_rounds"] == 2
-
-        def spec(config):
-            return CampaignSpec(
-                scenario=default_uplink_scenario(4), root_seed=5,
-                n_locations=1, n_traces=1, schemes=("buzz",),
-                config=config,
-            )
-
-        cell = CampaignCell(location=0, trace=0, scheme="buzz")
-        assert cell_cache_key(spec(BuzzConfig()), cell) != cell_cache_key(
-            spec(BuzzConfig(bp_verify_rounds=2)), cell
-        )
-
-    def test_bound_respected(self):
-        """bp_verify_rounds=1 runs exactly one BP+verify pass per call."""
-        pop = _population(5, 13)
-        cfg = BuzzConfig(bp_verify_rounds=1)
-        inc = _run(pop, 13, config=cfg)
-        reb = _run(pop, 13, rebuild=True, config=cfg)
-        _assert_identical(inc, reb)
-        assert inc.decoded_mask.all()
-
-
-# ---------------------------------------------------------------------------
 # PHY block batching (satellite: hoisted per-slot observe)
 # ---------------------------------------------------------------------------
 class TestPhyBlockEquivalence:

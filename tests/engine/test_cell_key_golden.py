@@ -2,13 +2,12 @@
 
 A cell's content address (:func:`~repro.engine.cache.cell_cache_key`) is
 what an existing cache directory is looked up by, so moving one silently
-turns every stored cell into a miss. These keys were recorded for nine
+turns every stored cell into a miss. These keys were recorded for eight
 specs that cover the default grid, the session schemes, the key's config
-token (a changed field and the default-stripped ``bp_verify_rounds``), the
-slot bound, and the scenario token's optional parts: ``readers``
-(``dense-floor``), ``snr_band_db`` (Fig. 12's ``challenging`` band) and
-``mobility`` (``churn``). Each spec is a 2 × 2 grid, so location and trace both
-enter the pinned keys.
+token (a changed field), the slot bound, and the scenario token's
+optional parts: ``readers`` (``dense-floor``), ``snr_band_db`` (Fig. 12's
+``challenging`` band) and ``mobility`` (``churn``). Each spec is a 2 × 2
+grid, so location and trace both enter the pinned keys.
 
 Regenerate (only for a deliberate, documented key change, which also
 needs a ``_CACHE_FORMAT`` bump) with
@@ -35,9 +34,6 @@ SPECS = {
         "mobile-dense", 12, ("buzz-adaptive",), BuzzConfig(), None,
     ),
     "bp-restarts-0": ("default", 12, ("buzz",), BuzzConfig(bp_restarts=0), None),
-    "bp-verify-rounds-2": (
-        "default", 12, ("buzz",), BuzzConfig(bp_verify_rounds=2), None,
-    ),
     "max-slots-9": ("default", 12, ("buzz", "tdma"), BuzzConfig(), 9),
     "multi-reader-dense-floor-k12": (
         "dense-floor", 12, ("multi-reader",), BuzzConfig(), None,

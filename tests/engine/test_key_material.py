@@ -3,9 +3,9 @@
 The scenario and config tokens are serialised by
 :func:`repro.utils.plain.plain_data`, not ``asdict``; cache keys stay
 byte-identical only while the two give the same JSON. The reference
-tokens below are the ``asdict`` forms with the same ``None`` and
-default-dropping rules, so every scenario added to ``SCENARIO_NAMES``
-is checked here too. A key splices the once-per-spec encodings of those
+scenario tokens below are the ``asdict`` forms with the same ``None``
+rules, so every scenario added to ``SCENARIO_NAMES`` is checked here
+too; a config token is the plain ``asdict`` of every field. A key splices the once-per-spec encodings of those
 tokens into each cell's JSON; the last tests check it against one
 ``json.dumps`` of the whole material.
 """
@@ -19,7 +19,6 @@ import pytest
 from repro.core.config import BuzzConfig
 from repro.engine.cache import (
     _CACHE_FORMAT,
-    _DEFAULT_ONLY_CONFIG_FIELDS,
     _config_token,
     _scenario_token,
     cell_cache_key,
@@ -41,14 +40,6 @@ def _asdict_scenario_token(scenario) -> dict:
     for optional in ("mobility", "readers"):
         if token.get(optional) is None:
             token.pop(optional, None)
-    return token
-
-
-def _asdict_config_token(config) -> dict:
-    token = dataclasses.asdict(config)
-    for field, default in _DEFAULT_ONLY_CONFIG_FIELDS.items():
-        if token.get(field) == default:
-            del token[field]
     return token
 
 
@@ -75,13 +66,13 @@ def test_band_scenario_token_matches_asdict(band):
     "config",
     [
         BuzzConfig(),
-        BuzzConfig(bp_verify_rounds=2),
-        BuzzConfig(bp_restarts=0, cs_method="omp", c=12),
-        BuzzConfig(empty_threshold=0.5, density_min=0.1, max_data_slots_factor=40.0),
+        BuzzConfig(bp_restarts=0),
+        BuzzConfig(slots_per_step=8, density_colliders=3.0),
+        BuzzConfig(slots_per_step=2, density_colliders=7.5, bp_restarts=1),
     ],
 )
 def test_config_token_matches_asdict(config):
-    assert _json(_config_token(config)) == _json(_asdict_config_token(config))
+    assert _json(_config_token(config)) == _json(dataclasses.asdict(config))
 
 
 def test_plain_data_nesting():
@@ -135,7 +126,7 @@ def test_spliced_key_equals_one_dump_of_the_material(name):
 
 @pytest.mark.parametrize(
     "config, max_slots",
-    [(BuzzConfig(bp_verify_rounds=2), None), (BuzzConfig(bp_restarts=0, c=12), 9)],
+    [(BuzzConfig(density_colliders=3.0), None), (BuzzConfig(bp_restarts=0), 9)],
 )
 def test_spliced_key_covers_config_and_slot_bound(config, max_slots):
     spec = CampaignSpec(

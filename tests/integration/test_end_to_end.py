@@ -59,7 +59,7 @@ class TestConfigPropagation:
     def test_custom_config_respected_end_to_end(self):
         scenario = default_uplink_scenario(4)
         pop = scenario.draw_population(np.random.default_rng(7))
-        config = BuzzConfig(slots_per_step=8, c=5, density_colliders=3.0)
+        config = BuzzConfig(slots_per_step=8, density_colliders=3.0)
         system = BuzzSystem(
             front_end=ReaderFrontEnd(noise_std=pop.noise_std), config=config
         )

@@ -19,7 +19,7 @@ class TestReaderFrontEnd:
         assert fe.occupied(y).all()
 
     def test_empty_slots_mostly_silent(self):
-        fe = ReaderFrontEnd(noise_std=0.1, occupancy_sigma=4.0)
+        fe = ReaderFrontEnd(noise_std=0.1)
         rng = np.random.default_rng(2)
         y = fe.observe_empty(10_000, rng)
         false_rate = fe.occupied(y).mean()
