@@ -108,12 +108,16 @@ class RatelessDecoder:
     The decoder keeps a persistent :class:`~repro.core.decoder_state.
     DecoderState` across decode calls: a rank-(new rows) extension per
     slot and frozen-column peeling per verify pass, instead of rebuilding
-    the problem from the stored rows each call. The from-scratch rebuild
-    lives on as the test oracle
-    :class:`~repro.core.reference.RebuildRatelessDecoder`; both produce
-    identical decoded masks, messages and :class:`DecodeProgress` traces
-    up to exact float ties, pinned by the incremental-equivalence suite
-    and gated for speed in ``BENCH_session.json``.
+    the problem from the stored rows each call. Each decode round takes
+    its problem from :meth:`_problem` and runs the one kernel binding,
+    freeze rule and entanglement veto on it. The test oracle
+    :class:`~repro.core.reference.RebuildRatelessDecoder` shares that
+    round and rule and supplies only its own problem, rebuilt from the
+    stored rows (:func:`~repro.core.reference.full_width_problem`); the
+    two produce identical decoded masks, messages and
+    :class:`DecodeProgress` traces up to exact float ties, pinned by the
+    incremental-equivalence suite and gated for speed in
+    ``BENCH_session.json``.
 
     **Verification rule.** A 5-bit CRC alone false-positives on ~3 % of
     garbage decodes, and a frozen-wrong message poisons every later decode,
@@ -172,10 +176,9 @@ class RatelessDecoder:
         self.noise_std = float(noise_std)
 
         # Collected slots live in amortized-growth preallocated buffers
-        # (doubling on overflow): try_decode slices them instead of
-        # stacking a growing Python list, and add_slot's row/symbol writes
-        # are copies into append-only storage — callers can mutate what
-        # they passed in without corrupting decoder state.
+        # (doubling on overflow) that the decode rounds slice; add_slot's
+        # row/symbol writes are copies into append-only storage, so callers
+        # can mutate what they passed in without corrupting decoder state.
         cap = max(self.ROW_BLOCK, 1)
         self._row_buf = np.zeros((cap, self.k), dtype=np.uint8)
         self._sym_buf = np.zeros((cap, self.p), dtype=complex)
@@ -224,7 +227,7 @@ class RatelessDecoder:
         from the seeds in one pass — nothing about a row is signalled.
 
         One vectorized :func:`~repro.coding.prng.slot_decision_matrix` call
-        replaces ``len(slots) × K`` scalar PRNG evaluations — the reader's
+        covers the block's ``len(slots) × K`` coins — the reader's
         D-regeneration hot path.
         """
         return slot_decision_matrix(self.seeds, slots, self.density, salt=SALT_DATA)
@@ -291,6 +294,11 @@ class RatelessDecoder:
             ).sum(axis=0)
         self._state.append_slot(row, symbols)
 
+    def _peel_state(self, positions: np.ndarray) -> None:
+        """Drop newly verified columns, by problem position, from the
+        persistent state (:meth:`DecoderState.peel`)."""
+        self._state.peel(positions)
+
     def _ensure_capacity(self, n: int) -> None:
         cap = self._row_buf.shape[0]
         if n <= cap:
@@ -315,11 +323,10 @@ class RatelessDecoder:
         round warm-starts every column from the previous estimate, flips
         to per-column local optima (plus ``bp_restarts`` random restarts
         per column, solved in the same batch), then CRC-checks whole
-        messages and freezes the passers — replacing the former P
-        independent per-position decodes.
-        The kernel is :class:`~repro.core.bp_decoder.PackedBitFlipDecoder`,
-        bound to the persistent state; its flip decisions are those of the
-        scalar test oracle :class:`~repro.core.reference.BitFlipDecoder`.
+        messages and freezes the passers.
+        The kernel is :class:`~repro.core.bp_decoder.PackedBitFlipDecoder`;
+        its flip decisions are those of the scalar test oracle
+        :class:`~repro.core.reference.BitFlipDecoder`.
         """
         if not self._n_rows:
             snapshot = DecodeProgress(slot=0, newly_decoded=0, total_decoded=0)
@@ -334,61 +341,60 @@ class RatelessDecoder:
         self.progress.append(snapshot)
         return snapshot
 
+    def _problem(self) -> DecoderState:
+        """The round's decode problem: the persistent state, already peeled
+        of every verified column."""
+        return self._state
+
     def _decode_fixpoint(self) -> None:
-        """BP + verify to a fixpoint on the peeled active problem.
+        """BP + verify to a fixpoint.
 
         Each freeze pins bits that may unlock further flips and further
         freezes — the paper's ripple effect, realised within a single slot
-        arrival. Each round binds the kernel to the live state (O(1) — no
-        stacking, no setup gemms) and decodes the shrinking
-        ``(L, K_active)`` problem. A fresh binding per round is required
-        because a verify pass that freezes nodes compacts the state's
-        arrays under the previous kernel's views.
+        arrival. A round takes the problem (:meth:`_problem`) over the
+        unverified columns, binds the kernel to it, writes the decoded
+        columns back into the estimates, runs the freeze rule on it and
+        peels what froze. The kernel is bound afresh each round because a
+        peel compacts the state's arrays under the previous kernel's views.
         """
-        state = self._state
         for _ in range(BP_VERIFY_ROUNDS):
-            kernel = PackedBitFlipDecoder.from_state(state)
+            problem = self._problem()
+            kernel = PackedBitFlipDecoder.from_state(problem)
             kernel.decode_best_of_state(restarts=self.config.bp_restarts, rng=self.rng)
-            self._estimates[state.active_idx] = state.bits
-            frozen_before_pass = int(self._decoded.sum())
-            self._verify_and_freeze_state()
-            if int(self._decoded.sum()) == frozen_before_pass or self.all_decoded:
+            self._estimates[problem.active_idx] = problem.bits
+            newly = self._verify_and_freeze(problem)
+            if not newly.size:
+                break
+            self._peel_state(newly)
+            if self.all_decoded:
                 break
 
-    def _verify_and_freeze_state(self) -> None:
-        """The corroborated-CRC rule (class docstring), on the peeled
-        active problem.
+    def _verify_and_freeze(self, problem) -> np.ndarray:
+        """The corroborated-CRC rule (class docstring) on one round's
+        problem; returns the problem positions it froze.
 
-        Weights and pairwise overlaps come from the state's exact
-        integer-valued accumulations and the residual from its live
-        (already frozen-free) matrix. The node scan walks the active set in
-        ascending original order, so the live ``self._decoded[others]``
-        reads see every earlier freeze of this pass — the decisions of the
-        full-width rule in :class:`~repro.core.reference.
-        RebuildRatelessDecoder`. Nodes frozen by this pass are peeled out
-        of the state in one batch afterwards. A node with weight ≥ 2 (≥ 3
-        for weak channels) freezes on its CRC; a node below that (weight
-        1, or a weak node of weight 2) also needs a noise-consistent
-        residual on all its slots, and its first slot ``rows[0]`` — only
-        that one — to be fully explained by frozen or
-        simultaneously-passing messages and to have an unambiguous
-        constellation (:meth:`_node_margin_ok`).
+        Weights, the collision matrix and the residual come from the
+        problem, whose columns are the unverified nodes. The node scan
+        walks them in ascending node order, so the live
+        ``self._decoded[others]`` reads see every earlier freeze of this
+        pass. A node with weight ≥ 2 (≥ 3 for weak channels) freezes on
+        its CRC; a node below that (weight 1, or a weak node of weight 2)
+        also needs a noise-consistent residual on all its slots, and its
+        first slot ``rows[0]`` — only that one — to be fully explained by
+        frozen or simultaneously-passing messages and to have an
+        unambiguous constellation (:meth:`_node_margin_ok`).
         """
-        state = self._state
-        if state.k_active == 0:
-            return
-        act = state.active_idx
-        weights = state.weights  # exact |d_i| counts (float-held integers)
-        residual = state.residual
-        row_power = np.mean(np.abs(residual) ** 2, axis=1)
+        act = problem.active_idx
+        weights = problem.weights  # exact |d_i| counts (float-held integers)
+        row_power = np.mean(np.abs(problem.residual) ** 2, axis=1)
         row_ok = row_power <= max(4.0 * self.noise_std**2, 1e-12)
 
         passes = np.zeros(self.k, dtype=bool)
-        cand = weights > 0  # every active node is unfrozen by construction
+        cand = weights > 0  # every problem column is unverified
         if cand.any():
             passes[act[cand]] = crc_check_matrix(self._estimates[act[cand]])
 
-        entangled = self._entangled_mask_state()
+        entangled = self._entangled_mask(problem)
 
         newly: List[int] = []
         for pos in range(act.size):
@@ -403,7 +409,7 @@ class RatelessDecoder:
                 self._decoded[node] = True
                 newly.append(pos)
                 continue
-            rows = np.flatnonzero(state.d[:, pos])
+            rows = np.flatnonzero(problem.d[:, pos])
             if not bool(np.all(row_ok[rows])):
                 continue
             row = int(rows[0])
@@ -414,11 +420,11 @@ class RatelessDecoder:
             ) and self._node_margin_ok(node, row, participants):
                 self._decoded[node] = True
                 newly.append(pos)
-        if newly:
-            state.peel(np.asarray(newly, dtype=np.int64))
+        return np.asarray(newly, dtype=np.int64)
 
-    def _entangled_mask_state(self) -> np.ndarray:
-        """Active positions vetoed because an indistinguishable partner exists.
+    def _entangled_mask(self, problem) -> np.ndarray:
+        """Problem positions vetoed because an indistinguishable partner
+        exists.
 
         Node *i* is entangled with unfrozen node *j* when their channel
         combination is near-degenerate (``min(|h_i+h_j|, |h_i−h_j|)`` below
@@ -432,16 +438,15 @@ class RatelessDecoder:
         merely *jointly weak* is handled by the per-node weight
         requirements, not by this veto.
 
-        The candidates are the active positions with nonzero weight, and
-        the lone-slot counts come from a slice of the state's exact DᵀD;
+        The candidates are the problem columns with nonzero weight, and
+        the lone-slot counts come from a slice of the problem's exact DᵀD;
         the degeneracy and evidence tests evaluate as whole matrices.
         """
-        state = self._state
-        mask = np.zeros(state.k_active, dtype=bool)
-        sel = np.flatnonzero(state.weights > 0)
+        mask = np.zeros(problem.active_idx.size, dtype=bool)
+        sel = np.flatnonzero(problem.weights > 0)
         if sel.size < 2:
             return mask
-        h = state.h[sel]
+        h = problem.h[sel]
         absh = np.abs(h)
         threshold = 4.0 * self.noise_std
         noise_power = max(self.noise_std**2, 1e-18)
@@ -454,8 +459,8 @@ class RatelessDecoder:
         np.fill_diagonal(candidate, False)
         if not candidate.any():
             return mask
-        shared = state.overlap[np.ix_(sel, sel)]  # exact |d_i ∩ d_j| per pair
-        w = state.weights[sel]
+        shared = problem.overlap[np.ix_(sel, sel)]  # exact |d_i ∩ d_j| per pair
+        w = problem.weights[sel]
         only_i = w[:, None] - shared
         only_j = w[None, :] - shared
         power = absh**2

@@ -9,18 +9,18 @@ reader.
   scan under a ``frozen`` mask, with no candidate caps or bounds. The
   kernel's batched resolver (:func:`~repro.core.bp_decoder.
   resolve_stalls`) must pick its pairs; the two share no scan code.
-* :func:`decode_full_width` runs that kernel on a full-width ``(L, K)``
-  problem with a ``frozen`` mask, as the packed ≡ scalar suites and the
-  decoder benches call it.
+* :func:`full_width_problem` peels the frozen columns of a full-width
+  ``(L, K)`` problem from scratch into a snapshot the kernel binds to, and
+  :func:`decode_full_width` runs the kernel on it, as the packed ≡ scalar
+  suites and the decoder benches call it.
 * :class:`RebuildRatelessDecoder` is :class:`~repro.core.rateless.
-  RatelessDecoder` with its persistent :class:`~repro.core.decoder_state.
-  DecoderState` taken out: every :meth:`try_decode` call re-stacks the
-  full-width problem from the stored rows, decodes it through
-  :func:`decode_full_width`, and re-derives the verification residual,
-  weights and slot overlaps with fresh gemms. It builds no decoder state,
-  so its timings are an honest rebuild baseline. (It shares the margin
-  test's per-row tables with the production reader: they depend only on
-  the received rows, not on how the problem is kept.)
+  RatelessDecoder` without its persistent :class:`~repro.core.
+  decoder_state.DecoderState`. It shares the production decode round,
+  freeze rule and entanglement veto, and supplies only the round's
+  problem: :func:`full_width_problem` over the stored rows, rebuilt every
+  round and never peeled. What it checks is that the state's appends and
+  peels equal that rebuild. It keeps no decoder state, so its timings are
+  an honest rebuild baseline.
 
 The equivalence suites and the session benchmark select the rebuild
 reader by patching the class name where every data-phase loop looks it
@@ -41,7 +41,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.coding.crc import crc_check_matrix
 from repro.core.bp_decoder import (
     _GAIN_TOL,
     _NEG_INF,
@@ -49,7 +48,7 @@ from repro.core.bp_decoder import (
     PackedBitFlipDecoder,
     cross_magnitudes,
 )
-from repro.core.rateless import BP_VERIFY_ROUNDS, RatelessDecoder
+from repro.core.rateless import RatelessDecoder
 from repro.utils.validation import ensure_positive_int
 
 __all__ = [
@@ -58,6 +57,7 @@ __all__ = [
     "RebuildRatelessDecoder",
     "decode_full_width",
     "full_pair_scan",
+    "full_width_problem",
 ]
 
 
@@ -308,36 +308,25 @@ class BitFlipDecoder:
         return best
 
 
-def decode_full_width(
+def full_width_problem(
     d: np.ndarray,
     h: Sequence[complex],
     ys: np.ndarray,
     init: np.ndarray,
     frozen: Optional[np.ndarray] = None,
-    restarts: int = 0,
-    rng: Optional[np.random.Generator] = None,
-    max_flips: int = 10_000,
-) -> BatchedDecodeOutcome:
-    """The packed kernel on a full-width problem with a ``frozen`` mask.
+) -> SimpleNamespace:
+    """A full-width problem with its ``frozen`` columns peeled from scratch.
 
     ``d`` is ``(L, K)``, ``h`` ``(K,)``, ``ys`` ``(L, M)`` and ``init``
     ``(K, M)``; ``frozen`` is a ``(K,)`` mask of bits that must not flip,
-    their values taken from ``init``. The frozen columns are peeled from
-    scratch: their contributions are subtracted from ``ys`` and every
-    operand of the free columns is derived with fresh gemms into a
-    snapshot carrying the attribute names
-    :meth:`~repro.core.bp_decoder.PackedBitFlipDecoder.from_state` and
-    :meth:`~repro.core.bp_decoder.PackedBitFlipDecoder.decode_best_of_state`
-    read. No :class:`~repro.core.decoder_state.DecoderState` is built, so
-    the oracles stay independent of the incremental code they check.
-    ``restarts`` random retries per position follow the scalar
-    :meth:`BitFlipDecoder.decode_best_of` draw order (``rng`` is needed
-    only when ``restarts > 0``).
-
-    The outcome's ``bits`` are full-width, frozen rows holding their
-    ``init`` values; ``residual`` is the full-width residual (peeling
-    only moves the frozen contributions to the symbol side) and the
-    correlations cover the free rows.
+    their values taken from ``init``. The frozen contributions are
+    subtracted from ``ys`` and every operand of the free columns is derived
+    with fresh gemms into a snapshot carrying the attribute names of a
+    :class:`~repro.core.decoder_state.DecoderState`:
+    :meth:`~repro.core.bp_decoder.PackedBitFlipDecoder.from_state` binds
+    to it, and the rateless freeze rule reads it. No decoder state is
+    built, so the oracles stay independent of the incremental code they
+    check. ``active_idx`` lists the free columns, ascending.
     """
     d = np.atleast_2d(np.asarray(d, dtype=np.uint8))
     h = np.asarray(h, dtype=complex).ravel()
@@ -361,7 +350,7 @@ def decode_full_width(
     bits = init[free]
     residual = y - (df * hf) @ bits.astype(float)
     corr = df.T @ np.conj(residual)
-    snapshot = SimpleNamespace(
+    return SimpleNamespace(
         d=df, h=hf, weights=df.sum(axis=0),
         hr=np.ascontiguousarray(hf.real), hi=np.ascontiguousarray(hf.imag),
         abs_h2=np.abs(hf) ** 2, overlap=df.T @ df, cross_mag=cross_magnitudes(hf),
@@ -369,17 +358,40 @@ def decode_full_width(
         corr_re=np.ascontiguousarray(corr.real), corr_im=np.ascontiguousarray(corr.imag),
         y=y, k_full=h.size, active_idx=free,
     )
-    kernel = PackedBitFlipDecoder.from_state(snapshot, max_flips=max_flips)
+
+
+def decode_full_width(
+    d: np.ndarray,
+    h: Sequence[complex],
+    ys: np.ndarray,
+    init: np.ndarray,
+    frozen: Optional[np.ndarray] = None,
+    restarts: int = 0,
+    rng: Optional[np.random.Generator] = None,
+    max_flips: int = 10_000,
+) -> BatchedDecodeOutcome:
+    """The packed kernel on :func:`full_width_problem`'s snapshot (same
+    arguments), with ``restarts`` random retries per position following
+    the scalar :meth:`BitFlipDecoder.decode_best_of` draw order (``rng``
+    is needed only when ``restarts > 0``).
+
+    The outcome's ``bits`` are full-width, frozen rows holding their
+    ``init`` values; ``residual`` is the full-width residual (peeling
+    only moves the frozen contributions to the symbol side) and the
+    correlations cover the free rows.
+    """
+    problem = full_width_problem(d, h, ys, init, frozen)
+    kernel = PackedBitFlipDecoder.from_state(problem, max_flips=max_flips)
     out = kernel.decode_best_of_state(restarts, rng)
-    full = init.copy()
-    full[free] = out.bits
+    full = np.asarray(init, dtype=np.uint8).copy()
+    full[problem.active_idx] = out.bits
     out.bits = full
     return out
 
 
 class RebuildRatelessDecoder(RatelessDecoder):
     """:class:`~repro.core.rateless.RatelessDecoder` that rebuilds the
-    full-width problem on every decode call (module docstring)."""
+    full-width problem on every decode round (module docstring)."""
 
     def _new_state(self):
         return None
@@ -387,81 +399,11 @@ class RebuildRatelessDecoder(RatelessDecoder):
     def _append_to_state(self, row: np.ndarray, symbols: np.ndarray) -> None:
         pass
 
-    def _decode_fixpoint(self) -> None:
-        d = self._row_buf[: self._n_rows]
-        y = self._sym_buf[: self._n_rows]  # (L, P)
-        for _ in range(BP_VERIFY_ROUNDS):
-            outcome = decode_full_width(
-                d, self.h, y, self._estimates, self._decoded,
-                restarts=self.config.bp_restarts, rng=self.rng,
-            )
-            self._estimates = outcome.bits
-            frozen_before_pass = int(self._decoded.sum())
-            self._verify_and_freeze(d, y)
-            if int(self._decoded.sum()) == frozen_before_pass or self.all_decoded:
-                break
+    def _peel_state(self, positions: np.ndarray) -> None:
+        pass
 
-    def _verify_and_freeze(self, d: np.ndarray, y: np.ndarray) -> None:
-        """The corroborated-CRC rule over the full-width problem."""
-        weights = d.sum(axis=0)
-        # Residual with the current estimates (frozen rows included).
-        residual = y - (d.astype(float) * self.h[None, :]) @ self._estimates.astype(float)
-        row_power = np.mean(np.abs(residual) ** 2, axis=1)
-        row_ok = row_power <= max(4.0 * self.noise_std**2, 1e-12)
-
-        passes = np.zeros(self.k, dtype=bool)
-        candidates = ~self._decoded & (weights > 0)
-        if candidates.any():
-            passes[candidates] = crc_check_matrix(self._estimates[candidates])
-
-        entangled = self._entangled_mask(d)
-
-        for node in range(self.k):
-            if self._decoded[node] or not passes[node] or entangled[node]:
-                continue
-            rows = np.flatnonzero(d[:, node])
-            required = 2 if abs(self.h[node]) >= 5.0 * self.noise_std else 3
-            if weights[node] >= required:
-                self._decoded[node] = True
-                continue
-            if not bool(np.all(row_ok[rows])):
-                continue
-            row = rows[0]
-            participants = np.flatnonzero(d[row])
-            others = participants[participants != node]
-            if bool(
-                np.all(self._decoded[others] | passes[others])
-            ) and self._node_margin_ok(node, row, participants):
-                self._decoded[node] = True
-
-    def _entangled_mask(self, d: np.ndarray) -> np.ndarray:
-        """The entanglement veto over all unfrozen nodes with nonzero weight,
-        lone-slot counts from a fresh ``(n, n)`` slot-overlap matmul."""
-        mask = np.zeros(self.k, dtype=bool)
-        weights = d.sum(axis=0)
-        idx = np.flatnonzero(~self._decoded & (weights > 0))
-        if idx.size < 2:
-            return mask
-        h = self.h[idx]
-        absh = np.abs(h)
-        threshold = 4.0 * self.noise_std
-        noise_power = max(self.noise_std**2, 1e-18)
-        degenerate = np.minimum(
-            np.abs(h[:, None] + h[None, :]), np.abs(h[:, None] - h[None, :])
+    def _problem(self) -> SimpleNamespace:
+        n = self._n_rows
+        return full_width_problem(
+            self._row_buf[:n], self.h, self._sym_buf[:n], self._estimates, self._decoded
         )
-        candidate = (degenerate < threshold) & (
-            degenerate < 0.5 * np.minimum(absh[:, None], absh[None, :])
-        )
-        np.fill_diagonal(candidate, False)
-        if not candidate.any():
-            return mask
-        d_sub = d[:, idx].astype(float)
-        shared = d_sub.T @ d_sub  # |d_i ∩ d_j| per pair
-        w = weights[idx].astype(float)
-        only_i = w[:, None] - shared
-        only_j = w[None, :] - shared
-        power = absh**2
-        evidence = (only_i * power[:, None] + only_j * power[None, :]) / noise_power
-        flagged = (candidate & (evidence < 16.0)).any(axis=1)
-        mask[idx[flagged]] = True
-        return mask

@@ -9,7 +9,7 @@ from repro.core.config import BuzzConfig
 from repro.core.identification import ChannelEstimates
 from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import RatelessDecoder, run_rateless_uplink
-from repro.core.reference import RebuildRatelessDecoder
+from repro.core.reference import RebuildRatelessDecoder, full_width_problem
 from repro.core.silencing import run_rateless_with_silencing
 from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.network.scenarios import mobile_scenario
@@ -292,7 +292,8 @@ class TestRunRatelessUplink:
 
 
 def _entangled_mask_reference(decoder, d):
-    """The pre-vectorization O(free²) scalar scan, kept as the oracle."""
+    """The entanglement veto as an O(free²) scalar pair scan over the
+    full-width ``d``: the oracle for the vectorized one."""
     mask = np.zeros(decoder.k, dtype=bool)
     weights = d.sum(axis=0)
     threshold = 4.0 * decoder.noise_std
@@ -433,12 +434,24 @@ class TestEntangledMaskVectorization:
                                      noise_std=0.1)
         return dec, rng
 
+    @staticmethod
+    def _veto(dec, d):
+        """The one veto on :func:`full_width_problem` over ``d`` with the
+        decoder's verified columns frozen, as a mask over all nodes."""
+        problem = full_width_problem(
+            d, dec.h, np.zeros((d.shape[0], dec.p), dtype=complex), dec._estimates,
+            dec._decoded,
+        )
+        mask = np.zeros(dec.k, dtype=bool)
+        mask[problem.active_idx] = dec._entangled_mask(problem)
+        return mask
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_on_random_draws(self, seed):
         dec, rng = self._decoder(10, seed)
         d = (rng.random((15, 10)) < 0.4).astype(np.uint8)
         dec._decoded[rng.integers(0, 10, size=2)] = True  # some frozen nodes
-        assert np.array_equal(dec._entangled_mask(d), _entangled_mask_reference(dec, d))
+        assert np.array_equal(self._veto(dec, d), _entangled_mask_reference(dec, d))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_with_near_cancelling_pairs(self, seed):
@@ -455,7 +468,7 @@ class TestEntangledMaskVectorization:
         ])
         dec, _ = self._decoder(5, seed, channels=channels)
         d = (rng.random((8, 5)) < 0.6).astype(np.uint8)
-        got = dec._entangled_mask(d)
+        got = self._veto(dec, d)
         want = _entangled_mask_reference(dec, d)
         assert np.array_equal(got, want)
         assert want[:2].any() or d[:, :2].sum() == 0 or (d[:, 0] != d[:, 1]).sum() >= 2
@@ -466,15 +479,14 @@ class TestEntangledMaskVectorization:
         d = (rng.random((10, 6)) < 0.5).astype(np.uint8)
         d[:, 2] = 0  # node 2 never transmitted
         dec._decoded[3] = True
-        mask = dec._entangled_mask(d)
+        mask = self._veto(dec, d)
         assert not mask[2] and not mask[3]
         assert np.array_equal(mask, _entangled_mask_reference(dec, d))
 
-
     @pytest.mark.parametrize("seed", range(4))
     def test_state_mask_matches_reference(self, seed):
-        """The production veto on the peeled state equals the scalar scan
-        over the same collected rows."""
+        """The veto on the reader's live state, and on the full-width
+        problem over the same collected rows, equals the scalar scan."""
         rng = np.random.default_rng(2000 + seed)
         base = rng.standard_normal() + 1j * rng.standard_normal()
         channels = np.array([base, -base + 0.01, 0.8j, 0.8j + 0.005, 1.5, -0.7])
@@ -487,8 +499,9 @@ class TestEntangledMaskVectorization:
             d[5, [1, 3]] ^= 1  # … or all but one, which lifts the veto
         for row in d:
             dec.add_slot(np.zeros(12, dtype=complex), row=row)
-        got = dec._entangled_mask_state()
+        got = dec._entangled_mask(dec._state)
         assert np.array_equal(got, _entangled_mask_reference(dec, d))
+        assert np.array_equal(self._veto(dec, d), got)
         assert got[2:4].all() == (seed < 2)  # |0.8j|² lone evidence clears 16
 
 

@@ -24,15 +24,17 @@ from repro.core.decoder_state import DecoderState
 from repro.core.identification import ChannelEstimates
 from repro.core.mobile import run_mobile_data_segment
 from repro.core.rateless import RatelessDecoder, run_rateless_uplink
-from repro.core.reference import RebuildRatelessDecoder
+from repro.core.reference import RebuildRatelessDecoder, full_width_problem
 from repro.core.silencing import run_rateless_with_silencing
-from repro.network.scenarios import scenario_by_name
+from repro.engine.schemes import get_scheme
+from repro.network.scenarios import default_uplink_scenario, scenario_by_name
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import ChannelModel, ChannelTrajectory, MobilityModel
 from repro.phy.noise import awgn, awgn_block
 from repro.phy.signal import received_symbol_block, received_symbols
 from repro.sim.multireader import MultiReaderOutcome, simulate_multi_reader
+from repro.utils.rng import SeedSequenceFactory
 
 GOOD = ChannelModel(mean_snr_db=24.0, near_far_db=8.0, noise_std=0.1)
 
@@ -362,6 +364,80 @@ class TestIncrementalEquivalence:
         assert np.array_equal(a.decoded_mask, b.decoded_mask)
         assert a.progress == b.progress
         assert a._state.k_active == 0
+
+
+# ---------------------------------------------------------------------------
+# Per round: the incremental state ≡ the rebuild oracle's problem
+# ---------------------------------------------------------------------------
+def _oracle_run(scheme):
+    """One seeded oracle-view cell of ``scheme`` at K = 32 on ``default``."""
+    seeds = SeedSequenceFactory(1)
+    pop = default_uplink_scenario(32).draw_population(seeds.stream("location", 0))
+    get_scheme(scheme).run(
+        pop, ReaderFrontEnd(noise_std=pop.noise_std), seeds.stream("trace", 0, 0, scheme),
+        config=BuzzConfig(),
+    )
+
+
+def _phantom_segment():
+    """A recovered-view segment whose view holds one id no tag answers to."""
+    pop = _population(8, 13)
+    rng = np.random.default_rng(14)
+    seeds = [t.temp_id for t in pop.tags]
+    phantom = max(seeds) + 1
+    run_mobile_data_segment(
+        pop.tags, ReaderFrontEnd(noise_std=0.1), rng,
+        estimates=ChannelEstimates(seeds + [phantom],
+                                   np.concatenate([pop.channels, GOOD.sample(1, rng)])),
+        trajectory=None, participants=np.ones(8, dtype=bool), start_s=0.0, k_hat=9,
+        max_slots=BuzzConfig().max_data_slots(9),
+    )
+
+
+class TestRoundProblem:
+    """What the rebuild oracle is for: at every decode round, before the
+    kernel runs, the reader's incremental state equals
+    :func:`full_width_problem` over the same reader's buffers, and both
+    readers freeze the same columns round by round."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: _oracle_run("buzz"), lambda: _oracle_run("silenced"), _phantom_segment,
+    ], ids=["buzz-k32", "silenced-k32", "phantom-view"])
+    def test_state_equals_full_width_problem_every_round(self, monkeypatch, run):
+        rounds = []
+        froze = {RatelessDecoder: [], RebuildRatelessDecoder: []}
+        problem = RatelessDecoder._problem
+        verify = RatelessDecoder._verify_and_freeze
+
+        def compared(self):
+            state = problem(self)
+            n = self._n_rows
+            fresh = full_width_problem(
+                self._row_buf[:n], self.h, self._sym_buf[:n], self._estimates, self._decoded
+            )
+            for name in ("active_idx", "h", "weights", "overlap", "d"):
+                assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
+            for name in ("y", "residual", "corr_re", "corr_im"):
+                np.testing.assert_allclose(
+                    getattr(state, name), getattr(fresh, name), rtol=1e-9, err_msg=name
+                )
+            rounds.append(state.k_active)
+            return state
+
+        def recorded(self, prob):
+            newly = verify(self, prob)
+            froze[type(self)].append(prob.active_idx[newly].tolist())
+            return newly
+
+        monkeypatch.setattr(RatelessDecoder, "_problem", compared)
+        monkeypatch.setattr(RatelessDecoder, "_verify_and_freeze", recorded)
+        for decoder_cls in froze:
+            with mock.patch("repro.core.rateless.RatelessDecoder", decoder_cls):
+                run()
+        assert froze[RatelessDecoder] == froze[RebuildRatelessDecoder]
+        assert len(rounds) == len(froze[RatelessDecoder])
+        # The rounds ran on shrinking problems: columns froze and were peeled.
+        assert sum(map(len, froze[RatelessDecoder])) > 0 and min(rounds) < max(rounds)
 
 
 # ---------------------------------------------------------------------------
