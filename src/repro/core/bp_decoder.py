@@ -60,12 +60,6 @@ _NEG_INF = -np.inf
 _GAIN_TOL = 1e-9
 
 
-@lru_cache(maxsize=32)
-def _tril_indices(n: int) -> tuple:
-    """Cached ``np.tril_indices(n)`` — the exact pair blocks use it per stall."""
-    return np.tril_indices(n)
-
-
 def cross_magnitudes(h: np.ndarray) -> np.ndarray:
     """``(K, K)`` exact pair cross-term magnitudes ``2|Re(conj(h_i)·h_j)|``.
 
@@ -156,23 +150,33 @@ def best_pair_flip(
 #: its bits goes to :func:`best_pair_flip`'s real-arithmetic bound route:
 #: an exact (c × c) block is then dearer than the bound's (c × K) pass.
 _EXACT_BLOCK_MAX_CAND = 48
-#: Element cap on one stacked ``(columns, c, c)`` exact pair-gain block.
+#: Element cap on one stacked exact pair-gain block, counted in pairs: a
+#: chunk of columns padded to width ``c`` holds ``columns · c(c − 1)/2``.
 _EXACT_BLOCK_ELEMS = 1 << 18
+
+
+@lru_cache(maxsize=64)
+def _triu_indices(n: int) -> tuple:
+    """Cached ``np.triu_indices(n, 1)``: the pairs ``a < b`` of ``n``
+    candidates, in row-major order."""
+    return np.triu_indices(n, 1)
 
 
 def resolve_stalls(
     gains: np.ndarray,
-    delta: np.ndarray,
+    h: np.ndarray,
+    signs: np.ndarray,
     overlap: np.ndarray,
     cap: np.ndarray,
     co: np.ndarray,
 ) -> np.ndarray:
     """The pair-flip escape for S stalled columns in one batched pass.
 
-    ``gains`` and ``delta`` are ``(K, S)``: column *s* holds one stalled
-    decode column's single-flip gains and flip deltas. Every bit is free:
-    the packed kernel runs on a peeled problem, so there is no frozen
-    mask. ``(co, cap)`` are the round's :func:`pair_bounds`. Returns an
+    ``gains`` and ``signs`` are ``(K, S)``: column *s* holds one stalled
+    decode column's single-flip gains and bit signs ``1 − 2·b``, so its
+    flip deltas are ``δ = h · signs[:, s]``. Every bit is free: the
+    packed kernel runs on a peeled problem, so there is no frozen mask.
+    ``(co, cap)`` are the round's :func:`pair_bounds`. Returns an
     ``(S, 2)`` int array whose row *s* is column *s*'s best positive-gain
     pair ``i < j`` — the first strict maximum above the gain tolerance in
     row-major order, as the full (K × K) scan
@@ -182,17 +186,22 @@ def resolve_stalls(
     **Candidates.** A pair's gain is at most ``G_i + G_j + cap_i`` (and
     the same with ``cap_j``), so both endpoints of any pair clearing the
     (positive) gain tolerance satisfy ``max_{l≠x} G_l + G_x + cap_x > 0``.
-    The proof runs for every column at once, from the top-two gains and
-    the caps; columns left with fewer than two candidates retire. This is
-    what makes a *converged* column's last, fruitless scan — every column
-    pays one as its stall-termination proof — O(K) instead of O(K²).
+    The proof runs for every column at once, from each column's top gain
+    (one argmax) and its runner-up (one max with that entry masked, which
+    equals the top gain when the top is tied); columns left with fewer
+    than two candidates retire. This is what makes a *converged*
+    column's last, fruitless scan — every column pays one as its
+    stall-termination proof — O(K) instead of O(K²).
 
-    **Exact blocks.** The survivors' exact (cand × cand) pair-gain blocks
-    are stacked into padded ``(columns, c, c)`` tensors, each column's
-    maximum taken over the upper triangle in ascending candidate order:
-    per-pair gains are the full scan's elementwise float expressions
-    (symmetric in the pair order) and excluded pairs provably sit at or
-    below zero, so every decision is bit-identical. Columns whose
+    **Exact blocks.** The survivors' exact pair gains are evaluated over
+    the upper triangle of their (cand × cand) blocks only, stacked into
+    padded ``(columns, c(c − 1)/2)`` rows in ascending candidate order
+    (:func:`_exact_block_pairs`). ``_EXACT_BLOCK_ELEMS`` caps one stack in
+    those triangle elements; past it the columns are stacked narrowest
+    first in chunks. Per-pair gains are the full scan's elementwise float
+    expressions (symmetric in the pair order) and excluded pairs provably
+    sit at or below zero, so every decision is bit-identical. Flip deltas
+    are built only for the candidates these blocks gather. Columns whose
     candidates are both many and more than half the bits go to
     :func:`best_pair_flip` one by one, whose bound route is cheaper there.
     """
@@ -200,16 +209,23 @@ def resolve_stalls(
     pairs = np.full((s_dim, 2), -1, dtype=np.int64)
     if k_dim < 2 or s_dim == 0:
         return pairs
-    top = np.partition(gains, k_dim - 2, axis=0)
-    gexcl = np.repeat(top[k_dim - 1:], k_dim, axis=0)
-    gexcl[np.argmax(gains, axis=0), np.arange(s_dim)] = top[k_dim - 2]
-    is_cand = gexcl + (gains + cap[:, None]) > 0.0
+    cols = np.arange(s_dim)
+    top_at = np.argmax(gains, axis=0)
+    top = gains[top_at, cols]
+    rest = gains.copy()
+    rest[top_at, cols] = _NEG_INF
+    runner_up = rest.max(axis=0)
+    # Each bit's best partner gain is its column's top gain, except the
+    # top bit's own, which is the runner-up.
+    own = gains + cap[:, None]
+    is_cand = top + own > 0.0
+    is_cand[top_at, cols] = runner_up + own[top_at, cols] > 0.0
     n_cand = np.count_nonzero(is_cand, axis=0)
 
     bound = (n_cand > _EXACT_BLOCK_MAX_CAND) & (2 * n_cand > k_dim)
     for s in np.flatnonzero(bound):
         pair = best_pair_flip(
-            gains[:, s], delta[:, s], overlap, np.flatnonzero(is_cand[:, s]), co
+            gains[:, s], h * signs[:, s], overlap, np.flatnonzero(is_cand[:, s]), co
         )
         if pair is not None:
             pairs[s] = pair
@@ -219,49 +235,53 @@ def resolve_stalls(
     if exact.size == 0:
         return pairs
     widths = n_cand[exact]
-    if exact.size * int(widths.max()) ** 2 <= _EXACT_BLOCK_ELEMS:
+    tri = widths * (widths - 1) // 2
+    if exact.size * int(tri.max()) <= _EXACT_BLOCK_ELEMS:
         chunks = [exact]
     else:
         # Narrowest first, each chunk as many columns as fit under the cap.
         order = np.argsort(widths, kind="stable")
-        exact, widths = exact[order], widths[order]
+        exact, tri = exact[order], tri[order]
         chunks = []
         start = 0
         while start < exact.size:
-            sizes = np.arange(1, exact.size - start + 1) * widths[start:] ** 2
+            sizes = np.arange(1, exact.size - start + 1) * tri[start:]
             stop = start + max(1, int(np.count_nonzero(sizes <= _EXACT_BLOCK_ELEMS)))
             chunks.append(exact[start:stop])
             start = stop
     for chunk in chunks:
-        _exact_block_pairs(gains, delta, is_cand, n_cand[chunk], chunk, overlap, pairs)
+        _exact_block_pairs(gains, h, signs, is_cand, n_cand[chunk], chunk, overlap, pairs)
     return pairs
 
 
-def _exact_block_pairs(gains, delta, is_cand, n_cand, chunk, overlap, pairs):
+def _exact_block_pairs(gains, h, signs, is_cand, n_cand, chunk, overlap, pairs):
     """Fill ``pairs`` for the columns ``chunk`` from one stacked exact block.
 
-    Per column, the candidates' pair gains are the full scan's float
-    expressions; padding past a column's candidate
-    count is ``-inf``, and so is the diagonal and below, so the flat
-    argmax is the first maximum of the upper triangle in row-major order.
+    Each column's candidates are gathered once, in ascending order and
+    padded to the chunk's widest count ``w``; only the ``w(w − 1)/2``
+    pairs ``a < b`` of the cached :func:`_triu_indices` are evaluated,
+    with the full scan's float expressions. Padding carries gain
+    ``-inf``, so no pair that touches it can win, and the flat argmax
+    over the triangle's row-major order is the first maximum the full
+    scan finds.
     """
     width = int(n_cand.max())
     # Candidate positions, ascending (a stable sort puts them first).
     pos = np.argsort(~is_cand[:, chunk], axis=0, kind="stable")[:width].T
-    gc = gains[pos, chunk[:, None]]
+    col = chunk[:, None]
+    gc = gains[pos, col]
     gc[np.arange(width) >= n_cand[:, None]] = _NEG_INF
-    dc = delta[pos, chunk[:, None]]
-    ov = overlap[pos[:, :, None], pos[:, None, :]]
-    cross = 2.0 * np.real(np.conj(dc)[:, :, None] * dc[:, None, :])
-    pair_gains = gc[:, :, None] + gc[:, None, :] - cross * ov
-    tril_rows, tril_cols = _tril_indices(width)
-    pair_gains[:, tril_rows, tril_cols] = _NEG_INF
-    flat = pair_gains.reshape(chunk.size, width * width)
-    arg = np.argmax(flat, axis=1)
-    rows = np.flatnonzero(flat[np.arange(chunk.size), arg] > _GAIN_TOL)
-    a, b = np.divmod(arg[rows], width)
-    pairs[chunk[rows], 0] = pos[rows, a]
-    pairs[chunk[rows], 1] = pos[rows, b]
+    dc = h[pos] * signs[pos, col]
+    ti, tj = _triu_indices(width)
+    # One flat gather of the pairs' overlaps: cheaper than a 2-D one.
+    ov = overlap.ravel()[(pos * overlap.shape[1])[:, ti] + pos[:, tj]]
+    cross = 2.0 * np.real(np.conj(dc)[:, ti] * dc[:, tj])
+    pair_gains = gc[:, ti] + gc[:, tj] - cross * ov
+    arg = np.argmax(pair_gains, axis=1)
+    rows = np.flatnonzero(pair_gains[np.arange(chunk.size), arg] > _GAIN_TOL)
+    arg = arg[rows]
+    pairs[chunk[rows], 0] = pos[rows, ti[arg]]
+    pairs[chunk[rows], 1] = pos[rows, tj[arg]]
 
 
 @dataclass
@@ -479,7 +499,7 @@ class PackedBitFlipDecoder:
         matrix ``1 − 2·bits``; ``bits`` is written back from it at the end.
         """
         m = bits.shape[1]
-        signs = 1.0 - 2.0 * bits.astype(float)
+        signs = np.where(bits, -1.0, 1.0)
         flips = np.zeros(m, dtype=np.int64)
         active = np.ones(m, dtype=bool)
         self._run_rounds(corr_re, corr_im, signs, residual, active, flips)
@@ -512,29 +532,36 @@ class PackedBitFlipDecoder:
             active[:] = False
             return
         col_idx = np.arange(m_dim)
-        hr = self._hr[:, None]
-        hi = self._hi[:, None]
+        # Doubling is exact, so (2·hr)·corr − (2·hi)·corr is bit for bit
+        # 2·(hr·corr − hi·corr), one pass cheaper per round.
+        hr2 = 2.0 * self._hr[:, None]
+        hi2 = 2.0 * self._hi[:, None]
         wh2 = self._wh2[:, None]
         # Two reusable (K, M) scratch matrices: at this size every fresh
         # temporary is an mmap round-trip, and the round loop runs dozens
         # of times per decode.
         gains = np.empty((k_dim, m_dim))
         scratch = np.empty((k_dim, m_dim))
+        rounds = 0
         while True:
             # The per-position loop checks the flip budget *before* looking
             # at gains, so a column at its budget retires unconverged here
-            # too, without a final gain pass.
-            active &= flips < self.max_flips
-            if not active.any():
-                return
+            # too, without a final gain pass. A column gains at most one
+            # flip per round, so none can reach the budget sooner than
+            # round ``max_flips``.
+            if rounds >= self.max_flips:
+                active &= flips < self.max_flips
+                if not active.any():
+                    return
+            rounds += 1
             # Fused gain pass: sign · 2·Re(h·corr) − w·|h|², no complex
-            # temporaries. Computed over *all* columns — contiguous
-            # whole-matrix ops beat fancy-indexed copies of the active
-            # subset, and retired columns' gains are simply never consulted.
-            np.multiply(hr, corr_re, out=gains)
-            np.multiply(hi, corr_im, out=scratch)
+            # temporaries, in five passes. Computed over *all* columns —
+            # contiguous whole-matrix ops beat fancy-indexed copies of the
+            # active subset, and retired columns' gains are simply never
+            # consulted.
+            np.multiply(hr2, corr_re, out=gains)
+            np.multiply(hi2, corr_im, out=scratch)
             np.subtract(gains, scratch, out=gains)
-            np.multiply(2.0, gains, out=gains)
             np.multiply(signs, gains, out=gains)
             np.subtract(gains, wh2, out=gains)
             best = np.argmax(gains, axis=0)
@@ -553,6 +580,10 @@ class PackedBitFlipDecoder:
                     gains[:, stalled], corr_re, corr_im, signs, residual,
                     stalled, active, flips,
                 )
+                # Only an escape retires columns: a flip round leaves
+                # ``active`` as it was, with at least one column in it.
+                if not active.any():
+                    return
             else:
                 fbits = best[fcols]
                 s = signs[fbits, fcols]
@@ -591,32 +622,35 @@ class PackedBitFlipDecoder:
         :func:`resolve_stalls` takes all the decisions in one batched pass
         against this kernel's overlap and :func:`pair_bounds`, which are
         built at the instance's first stall and reused at every later one
-        (an instance decodes one fixed problem). Each pair is then two
-        single-bit flips in pair order — correlation axpy, masked residual
-        update, sign — applied to all escaping columns at once; every
-        element sees the per-column expressions.
+        (an instance decodes one fixed problem). It gets the stalled
+        columns' signs and builds flip deltas only for the candidates it
+        gathers. The escaping columns' correlations and residual are then
+        gathered once into a block; each pair is two single-bit flips in
+        pair order, *i* then *j* — correlation axpy, masked residual
+        update, sign — applied to the whole block with the per-column
+        expressions, and the block is scattered back once.
         """
-        delta = self.h[:, None] * signs[:, stalled]
         if self._bounds is None:
             self._bounds = pair_bounds(self._cross_mag, self._overlap)
         co, cap = self._bounds
-        pairs = resolve_stalls(gains, delta, self._overlap, cap, co)
+        pairs = resolve_stalls(gains, self.h, signs[:, stalled], self._overlap, cap, co)
         hit = pairs[:, 0] >= 0
         active[stalled[~hit]] = False
         cols, pairs = stalled[hit], pairs[hit]
         if cols.size == 0:
             return
         overlap = self._overlap
+        cre, cim, res = corr_re[:, cols], corr_im[:, cols], residual[:, cols]
         for idx in pairs.T:
             s = signs[idx, cols]
             ov = overlap[:, idx]
-            corr_re[:, cols] -= ov * (self._hr[idx] * s)
-            corr_im[:, cols] -= ov * (-(self._hi[idx] * s))
-            res = residual[:, cols]
-            residual[:, cols] = np.where(
-                self._d_f[:, idx] != 0.0, res - self.h[idx] * s, res
-            )
+            cre -= ov * (self._hr[idx] * s)
+            cim -= ov * (-(self._hi[idx] * s))
+            res = np.where(self._d_f[:, idx] != 0.0, res - self.h[idx] * s, res)
             signs[idx, cols] = -s
+        corr_re[:, cols] = cre
+        corr_im[:, cols] = cim
+        residual[:, cols] = res
         flips[cols] += 1
 
 

@@ -424,8 +424,9 @@ class TestPairFlipCandidateFilter:
         free = np.flatnonzero(~frozen)
         ovf = overlap[np.ix_(free, free)]
         co, cap = pair_bounds(cross_magnitudes(delta[free]), ovf)
+        # The flip deltas stand in for the channels, with unit signs.
         (i, j), = resolve_stalls(
-            gains[free, None], delta[free, None], ovf, cap, co
+            gains[free, None], delta[free], np.ones((free.size, 1)), ovf, cap, co
         )
         return None if i < 0 else (int(free[i]), int(free[j]))
 
