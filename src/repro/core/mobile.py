@@ -18,9 +18,10 @@ On top sits the **stall monitor**, the adaptive session's trigger: the
 segment's :class:`~repro.core.rateless.RatelessDecoder` counts slots
 since its last newly verified message and, past a configurable limit,
 reports itself ``stalled``; the segment stops and the pipeline can re-run
-identification and splice fresh estimates into a new segment. With the monitor disabled a segment runs to the same termination
-conditions as a static field, which is what makes an adaptive session
-with the monitor off bit-identical to a plain end-to-end session.
+identification and splice fresh estimates into a new segment. Without a
+limit a segment runs to the same termination conditions as a static
+field; an adaptive session passes one only on a mobile field, so on a
+static one it equals its plain twin.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ def run_mobile_data_segment(
     config: BuzzConfig = BuzzConfig(),
     max_slots: int,
     stall_limit: Optional[int] = None,
-    silencing: bool = False,
-    id_space: Optional[int] = None,
+    ack_s: Optional[float] = None,
 ) -> RatelessRunResult:
     """Run one data-phase segment over the population.
 
@@ -84,8 +84,9 @@ def run_mobile_data_segment(
     truth; an empty view returns the trigger-only result without drawing
     from ``rng``. ``stall_limit`` bounds the slots the reader tolerates
     without a newly verified message before giving up on the current view
-    (``None`` disables the monitor). ``silencing`` adds the §8.2 per-ACK
-    downlink cost and drops ACKed tags from later slots.
+    (``None`` disables the monitor). ``ack_s`` turns on §8.2 silencing:
+    each newly verified tag costs one ACK of that airtime and drops out of
+    later slots.
 
     Each segment constructs a **fresh** :class:`~repro.core.rateless.
     RatelessDecoder`, which is exactly how an adaptive re-identification
@@ -146,10 +147,9 @@ def run_mobile_data_segment(
         density=config.data_density(max(1, k_hat)),
         limit=int(max_slots),
         config=config,
-        id_space=id_space if id_space is not None else 10 * k * k,
         trajectory=trajectory,
         participants=participants,
         start_s=start_s,
-        silencing=silencing,
+        ack_s=ack_s,
         stall_limit=stall_limit,
     )

@@ -56,6 +56,7 @@ __all__ = [
     "DecodeProgress",
     "RatelessRunResult",
     "ack_duration_s",
+    "oracle_id_space",
     "run_rateless_uplink",
 ]
 
@@ -601,6 +602,13 @@ class RatelessRunResult:
         return self.decoded_mask.size / self.slots_used
 
 
+def oracle_id_space(k: int) -> int:
+    """Temporary-id space ``10·K²`` for ``K`` tags that skip identification:
+    the oracle-view uplinks and the multi-reader sessions draw their ids
+    from it, and the oracle view's silencing ACKs are priced in it."""
+    return 10 * k * k
+
+
 def ack_duration_s(id_space: int) -> float:
     """Time for one silencing ACK: echo of a temporary id plus framing.
 
@@ -653,11 +661,10 @@ def _run_data_phase(
     density: float,
     limit: int,
     config: BuzzConfig,
-    id_space: int,
     trajectory: Optional[ChannelTrajectory] = None,
     participants: Optional[np.ndarray] = None,
     start_s: float = 0.0,
-    silencing: bool = False,
+    ack_s: Optional[float] = None,
     stall_limit: Optional[int] = None,
 ) -> RatelessRunResult:
     """The air side of the data phase every single-reader entry point runs
@@ -667,7 +674,8 @@ def _run_data_phase(
     field now and not silenced; the reader receives and the decoder
     ingests the slot. ``channels`` is the static field; a ``trajectory``
     replaces it with the channels and presence at each slot's airtime,
-    ``start_s`` on.
+    ``start_s`` on. ``ack_s`` is one silencing ACK's airtime (``None``
+    without silencing).
 
     Receive path: a static field without silencing has fixed rows and
     channels for a whole block of slots, so it receives the block in one
@@ -681,10 +689,10 @@ def _run_data_phase(
     decoder = RatelessDecoder(
         view.seeds, view.h, n_positions, density, config,
         np.random.default_rng(rng.integers(0, 2**63)), front_end.noise_std,
-        ack_s=ack_duration_s(id_space) if silencing else None,
+        ack_s=ack_s,
         stall_limit=stall_limit,
     )
-    block_receive = trajectory is None and not silencing
+    block_receive = trajectory is None and ack_s is None
     symbol_s = 1.0 / GEN2_DEFAULT_TIMING.uplink_rate_bps
     slot_s = n_positions * symbol_s
     block_size = max(1, min(limit, RatelessDecoder.ROW_BLOCK))
@@ -788,8 +796,7 @@ def _run_oracle(
         density=config.data_density(k),
         limit=max_slots if max_slots is not None else config.max_data_slots(k),
         config=config,
-        id_space=10 * k * k,
-        silencing=silencing,
+        ack_s=ack_duration_s(oracle_id_space(k)) if silencing else None,
     )
 
 

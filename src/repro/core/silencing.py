@@ -57,6 +57,6 @@ def run_rateless_with_silencing(
     This is the oracle-view entry point. A silenced data phase over the
     reader's *recovered* view — every ``silenced-e2e`` and
     ``silenced-adaptive`` session — is :func:`repro.core.mobile.
-    run_mobile_data_segment` with ``silencing=True``.
+    run_mobile_data_segment` with ``ack_s`` set.
     """
     return _run_oracle(tags, front_end, rng, config, max_slots, silencing=True)

@@ -23,9 +23,8 @@
   built-ins (``serial``, chunked ``process-pool``, multi-host
   ``cache-queue``), named by :data:`~repro.engine.backends.BACKENDS` or
   passed as configured instances, every backend bit-identical for the
-  same root seed;
-* :mod:`repro.engine.executors` — shared worker-process plumbing (the
-  per-child bootstrap initializer and the chunked-dispatch sizing);
+  same root seed, plus the process pool's worker plumbing (the per-child
+  bootstrap initializer and the chunked-dispatch sizing);
 * :mod:`repro.engine.queue` — the work queue's worker loop
   (``python -m repro worker``): claim cells by lease, execute, store;
 * :mod:`repro.engine.cache` — per-cell result cache addressed by each

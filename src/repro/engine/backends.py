@@ -28,12 +28,18 @@ backend of one's own. Built-ins:
   processes — on this host or any host mounting the cache directory —
   join the same campaign; the coordinator polls the cache for cells
   others complete and reaps orphaned leases left by dead workers.
+
+The pool's worker plumbing lives here too: :func:`pool_initializer`
+(the per-child bootstrap) and :func:`default_chunk_size`.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 import multiprocessing
+import os
+import sys
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -42,7 +48,6 @@ from typing import Callable, ClassVar, Dict, List, Optional
 
 from repro.engine.cache import CampaignCache
 from repro.engine.campaign import CampaignSpec, SchemeRun, run_cell
-from repro.engine.executors import _src_root, default_chunk_size, pool_initializer
 from repro.engine.plan import CampaignPlan, PlannedCell
 from repro.engine.registry import UplinkScheme
 
@@ -125,6 +130,43 @@ def _run_chunk(
         run_cell(spec, planned.cell, scheme=schemes[planned.cell.scheme])
         for planned in chunk
     ]
+
+
+def _src_root() -> str:
+    """Directory that makes ``import repro`` work in a spawned child."""
+    import repro
+
+    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def pool_initializer(src_root: str) -> None:
+    """Per-child bootstrap: make ``repro`` importable inside the worker,
+    even when the repo runs uninstalled (``PYTHONPATH=src``).
+
+    Runs in the *child* process, so it can set ``sys.path`` and
+    ``PYTHONPATH`` without racing anything in the parent. The ``spawn``
+    machinery already ships the parent's ``sys.path``; pinning the source
+    root into ``PYTHONPATH`` as well lets the child's own subprocesses
+    inherit it. Idempotent.
+    """
+    if src_root not in sys.path:
+        sys.path.insert(0, src_root)
+    existing = os.environ.get("PYTHONPATH")
+    parts = existing.split(os.pathsep) if existing else []
+    if src_root not in parts:
+        os.environ["PYTHONPATH"] = os.pathsep.join([src_root] + parts)
+
+
+def default_chunk_size(n_items: int, jobs: int) -> int:
+    """Dispatch granularity that amortizes pickling/IPC without starving.
+
+    Each pool task re-pickles its closure (spec + scheme objects), so
+    per-item dispatch pays that serialization once *per cell* — brutal on
+    grids of tiny cells. Chunking pays it once per chunk; four chunks per
+    worker keeps the pool load-balanced when cell costs vary, and the cap
+    of 32 bounds the loss when one chunk lands on a slow cell.
+    """
+    return max(1, min(32, math.ceil(n_items / (jobs * 4))))
 
 
 class ProcessPoolBackend(ExecutorBackend):

@@ -97,7 +97,10 @@ __all__ = ["CampaignCache", "cell_cache_key", "spec_cell_keys"]
 #: cadence and the channel model's path-loss exponent).
 #: 4: the config key material keeps only the three settable fields; the
 #: paper's fixed parameters became constants.
-_CACHE_FORMAT = 4
+#: 5: the scenario key material's mobility and readers tokens each lost
+#: two entries (coherence and arrival window; capture margin and cadence
+#: spread), which became constants every deployment shares.
+_CACHE_FORMAT = 5
 
 _LEASE_DIR = "leases"
 _QUEUE_DIR = "queue"

@@ -18,7 +18,7 @@ import numpy as np
 from repro.baselines.cdma import run_cdma_uplink
 from repro.baselines.tdma import run_tdma_uplink
 from repro.core.config import BuzzConfig
-from repro.core.rateless import run_rateless_uplink
+from repro.core.rateless import oracle_id_space, run_rateless_uplink
 from repro.core.silencing import run_rateless_with_silencing
 from repro.engine.registry import (  # noqa: F401  (re-exported)
     _REGISTRY,
@@ -65,9 +65,8 @@ class RatelessScheme:
         max_slots: Optional[int] = None,
     ) -> SchemeRun:
         n = len(population)
-        id_space = 10 * n * n
         for tag in population.tags:
-            tag.draw_temp_id(id_space, rng)
+            tag.draw_temp_id(oracle_id_space(n), rng)
         run = self._transfer(
             population.tags, front_end, rng, config=config, max_slots=max_slots
         )

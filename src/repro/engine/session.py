@@ -39,6 +39,7 @@ import numpy as np
 from repro.core.config import BuzzConfig
 from repro.core.identification import identify
 from repro.core.mobile import run_mobile_data_segment
+from repro.core.rateless import ack_duration_s
 from repro.engine.registry import SchemeRun, get_scheme
 from repro.gen2.fsa import FsaConfig, run_fsa_inventory
 from repro.gen2.timing import GEN2_DEFAULT_TIMING
@@ -47,6 +48,12 @@ from repro.nodes.reader import ReaderFrontEnd
 from repro.phy.channel import ChannelTrajectory
 
 __all__ = ["SessionPipeline", "Gen2Session"]
+
+#: An adaptive session's stall monitor trips after this many data slots
+#: per view column verify nothing new.
+STALL_SLOTS_FACTOR = 2.0
+#: Mid-session identification re-runs an adaptive session may perform.
+MAX_REIDENTIFICATIONS = 2
 
 
 class SessionPipeline:
@@ -58,16 +65,15 @@ class SessionPipeline:
         The registry name the session's records carry.
     silencing:
         Run the §8.2 ACK-silenced data phase instead of the plain one.
-    stall_slots_factor:
-        Stall monitor on mobile fields: whenever ``stall_slots_factor ×
-        |view|`` consecutive data slots verify nothing new, the data phase
-        is interrupted and identification re-runs over the tags *now*
-        present. ``None`` (or ``inf``) disables it, making the session
-        bit-identical to its plain twin on every scenario.
-    max_reidentifications:
-        Mid-session identification re-runs the session may perform,
-        bounded additionally by the session's global data-slot budget.
-        Messages verified before an interruption stay delivered.
+    adaptive:
+        Arm the stall monitor on mobile fields: whenever
+        ``STALL_SLOTS_FACTOR × |view|`` consecutive data slots (at least 8)
+        verify nothing new, the data phase is interrupted and
+        identification re-runs over the tags *now* present, at most
+        ``MAX_REIDENTIFICATIONS`` times and within the session's global
+        data-slot budget. Messages verified before an interruption stay
+        delivered. On a static field the monitor stays off, so an adaptive
+        session equals its plain twin there.
 
     The session draws nothing itself beyond one trajectory seed on a
     mobile field and consumes the cell generator strictly phase by phase,
@@ -76,21 +82,10 @@ class SessionPipeline:
     timing, the model every phase of the stack uses.
     """
 
-    def __init__(
-        self,
-        name: str,
-        silencing: bool = False,
-        stall_slots_factor: Optional[float] = None,
-        max_reidentifications: int = 0,
-    ):
-        if stall_slots_factor is not None and stall_slots_factor <= 0:
-            raise ValueError("stall_slots_factor must be positive (or None)")
-        if max_reidentifications < 0:
-            raise ValueError("max_reidentifications must be >= 0")
+    def __init__(self, name: str, silencing: bool = False, adaptive: bool = False):
         self.name = name
         self.silencing = silencing
-        self.stall_slots_factor = stall_slots_factor
-        self.max_reidentifications = max_reidentifications
+        self.adaptive = adaptive
 
     def _make_trajectory(
         self, population: TagPopulation, rng: np.random.Generator
@@ -120,7 +115,7 @@ class SessionPipeline:
         the recovered view while the trajectory keeps moving, and — when
         the stall monitor trips and the budgets allow — re-identify and
         splice the refreshed estimates and id set into a fresh decoder
-        view. With the monitor disabled the loop body runs exactly once.
+        view. A session that is not adaptive runs the loop body once.
 
         A static field (no mobility, or all rates zero) is the loop with no
         trajectory: no draw realises one, every tag is present, the tags'
@@ -201,7 +196,6 @@ class SessionPipeline:
                 # *recovered* (each recovered id is one talker); Stage 1's
                 # coarse estimate only sizes the id space ACKs are priced in.
                 k_hat = max(1, int(ident.recovered_ids.size))
-                id_space = config.temp_id_space(max(1, ident.k_estimate.k_hat))
                 if budget is None:
                     budget = (
                         max_slots if max_slots is not None else config.max_data_slots(k_hat)
@@ -210,13 +204,18 @@ class SessionPipeline:
                     break  # no slots: a static session still sends the trigger
                 participants = np.zeros(k, dtype=bool)
                 participants[present_idx] = True
-                factor = None if trajectory is None else self.stall_slots_factor
                 stall_limit = None
-                if factor is not None and math.isfinite(factor):
+                if self.adaptive and trajectory is not None:
                     # Floor of 8: tiny views verify their first message within
                     # a handful of slots, but the monitor must never beat the
                     # decoder's ramp-up to it.
-                    stall_limit = max(8, int(math.ceil(factor * max(1, len(estimates)))))
+                    stall_limit = max(
+                        8, int(math.ceil(STALL_SLOTS_FACTOR * max(1, len(estimates))))
+                    )
+                ack_s = (
+                    ack_duration_s(config.temp_id_space(max(1, ident.k_estimate.k_hat)))
+                    if self.silencing else None
+                )
                 segment = run_mobile_data_segment(
                     tags,
                     front_end,
@@ -229,8 +228,7 @@ class SessionPipeline:
                     config=config,
                     max_slots=budget,
                     stall_limit=stall_limit,
-                    silencing=self.silencing,
-                    id_space=id_space,
+                    ack_s=ack_s,
                 )
                 data_parts.append(segment.duration_s)
                 now += segment.duration_s
@@ -245,9 +243,10 @@ class SessionPipeline:
                 final_messages[refresh] = segment.messages[refresh]
                 delivered |= segment.decoded_mask
 
-                if bool(delivered.all()) or not segment.stalled or budget <= 0:
-                    break
-                if reidentifications >= self.max_reidentifications:
+                if (
+                    bool(delivered.all()) or not segment.stalled or budget <= 0
+                    or reidentifications >= MAX_REIDENTIFICATIONS
+                ):
                     break
                 reidentifications += 1
 
@@ -328,11 +327,6 @@ BUILTIN_SCHEMES = (
     SessionPipeline("buzz-e2e"),
     SessionPipeline("silenced-e2e", silencing=True),
     Gen2Session("gen2-tdma-e2e"),
-    SessionPipeline("buzz-adaptive", stall_slots_factor=2.0, max_reidentifications=2),
-    SessionPipeline(
-        "silenced-adaptive",
-        silencing=True,
-        stall_slots_factor=2.0,
-        max_reidentifications=2,
-    ),
+    SessionPipeline("buzz-adaptive", adaptive=True),
+    SessionPipeline("silenced-adaptive", silencing=True, adaptive=True),
 )

@@ -32,7 +32,7 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -77,6 +77,19 @@ CHALLENGING_SNR_BANDS: List[Tuple[int, int]] = [
     (3, 15),
     (4, 12),
 ]
+
+#: The table-top bench (Figs. 10/11/13): healthy mean SNR, strong line of sight.
+TABLE_TOP = ChannelModel(
+    mean_snr_db=24.0, near_far_db=12.0, rician_k_db=10.0, noise_std=0.1
+)
+#: A packed inventory shelf: moderate SNR, wide near-far spread, weak line of sight.
+DENSE_SHELF = ChannelModel(
+    mean_snr_db=20.0, near_far_db=16.0, rician_k_db=6.0, noise_std=0.1
+)
+#: A checkout or dock-door portal: close range, tight and strong.
+PORTAL = ChannelModel(
+    mean_snr_db=26.0, near_far_db=10.0, rician_k_db=12.0, noise_std=0.1
+)
 
 #: Our PHY decodes a given SNR better than the paper's USRP chain (no CW
 #: phase noise, perfect channel knowledge), so paper-band SNRs map to lower
@@ -159,9 +172,7 @@ def default_uplink_scenario(n_tags: int, message_bits: int = 32) -> Scenario:
     return Scenario(
         name=f"uplink-k{n_tags}",
         n_tags=n_tags,
-        channel_model=ChannelModel(
-            mean_snr_db=24.0, near_far_db=12.0, rician_k_db=10.0, noise_std=0.1
-        ),
+        channel_model=TABLE_TOP,
         message_bits=message_bits,
     )
 
@@ -210,9 +221,7 @@ def shopping_cart_scenario(n_items_in_cart: int = 20, message_bits: int = 96) ->
     return Scenario(
         name=f"shopping-cart-{n_items_in_cart}",
         n_tags=n_items_in_cart,
-        channel_model=ChannelModel(
-            mean_snr_db=26.0, near_far_db=10.0, rician_k_db=12.0, noise_std=0.1
-        ),
+        channel_model=PORTAL,
         message_bits=message_bits,
     )
 
@@ -230,9 +239,7 @@ def dense_deployment_scenario(n_tags: int, message_bits: int = 32) -> Scenario:
     return Scenario(
         name=f"dense-k{n_tags}",
         n_tags=n_tags,
-        channel_model=ChannelModel(
-            mean_snr_db=20.0, near_far_db=16.0, rician_k_db=6.0, noise_std=0.1
-        ),
+        channel_model=DENSE_SHELF,
         message_bits=message_bits,
     )
 
@@ -242,10 +249,8 @@ def mobile_scenario(
     message_bits: int = 32,
     *,
     drift_rate_hz: float = 8.0,
-    coherence_s: float = 0.005,
     departure_rate_hz: float = 0.0,
     late_arrival_fraction: float = 0.0,
-    arrival_window_s: float = 0.05,
     channel_model: Optional[ChannelModel] = None,
     name: Optional[str] = None,
 ) -> Scenario:
@@ -259,9 +264,7 @@ def mobile_scenario(
     a full-length data phase.
     """
     ensure_positive_int(n_tags, "n_tags")
-    model = channel_model if channel_model is not None else ChannelModel(
-        mean_snr_db=20.0, near_far_db=16.0, rician_k_db=6.0, noise_std=0.1
-    )
+    model = channel_model if channel_model is not None else DENSE_SHELF
     label = name if name is not None else (
         f"mobile-k{n_tags}-d{drift_rate_hz:g}-c{departure_rate_hz:g}"
         f"-a{late_arrival_fraction:g}"
@@ -273,10 +276,8 @@ def mobile_scenario(
         message_bits=message_bits,
         mobility=MobilityModel(
             drift_rate_hz=drift_rate_hz,
-            coherence_s=coherence_s,
             departure_rate_hz=departure_rate_hz,
             late_arrival_fraction=late_arrival_fraction,
-            arrival_window_s=arrival_window_s,
         ),
     )
 
@@ -287,9 +288,7 @@ def mobile_sparse_scenario(n_tags: int, message_bits: int = 32) -> Scenario:
         n_tags,
         message_bits,
         drift_rate_hz=4.0,
-        channel_model=ChannelModel(
-            mean_snr_db=24.0, near_far_db=12.0, rician_k_db=10.0, noise_std=0.1
-        ),
+        channel_model=TABLE_TOP,
         name=f"mobile-sparse-k{n_tags}",
     )
 
@@ -316,7 +315,6 @@ def churn_scenario(n_tags: int, message_bits: int = 32) -> Scenario:
         drift_rate_hz=4.0,
         departure_rate_hz=6.0,
         late_arrival_fraction=0.25,
-        arrival_window_s=0.05,
         name=f"churn-k{n_tags}",
     )
 
@@ -329,9 +327,7 @@ def multi_reader_scenario(
     collision_mode: str = "naive",
     overlap_fraction: float = 0.3,
     cross_gain_db: float = -6.0,
-    capture_margin_db: float = 6.0,
     handoff_rate_hz: float = 0.0,
-    cadence_spread: float = 0.1,
     channel_model: Optional[ChannelModel] = None,
     name: Optional[str] = None,
 ) -> Scenario:
@@ -343,9 +339,7 @@ def multi_reader_scenario(
     rate around 20/s gives each tag about two zone crossings per session.
     """
     ensure_positive_int(n_tags, "n_tags")
-    model = channel_model if channel_model is not None else ChannelModel(
-        mean_snr_db=20.0, near_far_db=16.0, rician_k_db=6.0, noise_std=0.1
-    )
+    model = channel_model if channel_model is not None else DENSE_SHELF
     label = name if name is not None else (
         f"multi-reader-k{n_tags}-r{n_readers}-{collision_mode}"
     )
@@ -359,9 +353,7 @@ def multi_reader_scenario(
             collision_mode=collision_mode,
             overlap_fraction=overlap_fraction,
             cross_gain_db=cross_gain_db,
-            capture_margin_db=capture_margin_db,
             handoff_rate_hz=handoff_rate_hz,
-            cadence_spread=cadence_spread,
         ),
     )
 
@@ -379,9 +371,7 @@ def two_portal_scenario(n_tags: int, message_bits: int = 32) -> Scenario:
         collision_mode="capture",
         overlap_fraction=0.25,
         cross_gain_db=-6.0,
-        channel_model=ChannelModel(
-            mean_snr_db=26.0, near_far_db=10.0, rician_k_db=12.0, noise_std=0.1
-        ),
+        channel_model=PORTAL,
         name=f"two-portal-k{n_tags}",
     )
 
@@ -425,19 +415,23 @@ def handoff_scenario(n_tags: int, message_bits: int = 32) -> Scenario:
 
 
 #: Named location classes any campaign-backed figure can be re-run on.
-SCENARIO_NAMES: Tuple[str, ...] = (
-    "default",
-    "errors",
-    "challenging",
-    "cart",
-    "dense",
-    "mobile-sparse",
-    "mobile-dense",
-    "churn",
-    "two-portal",
-    "dense-floor",
-    "handoff",
-)
+_SCENARIOS: Dict[str, Callable[..., Scenario]] = {
+    "default": default_uplink_scenario,
+    "errors": error_prone_scenario,
+    "challenging": lambda n_tags, **_: challenging_scenario(
+        CHALLENGING_SNR_BANDS[2], n_tags=n_tags
+    ),
+    "cart": shopping_cart_scenario,
+    "dense": dense_deployment_scenario,
+    "mobile-sparse": mobile_sparse_scenario,
+    "mobile-dense": mobile_dense_scenario,
+    "churn": churn_scenario,
+    "two-portal": two_portal_scenario,
+    "dense-floor": dense_floor_scenario,
+    "handoff": handoff_scenario,
+}
+
+SCENARIO_NAMES: Tuple[str, ...] = tuple(_SCENARIOS)
 
 ScenarioLike = Union[None, str, Callable[[int], Scenario]]
 
@@ -452,30 +446,13 @@ def scenario_by_name(
     Fig. 12 SNR band (always 32-bit payloads); run
     :mod:`repro.experiments.fig12_challenging` for the full sweep.
     """
+    factory = _SCENARIOS.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}"
+        )
     kwargs = {} if message_bits is None else {"message_bits": message_bits}
-    if name == "default":
-        return default_uplink_scenario(n_tags, **kwargs)
-    if name == "errors":
-        return error_prone_scenario(n_tags, **kwargs)
-    if name == "challenging":
-        return challenging_scenario(CHALLENGING_SNR_BANDS[2], n_tags=n_tags)
-    if name == "cart":
-        return shopping_cart_scenario(n_tags, **kwargs)
-    if name == "dense":
-        return dense_deployment_scenario(n_tags, **kwargs)
-    if name == "mobile-sparse":
-        return mobile_sparse_scenario(n_tags, **kwargs)
-    if name == "mobile-dense":
-        return mobile_dense_scenario(n_tags, **kwargs)
-    if name == "churn":
-        return churn_scenario(n_tags, **kwargs)
-    if name == "two-portal":
-        return two_portal_scenario(n_tags, **kwargs)
-    if name == "dense-floor":
-        return dense_floor_scenario(n_tags, **kwargs)
-    if name == "handoff":
-        return handoff_scenario(n_tags, **kwargs)
-    raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}")
+    return factory(n_tags, **kwargs)
 
 
 def resolve_scenario_factory(

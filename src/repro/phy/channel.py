@@ -28,7 +28,20 @@ __all__ = [
     "MultiReaderModel",
     "ZoneTrajectory",
     "COLLISION_MODES",
+    "COHERENCE_S",
+    "ARRIVAL_WINDOW_S",
+    "CAPTURE_MARGIN_DB",
+    "CADENCE_SPREAD",
 ]
+
+#: Block length (s) of the block-fading process: channels hold within one.
+COHERENCE_S = 0.005
+#: Width (s) of the window late arrivals enter the field within.
+ARRIVAL_WINDOW_S = 0.05
+#: Power advantage (dB) the ``"capture"`` mode needs to keep a slot clean.
+CAPTURE_MARGIN_DB = 6.0
+#: Reader *r* of *R* runs its slots every ``slot_s · (1 + CADENCE_SPREAD · r / R)``.
+CADENCE_SPREAD = 0.1
 
 #: Reader-to-reader interference resolutions the multi-reader simulator
 #: supports — the FADR collision-model ladder:
@@ -119,8 +132,10 @@ class MobilityModel:
     holds it for the whole session — the paper's §9 bench. Warehouse and
     supply-chain deployments are mobile: tags ride conveyors and carts, so
     channels drift *during* a session and tags enter or leave the read
-    field mid-way. This model pins both effects with a handful of rates;
-    :class:`ChannelTrajectory` realises one draw of them.
+    field mid-way. This model pins both effects with three rates;
+    :class:`ChannelTrajectory` realises one draw of them. The fading block
+    (:data:`COHERENCE_S`) and the late-arrival window
+    (:data:`ARRIVAL_WINDOW_S`) are the same for every deployment.
 
     Attributes
     ----------
@@ -128,29 +143,20 @@ class MobilityModel:
         Channel decorrelation rate (1/s) of the Gauss–Markov block-fading
         process: two samples ``t`` seconds apart correlate as
         ``exp(-drift_rate_hz · t)``. 0 disables drift.
-    coherence_s:
-        Block length of the block-fading process — the channel is constant
-        within a block and steps across block boundaries.
     departure_rate_hz:
         Per-tag Poisson rate of leaving the field (1/s); a departed tag
         stops reflecting for good (total fade). 0 disables departures.
     late_arrival_fraction:
         Fraction of tags not yet in the field when the session starts;
-        they arrive uniformly within ``arrival_window_s`` and stay silent
-        until identified.
-    arrival_window_s:
-        Width of the late-arrival window (seconds).
+        they arrive uniformly within :data:`ARRIVAL_WINDOW_S` and stay
+        silent until identified.
     """
 
     drift_rate_hz: float = 0.0
-    coherence_s: float = 0.01
     departure_rate_hz: float = 0.0
     late_arrival_fraction: float = 0.0
-    arrival_window_s: float = 0.5
 
     def __post_init__(self) -> None:
-        ensure_positive(self.coherence_s, "coherence_s")
-        ensure_positive(self.arrival_window_s, "arrival_window_s")
         if self.drift_rate_hz < 0:
             raise ValueError("drift_rate_hz must be >= 0")
         if self.departure_rate_hz < 0:
@@ -211,7 +217,7 @@ class ChannelTrajectory:
         if arrivals is None:
             late = rng.random(n) < model.late_arrival_fraction
             arrivals = np.where(
-                late, rng.uniform(0.0, model.arrival_window_s, size=n), 0.0
+                late, rng.uniform(0.0, ARRIVAL_WINDOW_S, size=n), 0.0
             )
         self.arrivals = np.asarray(arrivals, dtype=float).ravel().copy()
         if self.arrivals.size != n:
@@ -226,7 +232,7 @@ class ChannelTrajectory:
         self.departures = np.asarray(departures, dtype=float).ravel().copy()
         if self.departures.size != n:
             raise ValueError("departures must have one entry per tag")
-        self._rho = float(np.exp(-model.drift_rate_hz * model.coherence_s))
+        self._rho = float(np.exp(-model.drift_rate_hz * COHERENCE_S))
         self._sigma = np.abs(self.base)
         self._blocks: list = [self.base.copy()]
 
@@ -250,7 +256,7 @@ class ChannelTrajectory:
         """Fading-block index containing time ``t_s``."""
         if t_s < 0:
             raise ValueError("time must be >= 0")
-        return int(t_s / self.model.coherence_s)
+        return int(t_s / COHERENCE_S)
 
     def channels_at(self, t_s: float) -> np.ndarray:
         """Per-tag channel coefficients during the block containing ``t_s``."""
@@ -280,7 +286,9 @@ class MultiReaderModel:
     both readers and reader-to-reader interference happens. Mobility
     between zones is a per-tag Poisson handoff process: each event moves
     the tag to the next reader on the ring (conveyor/portal flow), and
-    :class:`ZoneTrajectory` realises one draw of it.
+    :class:`ZoneTrajectory` realises one draw of it. The capture margin
+    (:data:`CAPTURE_MARGIN_DB`) and the readers' cadence spread
+    (:data:`CADENCE_SPREAD`) are the same for every deployment.
 
     Attributes
     ----------
@@ -296,25 +304,16 @@ class MultiReaderModel:
         Power attenuation of an overlap tag's reflection at the *non-home*
         reader relative to its in-zone gain (≤ 0 dB: the foreign reader is
         further away).
-    capture_margin_db:
-        Power advantage the desired aggregate needs over the interference
-        for the ``"capture"`` mode to keep the slot clean.
     handoff_rate_hz:
         Per-tag Poisson rate (1/s) of moving to the next zone; 0 pins
         every tag to its initial home.
-    cadence_spread:
-        Fractional spread of the readers' slot periods: reader *r* runs
-        its schedule at ``slot_s · (1 + cadence_spread · r / R)``, so the
-        readers are genuinely asynchronous rather than slot-locked.
     """
 
     n_readers: int = 2
     collision_mode: str = "naive"
     overlap_fraction: float = 0.3
     cross_gain_db: float = -6.0
-    capture_margin_db: float = 6.0
     handoff_rate_hz: float = 0.0
-    cadence_spread: float = 0.1
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.n_readers, "n_readers")
@@ -329,8 +328,6 @@ class MultiReaderModel:
             raise ValueError("cross_gain_db must be <= 0 (an attenuation)")
         if self.handoff_rate_hz < 0:
             raise ValueError("handoff_rate_hz must be >= 0")
-        if self.cadence_spread < 0:
-            raise ValueError("cadence_spread must be >= 0")
 
 
 class ZoneTrajectory:

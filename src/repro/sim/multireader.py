@@ -62,7 +62,12 @@ from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.nodes.population import TagPopulation
 from repro.nodes.reader import ReaderFrontEnd
 from repro.nodes.tag import SALT_DATA
-from repro.phy.channel import MultiReaderModel, ZoneTrajectory
+from repro.phy.channel import (
+    CADENCE_SPREAD,
+    CAPTURE_MARGIN_DB,
+    MultiReaderModel,
+    ZoneTrajectory,
+)
 from repro.sim.interference import TransmissionRecord, resolve_slot
 from repro.sim.scheduler import EventScheduler
 from repro.utils.units import db_to_power
@@ -189,8 +194,8 @@ class _ReaderActor:
         r = sim.model.n_readers
         # Distinct periods keep the readers genuinely asynchronous; the
         # slot airtime itself is the common PHY constant.
-        self.period = sim.slot_s * (1.0 + sim.model.cadence_spread * index / r)
-        self.capture_margin = float(db_to_power(sim.model.capture_margin_db))
+        self.period = sim.slot_s * (1.0 + CADENCE_SPREAD * index / r)
+        self.capture_margin = float(db_to_power(CAPTURE_MARGIN_DB))
         self._clear_session()
 
     def _clear_session(self) -> None:
@@ -347,16 +352,16 @@ def simulate_multi_reader(
     population: TagPopulation,
     front_end: ReaderFrontEnd,
     rng: np.random.Generator,
+    model: MultiReaderModel,
     config: BuzzConfig = BuzzConfig(),
     max_slots: Optional[int] = None,
-    model: Optional[MultiReaderModel] = None,
 ) -> MultiReaderOutcome:
     """Run R concurrent readers over one population until drained.
 
-    ``model`` defaults to the population's attached
-    :class:`~repro.phy.channel.MultiReaderModel` (or a stock two-reader
-    one). ``max_slots`` caps the *global* collision-slot budget across all
-    readers; by default the single-reader abort bound
+    ``model`` is the deployment's :class:`~repro.phy.channel.
+    MultiReaderModel` (the ``multi-reader`` schemes resolve it from the
+    population). ``max_slots`` caps the *global* collision-slot budget
+    across all readers; by default the single-reader abort bound
     ``config.max_data_slots(K)`` is shared by the whole fleet, which makes
     the aggregate-rate denominator directly comparable with the
     single-reader schemes.
@@ -364,14 +369,12 @@ def simulate_multi_reader(
     k = len(population)
     if k == 0:
         raise ValueError("need at least one tag")
-    if model is None:
-        model = population.readers if population.readers is not None else MultiReaderModel()
     messages = population.messages
     slot_s = messages.shape[1] / GEN2_DEFAULT_TIMING.uplink_rate_bps
     budget = int(max_slots) if max_slots is not None else config.max_data_slots(k)
     if budget <= 0:
         raise ValueError("slot budget must be positive")
-    max_period = slot_s * (1.0 + model.cadence_spread)
+    max_period = slot_s * (1.0 + CADENCE_SPREAD)
     # Generous horizon: enough for every budgeted slot plus per-session
     # query overheads to run *sequentially*; concurrent readers finish
     # well inside it. Queries past it simply see no further handoffs.
@@ -390,7 +393,7 @@ def simulate_multi_reader(
         channels=population.channels,
         slot_s=slot_s,
         budget=budget,
-        id_space=10 * k * k,
+        id_space=rateless.oracle_id_space(k),
     )
     sched = EventScheduler()
     for r in range(model.n_readers):

@@ -37,7 +37,8 @@ class MultiReaderScheme:
     dropped — both cost airtime), so ``bits_per_symbol`` remains the
     aggregate-rate K/L directly comparable with the single-reader Buzz
     rows; ``duration_s`` is the fleet makespan, which is where concurrency
-    pays.
+    pays. A population without a :class:`~repro.phy.channel.
+    MultiReaderModel` runs under the stock two-reader one.
     """
 
     def __init__(self, name: str = "multi-reader", collision_mode: Optional[str] = None):
@@ -57,20 +58,11 @@ class MultiReaderScheme:
         config: BuzzConfig,
         max_slots: Optional[int] = None,
     ) -> SchemeRun:
-        model = (
-            population.readers
-            if population.readers is not None
-            else MultiReaderModel()
-        )
+        model = population.readers or MultiReaderModel()
         if self.collision_mode is not None:
             model = replace(model, collision_mode=self.collision_mode)
         outcome = simulate_multi_reader(
-            population,
-            front_end,
-            rng,
-            config=config,
-            max_slots=max_slots,
-            model=model,
+            population, front_end, rng, model, config=config, max_slots=max_slots
         )
         k = len(population)
         truth = population.messages

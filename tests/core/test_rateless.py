@@ -8,14 +8,19 @@ from repro.coding.crc import CRC5_GEN2
 from repro.core.config import BuzzConfig
 from repro.core.identification import ChannelEstimates
 from repro.core.mobile import run_mobile_data_segment
-from repro.core.rateless import RatelessDecoder, run_rateless_uplink
+from repro.core.rateless import (
+    RatelessDecoder,
+    ack_duration_s,
+    oracle_id_space,
+    run_rateless_uplink,
+)
 from repro.core.reference import RebuildRatelessDecoder, full_width_problem
 from repro.core.silencing import run_rateless_with_silencing
 from repro.gen2.timing import GEN2_DEFAULT_TIMING
 from repro.network.scenarios import mobile_scenario
 from repro.nodes.population import make_population
 from repro.nodes.reader import ReaderFrontEnd
-from repro.phy.channel import ChannelModel, ChannelTrajectory
+from repro.phy.channel import COHERENCE_S, ChannelModel, ChannelTrajectory
 from repro.phy.constellation import collision_constellation
 from repro.utils.rng import SeedSequenceFactory
 
@@ -644,7 +649,8 @@ class TestPhysicalBound:
                 t.channel + 0.1 * noise_std * complex(*err.standard_normal(2))
                 for t in kept
             ]
-            result = _segment(pop.tags, fe, rng, seeds, estimates, silencing=silencing)
+            ack_s = ack_duration_s(oracle_id_space(k)) if silencing else None
+            result = _segment(pop.tags, fe, rng, seeds, estimates, ack_s=ack_s)
         assert result.slots_used > 0
         p = pop.messages.shape[1]
         correct = result.decoded_mask & np.all(result.messages == pop.messages, axis=1)
@@ -685,13 +691,13 @@ class TestPhysicalBound:
             start_s=0.0,
             k_hat=k,
             max_slots=BuzzConfig().max_data_slots(k),
-            silencing=silencing,
+            ack_s=ack_duration_s(oracle_id_space(k)) if silencing else None,
         )
         assert result.slots_used > 0
         p = pop.messages.shape[1]
         correct = result.decoded_mask & np.all(result.messages == pop.messages, axis=1)
         rate = correct.sum() * (p - CRC5_GEN2.width) / (result.slots_used * p)
-        block_s = pop.mobility.coherence_s
+        block_s = COHERENCE_S
         power = max(
             np.sum(np.abs(trajectory.channels_at((b + 0.5) * block_s)) ** 2)
             for b in range(trajectory.block_index(result.duration_s) + 1)

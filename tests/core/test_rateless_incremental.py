@@ -73,7 +73,9 @@ def _counting(base, built):
 def _multi_reader(scenario, seed):
     rng = np.random.default_rng(seed)
     pop = scenario.draw_population(rng)
-    return simulate_multi_reader(pop, ReaderFrontEnd(noise_std=pop.noise_std), rng)
+    return simulate_multi_reader(
+        pop, ReaderFrontEnd(noise_std=pop.noise_std), rng, pop.readers
+    )
 
 
 class TestSinglePatchPoint:

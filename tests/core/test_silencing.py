@@ -8,7 +8,7 @@ import pytest
 from repro.core.config import BuzzConfig
 from repro.core.identification import ChannelEstimates
 from repro.core.mobile import run_mobile_data_segment
-from repro.core.rateless import run_rateless_uplink
+from repro.core.rateless import oracle_id_space, run_rateless_uplink
 from repro.core.silencing import ack_duration_s, run_rateless_with_silencing
 from repro.engine import session as session_module
 from repro.engine.session import SessionPipeline
@@ -85,7 +85,8 @@ def _segment(tags, fe, rng, recovered, **kwargs):
     return run_mobile_data_segment(
         tags, fe, rng, estimates=estimates, trajectory=None,
         participants=np.ones(len(tags), dtype=bool), start_s=0.0,
-        k_hat=len(recovered), silencing=True, **kwargs,
+        k_hat=len(recovered), ack_s=ack_duration_s(oracle_id_space(len(tags))),
+        **kwargs,
     )
 
 

@@ -27,7 +27,7 @@ from repro.engine import (
     run_campaign,
 )
 from repro.engine import schemes as schemes_module
-from repro.engine.executors import default_chunk_size, pool_initializer
+from repro.engine.backends import default_chunk_size, pool_initializer
 from repro.engine.queue import pack_campaign, run_worker, unpack_campaign
 from repro.engine.schemes import TdmaScheme, get_scheme, register_scheme
 from repro.network.scenarios import default_uplink_scenario

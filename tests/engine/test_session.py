@@ -56,19 +56,6 @@ class TestRegistry:
     def test_pipelines_satisfy_scheme_protocol(self, name):
         assert isinstance(get_scheme(name), UplinkScheme)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"stall_slots_factor": 0},
-            {"stall_slots_factor": -1.0},
-            {"max_reidentifications": -1},
-        ],
-        ids=["zero-stall-factor", "negative-stall-factor", "negative-reidentifications"],
-    )
-    def test_pipeline_rejects_invalid_monitor_settings(self, kwargs):
-        with pytest.raises(ValueError):
-            SessionPipeline("bad", **kwargs)
-
 
 class TestSessionResults:
     @pytest.mark.parametrize("name", E2E)

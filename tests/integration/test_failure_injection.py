@@ -149,7 +149,7 @@ class _ForcedSchedule(object):
     """Mixin factory: adaptive pipeline with pinned departure schedules."""
 
     @staticmethod
-    def pipeline(departures, stall=2.0, max_reident=3):
+    def pipeline(departures):
         from repro.engine.session import SessionPipeline
 
         class Forced(SessionPipeline):
@@ -158,15 +158,11 @@ class _ForcedSchedule(object):
                 trajectory.departures[:] = departures
                 return trajectory
 
-        return Forced(
-            "forced-adaptive",
-            stall_slots_factor=stall,
-            max_reidentifications=max_reident,
-        )
+        return Forced("forced-adaptive", adaptive=True)
 
 
 class TestMidSessionFade:
-    def _run(self, departures, seed=0, k=8, **kwargs):
+    def _run(self, departures, seed=0, k=8):
         from repro.core.config import BuzzConfig
         from repro.network.scenarios import mobile_scenario
         from repro.utils.rng import SeedSequenceFactory
@@ -175,7 +171,7 @@ class TestMidSessionFade:
         seeds = SeedSequenceFactory(seed)
         pop = scenario.draw_population(seeds.stream("location", 0))
         fe = ReaderFrontEnd(noise_std=pop.noise_std)
-        pipeline = _ForcedSchedule.pipeline(departures, **kwargs)
+        pipeline = _ForcedSchedule.pipeline(departures)
         return pipeline.run(pop, fe, seeds.stream("run"), config=BuzzConfig()), pop
 
     def test_total_fade_triggers_one_reidentification_and_terminates(self):
@@ -213,16 +209,15 @@ class TestMidSessionFade:
         assert result.duration_s == result.identification_s + result.data_s
 
     def test_empty_field_at_session_start(self):
-        """Nobody present when the reader triggers: the session charges one
-        trigger command and reports everything lost."""
+        """Nobody present when the reader triggers (every tag arrives late,
+        within the arrival window): the session charges one trigger command
+        and reports everything lost."""
         from repro.core.config import BuzzConfig
         from repro.engine.schemes import get_scheme
         from repro.network.scenarios import mobile_scenario
         from repro.utils.rng import SeedSequenceFactory
 
-        scenario = mobile_scenario(
-            4, late_arrival_fraction=1.0, arrival_window_s=10.0
-        )
+        scenario = mobile_scenario(4, late_arrival_fraction=1.0)
         seeds = SeedSequenceFactory(1)
         pop = scenario.draw_population(seeds.stream("location", 0))
         fe = ReaderFrontEnd(noise_std=pop.noise_std)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.phy.channel import (
+    COHERENCE_S,
     ChannelModel,
     ChannelTrajectory,
     MobilityModel,
@@ -73,8 +74,6 @@ class TestMobilityModel:
         with pytest.raises(ValueError):
             MobilityModel(departure_rate_hz=-0.1)
         with pytest.raises(ValueError):
-            MobilityModel(coherence_s=0.0)
-        with pytest.raises(ValueError):
             MobilityModel(late_arrival_fraction=1.5)
 
 
@@ -100,7 +99,7 @@ class TestChannelTrajectory:
 
     def test_drift_decorrelates_but_preserves_power(self):
         base = self._base(n=400)
-        model = MobilityModel(drift_rate_hz=20.0, coherence_s=0.005)
+        model = MobilityModel(drift_rate_hz=20.0)
         traj = ChannelTrajectory(base, model, np.random.default_rng(2))
         h0 = traj.channels_at(0.0)
         h_late = traj.channels_at(0.2)  # corr ≈ e^-4
@@ -113,10 +112,12 @@ class TestChannelTrajectory:
 
     def test_channels_constant_within_a_block(self):
         base = self._base()
-        model = MobilityModel(drift_rate_hz=50.0, coherence_s=0.01)
+        # ρ = exp(−0.5) per block, as with 50 Hz over 10 ms blocks.
+        model = MobilityModel(drift_rate_hz=0.5 / COHERENCE_S)
         traj = ChannelTrajectory(base, model, np.random.default_rng(4))
-        assert np.array_equal(traj.channels_at(0.0101), traj.channels_at(0.0199))
-        assert not np.array_equal(traj.channels_at(0.0099), traj.channels_at(0.0101))
+        c = COHERENCE_S
+        assert np.array_equal(traj.channels_at(1.01 * c), traj.channels_at(1.99 * c))
+        assert not np.array_equal(traj.channels_at(0.99 * c), traj.channels_at(1.01 * c))
 
     def test_out_of_order_queries_consistent(self):
         """Lazily extended blocks must not depend on query order."""
@@ -130,9 +131,7 @@ class TestChannelTrajectory:
 
     def test_departures_and_late_arrivals(self):
         base = self._base(n=300)
-        model = MobilityModel(
-            departure_rate_hz=5.0, late_arrival_fraction=0.4, arrival_window_s=0.1
-        )
+        model = MobilityModel(departure_rate_hz=5.0, late_arrival_fraction=0.4)
         traj = ChannelTrajectory(base, model, np.random.default_rng(6))
         at_start = traj.active_at(0.0)
         # Roughly the late fraction is absent at t=0...
@@ -165,12 +164,13 @@ class TestChannelTrajectory:
         """correlation(t) = ρ^blocks is the analytic envelope the empirical
         draw follows (within sampling noise on a large population)."""
         base = self._base(n=500)
-        model = MobilityModel(drift_rate_hz=15.0, coherence_s=0.005)
+        model = MobilityModel(drift_rate_hz=15.0)
         traj = ChannelTrajectory(base, model, np.random.default_rng(9))
         assert traj.correlation(0.0) == 1.0
         assert traj.correlation(0.1) < traj.correlation(0.02) < 1.0
-        rho = np.exp(-15.0 * 0.005)
-        assert traj.correlation(0.05) == pytest.approx(rho ** 10)
-        h0, h = traj.channels_at(0.0), traj.channels_at(0.05)
+        rho = np.exp(-15.0 * COHERENCE_S)
+        t = 10.5 * COHERENCE_S  # inside block 10
+        assert traj.correlation(t) == pytest.approx(rho ** 10)
+        h0, h = traj.channels_at(0.0), traj.channels_at(t)
         empirical = abs(np.vdot(h0, h)) / (np.linalg.norm(h0) * np.linalg.norm(h))
-        assert empirical == pytest.approx(traj.correlation(0.05), abs=0.15)
+        assert empirical == pytest.approx(traj.correlation(t), abs=0.15)

@@ -156,7 +156,11 @@ def _outcome(scenario, seed=11, **kwargs):
     rng = np.random.default_rng(seed)
     population = scenario.draw_population(rng)
     return simulate_multi_reader(
-        population, ReaderFrontEnd(noise_std=population.noise_std), rng, **kwargs
+        population,
+        ReaderFrontEnd(noise_std=population.noise_std),
+        rng,
+        population.readers,
+        **kwargs,
     )
 
 
@@ -345,7 +349,7 @@ class TestMultiReaderScheme:
             population,
             ReaderFrontEnd(noise_std=population.noise_std),
             rng,
-            model=dataclasses.replace(population.readers, collision_mode="interference"),
+            dataclasses.replace(population.readers, collision_mode="interference"),
         )
         assert out.dropped_slots == 0
 
@@ -387,7 +391,10 @@ class TestPhysicalBound:
         rng = np.random.default_rng(seed)
         population = scenario.draw_population(rng)
         out = simulate_multi_reader(
-            population, ReaderFrontEnd(noise_std=population.noise_std), rng
+            population,
+            ReaderFrontEnd(noise_std=population.noise_std),
+            rng,
+            population.readers,
         )
         assert out.total_slots > 0
         p = population.messages.shape[1]
